@@ -8,7 +8,6 @@ from .boundary import (
     NegativeExponent,
     OddDegree,
     ParityViolation,
-    betti_and_jordan,
     boundary_alexander,
     boundary_pairs_arrangement,
     boundary_pairs_curve,
@@ -18,7 +17,6 @@ from .boundary import (
     error_term,
     flatten_weights,
     projective_curve_hodge,
-    smooth_primitive_middle,
 )
 from .bounds import (
     BoundTable,
@@ -59,6 +57,7 @@ from .milnor import (
     EnumerationTooLarge,
     milnor_dim,
     milnor_dim_bruteforce,
+    smooth_primitive_middle,
     steenbrink_infinity,
 )
 from .model import (
@@ -71,13 +70,7 @@ from .model import (
     serialize_spec,
     validate,
 )
-from .pairs import (
-    SpectralPairTable,
-    add_tables,
-    conjugate_table,
-    level_dual_table,
-    total_dim,
-)
+from .pairs import SpectralPairTable
 from .report import (
     Check,
     InvalidSpec,

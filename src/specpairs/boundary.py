@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .bounds import mhat
-from .laurent import CyclotomicFactorization, NotDivisible, t_power_minus_one
-from .localsing import hodge_filtration_dims, local_alexander, local_pairs
-from .milnor import milnor_dim, steenbrink_infinity
+from .bounds import divisibility_bound_infinity, mhat
+from .laurent import CyclotomicFactorization, NotDivisible
+from .localsing import MissingLocalHodgeData
+from .milnor import milnor_dim, smooth_primitive_middle, steenbrink_infinity
 from .pairs import PairKey, SpectralPairTable
 
 if TYPE_CHECKING:
@@ -50,7 +50,6 @@ class BoundaryInvariants:
 
     delta_m: CyclotomicFactorization
     pairs_nonunipotent: SpectralPairTable
-    error_term: CyclotomicFactorization | None = None
     pairs_unipotent: SpectralPairTable | None = None
     pairs_full: SpectralPairTable | None = None
     weight_resolved: dict[int, SpectralPairTable] | None = None
@@ -61,18 +60,14 @@ def boundary_alexander(spec: HypersurfaceSpec) -> CyclotomicFactorization:
 
         (t-1)^((-1)^(n+1) + mu) * (t^d - 1)^xi * product of local polynomials,
 
-    a concrete factorization of degree 2(d-1)^(n+1)."""
-    n, d = spec.n, spec.d
-    global_milnor = (d - 1) ** (n + 1)
-    mu = global_milnor - spec.total_local_milnor()
-    xi = (global_milnor + (-1) ** n) // d
-    factors = {k: xi for k in t_power_minus_one(d).factors}
-    factors[1] = factors.get(1, 0) + (-1) ** (n + 1) + mu
-    result = CyclotomicFactorization(
-        factors={k: m for k, m in factors.items() if m}, formal=True
+    a concrete factorization of degree 2(d-1)^(n+1).  It is the product of the
+    two divisibility bounds of the complement; a negative mu (local Milnor
+    numbers over budget) surfaces as NegativeExponent."""
+    result = (
+        divisibility_bound_infinity(spec.n, spec.d)
+        * CyclotomicFactorization(factors={1: spec.derived.mu}, formal=True)
+        * spec.derived.local_alexander_product
     )
-    for s, count in spec.singularities:
-        result = result * local_alexander(s) ** count
     if any(m < 0 for m in result.factors.values()):
         raise NegativeExponent(
             "boundary Alexander polynomial has a negative exponent; "
@@ -104,20 +99,15 @@ def error_term(
 def boundary_pairs_nonunipotent(spec: HypersurfaceSpec) -> SpectralPairTable:
     """Eigenvalue != 1 spectral pairs of the middle boundary Alexander module:
     the sum of the local tables and the table at infinity."""
-    total = steenbrink_infinity(spec.n, spec.d).nonunipotent()
-    for s, count in spec.singularities:
-        total = total + local_pairs(s).nonunipotent() * count
-    return total
+    infinity = steenbrink_infinity(spec.n, spec.d)
+    return (infinity + spec.derived.local_pair_sum).nonunipotent()
 
 
 def _curve_alpha0(spec: HypersurfaceSpec) -> tuple[int, int]:
     """Common eigenvalue-1 quantities for curves: the (0,0)/(1,1) count of the
     boundary and half-sum entering the (0,1)/(1,0) counts."""
-    d, r = spec.d, spec.components
-    excess = spec.branch_excess()
-    mu = (d - 1) ** 2 - spec.total_local_milnor()
-    corner = excess + d - r
-    twice_genus = mu + 2 * r - d - 1 - excess
+    corner = spec.derived.branch_excess + spec.d - spec.components
+    twice_genus = spec.derived.curve_genus
     if twice_genus < 0 or corner < 0:
         raise NegativeCount(
             f"curve Hodge numbers evaluated negative (corner {corner}, "
@@ -151,9 +141,7 @@ def boundary_pairs_curve(spec: HypersurfaceSpec) -> SpectralPairTable:
     if off:
         entries[(0, 1, Fraction(0))] = off
         entries[(1, 0, Fraction(0))] = off
-    local_sum = SpectralPairTable.empty()
-    for s, count in spec.singularities:
-        local_sum = local_sum + local_pairs(s) * count
+    local_sum = spec.derived.local_pair_sum
     alphas = {alpha for (_, _, alpha) in local_sum.keys() if alpha > 0}
     alphas.update(Fraction(j, d) for j in range(1, d))
     for alpha in sorted(alphas):
@@ -194,16 +182,6 @@ def boundary_pairs_arrangement(d: int, multiplicities) -> SpectralPairTable:
     return SpectralPairTable(entries)
 
 
-def smooth_primitive_middle(n: int, d: int, p: int) -> int:
-    """Primitive middle Hodge number h^{p,n-p} of a smooth degree-d
-    hypersurface in projective (n+1)-space.
-
-    Equals the weight-n part of the cohomology of the fiber at infinity:
-    the sum of milnor_dim(n, d, pd + i - n - 1) over i = 1..d-1.
-    """
-    return sum(milnor_dim(n, d, p * d + i - n - 1) for i in range(1, d))
-
-
 def projective_space_hodge(big_n: int, k: int, p: int, q: int) -> int:
     """Hodge number h^{p,q} of H^k of complex projective big_n-space."""
     if 0 <= k <= 2 * big_n and k % 2 == 0 and p == q == k // 2:
@@ -224,10 +202,9 @@ def boundary_pairs_qhm(spec: HypersurfaceSpec) -> dict[int, SpectralPairTable]:
     if not spec.rational_homology_manifold:
         raise ValueError("spec is not flagged as a rational homology manifold")
     n, d = spec.n, spec.d
-    local_grf: dict[int, int] = {}
-    for s, count in spec.singularities:
-        for p, v in hodge_filtration_dims(s, n).items():
-            local_grf[p] = local_grf.get(p, 0) + v * count
+    local_grf = spec.derived.local_grf
+    if local_grf is None:
+        raise MissingLocalHodgeData("germs above curves need grF_dims")
     top: dict[PairKey, int] = {}
     for p in range(n + 2):
         c = milnor_dim(n, d, p * d - n - 1)
@@ -257,7 +234,7 @@ def boundary_pairs_qhm(spec: HypersurfaceSpec) -> dict[int, SpectralPairTable]:
 
 def flatten_weights(weighted: dict[int, SpectralPairTable]) -> SpectralPairTable:
     """Forget the weight grading, keeping (p, q, alpha) keys."""
-    total = SpectralPairTable.empty()
+    total = SpectralPairTable()
     for _, table in sorted(weighted.items()):
         total = total + table
     return total
@@ -272,9 +249,6 @@ def compute_boundary_invariants(spec: HypersurfaceSpec) -> BoundaryInvariants:
     """
     delta_m = boundary_alexander(spec)
     nonunip = boundary_pairs_nonunipotent(spec)
-    err = None
-    if spec.delta_u is not None:
-        err = error_term(spec, spec.delta_u)
     unip = full = weighted = None
     if spec.rational_homology_manifold:
         weighted = boundary_pairs_qhm(spec)
@@ -287,22 +261,10 @@ def compute_boundary_invariants(spec: HypersurfaceSpec) -> BoundaryInvariants:
     return BoundaryInvariants(
         delta_m=delta_m,
         pairs_nonunipotent=nonunip,
-        error_term=err,
         pairs_unipotent=unip,
         pairs_full=full,
         weight_resolved=weighted,
     )
-
-
-def betti_and_jordan(spec: HypersurfaceSpec) -> tuple[int, int]:
-    """First Betti number of the boundary manifold of a plane curve complement
-    and the count of eigenvalue-1 Jordan blocks on its middle Alexander
-    module: (2r + mu - 1, 2r + mu - 2)."""
-    if spec.n != 1:
-        raise ValueError("betti_and_jordan requires n = 1")
-    mu = (spec.d - 1) ** 2 - spec.total_local_milnor()
-    b1 = 2 * spec.components + mu - 1
-    return b1, b1 - 1
 
 
 @dataclass(frozen=True)
@@ -326,7 +288,7 @@ def projective_curve_hodge(spec: HypersurfaceSpec) -> ProjectiveCurveHodge:
     if spec.n != 1:
         raise ValueError("projective_curve_hodge requires n = 1")
     r = spec.components
-    excess = spec.branch_excess()
+    excess = spec.derived.branch_excess
     corner, off = _curve_alpha0(spec)
     if excess + 1 - r < 0:
         raise NegativeCount(

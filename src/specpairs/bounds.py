@@ -14,9 +14,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .laurent import CyclotomicFactorization, t_power_minus_one
-from .localsing import local_alexander, local_pairs
-from .milnor import milnor_dim
-from .pairs import PairKey, SpectralPairTable
+from .milnor import milnor_dim, xi_exponent
+from .pairs import PairKey
 
 if TYPE_CHECKING:
     from .model import HypersurfaceSpec
@@ -38,23 +37,20 @@ def mhat(m: int, alpha: Fraction) -> int:
 class BoundTable:
     """Upper bounds on spectral pairs, with a subset flagged as exact equalities.
 
-    Keys absent from the table are bounded by 0.  A stored value of None means
-    no finite bound is asserted for that key.
+    Keys absent from the table are bounded by 0.
     """
 
     __slots__ = ("_entries", "_exact")
 
     def __init__(
         self,
-        entries: Mapping[PairKey, int | None] | None = None,
+        entries: Mapping[PairKey, int] | None = None,
         exact: Iterable[PairKey] = (),
     ):
-        data: dict[PairKey, int | None] = {}
+        data: dict[PairKey, int] = {}
         for key, value in (entries or {}).items():
             p, q, alpha = key
-            data[(int(p), int(q), Fraction(alpha))] = (
-                None if value is None else int(value)
-            )
+            data[(int(p), int(q), Fraction(alpha))] = int(value)
         self._exact = frozenset(
             (int(p), int(q), Fraction(alpha)) for p, q, alpha in exact
         )
@@ -66,7 +62,7 @@ class BoundTable:
             k: v for k, v in data.items() if v != 0 or k in self._exact
         }
 
-    def bound_at(self, key) -> int | None:
+    def bound_at(self, key) -> int:
         p, q, alpha = key
         return self._entries.get((int(p), int(q), Fraction(alpha)), 0)
 
@@ -74,7 +70,7 @@ class BoundTable:
         p, q, alpha = key
         return (int(p), int(q), Fraction(alpha)) in self._exact
 
-    def items(self) -> list[tuple[PairKey, int | None]]:
+    def items(self) -> list[tuple[PairKey, int]]:
         return sorted(
             self._entries.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
         )
@@ -113,7 +109,7 @@ def divisibility_bound_infinity(n: int, d: int) -> CyclotomicFactorization:
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    xi = ((d - 1) ** (n + 1) + (-1) ** n) // d
+    xi = xi_exponent(n, d)
     factors = {k: xi for k in t_power_minus_one(d).factors}
     factors[1] = factors.get(1, 0) + (-1) ** (n + 1)
     return CyclotomicFactorization(factors=factors, formal=True)
@@ -122,23 +118,13 @@ def divisibility_bound_infinity(n: int, d: int) -> CyclotomicFactorization:
 def divisibility_bound_local(spec: HypersurfaceSpec) -> CyclotomicFactorization:
     """Divisor bound from the singular points: (t-1)^mu times the product of
     the top local Alexander polynomials."""
-    mu = (spec.d - 1) ** (spec.n + 1) - spec.total_local_milnor()
+    mu, local = spec.derived.mu, spec.derived.local_alexander_product
     if mu < 0:
         raise NegativeMu(
             f"local Milnor numbers exceed (d-1)^(n+1) = "
             f"{(spec.d - 1) ** (spec.n + 1)}"
         )
-    result = CyclotomicFactorization(factors={1: mu} if mu else {})
-    for s, count in spec.singularities:
-        result = result * local_alexander(s) ** count
-    return result
-
-
-def _local_pair_sum(spec: HypersurfaceSpec) -> SpectralPairTable:
-    total = SpectralPairTable.empty()
-    for s, count in spec.singularities:
-        total = total + local_pairs(s) * count
-    return total
+    return CyclotomicFactorization(factors={1: mu}) * local
 
 
 def spectral_bound_complement(
@@ -156,8 +142,8 @@ def spectral_bound_complement(
     n, d = spec.n, spec.d
     if h_d is None and spec.h_d is not None:
         h_d = {(p, q): c for p, q, c in spec.h_d}
-    local_sum = _local_pair_sum(spec)
-    entries: dict[PairKey, int | None] = {}
+    local_sum = spec.derived.local_pair_sum
+    entries: dict[PairKey, int] = {}
     alphas = {alpha for (_, _, alpha) in local_sum.keys() if alpha > 0}
     alphas.update(Fraction(j, d) for j in range(1, d))
     for alpha in sorted(alphas):
@@ -191,7 +177,7 @@ def spectral_bound_curve(spec: HypersurfaceSpec) -> BoundTable:
     if spec.n != 1:
         raise ValueError("spectral_bound_curve requires n = 1")
     d, r = spec.d, spec.components
-    entries: dict[PairKey, int | None] = {}
+    entries: dict[PairKey, int] = {}
     for j in range(1, d):
         if j - 1:
             entries[(0, 1, Fraction(j, d))] = j - 1
@@ -209,7 +195,7 @@ def spectral_bound_arrangement(d: int, multiplicities: Iterable[int]) -> BoundTa
     vanishes unless some multiplicity equals d.
     """
     mults = list(multiplicities)
-    entries: dict[PairKey, int | None] = {}
+    entries: dict[PairKey, int] = {}
     for j in range(1, d):
         alpha = Fraction(j, d)
         bound = min(j - 1, sum(mhat(m, alpha) - 1 for m in mults))

@@ -22,7 +22,7 @@ from pathlib import Path
 from .laurent import CyclotomicFactorization
 from .localsing import Ordinary
 from .milnor import milnor_dim, milnor_dim_bruteforce
-from .model import HypersurfaceSpec, MalformedDocument, parse_spec, shared_line_violations
+from .model import HypersurfaceSpec, MalformedDocument, parse_spec
 from .pairs import SpectralPairTable
 from .report import InvalidSpec, InvariantReport, build_report, render_text, report_to_json
 
@@ -101,7 +101,8 @@ def census_rows(d: int, max_rows: int | None = None) -> list[CensusRow]:
                 table=report.pairs_full,
                 checks_passed=report.all_passed,
                 failed_checks=tuple(c.name for c in report.failed()),
-                possibly_unrealizable=bool(shared_line_violations(d, mults)),
+                # the only warnings are shared-line realizability violations
+                possibly_unrealizable=bool(report.warnings),
             )
         )
     return rows
@@ -154,18 +155,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_spec(path: Path) -> HypersurfaceSpec | None:
+def _load_report(path: Path) -> InvariantReport | None:
+    """Read, parse and build the report for an input document; None, with the
+    reasons on stderr, when any step rejects it."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         return None
     try:
-        return parse_spec(text)
+        return build_report(parse_spec(text))
     except MalformedDocument as exc:
         for error in exc.errors:
             print(f"malformed document: {error}", file=sys.stderr)
-        return None
+    except InvalidSpec as exc:
+        for violation in exc.violations:
+            print(str(violation), file=sys.stderr)
+    return None
 
 
 def _report_exit_status(report: InvariantReport) -> int:
@@ -177,14 +183,8 @@ def _report_exit_status(report: InvariantReport) -> int:
 
 
 def _cmd_compute(args) -> int:
-    spec = _load_spec(args.input)
-    if spec is None:
-        return EXIT_INVALID
-    try:
-        report = build_report(spec)
-    except InvalidSpec as exc:
-        for violation in exc.violations:
-            print(str(violation), file=sys.stderr)
+    report = _load_report(args.input)
+    if report is None:
         return EXIT_INVALID
     if args.format == "structured":
         print(report_to_json(report))
@@ -194,14 +194,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    spec = _load_spec(args.input)
-    if spec is None:
-        return EXIT_INVALID
-    try:
-        report = build_report(spec)
-    except InvalidSpec as exc:
-        for violation in exc.violations:
-            print(str(violation), file=sys.stderr)
+    report = _load_report(args.input)
+    if report is None:
         return EXIT_INVALID
     for check in report.checks:
         print(check.line())

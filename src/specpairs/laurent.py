@@ -186,13 +186,6 @@ class LaurentPoly:
     def __hash__(self) -> int:
         return hash(frozenset(self._coeffs.items()))
 
-    def __call__(self, x):
-        """Evaluate at a rational or complex point (x must be invertible if
-        negative exponents are present)."""
-        if isinstance(x, complex):
-            return sum((complex(c) * x**e for e, c in self._coeffs.items()), 0j)
-        return sum((c * Fraction(x) ** e for e, c in self._coeffs.items()), Fraction(0))
-
     def divide_exact(self, divisor: LaurentPoly) -> LaurentPoly | None:
         """Exact quotient self/divisor in Q[t, t^-1], or None if not divisible."""
         if divisor.is_zero:
@@ -342,10 +335,6 @@ class CyclotomicFactorization:
     def degree(self) -> int:
         """Sum of multiplicity(k) * phi(k); the exponent span of the expansion."""
         return sum(m * euler_phi(k) for k, m in self._factors.items())
-
-    @property
-    def is_one(self) -> bool:
-        return not self._factors and self._unit == 1 and self._t_power == 0
 
     def expand(self) -> LaurentPoly:
         """Multiply out the factorization.  Requires nonnegative multiplicities."""

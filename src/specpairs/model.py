@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .laurent import CyclotomicFactorization
@@ -17,11 +18,16 @@ from .localsing import (
     Brieskorn,
     Explicit,
     LocalSingularity,
+    MissingLocalHodgeData,
     Ordinary,
     alexander_alpha_marginal,
     branches,
+    hodge_filtration_dims,
+    local_alexander,
+    local_pairs,
     milnor_number,
 )
+from .milnor import smooth_primitive_middle, xi_exponent
 from .pairs import SpectralPairTable
 
 
@@ -57,56 +63,77 @@ class HypersurfaceSpec:
     delta_u: CyclotomicFactorization | None = None
     h_d: tuple[tuple[int, int, int], ...] | None = None  # rows (p, q, count)
 
-    def singularity_instances(self):
-        """Iterate singularities with multiplicity counts expanded."""
-        for sing, count in self.singularities:
-            for _ in range(count):
-                yield sing
-
-    def total_local_milnor(self) -> int:
-        return sum(milnor_number(s) * c for s, c in self.singularities)
-
-    def branch_excess(self) -> int:
-        """Sum over singular points of (local branch count - 1)."""
-        return sum((branches(s) - 1) * c for s, c in self.singularities)
-
-    def ordinary_multiplicities(self) -> tuple[int, ...]:
-        """Descending multiset of multiplicities, for arrangement data."""
-        mults: list[int] = []
-        for s, c in self.singularities:
-            if isinstance(s, Ordinary):
-                mults.extend([s.multiplicity] * c)
-        return tuple(sorted(mults, reverse=True))
+    @cached_property
+    def derived(self) -> Derived:
+        """The quantities derived from this spec, computed on first access."""
+        return derived_quantities(self)
 
 
 @dataclass(frozen=True)
 class Derived:
-    """Quantities determined by the combinatorial input."""
+    """Quantities determined by the combinatorial input, each computed once
+    per spec; the per-germ tuples follow the order of spec.singularities."""
 
     mu: int  # (d-1)^(n+1) - sum of local Milnor numbers
     xi: int  # ((d-1)^(n+1) + (-1)^n) / d
+    branch_excess: int  # sum over singular points of (local branch count - 1)
+    local_pairs: tuple[SpectralPairTable, ...]
+    local_alexander: tuple[CyclotomicFactorization, ...]
+    local_pair_sum: SpectralPairTable  # count-weighted sum of local_pairs
+    local_alexander_product: CyclotomicFactorization  # with counts as powers
+    ordinary_multiplicities: tuple[int, ...]  # descending, one per ordinary point
     b1: int | None = None  # first Betti number of the boundary (curves only)
     j1: int | None = None  # eigenvalue-1 Jordan block count (curves only)
+    curve_genus: int | None = None  # mu + 2r - d - 1 - branch excess (curves only)
+    local_grf: dict[int, int] | None = None  # RHM with grF data: sum of dim Gr_F^p
 
 
 def derived_quantities(spec: HypersurfaceSpec) -> Derived:
-    n, d = spec.n, spec.d
-    global_milnor = (d - 1) ** (n + 1)
-    mu = global_milnor - spec.total_local_milnor()
-    xi_num = global_milnor + (-1) ** n
-    if xi_num % d:
-        raise ArithmeticError(
-            f"((d-1)^(n+1) + (-1)^n) = {xi_num} is not divisible by d = {d}"
-        )
-    xi = xi_num // d
+    """Derive every per-spec quantity; callers read it as spec.derived.
+
+    Needs positive singularity counts, which validate checks before it reads
+    the result."""
+    n, d, r = spec.n, spec.d, spec.components
+    sings = spec.singularities
+    mu = (d - 1) ** (n + 1) - sum(milnor_number(s) * c for s, c in sings)
+    excess = sum((branches(s) - 1) * c for s, c in sings)
+    pairs = tuple(local_pairs(s) for s, _ in sings)
+    alexander = tuple(local_alexander(s) for s, _ in sings)
+    pair_sum = SpectralPairTable()
+    alexander_product = CyclotomicFactorization()
+    for (_, count), table, poly in zip(sings, pairs, alexander):
+        pair_sum = pair_sum + table * count
+        alexander_product = alexander_product * poly**count
+    mults = sorted(
+        (s.multiplicity for s, c in sings if isinstance(s, Ordinary) for _ in range(c)),
+        reverse=True,
+    )
+    grf: dict[int, int] | None = None
+    if spec.rational_homology_manifold:
+        try:
+            grf = {}
+            for s, count in sings:
+                for p, v in hodge_filtration_dims(s, n).items():
+                    grf[p] = grf.get(p, 0) + v * count
+        except MissingLocalHodgeData:
+            grf = None
+    b1 = j1 = genus = None
     if n == 1:
-        r = spec.components
-        return Derived(mu, xi, b1=2 * r + mu - 1, j1=2 * r + mu - 2)
-    return Derived(mu, xi)
-
-
-def _pair_count_target(d: int) -> int:
-    return comb(d, 2)
+        b1, j1, genus = 2 * r + mu - 1, 2 * r + mu - 2, mu + 2 * r - d - 1 - excess
+    return Derived(
+        mu=mu,
+        xi=xi_exponent(n, d),
+        branch_excess=excess,
+        local_pairs=pairs,
+        local_alexander=alexander,
+        local_pair_sum=pair_sum,
+        local_alexander_product=alexander_product,
+        ordinary_multiplicities=tuple(mults),
+        b1=b1,
+        j1=j1,
+        curve_genus=genus,
+        local_grf=grf,
+    )
 
 
 def shared_line_violations(d: int, multiplicities) -> list[tuple[int, int]]:
@@ -187,29 +214,29 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
     n, d, r = spec.n, spec.d, spec.components
     if n < 0:
         out.append(Violation("ambient_dim", f"ambient dimension n+1 = {n + 1} < 1"))
-    if d < 1:
-        out.append(Violation("degree", f"degree {d} < 1"))
+    if d < 2:
+        out.append(Violation("degree", f"degree {d} < 2"))
     if r < 1:
         out.append(Violation("components", f"component count {r} < 1"))
-    if n < 0 or d < 1 or r < 1:
-        return out
-    if r > d:
-        out.append(
-            Violation("too_many_components", f"{r} components exceed the degree {d}")
-        )
     for s, count in spec.singularities:
         if count < 1:
             out.append(
                 Violation("count_nonpositive", f"singularity count {count} < 1")
             )
-    global_milnor = (d - 1) ** (n + 1)
-    local_sum = spec.total_local_milnor()
-    if local_sum > global_milnor:
+    if out:
+        return out
+    derived = spec.derived
+    if r > d:
+        out.append(
+            Violation("too_many_components", f"{r} components exceed the degree {d}")
+        )
+    if derived.mu < 0:
+        global_milnor = (d - 1) ** (n + 1)
         out.append(
             Violation(
                 "negative_mu",
-                f"local Milnor numbers total {local_sum} > (d-1)^(n+1) = "
-                f"{global_milnor}",
+                f"local Milnor numbers total {global_milnor - derived.mu} > "
+                f"(d-1)^(n+1) = {global_milnor}",
             )
         )
     if n >= 2:
@@ -257,9 +284,9 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
                 )
             )
         elif n == 1:
-            mults = spec.ordinary_multiplicities()
+            mults = derived.ordinary_multiplicities
             have = sum(comb(m, 2) for m in mults)
-            want = _pair_count_target(d)
+            want = comb(d, 2)
             if have != want:
                 out.append(
                     Violation(
@@ -285,8 +312,7 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
                     )
                 )
     if n == 1:
-        excess = spec.branch_excess()
-        mu = global_milnor - local_sum
+        excess, genus2 = derived.branch_excess, derived.curve_genus
         if excess + 1 - r < 0:
             out.append(
                 Violation(
@@ -295,7 +321,6 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
                     f"(h^(0,0) of the projective curve would be negative)",
                 )
             )
-        genus2 = mu + 2 * r - d - 1 - excess
         if genus2 < 0:
             out.append(
                 Violation(
@@ -318,11 +343,8 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
                     "a rational homology manifold curve is irreducible",
                 )
             )
-        for s, _ in spec.singularities:
-            unipotent_mass = (
-                branches(s) - 1 if not isinstance(s, Explicit)
-                else s.pairs.unipotent().total_dim()
-            )
+        for table in derived.local_pairs:
+            unipotent_mass = table.unipotent().total_dim()
             if unipotent_mass:
                 out.append(
                     Violation(
@@ -333,6 +355,20 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
                     )
                 )
                 break
+        grf = derived.local_grf
+        over = [] if grf is None else [
+            p for p in range(n + 1) if grf.get(p, 0) > smooth_primitive_middle(n, d, p)
+        ]
+        if grf is None or over:
+            out.append(
+                Violation(
+                    "rhm_inconsistent",
+                    "germs above curves need Hodge filtration dimensions (grF_dims)"
+                    if grf is None
+                    else "local Hodge data exceeds the smooth hypersurface "
+                    f"numbers at filtration level {over[0]}",
+                )
+            )
     return out
 
 

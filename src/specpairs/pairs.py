@@ -38,10 +38,6 @@ class SpectralPairTable:
                 data[key] = data.get(key, 0) + count
         self._entries = data
 
-    @classmethod
-    def empty(cls) -> SpectralPairTable:
-        return cls()
-
     def get(self, key) -> int:
         return self._entries.get(_normalize_key(key), 0)
 
@@ -142,20 +138,3 @@ class SpectralPairTable:
             data[key] = data.get(key, 0) + int(count)
         return cls(data)
 
-
-def add_tables(a: SpectralPairTable, b: SpectralPairTable) -> SpectralPairTable:
-    """Entrywise sum of two tables."""
-    return a + b
-
-
-def total_dim(table: SpectralPairTable) -> int:
-    """Sum of all counts in the table."""
-    return table.total_dim()
-
-
-def conjugate_table(table: SpectralPairTable) -> SpectralPairTable:
-    return table.conjugate()
-
-
-def level_dual_table(table: SpectralPairTable, n: int) -> SpectralPairTable:
-    return table.level_dual(n)

@@ -12,17 +12,16 @@ inconsistent with the rest of the input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import boundary, bounds
 from .laurent import CyclotomicFactorization, NotDivisible
-from .localsing import branches, local_alexander, local_pairs, milnor_number
+from .localsing import branches, milnor_number
 from .model import (
     Derived,
     HypersurfaceSpec,
     Violation,
-    derived_quantities,
     hard_violations,
     serialize_spec,
     validate,
@@ -125,20 +124,19 @@ def _check_bound_consistency(
     problems: list[str] = []
     if curve is not None:
         for key, value in complement.items():
-            p, q, alpha = key
-            if alpha > 0 and value is not None:
+            if key[2] > 0:
                 cap = curve.bound_at(key)
-                if cap is not None and value > cap:
+                if value > cap:
                     problems.append(f"complement {key} > curve bound {cap}")
         r_minus_1 = spec.components - 1
         cap = complement.bound_at((1, 1, Fraction(0)))
-        if cap is not None and r_minus_1 > cap:
+        if r_minus_1 > cap:
             problems.append("exact (1,1,0) value exceeds the complement bound")
     if arrangement is not None and curve is not None:
         for key, value in arrangement.items():
-            if key[2] > 0 and value is not None:
+            if key[2] > 0:
                 cap = curve.bound_at(key)
-                if cap is not None and value > cap:
+                if value > cap:
                     problems.append(f"arrangement {key} > curve bound {cap}")
     return Check(
         "bound_consistency",
@@ -160,9 +158,8 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
         raise InvalidSpec(errors)
     warnings = [v for v in violations if v.severity == "warning"]
 
-    derived = derived_quantities(spec)
-    # error term handled separately so divisibility failures become check results
-    inv = boundary.compute_boundary_invariants(replace(spec, delta_u=None))
+    derived = spec.derived
+    inv = boundary.compute_boundary_invariants(spec)
     checks: list[Check] = []
 
     n, d = spec.n, spec.d
@@ -175,11 +172,10 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
             f"deg delta_M = {inv.delta_m.degree}, expected {expected_degree}",
         )
     )
-    xi_numerator = (d - 1) ** (n + 1) + (-1) ** n
     checks.append(
         Check(
             "xi_integral",
-            xi_numerator % d == 0,
+            d * derived.xi == (d - 1) ** (n + 1) + (-1) ** n,
             "identity",
             f"xi = {derived.xi}",
         )
@@ -187,8 +183,8 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
 
     bad_locals = [
         str(s)
-        for s, _ in spec.singularities
-        if local_alexander(s).degree != milnor_number(s)
+        for (s, _), poly in zip(spec.singularities, derived.local_alexander)
+        if poly.degree != milnor_number(s)
     ]
     checks.append(
         Check(
@@ -203,8 +199,8 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
     if n == 1:
         bad_mass = [
             str(s)
-            for s, _ in spec.singularities
-            if local_pairs(s).unipotent().total_dim() != branches(s) - 1
+            for (s, _), table in zip(spec.singularities, derived.local_pairs)
+            if table.unipotent().total_dim() != branches(s) - 1
         ]
         checks.append(
             Check(
@@ -226,7 +222,7 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
     pairs_arrangement = None
     if spec.line_arrangement:
         pairs_arrangement = boundary.boundary_pairs_arrangement(
-            d, spec.ordinary_multiplicities()
+            d, derived.ordinary_multiplicities
         )
         tables["arrangement"] = pairs_arrangement
     checks.append(_check_tables_conjugation(tables))
@@ -235,12 +231,10 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
     )
 
     if n == 1:
-        curve_full = inv.pairs_full
-        assert curve_full is not None
         checks.append(
             Check(
                 "two_path_agreement",
-                curve_full.nonunipotent() == inv.pairs_nonunipotent,
+                inv.pairs_full.nonunipotent() == inv.pairs_nonunipotent,
                 "identity",
                 "curve route and local+infinity route agree above eigenvalue 1",
             )
@@ -281,7 +275,7 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
     bound_complement = bounds.spectral_bound_complement(spec)
     bound_curve = bounds.spectral_bound_curve(spec) if n == 1 else None
     bound_arrangement = (
-        bounds.spectral_bound_arrangement(d, spec.ordinary_multiplicities())
+        bounds.spectral_bound_arrangement(d, derived.ordinary_multiplicities)
         if spec.line_arrangement
         else None
     )

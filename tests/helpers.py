@@ -76,6 +76,37 @@ def brieskorn_pham_explicit(exponents: tuple[int, ...]) -> Explicit:
     )
 
 
+def oracle_boundary_alexander(spec: HypersurfaceSpec) -> CyclotomicFactorization:
+    """delta_M from its explicit formula
+    (t-1)^((-1)^(n+1) + mu) * (t^d - 1)^xi * prod over points of Delta_x,
+    with each built-in Delta_x regrouped from a spectrum enumerated here and
+    each explicit germ contributing its supplied polynomial."""
+    n, d = spec.n, spec.d
+    factors: Counter = Counter()
+    local_milnor = 0
+    for s, count in spec.singularities:
+        if isinstance(s, Explicit):
+            local_milnor += s.milnor * count
+            local = s.alexander.factors
+        else:
+            a, b = (s.a, s.b) if isinstance(s, Brieskorn) else (s.multiplicity,) * 2
+            spectrum = [
+                Fraction(i, a) + Fraction(j, b) for i in range(1, a) for j in range(1, b)
+            ]
+            local_milnor += len(spectrum) * count
+            local = group_alpha_counts(value % 1 for value in spectrum)
+        for k, m in local.items():
+            factors[k] += m * count
+    global_milnor = (d - 1) ** (n + 1)
+    xi, remainder = divmod(global_milnor + (-1) ** n, d)
+    assert remainder == 0
+    for k in range(1, d + 1):
+        if d % k == 0:
+            factors[k] += xi
+    factors[1] += (-1) ** (n + 1) + global_milnor - local_milnor
+    return CyclotomicFactorization(factors={k: m for k, m in factors.items() if m})
+
+
 def _group_counts(sings) -> tuple:
     counts = Counter(sings)
     return tuple(sorted(counts.items(), key=lambda kv: repr(kv[0])))

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import brieskorn_pham_explicit, random_spec
+from helpers import brieskorn_pham_explicit, oracle_boundary_alexander, random_spec
 
 from specpairs import (
     Brieskorn,
@@ -17,7 +17,6 @@ from specpairs import (
     NotDivisible,
     Ordinary,
     SpectralPairTable,
-    betti_and_jordan,
     boundary_alexander,
     boundary_pairs_arrangement,
     boundary_pairs_curve,
@@ -66,6 +65,13 @@ def test_boundary_alexander_degree_on_random_specs():
         n = rng.choice((1, 2, 3))
         spec = random_spec(rng, n)
         assert boundary_alexander(spec).degree == 2 * (spec.d - 1) ** (n + 1)
+
+
+def test_boundary_alexander_matches_independent_oracle():
+    rng = random.Random(1607)
+    for _ in range(1000):
+        spec = random_spec(rng, rng.choice((1, 2, 3)))
+        assert boundary_alexander(spec) == oracle_boundary_alexander(spec)
 
 
 def test_error_term_worked_examples():
@@ -297,9 +303,10 @@ def test_curve_route_with_non_semisimple_explicit_germ():
 
 
 def test_betti_and_jordan_examples():
-    assert betti_and_jordan(THREE_GENERIC_LINES) == (6, 5)
-    assert betti_and_jordan(CUSPIDAL_CUBIC) == (3, 2)
-    assert betti_and_jordan(SMOOTH_CONIC) == (2, 1)
+    for spec, b1, j1 in (
+        (THREE_GENERIC_LINES, 6, 5), (CUSPIDAL_CUBIC, 3, 2), (SMOOTH_CONIC, 2, 1)
+    ):
+        assert (spec.derived.b1, spec.derived.j1) == (b1, j1)
 
 
 def test_projective_curve_hodge_examples():

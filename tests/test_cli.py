@@ -64,6 +64,62 @@ def test_verify_exit_one_on_bad_delta_u(spec_file, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def _nodal_cubic_surface_doc():
+    from helpers import brieskorn_pham_explicit
+
+    from specpairs import HypersurfaceSpec, serialize_spec
+
+    node = brieskorn_pham_explicit((2, 2, 2))
+    return serialize_spec(
+        HypersurfaceSpec(n=2, d=3, components=1, singularities=((node, 1),),
+                         rational_homology_manifold=True)
+    )
+
+
+def _without_grf(doc):
+    for entry in doc["singularities"]:
+        del entry["grF_dims"]
+    return doc
+
+
+RHM_QUARTIC_WITH_OVERSIZED_GRF = {
+    "ambient_dim": 2,
+    "degree": 4,
+    "components": 1,
+    "rational_homology_manifold": True,
+    "singularities": [
+        {
+            "kind": "explicit",
+            "milnor_number": 2,
+            "branches": 1,
+            "alexander": {"unit": "1/1", "t_power": 0, "factors": [[6, 1]]},
+            "spectral_pairs": [[0, 1, "5/6", 1], [1, 0, "1/6", 1]],
+            # the smooth quartic has h^{0,1} = 3
+            "grF_dims": [[0, 5], [1, 1]],
+        }
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, code",
+    [
+        ({"ambient_dim": 2, "degree": 1, "components": 1}, "degree"),
+        (_without_grf(_nodal_cubic_surface_doc()), "rhm_inconsistent"),
+        (RHM_QUARTIC_WITH_OVERSIZED_GRF, "rhm_inconsistent"),
+    ],
+    ids=["degree_one", "rhm_missing_grf", "rhm_oversized_grf"],
+)
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_documents_that_used_to_crash_end_as_violations(
+    spec_file, capsys, doc, code, command
+):
+    assert main([command, spec_file(doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"] {code}: " in err
+
+
 def test_compute_exit_one_on_malformed(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{", encoding="utf-8")
@@ -136,7 +192,7 @@ def test_census_stable_for_small_line_counts():
 def test_arrangement_spec_builder():
     spec = arrangement_spec(3, (2, 2, 2))
     assert spec.line_arrangement and spec.components == 3
-    assert spec.ordinary_multiplicities() == (2, 2, 2)
+    assert spec.derived.ordinary_multiplicities == (2, 2, 2)
 
 
 def test_explicit_document_matches_builtin_encoding(spec_file, capsys):

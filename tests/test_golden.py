@@ -26,7 +26,9 @@ CASES = [
     for doc in sorted(GOLDEN.glob("*.json"))
     for command, argv in COMMANDS.items()
 ]
-CASES.append(("census7.structured", ["census", "--lines", "7", "--format", "structured"]))
+CASES.append(
+    ("census7.structured", ["census", "--lines", "7", "--format", "structured"])
+)
 
 
 def test_golden_corpus_is_complete():

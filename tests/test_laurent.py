@@ -150,14 +150,6 @@ def test_serialization_round_trip():
     assert CyclotomicFactorization.from_dict(formal.to_dict()) == formal
 
 
-def test_evaluation():
-    p = (T - 1) * (T + 2)
-    assert p(Fraction(1, 2)) == Fraction(-5, 4)
-    assert abs(p(complex(1.0)) - 0) < 1e-12
-    q = LaurentPoly({-1: 1, 1: 1})
-    assert q(2) == Fraction(5, 2)
-
-
 def test_division_by_zero_and_bad_orders():
     with pytest.raises(ZeroDivisionError):
         (T - 1).divide_exact(LaurentPoly.zero())

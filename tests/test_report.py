@@ -159,6 +159,32 @@ def test_random_reports_with_consistent_delta_u():
         assert report.error_term.degree % 2 == 0
 
 
+def test_build_report_enumerates_each_germ_spectrum_at_most_twice(monkeypatch):
+    # each germ entry's spectrum feeds its local pairs and local Alexander
+    # polynomial; an RHM curve also reads its Hodge filtration from it
+    from specpairs import localsing
+
+    calls = []
+    spectrum = localsing.spectrum
+    monkeypatch.setattr(
+        localsing, "spectrum", lambda s: calls.append(s) or spectrum(s)
+    )
+    braid = HypersurfaceSpec(
+        n=1, d=6, components=6,
+        singularities=((Ordinary(3), 4), (Ordinary(2), 3)),
+        line_arrangement=True,
+    )
+    rhm_quintic = HypersurfaceSpec(
+        n=1, d=5, components=1,
+        singularities=((Brieskorn(2, 5), 1), (Brieskorn(3, 4), 1)),
+        rational_homology_manifold=True,
+    )
+    for spec, per_entry in ((braid, 2), (rhm_quintic, 3)):
+        calls.clear()
+        build_report(spec)
+        assert 0 < len(calls) <= per_entry * len(spec.singularities)
+
+
 def test_render_text_sections():
     text = render_text(build_report(THREE_GENERIC_LINES))
     assert "delta_M = Phi(1)^6 * Phi(3)" in text
