@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 
 import pytest
+from helpers import brieskorn_pham_explicit
 
+from specpairs import HypersurfaceSpec, serialize_spec
 from specpairs.cli import arrangement_spec, census_rows, main, weak_multisets
 
 THREE_GENERIC_LINES_DOC = {
@@ -64,21 +66,13 @@ def test_verify_exit_one_on_bad_delta_u(spec_file, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def _nodal_cubic_surface_doc():
-    from helpers import brieskorn_pham_explicit
-
-    from specpairs import HypersurfaceSpec, serialize_spec
-
+def _nodal_cubic_surface_doc_without_grf():
     node = brieskorn_pham_explicit((2, 2, 2))
-    return serialize_spec(
+    doc = serialize_spec(
         HypersurfaceSpec(n=2, d=3, components=1, singularities=((node, 1),),
                          rational_homology_manifold=True)
     )
-
-
-def _without_grf(doc):
-    for entry in doc["singularities"]:
-        del entry["grF_dims"]
+    del doc["singularities"][0]["grF_dims"]
     return doc
 
 
@@ -105,7 +99,7 @@ RHM_QUARTIC_WITH_OVERSIZED_GRF = {
     "doc, code",
     [
         ({"ambient_dim": 2, "degree": 1, "components": 1}, "degree"),
-        (_without_grf(_nodal_cubic_surface_doc()), "rhm_inconsistent"),
+        (_nodal_cubic_surface_doc_without_grf(), "rhm_inconsistent"),
         (RHM_QUARTIC_WITH_OVERSIZED_GRF, "rhm_inconsistent"),
     ],
     ids=["degree_one", "rhm_missing_grf", "rhm_oversized_grf"],
