@@ -202,9 +202,9 @@ def boundary_pairs_qhm(spec: HypersurfaceSpec) -> dict[int, SpectralPairTable]:
     if not spec.rational_homology_manifold:
         raise ValueError("spec is not flagged as a rational homology manifold")
     n, d = spec.n, spec.d
-    local_grf = spec.derived.local_grf
-    if local_grf is None:
+    if spec.derived.local_grf is None:
         raise MissingLocalHodgeData("germs above curves need grF_dims")
+    local_grf = dict(spec.derived.local_grf)
     top: dict[PairKey, int] = {}
     for p in range(n + 2):
         c = milnor_dim(n, d, p * d - n - 1)

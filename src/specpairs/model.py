@@ -81,21 +81,27 @@ class Derived:
     local_alexander: tuple[CyclotomicFactorization, ...]
     local_pair_sum: SpectralPairTable  # count-weighted sum of local_pairs
     local_alexander_product: CyclotomicFactorization  # with counts as powers
-    ordinary_multiplicities: tuple[int, ...]  # descending, one per ordinary point
+    # line arrangements only: descending, one per ordinary point
+    ordinary_multiplicities: tuple[int, ...] | None = None
     b1: int | None = None  # first Betti number of the boundary (curves only)
     j1: int | None = None  # eigenvalue-1 Jordan block count (curves only)
     curve_genus: int | None = None  # mu + 2r - d - 1 - branch excess (curves only)
-    local_grf: dict[int, int] | None = None  # RHM with grF data: sum of dim Gr_F^p
+    # RHM with grF data: sorted (p, sum of dim Gr_F^p) pairs
+    local_grf: tuple[tuple[int, int], ...] | None = None
+
+
+def _local_milnor_total(spec: HypersurfaceSpec) -> int:
+    return sum(milnor_number(s) * count for s, count in spec.singularities)
 
 
 def derived_quantities(spec: HypersurfaceSpec) -> Derived:
     """Derive every per-spec quantity; callers read it as spec.derived.
 
-    Needs positive singularity counts, which validate checks before it reads
-    the result."""
+    Its cost grows with the singularity counts and the local Milnor numbers,
+    so validate reads it only once their total is within (d-1)^(n+1)."""
     n, d, r = spec.n, spec.d, spec.components
     sings = spec.singularities
-    mu = (d - 1) ** (n + 1) - sum(milnor_number(s) * c for s, c in sings)
+    mu = (d - 1) ** (n + 1) - _local_milnor_total(spec)
     excess = sum((branches(s) - 1) * c for s, c in sings)
     pairs = tuple(local_pairs(s) for s, _ in sings)
     alexander = tuple(local_alexander(s) for s, _ in sings)
@@ -104,19 +110,20 @@ def derived_quantities(spec: HypersurfaceSpec) -> Derived:
     for (_, count), table, poly in zip(sings, pairs, alexander):
         pair_sum = pair_sum + table * count
         alexander_product = alexander_product * poly**count
-    mults = sorted(
+    mults = tuple(sorted(
         (s.multiplicity for s, c in sings if isinstance(s, Ordinary) for _ in range(c)),
         reverse=True,
-    )
-    grf: dict[int, int] | None = None
+    )) if spec.line_arrangement else None
+    grf: tuple[tuple[int, int], ...] | None = None
     if spec.rational_homology_manifold:
         try:
-            grf = {}
+            sums: dict[int, int] = {}
             for s, count in sings:
                 for p, v in hodge_filtration_dims(s, n).items():
-                    grf[p] = grf.get(p, 0) + v * count
+                    sums[p] = sums.get(p, 0) + v * count
+            grf = tuple(sorted(sums.items()))
         except MissingLocalHodgeData:
-            grf = None
+            pass
     b1 = j1 = genus = None
     if n == 1:
         b1, j1, genus = 2 * r + mu - 1, 2 * r + mu - 2, mu + 2 * r - d - 1 - excess
@@ -128,7 +135,7 @@ def derived_quantities(spec: HypersurfaceSpec) -> Derived:
         local_alexander=alexander,
         local_pair_sum=pair_sum,
         local_alexander_product=alexander_product,
-        ordinary_multiplicities=tuple(mults),
+        ordinary_multiplicities=mults,
         b1=b1,
         j1=j1,
         curve_genus=genus,
@@ -225,19 +232,9 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
             )
     if out:
         return out
-    derived = spec.derived
     if r > d:
         out.append(
             Violation("too_many_components", f"{r} components exceed the degree {d}")
-        )
-    if derived.mu < 0:
-        global_milnor = (d - 1) ** (n + 1)
-        out.append(
-            Violation(
-                "negative_mu",
-                f"local Milnor numbers total {global_milnor - derived.mu} > "
-                f"(d-1)^(n+1) = {global_milnor}",
-            )
         )
     if n >= 2:
         if r != 1:
@@ -261,6 +258,18 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
     for s, _ in spec.singularities:
         if isinstance(s, Explicit):
             _validate_explicit(s, n, out)
+    global_milnor = (d - 1) ** (n + 1)
+    local_milnor = _local_milnor_total(spec)
+    if local_milnor > global_milnor:
+        out.append(
+            Violation(
+                "negative_mu",
+                f"local Milnor numbers total {local_milnor} > "
+                f"(d-1)^(n+1) = {global_milnor}",
+            )
+        )
+        return out
+    derived = spec.derived
     if spec.line_arrangement:
         if n != 1:
             out.append(
@@ -356,9 +365,8 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
                 )
                 break
         grf = derived.local_grf
-        over = [] if grf is None else [
-            p for p in range(n + 1) if grf.get(p, 0) > smooth_primitive_middle(n, d, p)
-        ]
+        over = [p for p, v in grf or ()
+                if 0 <= p <= n and v > smooth_primitive_middle(n, d, p)]
         if grf is None or over:
             out.append(
                 Violation(

@@ -219,11 +219,11 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
     if inv.weight_resolved is not None:
         for w, t in inv.weight_resolved.items():
             tables[f"weight {w}"] = t
-    pairs_arrangement = None
+    pairs_arrangement = bound_arrangement = None
     if spec.line_arrangement:
-        pairs_arrangement = boundary.boundary_pairs_arrangement(
-            d, derived.ordinary_multiplicities
-        )
+        mults = derived.ordinary_multiplicities
+        pairs_arrangement = boundary.boundary_pairs_arrangement(d, mults)
+        bound_arrangement = bounds.spectral_bound_arrangement(d, mults)
         tables["arrangement"] = pairs_arrangement
     checks.append(_check_tables_conjugation(tables))
     checks.append(
@@ -249,7 +249,7 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
                 f"deg delta_M {inv.delta_m.degree}",
             )
         )
-    if spec.line_arrangement and pairs_arrangement is not None:
+    if pairs_arrangement is not None:
         checks.append(
             Check(
                 "arrangement_agreement",
@@ -274,11 +274,6 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
     div_local = bounds.divisibility_bound_local(spec)
     bound_complement = bounds.spectral_bound_complement(spec)
     bound_curve = bounds.spectral_bound_curve(spec) if n == 1 else None
-    bound_arrangement = (
-        bounds.spectral_bound_arrangement(d, derived.ordinary_multiplicities)
-        if spec.line_arrangement
-        else None
-    )
     checks.append(
         _check_bound_consistency(spec, bound_complement, bound_curve, bound_arrangement)
     )

@@ -7,7 +7,7 @@ import json
 import pytest
 from helpers import brieskorn_pham_explicit
 
-from specpairs import HypersurfaceSpec, serialize_spec
+from specpairs import HypersurfaceSpec, model, serialize_spec
 from specpairs.cli import arrangement_spec, census_rows, main, weak_multisets
 
 THREE_GENERIC_LINES_DOC = {
@@ -112,6 +112,30 @@ def test_documents_that_used_to_crash_end_as_violations(
     out, err = capsys.readouterr()
     assert out == ""
     assert f"] {code}: " in err
+
+
+@pytest.mark.parametrize(
+    "singularity",
+    [
+        {"kind": "ordinary", "multiplicity": 2, "count": 10**9},
+        {"kind": "ordinary", "multiplicity": 10**5},
+    ],
+    ids=["huge_count", "huge_multiplicity"],
+)
+def test_over_budget_documents_end_as_negative_mu_before_derivation(
+    spec_file, capsys, monkeypatch, singularity
+):
+    # deriving these would enumerate 10^9 points or 10^10 spectrum entries
+    def refuse(spec):
+        raise AssertionError("derived quantities of an over-budget spec")
+
+    monkeypatch.setattr(model, "derived_quantities", refuse)
+    doc = {"ambient_dim": 2, "degree": 3, "components": 1,
+           "singularities": [singularity]}
+    assert main(["compute", spec_file(doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "] negative_mu: " in err
 
 
 def test_compute_exit_one_on_malformed(tmp_path, capsys):
