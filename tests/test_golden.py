@@ -2,9 +2,10 @@
 
 Each `tests/golden/<case>.json` is run under `compute --format structured`,
 `compute --format table` and `verify`, and compared with the stored
-`<case>.<command>.out`; `census7.structured.out` holds
-`census --lines 7 --format structured`.  The stored files are data, not
-expectations to refresh: a difference is a change of behaviour.
+`<case>.<command>.out`; `census7.structured.out` and `census7.table.out`
+hold `census --lines 7` in the structured and the table format.  The stored
+files are data, not expectations to refresh: a difference is a change of
+behaviour.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ CASES = [
     for doc in sorted(GOLDEN.glob("*.json"))
     for command, argv in COMMANDS.items()
 ]
-CASES.append(
-    ("census7.structured", ["census", "--lines", "7", "--format", "structured"])
-)
+CASES += [
+    (f"census7.{fmt}", ["census", "--lines", "7", "--format", fmt])
+    for fmt in ("structured", "table")
+]
 
 
 def test_golden_corpus_is_complete():
-    assert len(CASES) == 7 * len(COMMANDS) + 1
+    assert len(CASES) == 7 * len(COMMANDS) + 2
     for name, _ in CASES:
         assert (GOLDEN / f"{name}.out").is_file(), name
 
