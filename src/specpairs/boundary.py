@@ -13,14 +13,14 @@ along two independent routes that must agree and are cross-checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING
 
-from .bounds import divisibility_bound_infinity, mhat
+from .bounds import divisibility_bound_infinity
 from .laurent import CyclotomicFactorization, NotDivisible
 from .localsing import MissingLocalHodgeData
 from .milnor import milnor_dim, smooth_primitive_middle, steenbrink_infinity
-from .pairs import PairKey, SpectralPairTable
+from .pairs import SpectralPairTable
 
 if TYPE_CHECKING:
     from .model import HypersurfaceSpec
@@ -132,29 +132,43 @@ def boundary_pairs_curve(spec: HypersurfaceSpec) -> SpectralPairTable:
     """
     if spec.n != 1:
         raise ValueError("boundary_pairs_curve requires n = 1")
-    d = spec.d
     corner, off = _curve_alpha0(spec)
-    entries: dict[PairKey, int] = {}
+    den, local = spec.derived.local_pair_sum._aligned(spec.d)
+    entries = _eigenvalue_one_corners(corner, off)
+    for (p, q, k), c in local.items():
+        if k and (p, q) == (0, 1):
+            _mirror_add(entries, k, c, den)
+        elif k and (p, q) == (0, 0):
+            entries[(0, 0, k)] = entries.get((0, 0, k), 0) + c
+            entries[(1, 1, k)] = entries.get((1, 1, k), 0) + c
+    _add_mhat_excess(entries, spec.d, 1, den)
+    return SpectralPairTable._from_numerators(den, entries)
+
+
+def _eigenvalue_one_corners(corner: int, off: int) -> dict[tuple[int, int, int], int]:
+    """Eigenvalue-1 entries of a curve table: corner at (0,0) and (1,1), off
+    at (0,1) and (1,0)."""
+    entries = {}
     if corner:
-        entries[(0, 0, Fraction(0))] = corner
-        entries[(1, 1, Fraction(0))] = corner
+        entries[(0, 0, 0)] = entries[(1, 1, 0)] = corner
     if off:
-        entries[(0, 1, Fraction(0))] = off
-        entries[(1, 0, Fraction(0))] = off
-    local_sum = spec.derived.local_pair_sum
-    alphas = {alpha for (_, _, alpha) in local_sum.keys() if alpha > 0}
-    alphas.update(Fraction(j, d) for j in range(1, d))
-    for alpha in sorted(alphas):
-        value = local_sum.get((0, 1, alpha)) + mhat(d, alpha) - 1
-        if value:
-            entries[(0, 1, alpha)] = entries.get((0, 1, alpha), 0) + value
-            mirror = (1, 0, 1 - alpha)
-            entries[mirror] = entries.get(mirror, 0) + value
-        diagonal = local_sum.get((0, 0, alpha))
-        if diagonal:
-            entries[(0, 0, alpha)] = entries.get((0, 0, alpha), 0) + diagonal
-            entries[(1, 1, alpha)] = entries.get((1, 1, alpha), 0) + diagonal
-    return SpectralPairTable(entries)
+        entries[(0, 1, 0)] = entries[(1, 0, 0)] = off
+    return entries
+
+
+def _mirror_add(entries: dict, k: int, c: int, den: int) -> None:
+    """Add c at (0, 1, k/den) and at its mirror (1, 0, 1 - k/den)."""
+    entries[(0, 1, k)] = entries.get((0, 1, k), 0) + c
+    entries[(1, 0, den - k)] = entries.get((1, 0, den - k), 0) + c
+
+
+def _add_mhat_excess(entries: dict, m: int, count: int, den: int) -> None:
+    """Add count * (mhat(m, alpha) - 1) at (0, 1, alpha), mirrored, for all
+    alpha in (0, 1); den is a multiple of m.  The term is nonzero only at
+    alpha = j/m, where it is j - 1."""
+    step = den // m
+    for j in range(2, m):
+        _mirror_add(entries, j * step, (j - 1) * count, den)
 
 
 def boundary_pairs_arrangement(d: int, multiplicities) -> SpectralPairTable:
@@ -165,21 +179,15 @@ def boundary_pairs_arrangement(d: int, multiplicities) -> SpectralPairTable:
     alpha > 0 the (0,1)/(1,0) counts are sum of (mhat(m_i, alpha) - 1) plus
     mhat(d, alpha) - 1.
     """
-    mults = list(multiplicities)
-    entries: dict[PairKey, int] = {}
-    corner = sum(m - 1 for m in mults)
-    if corner:
-        entries[(0, 0, Fraction(0))] = corner
-        entries[(1, 1, Fraction(0))] = corner
-    alphas = {Fraction(j, d) for j in range(1, d)}
-    alphas.update(Fraction(j, m) for m in mults for j in range(1, m))
-    for alpha in sorted(alphas):
-        value = sum(mhat(m, alpha) - 1 for m in mults) + mhat(d, alpha) - 1
-        if value:
-            entries[(0, 1, alpha)] = entries.get((0, 1, alpha), 0) + value
-            mirror = (1, 0, 1 - alpha)
-            entries[mirror] = entries.get(mirror, 0) + value
-    return SpectralPairTable(entries)
+    counts: dict[int, int] = {}
+    for m in multiplicities:
+        counts[m] = counts.get(m, 0) + 1
+    den = lcm(d, *counts)
+    entries = _eigenvalue_one_corners(sum((m - 1) * c for m, c in counts.items()), 0)
+    for m, c in counts.items():
+        _add_mhat_excess(entries, m, c, den)
+    _add_mhat_excess(entries, d, 1, den)
+    return SpectralPairTable._from_numerators(den, entries)
 
 
 def projective_space_hodge(big_n: int, k: int, p: int, q: int) -> int:
@@ -205,12 +213,12 @@ def boundary_pairs_qhm(spec: HypersurfaceSpec) -> dict[int, SpectralPairTable]:
     if spec.derived.local_grf is None:
         raise MissingLocalHodgeData("germs above curves need grF_dims")
     local_grf = dict(spec.derived.local_grf)
-    top: dict[PairKey, int] = {}
+    top: dict[tuple[int, int, int], int] = {}
     for p in range(n + 2):
         c = milnor_dim(n, d, p * d - n - 1)
         if c:
-            top[(p, n + 1 - p, Fraction(0))] = c
-    middle: dict[PairKey, int] = {}
+            top[(p, n + 1 - p, 0)] = c
+    middle: dict[tuple[int, int, int], int] = {}
     for p in range(n + 1):
         c = smooth_primitive_middle(n, d, p) - local_grf.get(p, 0)
         if c < 0:
@@ -219,16 +227,16 @@ def boundary_pairs_qhm(spec: HypersurfaceSpec) -> dict[int, SpectralPairTable]:
                 f"numbers at filtration level {p}"
             )
         if c:
-            middle[(p, n - p, Fraction(0))] = c
-    bottom: dict[PairKey, int] = {}
+            middle[(p, n - p, 0)] = c
+    bottom: dict[tuple[int, int, int], int] = {}
     for p in range(n):
         c = milnor_dim(n, d, (p + 1) * d - n - 1)
         if c:
-            bottom[(p, n - 1 - p, Fraction(0))] = c
+            bottom[(p, n - 1 - p, 0)] = c
     return {
-        n - 1: SpectralPairTable(bottom),
-        n: SpectralPairTable(middle),
-        n + 1: SpectralPairTable(top),
+        n - 1: SpectralPairTable._from_numerators(1, bottom),
+        n: SpectralPairTable._from_numerators(1, middle),
+        n + 1: SpectralPairTable._from_numerators(1, top),
     }
 
 

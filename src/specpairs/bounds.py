@@ -11,11 +11,12 @@ known, are user inputs.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .laurent import CyclotomicFactorization, t_power_minus_one
 from .milnor import milnor_dim, xi_exponent
-from .pairs import PairKey
+from .pairs import PairKey, angle_numerator, angle_text, rescale, to_numerators
 
 if TYPE_CHECKING:
     from .model import HypersurfaceSpec
@@ -30,17 +31,23 @@ def mhat(m: int, alpha: Fraction) -> int:
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError(f"mhat needs 0 < alpha < 1, got {alpha}")
-    scaled = m * alpha
-    return int(scaled) if scaled.denominator == 1 else 1
+    return _mhat(m, alpha.numerator, alpha.denominator)
+
+
+def _mhat(m: int, k: int, den: int) -> int:
+    """mhat(m, k/den) for 0 < k < den, in integer arithmetic."""
+    scaled, rest = divmod(m * k, den)
+    return 1 if rest else scaled
 
 
 class BoundTable:
     """Upper bounds on spectral pairs, with a subset flagged as exact equalities.
 
-    Keys absent from the table are bounded by 0.
+    Keys absent from the table are bounded by 0.  As in SpectralPairTable,
+    angles are stored as integer numerators over one denominator.
     """
 
-    __slots__ = ("_entries", "_exact")
+    __slots__ = ("_den", "_entries", "_exact")
 
     def __init__(
         self,
@@ -51,39 +58,79 @@ class BoundTable:
         for key, value in (entries or {}).items():
             p, q, alpha = key
             data[(int(p), int(q), Fraction(alpha))] = int(value)
-        self._exact = frozenset(
+        exact_keys = frozenset(
             (int(p), int(q), Fraction(alpha)) for p, q, alpha in exact
         )
-        missing = self._exact - set(data)
+        missing = exact_keys - set(data)
         if missing:
             raise ValueError(f"exact keys {sorted(missing)} are not in the table")
+        den, numerators = to_numerators(data)
+        exact_numerators = to_numerators(dict.fromkeys(exact_keys), den)[1]
+        self._fill(den, numerators, frozenset(exact_numerators))
+
+    @classmethod
+    def _from_numerators(
+        cls, den: int, entries: dict[tuple[int, int, int], int], exact=frozenset()
+    ) -> BoundTable:
+        """Package-internal constructor: bounds keyed by (p, q, k) for the
+        angle k/den; `exact` is a frozenset of such keys present in entries."""
+        table = object.__new__(cls)
+        table._fill(den, entries, exact)
+        return table
+
+    def _fill(self, den, entries, exact) -> None:
+        self._den = den
+        self._exact = exact
         # Zero upper bounds carry no information; zero equalities do.
-        self._entries = {
-            k: v for k, v in data.items() if v != 0 or k in self._exact
-        }
+        self._entries = {k: v for k, v in entries.items() if v != 0 or k in exact}
+
+    def _numerator_key(self, key) -> tuple[int, int, int] | None:
+        p, q, alpha = key
+        k = angle_numerator(Fraction(alpha), self._den)
+        return None if k is None else (int(p), int(q), k)
 
     def bound_at(self, key) -> int:
-        p, q, alpha = key
-        return self._entries.get((int(p), int(q), Fraction(alpha)), 0)
+        return self._entries.get(self._numerator_key(key), 0)
 
     def is_exact(self, key) -> bool:
-        p, q, alpha = key
-        return (int(p), int(q), Fraction(alpha)) in self._exact
+        return self._numerator_key(key) in self._exact
 
     def items(self) -> list[tuple[PairKey, int]]:
-        return sorted(
-            self._entries.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
-        )
+        den = self._den
+        return [
+            ((p, q, Fraction(k, den)), v)
+            for (p, q, k), v in sorted(self._entries.items())
+        ]
+
+    def _over(self, den: int) -> tuple[dict, set]:
+        """The entries and the exact keys over den, a multiple of _den."""
+        factor = den // self._den
+        exact = {(p, q, k * factor) for p, q, k in self._exact}
+        return rescale(self._entries, factor), exact
+
+    def exceeding(self, cap: BoundTable) -> list[tuple[PairKey, int]]:
+        """(key, cap's bound) for each key with alpha > 0 where this table's
+        bound exceeds the bound of `cap`, in key order."""
+        den = lcm(self._den, cap._den)
+        caps = cap._over(den)[0]
+        out = []
+        for (p, q, k), v in sorted(self._over(den)[0].items()):
+            c = caps.get((p, q, k), 0)
+            if k > 0 and v > c:
+                out.append(((p, q, Fraction(k, den)), c))
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BoundTable):
             return NotImplemented
-        return self._entries == other._entries and self._exact == other._exact
+        den = lcm(self._den, other._den)
+        return self._over(den) == other._over(den)
 
     def __repr__(self) -> str:
         rows = ", ".join(
-            f"({p},{q},{alpha}){'=' if (p, q, alpha) in self._exact else '<='}{v}"
-            for (p, q, alpha), v in self.items()
+            f"({p},{q},{Fraction(k, self._den)})"
+            f"{'=' if (p, q, k) in self._exact else '<='}{v}"
+            for (p, q, k), v in sorted(self._entries.items())
         )
         return f"BoundTable({rows})"
 
@@ -92,11 +139,11 @@ class BoundTable:
             [
                 p,
                 q,
-                f"{alpha.numerator}/{alpha.denominator}",
+                angle_text(k, self._den),
                 v,
-                "exact" if (p, q, alpha) in self._exact else "upper",
+                "exact" if (p, q, k) in self._exact else "upper",
             ]
-            for (p, q, alpha), v in self.items()
+            for (p, q, k), v in sorted(self._entries.items())
         ]
 
 
@@ -142,32 +189,27 @@ def spectral_bound_complement(
     n, d = spec.n, spec.d
     if h_d is None and spec.h_d is not None:
         h_d = {(p, q): c for p, q, c in spec.h_d}
-    local_sum = spec.derived.local_pair_sum
-    entries: dict[PairKey, int] = {}
-    alphas = {alpha for (_, _, alpha) in local_sum.keys() if alpha > 0}
-    alphas.update(Fraction(j, d) for j in range(1, d))
-    for alpha in sorted(alphas):
-        scaled = d * alpha
+    den, local = spec.derived.local_pair_sum._aligned(d)
+    step = den // d
+    entries: dict[tuple[int, int, int], int] = {}
+    # The Milnor-algebra side vanishes off the angles j/d, so only they carry
+    # a bound; the table is kept over the denominator d.
+    for j in range(1, d):
         for p in range(n + 1):
-            local_side = local_sum.get((p, n - p, alpha))
-            infinity_side = (
-                milnor_dim(n, d, p * d - n - 1 + int(scaled))
-                if scaled.denominator == 1
-                else 0
-            )
-            bound = min(local_side, infinity_side)
-            if bound:
-                entries[(p, n - p, alpha)] = bound
+            local_side = local.get((p, n - p, j * step), 0)
+            if local_side:
+                entries[(p, n - p, j)] = min(
+                    local_side, milnor_dim(n, d, p * d - n - 1 + j)
+                )
     for p in range(n + 2):
         infinity_side = milnor_dim(n, d, p * d - n - 1)
         if h_d is None:
             bound = infinity_side
         else:
-            local_side = local_sum.get((p, n + 1 - p, Fraction(0)))
+            local_side = local.get((p, n + 1 - p, 0), 0)
             bound = min(local_side + h_d.get((p, n + 1 - p), 0), infinity_side)
-        if bound:
-            entries[(p, n + 1 - p, Fraction(0))] = bound
-    return BoundTable(entries)
+        entries[(p, n + 1 - p, 0)] = bound
+    return BoundTable._from_numerators(d, entries)
 
 
 def spectral_bound_curve(spec: HypersurfaceSpec) -> BoundTable:
@@ -177,14 +219,17 @@ def spectral_bound_curve(spec: HypersurfaceSpec) -> BoundTable:
     if spec.n != 1:
         raise ValueError("spectral_bound_curve requires n = 1")
     d, r = spec.d, spec.components
-    entries: dict[PairKey, int] = {}
-    for j in range(1, d):
-        if j - 1:
-            entries[(0, 1, Fraction(j, d))] = j - 1
-            entries[(1, 0, Fraction(d - j, d))] = j - 1
-    key = (1, 1, Fraction(0))
-    entries[key] = r - 1
-    return BoundTable(entries, exact=[key])
+    return _curve_shaped_bound(d, [j - 1 for j in range(1, d)], r - 1)
+
+
+def _curve_shaped_bound(d: int, values: list[int], exact_11: int) -> BoundTable:
+    """Bounds values[j-1] at (0, 1, j/d) and mirrored at (1, 0, (d-j)/d) for
+    j = 1..d-1, and the exact value exact_11 at (1, 1, 0)."""
+    entries = {(1, 1, 0): exact_11}
+    for j, value in enumerate(values, start=1):
+        entries[(0, 1, j)] = value
+        entries[(1, 0, d - j)] = value
+    return BoundTable._from_numerators(d, entries, frozenset([(1, 1, 0)]))
 
 
 def spectral_bound_arrangement(d: int, multiplicities: Iterable[int]) -> BoundTable:
@@ -194,14 +239,11 @@ def spectral_bound_arrangement(d: int, multiplicities: Iterable[int]) -> BoundTa
     eigenvalue-1 pair (1,1) equals d - 1 exactly.  For gcd(j, d) = 1 the bound
     vanishes unless some multiplicity equals d.
     """
-    mults = list(multiplicities)
-    entries: dict[PairKey, int] = {}
+    counts: dict[int, int] = {}
+    for m in multiplicities:
+        counts[m] = counts.get(m, 0) + 1
+    values = []
     for j in range(1, d):
-        alpha = Fraction(j, d)
-        bound = min(j - 1, sum(mhat(m, alpha) - 1 for m in mults))
-        if bound:
-            entries[(0, 1, alpha)] = bound
-            entries[(1, 0, Fraction(d - j, d))] = bound
-    key = (1, 1, Fraction(0))
-    entries[key] = d - 1
-    return BoundTable(entries, exact=[key])
+        excess = sum((_mhat(m, j, d) - 1) * c for m, c in counts.items())
+        values.append(min(j - 1, excess))
+    return _curve_shaped_bound(d, values, d - 1)

@@ -10,12 +10,11 @@ user-supplied data.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .laurent import CyclotomicFactorization
+from .laurent import CyclotomicFactorization, euler_phi
 from .pairs import SpectralPairTable
 
 
@@ -99,50 +98,60 @@ def branches(s: LocalSingularity) -> int:
     return gcd(s.a, s.b)
 
 
+def spectrum_numerators(s: LocalSingularity) -> tuple[int, dict[int, int]]:
+    """Spectrum of a built-in germ as (den, {k: multiplicity}): each value
+    k/den in (0, 2) with its multiplicity.
+
+    For x^a + y^b the values are i/a + j/b (1 <= i < a, 1 <= j < b), with
+    numerators i*(den/a) + j*(den/b) over den = lcm(a, b).  The ordinary
+    m-fold point is the case a = b = m in closed form: k/m has multiplicity
+    min(k - 1, 2m - 1 - k) for 2 <= k <= 2m - 2.
+    """
+    if isinstance(s, Explicit):
+        raise ExplicitHasNoSpectrum(
+            "explicit local data carries tables, not a spectrum"
+        )
+    if isinstance(s, Ordinary):
+        m = s.multiplicity
+        return m, {k: min(k - 1, 2 * m - 1 - k) for k in range(2, 2 * m - 1)}
+    den = lcm(s.a, s.b)
+    u, v = den // s.a, den // s.b
+    out: dict[int, int] = {}
+    for first in range(u, den, u):  # first = i*u, the numerator of i/a
+        for k in range(first + v, first + den, v):
+            out[k] = out.get(k, 0) + 1
+    return den, out
+
+
 def spectrum(s: LocalSingularity) -> tuple[Fraction, ...]:
     """Singularity spectrum of a built-in germ, as a sorted multiset in (0, 2).
 
     For x^a + y^b this is { i/a + j/b : 1 <= i <= a-1, 1 <= j <= b-1 }; the
     ordinary m-fold point is the case a = b = m.
     """
-    if isinstance(s, Explicit):
-        raise ExplicitHasNoSpectrum(
-            "explicit local data carries tables, not a spectrum"
-        )
-    a, b = _weights(s)
-    return tuple(
-        sorted(
-            Fraction(i, a) + Fraction(j, b)
-            for i in range(1, a)
-            for j in range(1, b)
-        )
-    )
-
-
-def _group_eigenvalues(alphas) -> dict[int, int]:
-    """Multiplicity per cyclotomic order of the multiset exp(2*pi*i*alpha).
-
-    Valid only when the multiset is Galois-stable (each primitive k-th root
-    appears equally often), which holds for monodromy eigenvalues of germs.
-    """
-    counts = Counter((a.denominator, a.numerator % a.denominator) for a in alphas)
-    mults: dict[int, int] = {}
-    for k in sorted({k for k, _ in counts}):
-        residues = [counts[(k, j)] for j in range(k) if gcd(j, k) == 1 or k == 1]
-        if len(set(residues)) != 1:
-            raise ValueError(
-                f"eigenvalue multiset is not Galois-stable at order {k}"
-            )
-        mults[k] = residues[0]
-    return mults
+    den, numerators = spectrum_numerators(s)
+    out: list[Fraction] = []
+    for k in sorted(numerators):
+        out.extend([Fraction(k, den)] * numerators[k])
+    return tuple(out)
 
 
 def local_alexander(s: LocalSingularity) -> CyclotomicFactorization:
     """Top local Alexander polynomial: the characteristic polynomial of the
-    local monodromy, prod over spectrum of (t - exp(2*pi*i*s))."""
+    local monodromy, prod over spectrum of (t - exp(2*pi*i*s)).
+
+    The eigenvalue multiset of a germ is Galois-stable, so the eigenvalues of
+    order o, counted together, make up Phi(o) to the power count / phi(o)."""
     if isinstance(s, Explicit):
         return s.alexander
-    return CyclotomicFactorization(factors=_group_eigenvalues(spectrum(s)))
+    den, numerators = spectrum_numerators(s)
+    per_order: dict[int, int] = {}
+    for k, c in numerators.items():
+        order = den // gcd(k, den)
+        per_order[order] = per_order.get(order, 0) + c
+    return CyclotomicFactorization(
+        factors={o: c // euler_phi(o) for o, c in per_order.items()}
+    )
 
 
 def local_pairs(s: LocalSingularity) -> SpectralPairTable:
@@ -155,16 +164,16 @@ def local_pairs(s: LocalSingularity) -> SpectralPairTable:
     """
     if isinstance(s, Explicit):
         return s.pairs
-    entries: dict[tuple[int, int, Fraction], int] = {}
-    for value in spectrum(s):
-        if value == 1:
-            key = (1, 1, Fraction(0))
-        elif value < 1:
-            key = (0, 1, value)
+    den, numerators = spectrum_numerators(s)
+    entries: dict[tuple[int, int, int], int] = {}
+    for k, c in numerators.items():
+        if k < den:
+            entries[(0, 1, k)] = c
+        elif k == den:
+            entries[(1, 1, 0)] = c
         else:
-            key = (1, 0, value - 1)
-        entries[key] = entries.get(key, 0) + 1
-    return SpectralPairTable(entries)
+            entries[(1, 0, k - den)] = c
+    return SpectralPairTable._from_numerators(den, entries)
 
 
 def hodge_filtration_dims(s: LocalSingularity, n: int) -> dict[int, int]:

@@ -9,7 +9,6 @@ only on (n, d) and are read off these dimensions by Steenbrink's formula.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -91,15 +90,14 @@ def steenbrink_infinity(n: int, d: int) -> SpectralPairTable:
     """
     if n < 0 or d < 2:
         raise ValueError(f"need n >= 0 and d >= 2, got n={n}, d={d}")
-    entries: dict[tuple[int, int, Fraction], int] = {}
+    entries: dict[tuple[int, int, int], int] = {}
     for j in range(1, d):
-        alpha = Fraction(j, d)
         for p in range(n + 1):
             count = milnor_dim(n, d, p * d - n - 1 + j)
             if count:
-                entries[(p, n - p, alpha)] = count
+                entries[(p, n - p, j)] = count
     for p in range(n + 2):
         count = milnor_dim(n, d, p * d - n - 1)
         if count:
-            entries[(p, n + 1 - p, Fraction(0))] = count
-    return SpectralPairTable(entries)
+            entries[(p, n + 1 - p, 0)] = count
+    return SpectralPairTable._from_numerators(d, entries)

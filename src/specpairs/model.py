@@ -236,6 +236,13 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
         out.append(
             Violation("too_many_components", f"{r} components exceed the degree {d}")
         )
+    for p, q, count in spec.h_d or ():
+        if count < 0:
+            out.append(
+                Violation(
+                    "negative_hd", f"hD row {[p, q, count]} has a negative count"
+                )
+            )
     if n >= 2:
         if r != 1:
             out.append(
@@ -388,6 +395,14 @@ def hard_violations(violations) -> list[Violation]:
 # Document parsing and serialization
 
 
+def _integer(value) -> int:
+    """A JSON integer as is; bool, float and string values are rejected, not
+    coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _parse_singularity(entry, errors) -> tuple[LocalSingularity, int] | None:
     if not isinstance(entry, dict):
         errors.append(f"singularity entry must be an object, got {type(entry)}")
@@ -399,19 +414,21 @@ def _parse_singularity(entry, errors) -> tuple[LocalSingularity, int] | None:
         return None
     try:
         if kind == "ordinary":
-            return Ordinary(int(entry["multiplicity"])), count
+            return Ordinary(_integer(entry["multiplicity"])), count
         if kind == "brieskorn":
             a, b = entry["exponents"]
-            return Brieskorn(int(a), int(b)), count
+            return Brieskorn(_integer(a), _integer(b)), count
         if kind == "explicit":
             grf = entry.get("grF_dims")
             grf_rows = (
-                tuple((int(p), int(v)) for p, v in grf) if grf is not None else None
+                tuple((_integer(p), _integer(v)) for p, v in grf)
+                if grf is not None
+                else None
             )
             return (
                 Explicit(
-                    milnor=int(entry["milnor_number"]),
-                    branches=int(entry["branches"]),
+                    milnor=_integer(entry["milnor_number"]),
+                    branches=_integer(entry["branches"]),
                     alexander=CyclotomicFactorization.from_dict(entry["alexander"]),
                     pairs=SpectralPairTable.from_rows(entry["spectral_pairs"]),
                     grf_dims=grf_rows,
@@ -458,11 +475,17 @@ def parse_spec(document: str | dict) -> HypersurfaceSpec:
             delta_u = CyclotomicFactorization.from_dict(document["delta_U"])
         except (TypeError, ValueError, KeyError) as exc:
             errors.append(f"bad delta_U: {exc}")
+        else:
+            if delta_u.formal:
+                errors.append(
+                    "bad delta_U: it is the Alexander polynomial of the "
+                    "complement, not a formal bound; drop the formal flag"
+                )
     h_d = None
     if document.get("hD") is not None:
         try:
             h_d = tuple(
-                (int(p), int(q), int(c)) for p, q, c in document["hD"]
+                (_integer(p), _integer(q), _integer(c)) for p, q, c in document["hD"]
             )
         except (TypeError, ValueError) as exc:
             errors.append(f"bad hD rows: {exc}")

@@ -4,11 +4,16 @@ A table is a finite map (p, q, alpha) -> positive count, where (p, q) is the
 Hodge type, alpha is an exact rational in [0, 1) encoding the monodromy
 eigenvalue exp(2*pi*i*alpha), and the count is the dimension of the
 corresponding eigenspace.  Zero counts are never stored.
+
+Inside the package each angle is an integer numerator k over one
+denominator per table (alpha = k/den), so the table algebra is integer
+arithmetic; the public methods take and return Fraction angles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 PairKey = tuple[int, int, Fraction]
@@ -22,10 +27,43 @@ def _normalize_key(key) -> PairKey:
     return (int(p), int(q), alpha)
 
 
+def to_numerators(entries: Mapping, den: int | None = None) -> tuple[int, dict]:
+    """(den, the entries re-keyed by (p, q, k) with alpha = k/den) for entries
+    keyed by (p, q, alpha) with Fraction alpha; den defaults to the lcm of
+    the angle denominators."""
+    if den is None:
+        den = lcm(*(alpha.denominator for _, _, alpha in entries))
+    return den, {
+        (p, q, alpha.numerator * (den // alpha.denominator)): v
+        for (p, q, alpha), v in entries.items()
+    }
+
+
+def angle_numerator(alpha: Fraction, den: int) -> int | None:
+    """The integer k with alpha = k/den, or None when den is no multiple of
+    the denominator of alpha."""
+    scale, rest = divmod(den, alpha.denominator)
+    return None if rest else alpha.numerator * scale
+
+
+def angle_text(k: int, den: int) -> str:
+    """The angle k/den in lowest terms, as "a/b" ("0/1" for 0)."""
+    g = gcd(k, den)
+    return f"{k // g}/{den // g}"
+
+
+def rescale(entries: dict, factor: int) -> dict:
+    """Integer-keyed entries {(p, q, k): v} moved to a denominator `factor`
+    times larger; the same dict when factor is 1."""
+    if factor == 1:
+        return entries
+    return {(p, q, k * factor): v for (p, q, k), v in entries.items()}
+
+
 class SpectralPairTable:
     """An immutable multiset of spectral pairs with exact eigenvalue angles."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_den", "_entries")
 
     def __init__(self, entries: Mapping[PairKey, int] | None = None):
         data: dict[PairKey, int] = {}
@@ -36,71 +74,100 @@ class SpectralPairTable:
             if count:
                 key = _normalize_key(key)
                 data[key] = data.get(key, 0) + count
-        self._entries = data
+        self._den, self._entries = to_numerators(data)
+
+    @classmethod
+    def _from_numerators(
+        cls, den: int, entries: dict[tuple[int, int, int], int]
+    ) -> SpectralPairTable:
+        """Package-internal constructor: positive counts keyed by (p, q, k)
+        with 0 <= k < den, standing for the angle k/den.  Takes ownership of
+        `entries`."""
+        table = object.__new__(cls)
+        table._den = den
+        table._entries = entries
+        return table
+
+    def _over(self, den: int) -> dict[tuple[int, int, int], int]:
+        """The entries keyed by numerators over den, a multiple of _den."""
+        return rescale(self._entries, den // self._den)
+
+    def _aligned(self, m: int) -> tuple[int, dict[tuple[int, int, int], int]]:
+        """(den, entries over den) for den = lcm(_den, m); read-only."""
+        den = lcm(self._den, m)
+        return den, self._over(den)
 
     def get(self, key) -> int:
-        return self._entries.get(_normalize_key(key), 0)
+        p, q, alpha = _normalize_key(key)
+        k = angle_numerator(alpha, self._den)
+        return 0 if k is None else self._entries.get((p, q, k), 0)
 
     def items(self) -> list[tuple[PairKey, int]]:
-        return sorted(self._entries.items())
+        den = self._den
+        return [
+            ((p, q, Fraction(k, den)), c)
+            for (p, q, k), c in sorted(self._entries.items())
+        ]
 
     def keys(self) -> list[PairKey]:
-        return sorted(self._entries)
+        return [key for key, _ in self.items()]
 
     @property
     def is_empty(self) -> bool:
         return not self._entries
 
     def __add__(self, other: SpectralPairTable) -> SpectralPairTable:
-        data = dict(self._entries)
-        for key, count in other._entries.items():
+        den, mine = self._aligned(other._den)
+        data = dict(mine)
+        for key, count in other._over(den).items():
             data[key] = data.get(key, 0) + count
-        return SpectralPairTable(data)
+        return SpectralPairTable._from_numerators(den, data)
 
     def __mul__(self, n: int) -> SpectralPairTable:
         if n < 0:
             raise ValueError("table counts cannot be scaled by a negative integer")
-        return SpectralPairTable({k: n * c for k, c in self._entries.items()})
+        return SpectralPairTable._from_numerators(
+            self._den, {k: n * c for k, c in self._entries.items()} if n else {}
+        )
 
     __rmul__ = __mul__
 
     def conjugate(self) -> SpectralPairTable:
         """Complex conjugation: (p, q, alpha) -> (q, p, (1 - alpha) mod 1)."""
-        return SpectralPairTable(
-            {(q, p, (1 - alpha) % 1): c for (p, q, alpha), c in self._entries.items()}
+        den = self._den
+        return SpectralPairTable._from_numerators(
+            den, {(q, p, -k % den): c for (p, q, k), c in self._entries.items()}
         )
 
     def level_dual(self, n: int) -> SpectralPairTable:
         """Duality at level n: (p, q, alpha) -> (n - p, n - q, (1 - alpha) mod 1)."""
-        return SpectralPairTable(
-            {
-                (n - p, n - q, (1 - alpha) % 1): c
-                for (p, q, alpha), c in self._entries.items()
-            }
-        )
-
-    def restrict(self, predicate) -> SpectralPairTable:
-        return SpectralPairTable(
-            {k: c for k, c in self._entries.items() if predicate(k)}
+        den = self._den
+        return SpectralPairTable._from_numerators(
+            den,
+            {(n - p, n - q, -k % den): c for (p, q, k), c in self._entries.items()},
         )
 
     def nonunipotent(self) -> SpectralPairTable:
         """Entries with eigenvalue different from 1 (alpha > 0)."""
-        return self.restrict(lambda k: k[2] > 0)
+        return SpectralPairTable._from_numerators(
+            self._den, {key: c for key, c in self._entries.items() if key[2]}
+        )
 
     def unipotent(self) -> SpectralPairTable:
         """Entries with eigenvalue 1 (alpha = 0)."""
-        return self.restrict(lambda k: k[2] == 0)
+        return SpectralPairTable._from_numerators(
+            1, {key: c for key, c in self._entries.items() if not key[2]}
+        )
 
     def total_dim(self) -> int:
         return sum(self._entries.values())
 
     def alpha_marginal(self) -> dict[Fraction, int]:
         """Total count per eigenvalue angle."""
-        out: dict[Fraction, int] = {}
-        for (_, _, alpha), c in self._entries.items():
-            out[alpha] = out.get(alpha, 0) + c
-        return out
+        by_k: dict[int, int] = {}
+        for (_, _, k), c in self._entries.items():
+            by_k[k] = by_k.get(k, 0) + c
+        return {Fraction(k, self._den): c for k, c in by_k.items()}
 
     def hodge_filtration_marginal(self) -> dict[int, int]:
         """Total count per Hodge filtration level p, summed over q and alpha."""
@@ -112,10 +179,24 @@ class SpectralPairTable:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpectralPairTable):
             return NotImplemented
-        return self._entries == other._entries
+        if self._den == other._den:
+            return self._entries == other._entries
+        if len(self._entries) != len(other._entries):
+            return False
+        den = lcm(self._den, other._den)
+        return self._over(den) == other._over(den)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._entries.items()))
+        # Reduce to the least common denominator, which equal tables share.
+        g = gcd(self._den, *(k for _, _, k in self._entries))
+        return hash(
+            (
+                self._den // g,
+                frozenset(
+                    ((p, q, k // g), c) for (p, q, k), c in self._entries.items()
+                ),
+            )
+        )
 
     def __repr__(self) -> str:
         inner = ", ".join(
@@ -125,9 +206,10 @@ class SpectralPairTable:
 
     def to_rows(self) -> list[list]:
         """JSON-ready rows [p, q, "a/b", count], sorted lexicographically."""
+        den = self._den
         return [
-            [p, q, f"{alpha.numerator}/{alpha.denominator}", c]
-            for (p, q, alpha), c in self.items()
+            [p, q, angle_text(k, den), c]
+            for (p, q, k), c in sorted(self._entries.items())
         ]
 
     @classmethod
@@ -137,4 +219,3 @@ class SpectralPairTable:
             key = _normalize_key((p, q, Fraction(alpha)))
             data[key] = data.get(key, 0) + int(count)
         return cls(data)
-

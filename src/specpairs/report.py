@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import boundary, bounds
 from .laurent import CyclotomicFactorization, NotDivisible
@@ -123,21 +122,15 @@ def _check_bound_consistency(
 ) -> Check:
     problems: list[str] = []
     if curve is not None:
-        for key, value in complement.items():
-            if key[2] > 0:
-                cap = curve.bound_at(key)
-                if value > cap:
-                    problems.append(f"complement {key} > curve bound {cap}")
+        for key, cap in complement.exceeding(curve):
+            problems.append(f"complement {key} > curve bound {cap}")
         r_minus_1 = spec.components - 1
-        cap = complement.bound_at((1, 1, Fraction(0)))
+        cap = complement.bound_at((1, 1, 0))
         if r_minus_1 > cap:
             problems.append("exact (1,1,0) value exceeds the complement bound")
     if arrangement is not None and curve is not None:
-        for key, value in arrangement.items():
-            if key[2] > 0:
-                cap = curve.bound_at(key)
-                if value > cap:
-                    problems.append(f"arrangement {key} > curve bound {cap}")
+        for key, cap in arrangement.exceeding(curve):
+            problems.append(f"arrangement {key} > curve bound {cap}")
     return Check(
         "bound_consistency",
         not problems,

@@ -7,7 +7,7 @@ import cmath
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from specpairs import (
     Brieskorn,
@@ -163,3 +163,69 @@ def random_spec(rng, n: int, d_max: int = 8) -> HypersurfaceSpec:
     return HypersurfaceSpec(
         n=n, d=d, components=1, singularities=_group_counts(sings)
     )
+
+
+def oracle_spectrum(a: int, b: int) -> list[Fraction]:
+    """Spectrum of x^a + y^b by brute-force enumeration of i/a + j/b."""
+    return sorted(
+        Fraction(i, a) + Fraction(j, b) for i in range(1, a) for j in range(1, b)
+    )
+
+
+def oracle_local_pairs(a: int, b: int) -> dict[tuple[int, int, Fraction], int]:
+    """Local spectral pairs of x^a + y^b as a Fraction-keyed dict: (0, 1, s)
+    for s < 1, (1, 1, 0) for s = 1 and (1, 0, s - 1) for s > 1."""
+    out: Counter = Counter()
+    for s in oracle_spectrum(a, b):
+        if s < 1:
+            out[(0, 1, s)] += 1
+        elif s == 1:
+            out[(1, 1, Fraction(0))] += 1
+        else:
+            out[(1, 0, s - 1)] += 1
+    return dict(out)
+
+
+def oracle_local_alexander(a: int, b: int) -> dict[int, int]:
+    """Cyclotomic multiplicities of the monodromy of x^a + y^b: the spectrum's
+    angles grouped by reduced denominator, after checking that every
+    primitive root of each order occurs equally often."""
+    per_angle = Counter(s % 1 for s in oracle_spectrum(a, b))
+    out = {}
+    for order in sorted({alpha.denominator for alpha in per_angle}):
+        counts = {
+            per_angle[Fraction(j, order)]
+            for j in range(order)
+            if Fraction(j, order).denominator == order
+        }
+        assert len(counts) == 1, f"not Galois-stable at order {order}"
+        out[order] = counts.pop()
+    return out
+
+
+def oracle_mhat(m: int, alpha: Fraction) -> int:
+    """m * alpha when that is an integer, else 1."""
+    scaled = m * alpha
+    return scaled.numerator if scaled.denominator == 1 else 1
+
+
+def oracle_arrangement_table(
+    d: int, multiplicities
+) -> dict[tuple[int, int, Fraction], int]:
+    """Boundary table of a line arrangement straight from its definition: the
+    (0,0) and (1,1) eigenvalue-1 counts are the sum of (m_i - 1), and at each
+    alpha = j/L in (0, 1), L the lcm of d and the multiplicities, the (0,1)
+    count at alpha and the (1,0) count at 1 - alpha are
+    sum_i (mhat(m_i, alpha) - 1) + mhat(d, alpha) - 1."""
+    out: Counter = Counter()
+    points = Counter(multiplicities)
+    corner = sum((m - 1) * c for m, c in points.items())
+    out[(0, 0, Fraction(0))] = out[(1, 1, Fraction(0))] = corner
+    den = lcm(d, *points)
+    for j in range(1, den):
+        alpha = Fraction(j, den)
+        value = sum((oracle_mhat(m, alpha) - 1) * c for m, c in points.items())
+        value += oracle_mhat(d, alpha) - 1
+        out[(0, 1, alpha)] += value
+        out[(1, 0, 1 - alpha)] += value
+    return {key: c for key, c in out.items() if c}

@@ -7,7 +7,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import brieskorn_pham_explicit, oracle_boundary_alexander, random_spec
+from helpers import (
+    brieskorn_pham_explicit,
+    oracle_arrangement_table,
+    oracle_boundary_alexander,
+    random_spec,
+)
 
 from specpairs import (
     Brieskorn,
@@ -196,6 +201,17 @@ def test_arrangement_route_equals_curve_route_for_all_weak_data():
         for mults in weak_multisets(d):
             spec = arrangement_spec(d, mults)
             assert boundary_pairs_arrangement(d, mults) == boundary_pairs_curve(spec)
+
+
+def test_census_tables_match_the_mhat_oracle():
+    from specpairs.cli import census_rows
+
+    for d in range(2, 9):
+        for row in census_rows(d):
+            want = oracle_arrangement_table(d, row.multiplicities)
+            assert dict(row.table.items()) == want, (d, row.multiplicities)
+            got = boundary_pairs_arrangement(d, row.multiplicities)
+            assert dict(got.items()) == want
 
 
 def test_qhm_worked_examples():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from helpers import brieskorn_pham_explicit
@@ -136,6 +137,79 @@ def test_over_budget_documents_end_as_negative_mu_before_derivation(
     out, err = capsys.readouterr()
     assert out == ""
     assert "] negative_mu: " in err
+
+
+def _three_generic_lines_with(**changes):
+    return dict(THREE_GENERIC_LINES_DOC, **changes)
+
+
+def _ordinary(multiplicity):
+    return [{"kind": "ordinary", "multiplicity": multiplicity, "count": 3}]
+
+
+def _explicit_nodes(**changes):
+    node = {
+        "kind": "explicit", "milnor_number": 1, "branches": 2,
+        "alexander": {"unit": "1/1", "t_power": 0, "factors": [[1, 1]]},
+        "spectral_pairs": [[1, 1, "0/1", 1]], "grF_dims": [[1, 1]], "count": 3,
+    }
+    return {"line_arrangement": False, "singularities": [dict(node, **changes)]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_three_generic_lines_with(singularities=_ordinary(2.7)), "got 2.7"),
+        (_three_generic_lines_with(singularities=_ordinary("2")), "got '2'"),
+        (_three_generic_lines_with(singularities=_ordinary(True)), "got True"),
+        (
+            _three_generic_lines_with(
+                line_arrangement=False,
+                singularities=[{"kind": "brieskorn", "exponents": [2, 3.0]}],
+            ),
+            "got 3.0",
+        ),
+        (_three_generic_lines_with(**_explicit_nodes(milnor_number=1.0)), "got 1.0"),
+        (_three_generic_lines_with(**_explicit_nodes(branches="2")), "got '2'"),
+        (_three_generic_lines_with(**_explicit_nodes(grF_dims=[[1, 1.5]])), "got 1.5"),
+        (_three_generic_lines_with(hD=[[1, 1, False]]), "got False"),
+        (
+            _three_generic_lines_with(delta_U={"factors": [[1, -2]], "formal": True}),
+            "not a formal bound",
+        ),
+        (
+            _three_generic_lines_with(delta_U={"factors": [[1, 2]], "formal": True}),
+            "not a formal bound",
+        ),
+        (
+            _three_generic_lines_with(delta_U={"factors": [[1, -2]]}),
+            "negative multiplicities",
+        ),
+    ],
+    ids=[
+        "float_multiplicity", "string_multiplicity", "bool_multiplicity",
+        "float_exponent", "float_milnor_number", "string_branches",
+        "float_grf_dim", "bool_hd_count", "formal_negative_delta_u",
+        "formal_delta_u", "negative_delta_u",
+    ],
+)
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_documents_are_read_strictly(spec_file, capsys, doc, message, command):
+    assert main([command, spec_file(doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "malformed document: " in err and message in err
+
+
+def test_negative_hd_count_is_a_violation(spec_file, capsys):
+    doc = json.loads(
+        (Path(__file__).parent / "golden" / "hd_quartic_surface.json").read_text()
+    )
+    doc["hD"] = [[1, 1, -5]]
+    assert main(["verify", spec_file(doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "[error] negative_hd: hD row [1, 1, -5] has a negative count" in err
 
 
 def test_compute_exit_one_on_malformed(tmp_path, capsys):

@@ -6,7 +6,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from helpers import numeric_char_poly
+from helpers import (
+    numeric_char_poly,
+    oracle_local_alexander,
+    oracle_local_pairs,
+    oracle_spectrum,
+)
 
 from specpairs import (
     Brieskorn,
@@ -123,6 +128,18 @@ def test_builtin_invariants(germ):
     from specpairs.localsing import alexander_alpha_marginal
 
     assert alexander_alpha_marginal(local_alexander(germ)) == table.alpha_marginal()
+
+
+@pytest.mark.parametrize(
+    "germ, a, b",
+    [(Ordinary(m), m, m) for m in range(2, 41)]
+    + [(Brieskorn(a, b), a, b) for a in range(2, 13) for b in range(2, 13)],
+    ids=str,
+)
+def test_integer_enumeration_against_fraction_oracle(germ, a, b):
+    assert list(spectrum(germ)) == oracle_spectrum(a, b)
+    assert dict(local_pairs(germ).items()) == oracle_local_pairs(a, b)
+    assert local_alexander(germ).factors == oracle_local_alexander(a, b)
 
 
 def test_explicit_passthrough():

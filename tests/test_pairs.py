@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -113,3 +114,30 @@ def test_level_duality_is_an_involution(t, n):
 def test_total_dim_is_additive(a, b):
     assert (a + b).total_dim() == a.total_dim() + b.total_dim()
     assert a + b == b + a
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(keys, st.integers(min_value=1, max_value=5), max_size=6),
+    st.integers(min_value=1, max_value=6),
+    tables,
+)
+def test_integer_keys_over_any_denominator_equal_fraction_keys(entries, extra, other):
+    # the package-internal constructor takes numerators over a denominator
+    # that may be any multiple of the least one
+    den = lcm(*(alpha.denominator for _, _, alpha in entries)) * extra
+    by_numerator = SpectralPairTable._from_numerators(
+        den,
+        {
+            (p, q, alpha.numerator * (den // alpha.denominator)): c
+            for (p, q, alpha), c in entries.items()
+        },
+    )
+    by_fraction = SpectralPairTable(entries)
+    assert by_numerator == by_fraction
+    assert hash(by_numerator) == hash(by_fraction)
+    assert by_numerator.to_rows() == by_fraction.to_rows()
+    assert by_numerator.items() == by_fraction.items()
+    assert by_numerator + other == by_fraction + other
+    assert hash(by_numerator + other) == hash(other + by_fraction)
+    assert (by_numerator == other) == (sorted(entries.items()) == other.items())

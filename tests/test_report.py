@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 from helpers import random_spec
@@ -165,9 +166,11 @@ def test_build_report_enumerates_each_germ_spectrum_at_most_twice(monkeypatch):
     from specpairs import localsing
 
     calls = []
-    spectrum = localsing.spectrum
+    enumerate_spectrum = localsing.spectrum_numerators
     monkeypatch.setattr(
-        localsing, "spectrum", lambda s: calls.append(s) or spectrum(s)
+        localsing,
+        "spectrum_numerators",
+        lambda s: calls.append(s) or enumerate_spectrum(s),
     )
     braid = HypersurfaceSpec(
         n=1, d=6, components=6,
@@ -183,6 +186,18 @@ def test_build_report_enumerates_each_germ_spectrum_at_most_twice(monkeypatch):
         calls.clear()
         build_report(spec)
         assert 0 < len(calls) <= per_entry * len(spec.singularities)
+
+
+def test_build_report_on_a_3000_line_pencil_stays_fast():
+    # the spectrum of an ordinary 3000-fold point has about 9 * 10^6 values,
+    # so the pipeline must not enumerate them one by one
+    from specpairs.cli import arrangement_spec
+
+    start = time.perf_counter()
+    report = build_report(arrangement_spec(3000, [3000]))
+    assert time.perf_counter() - start < 10.0
+    assert report.all_passed
+    assert report.derived.mu == 0
 
 
 def test_render_text_sections():
