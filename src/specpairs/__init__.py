@@ -30,13 +30,8 @@ from .bounds import (
 )
 from .laurent import (
     CyclotomicFactorization,
-    LaurentPoly,
-    NegativeMultiplicity,
-    NotCyclotomicProduct,
     NotDivisible,
-    cyclotomic,
     euler_phi,
-    factor_roots_of_unity,
     t_power_minus_one,
 )
 from .localsing import (

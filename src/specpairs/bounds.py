@@ -151,8 +151,10 @@ def divisibility_bound_infinity(n: int, d: int) -> CyclotomicFactorization:
     """Divisor bound from the fiber at infinity, as a formal factorization:
     (t-1)^((-1)^(n+1)) * (t^d-1)^xi with xi = ((d-1)^(n+1) + (-1)^n)/d.
 
-    The combined exponent of t - 1 may be zero or negative, so the result is
-    flagged formal.
+    The combined exponent of t - 1 is never negative: it is xi - 1 for even
+    n, where xi >= 1, and xi + 1 for odd n, where xi >= 0 (xi = 0 only for
+    d = 2).  The result is flagged formal because it is a divisibility bound,
+    not the order of a module.
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .laurent import CyclotomicFactorization
+from .laurent import CyclotomicFactorization, parse_integer
 from .localsing import (
     Brieskorn,
     Explicit,
@@ -151,10 +151,15 @@ def shared_line_violations(d: int, multiplicities) -> list[tuple[int, int]]:
     """
     mults = sorted(multiplicities, reverse=True)
     bad = []
-    for i in range(len(mults)):
-        for j in range(i + 1, len(mults)):
-            if mults[i] + mults[j] - 1 > d:
-                bad.append((mults[i], mults[j]))
+    # Descending order: once a pair fits, every later partner fits too, and
+    # once the two largest remaining points fit, every later pair does.
+    for i in range(len(mults) - 1):
+        if mults[i] + mults[i + 1] - 1 <= d:
+            break
+        for b in mults[i + 1:]:
+            if mults[i] + b - 1 <= d:
+                break
+            bad.append((mults[i], b))
     return bad
 
 
@@ -395,40 +400,29 @@ def hard_violations(violations) -> list[Violation]:
 # Document parsing and serialization
 
 
-def _integer(value) -> int:
-    """A JSON integer as is; bool, float and string values are rejected, not
-    coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
 def _parse_singularity(entry, errors) -> tuple[LocalSingularity, int] | None:
     if not isinstance(entry, dict):
         errors.append(f"singularity entry must be an object, got {type(entry)}")
         return None
     kind = entry.get("kind")
-    count = entry.get("count", 1)
-    if not isinstance(count, int) or isinstance(count, bool):
-        errors.append(f"singularity count must be an integer, got {count!r}")
-        return None
     try:
+        count = parse_integer(entry.get("count", 1))
         if kind == "ordinary":
-            return Ordinary(_integer(entry["multiplicity"])), count
+            return Ordinary(parse_integer(entry["multiplicity"])), count
         if kind == "brieskorn":
             a, b = entry["exponents"]
-            return Brieskorn(_integer(a), _integer(b)), count
+            return Brieskorn(parse_integer(a), parse_integer(b)), count
         if kind == "explicit":
             grf = entry.get("grF_dims")
             grf_rows = (
-                tuple((_integer(p), _integer(v)) for p, v in grf)
+                tuple((parse_integer(p), parse_integer(v)) for p, v in grf)
                 if grf is not None
                 else None
             )
             return (
                 Explicit(
-                    milnor=_integer(entry["milnor_number"]),
-                    branches=_integer(entry["branches"]),
+                    milnor=parse_integer(entry["milnor_number"]),
+                    branches=parse_integer(entry["branches"]),
                     alexander=CyclotomicFactorization.from_dict(entry["alexander"]),
                     pairs=SpectralPairTable.from_rows(entry["spectral_pairs"]),
                     grf_dims=grf_rows,
@@ -485,7 +479,8 @@ def parse_spec(document: str | dict) -> HypersurfaceSpec:
     if document.get("hD") is not None:
         try:
             h_d = tuple(
-                (_integer(p), _integer(q), _integer(c)) for p, q, c in document["hD"]
+                (parse_integer(p), parse_integer(q), parse_integer(c))
+                for p, q, c in document["hD"]
             )
         except (TypeError, ValueError) as exc:
             errors.append(f"bad hD rows: {exc}")

@@ -16,6 +16,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
+from .laurent import parse_fraction, parse_integer
+
 PairKey = tuple[int, int, Fraction]
 
 
@@ -108,9 +110,6 @@ class SpectralPairTable:
             ((p, q, Fraction(k, den)), c)
             for (p, q, k), c in sorted(self._entries.items())
         ]
-
-    def keys(self) -> list[PairKey]:
-        return [key for key, _ in self.items()]
 
     @property
     def is_empty(self) -> bool:
@@ -214,8 +213,12 @@ class SpectralPairTable:
 
     @classmethod
     def from_rows(cls, rows: Iterable) -> SpectralPairTable:
+        """Read rows [p, q, alpha, count] of a document: p, q and count must
+        be integers and alpha an exact rational."""
         data: dict[PairKey, int] = {}
         for p, q, alpha, count in rows:
-            key = _normalize_key((p, q, Fraction(alpha)))
-            data[key] = data.get(key, 0) + int(count)
+            key = _normalize_key(
+                (parse_integer(p), parse_integer(q), parse_fraction(alpha))
+            )
+            data[key] = data.get(key, 0) + parse_integer(count)
         return cls(data)

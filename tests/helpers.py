@@ -6,6 +6,7 @@ from __future__ import annotations
 import cmath
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import gcd, lcm, prod
 
@@ -20,6 +21,58 @@ from specpairs import (
     euler_phi,
     milnor_number,
 )
+
+
+def _poly_mul(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@cache
+def oracle_cyclotomic(k: int) -> tuple[int, ...]:
+    """Ascending integer coefficients of Phi_k: t^k - 1 divided exactly by
+    Phi_j for each proper divisor j of k (every Phi_j is monic)."""
+    rem = [-1] + [0] * (k - 1) + [1]
+    for j in range(1, k):
+        if k % j == 0:
+            den = oracle_cyclotomic(j)
+            quo = [0] * (len(rem) - len(den) + 1)
+            for i in reversed(range(len(quo))):
+                quo[i] = rem[i + len(den) - 1]
+                for e, c in enumerate(den):
+                    rem[i + e] -= quo[i] * c
+            assert not any(rem), f"Phi_{j} does not divide at order {k}"
+            rem = quo
+    return tuple(rem)
+
+
+def oracle_expand(f) -> dict[int, Fraction]:
+    """A CyclotomicFactorization multiplied out, as {exponent: coefficient}
+    with zero coefficients dropped."""
+    if any(m < 0 for m in f.factors.values()):
+        raise ValueError("cannot expand a negative multiplicity")
+    coeffs = [1]
+    for k, m in f.factors.items():
+        for _ in range(m):
+            coeffs = _poly_mul(coeffs, oracle_cyclotomic(k))
+    return {f.t_power + e: f.unit * c for e, c in enumerate(coeffs) if c}
+
+
+def oracle_shared_line_violations(
+    d: int, multiplicities
+) -> list[tuple[int, int]]:
+    """Every pair of points, in descending order of multiplicity, whose
+    multiplicities (a, b) break a + b - 1 <= d."""
+    mults = sorted(multiplicities, reverse=True)
+    return [
+        (mults[i], mults[j])
+        for i in range(len(mults))
+        for j in range(i + 1, len(mults))
+        if mults[i] + mults[j] - 1 > d
+    ]
 
 
 def numeric_char_poly(spectrum) -> list[complex]:

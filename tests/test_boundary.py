@@ -384,16 +384,3 @@ def test_curve_table_parity_violation():
     spec = HypersurfaceSpec(n=1, d=3, components=1, singularities=((odd_germ, 1),))
     with pytest.raises(ParityViolation):
         boundary_pairs_curve(spec)
-
-
-def test_boundary_alexander_expansion_refactors():
-    # all zeros are roots of unity, so expanding and refactoring reproduces
-    # the factorization on internally generated polynomials
-    from specpairs import factor_roots_of_unity
-
-    rng = random.Random(11)
-    specs = [THREE_GENERIC_LINES, THREE_CONCURRENT_LINES, CUSPIDAL_CUBIC]
-    specs += [random_spec(rng, 1, d_max=6) for _ in range(5)]
-    for spec in specs:
-        delta_m = boundary_alexander(spec)
-        assert factor_roots_of_unity(delta_m.expand()) == delta_m

@@ -164,6 +164,12 @@ def _explicit_nodes(**changes):
         (_three_generic_lines_with(singularities=_ordinary(True)), "got True"),
         (
             _three_generic_lines_with(
+                singularities=[{"kind": "ordinary", "multiplicity": 2, "count": 3.0}]
+            ),
+            "got 3.0",
+        ),
+        (
+            _three_generic_lines_with(
                 line_arrangement=False,
                 singularities=[{"kind": "brieskorn", "exponents": [2, 3.0]}],
             ),
@@ -185,12 +191,47 @@ def _explicit_nodes(**changes):
             _three_generic_lines_with(delta_U={"factors": [[1, -2]]}),
             "negative multiplicities",
         ),
+        (
+            _three_generic_lines_with(
+                **_explicit_nodes(
+                    alexander={"unit": "1/1", "t_power": 0.5, "factors": [[1.9, 1]]},
+                    spectral_pairs=[[1, 1, "0/1", 1.5]],
+                )
+            ),
+            "got 0.5",
+        ),
+        (
+            _three_generic_lines_with(
+                **_explicit_nodes(alexander={"factors": [[1.9, 1]]})
+            ),
+            "got 1.9",
+        ),
+        (
+            _three_generic_lines_with(
+                **_explicit_nodes(spectral_pairs=[[1, 1, "0/1", 1.5]])
+            ),
+            "got 1.5",
+        ),
+        (
+            _three_generic_lines_with(
+                **_explicit_nodes(spectral_pairs=[[1.0, 1, "0/1", 1]])
+            ),
+            "got 1.0",
+        ),
+        (
+            _three_generic_lines_with(
+                **_explicit_nodes(spectral_pairs=[[1, 1, 0.0, 1]])
+            ),
+            "as an exact rational",
+        ),
     ],
     ids=[
-        "float_multiplicity", "string_multiplicity", "bool_multiplicity",
+        "float_multiplicity", "string_multiplicity", "bool_multiplicity", "float_count",
         "float_exponent", "float_milnor_number", "string_branches",
         "float_grf_dim", "bool_hd_count", "formal_negative_delta_u",
-        "formal_delta_u", "negative_delta_u",
+        "formal_delta_u", "negative_delta_u", "float_explicit_germ",
+        "float_factor_order", "float_pair_count", "float_pair_hodge_index",
+        "float_pair_angle",
     ],
 )
 @pytest.mark.parametrize("command", ["compute", "verify"])

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
-from helpers import brieskorn_pham_explicit
+from helpers import brieskorn_pham_explicit, oracle_shared_line_violations
 
 from specpairs import (
     Brieskorn,
@@ -21,6 +23,7 @@ from specpairs import (
     serialize_spec,
     validate,
 )
+from specpairs.model import shared_line_violations
 
 THREE_GENERIC_LINES_DOC = {
     "ambient_dim": 2,
@@ -135,6 +138,29 @@ def test_shared_line_heuristic_is_a_warning():
     violations = validate(spec)
     assert [v.code for v in violations] == ["shared_line"]
     assert violations[0].severity == "warning"
+
+
+def test_shared_line_violations_match_the_pairwise_definition():
+    rng = random.Random(20261018)
+    for _ in range(500):
+        d = rng.randint(2, 10)
+        mults = [rng.randint(2, d + 1) for _ in range(rng.randint(0, 12))]
+        assert shared_line_violations(d, mults) == oracle_shared_line_violations(
+            d, mults
+        )
+
+
+def test_validate_on_a_300_line_generic_arrangement_stays_fast():
+    # 44,850 double points: the shared-line scan must not compare every pair
+    spec = HypersurfaceSpec(
+        n=1, d=300, components=300,
+        singularities=((Ordinary(2), 300 * 299 // 2),),
+        line_arrangement=True,
+    )
+    start = time.perf_counter()
+    violations = validate(spec)
+    assert time.perf_counter() - start < 2.0
+    assert violations == []
 
 
 def test_line_arrangement_shape_rules():
