@@ -3,17 +3,14 @@ numbers (spectral pairs) of complements and boundary manifolds of affine
 hypersurfaces transversal at infinity with isolated singularities."""
 
 from .boundary import (
-    BoundaryInvariants,
     NegativeCount,
     NegativeExponent,
-    OddDegree,
     ParityViolation,
     boundary_alexander,
     boundary_pairs_arrangement,
     boundary_pairs_curve,
     boundary_pairs_nonunipotent,
     boundary_pairs_qhm,
-    compute_boundary_invariants,
     error_term,
     flatten_weights,
     projective_curve_hodge,

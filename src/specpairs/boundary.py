@@ -12,7 +12,6 @@ along two independent routes that must agree and are cross-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import TYPE_CHECKING
 
@@ -31,28 +30,12 @@ class NegativeExponent(ValueError):
     signalling an inconsistent Milnor number budget."""
 
 
-class OddDegree(ArithmeticError):
-    """The error term came out with odd degree, which is impossible for
-    consistent inputs."""
-
-
 class ParityViolation(ValueError):
     """A curve Hodge number with a 1/2 factor is not an integer."""
 
 
 class NegativeCount(ValueError):
     """A dimension formula evaluated to a negative number."""
-
-
-@dataclass(frozen=True)
-class BoundaryInvariants:
-    """Bundle of middle-degree invariants of the boundary manifold."""
-
-    delta_m: CyclotomicFactorization
-    pairs_nonunipotent: SpectralPairTable
-    pairs_unipotent: SpectralPairTable | None = None
-    pairs_full: SpectralPairTable | None = None
-    weight_resolved: dict[int, SpectralPairTable] | None = None
 
 
 def boundary_alexander(spec: HypersurfaceSpec) -> CyclotomicFactorization:
@@ -82,7 +65,7 @@ def error_term(
     """Quotient of the boundary Alexander polynomial by delta_u squared.
 
     The quotient must exist when delta_u is the Alexander polynomial of the
-    complement, and its degree is always even."""
+    complement; its degree is even, which the report checks."""
     delta_m = boundary_alexander(spec)
     square = delta_u.canonical() ** 2
     try:
@@ -91,8 +74,6 @@ def error_term(
         raise NotDivisible(
             f"delta_U^2 = {square} does not divide delta_M = {delta_m}"
         ) from exc
-    if quotient.degree % 2:
-        raise OddDegree(f"error term {quotient} has odd degree {quotient.degree}")
     return quotient
 
 
@@ -248,51 +229,13 @@ def flatten_weights(weighted: dict[int, SpectralPairTable]) -> SpectralPairTable
     return total
 
 
-def compute_boundary_invariants(spec: HypersurfaceSpec) -> BoundaryInvariants:
-    """Assemble every boundary invariant the input allows.
-
-    The full table is emitted for curves and for rational homology manifolds;
-    otherwise only the Alexander polynomial and the non-unipotent table are
-    exact and nothing else is claimed.
-    """
-    delta_m = boundary_alexander(spec)
-    nonunip = boundary_pairs_nonunipotent(spec)
-    unip = full = weighted = None
-    if spec.rational_homology_manifold:
-        weighted = boundary_pairs_qhm(spec)
-    if spec.n == 1:
-        full = boundary_pairs_curve(spec)
-        unip = full.unipotent()
-    elif weighted is not None:
-        unip = flatten_weights(weighted)
-        full = unip + nonunip
-    return BoundaryInvariants(
-        delta_m=delta_m,
-        pairs_nonunipotent=nonunip,
-        pairs_unipotent=unip,
-        pairs_full=full,
-        weight_resolved=weighted,
-    )
-
-
-@dataclass(frozen=True)
-class ProjectiveCurveHodge:
-    """Mixed Hodge numbers of the projective curve and of the compactly
-    supported cohomology of the affine curve, keyed by (degree, p, q)."""
-
-    projective: tuple[tuple[tuple[int, int, int], int], ...]
-    compact_support: tuple[tuple[tuple[int, int, int], int], ...]
-
-    def projective_map(self) -> dict[tuple[int, int, int], int]:
-        return dict(self.projective)
-
-    def compact_support_map(self) -> dict[tuple[int, int, int], int]:
-        return dict(self.compact_support)
-
-
-def projective_curve_hodge(spec: HypersurfaceSpec) -> ProjectiveCurveHodge:
-    """Hodge numbers of the projective plane curve V and of H_c of the affine
-    curve, from degree, component count and local branch data."""
+def projective_curve_hodge(
+    spec: HypersurfaceSpec,
+) -> dict[str, dict[tuple[int, int, int], int]]:
+    """Mixed Hodge numbers of the projective plane curve V ("projective") and
+    of H_c of the affine curve ("compact_support"), keyed by (degree, p, q)
+    with zero entries dropped, from degree, component count and local branch
+    data."""
     if spec.n != 1:
         raise ValueError("projective_curve_hodge requires n = 1")
     r = spec.components
@@ -302,20 +245,15 @@ def projective_curve_hodge(spec: HypersurfaceSpec) -> ProjectiveCurveHodge:
         raise NegativeCount(
             f"branch excess {excess} cannot support {r} components"
         )
-    projective = [
-        ((0, 0, 0), 1),
-        ((1, 0, 0), excess + 1 - r),
-        ((1, 0, 1), off),
-        ((1, 1, 0), off),
-        ((2, 1, 1), r),
-    ]
-    compact = [
-        ((1, 0, 0), corner),
-        ((1, 0, 1), off),
-        ((1, 1, 0), off),
-        ((2, 1, 1), r),
-    ]
-    return ProjectiveCurveHodge(
-        projective=tuple((k, v) for k, v in projective if v),
-        compact_support=tuple((k, v) for k, v in compact if v),
-    )
+    projective = {
+        (0, 0, 0): 1,
+        (1, 0, 0): excess + 1 - r,
+        (1, 0, 1): off,
+        (1, 1, 0): off,
+        (2, 1, 1): r,
+    }
+    compact = {(1, 0, 0): corner, (1, 0, 1): off, (1, 1, 0): off, (2, 1, 1): r}
+    return {
+        "projective": {k: v for k, v in projective.items() if v},
+        "compact_support": {k: v for k, v in compact.items() if v},
+    }

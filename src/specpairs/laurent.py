@@ -207,12 +207,17 @@ class CyclotomicFactorization:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> CyclotomicFactorization:
-        return cls(
-            parse_fraction(data.get("unit", 1)),
-            parse_integer(data.get("t_power", 0)),
-            {parse_integer(k): parse_integer(m) for k, m in data.get("factors", [])},
-            formal=bool(data.get("formal", False)),
-        )
+        """Read a document object strictly; an order given twice is an error,
+        not an overwrite."""
+        unit = parse_fraction(data.get("unit", 1))
+        t_power = parse_integer(data.get("t_power", 0))
+        factors: dict[int, int] = {}
+        for k, m in parse_array(data.get("factors", [])):
+            k = parse_integer(k)
+            if k in factors:
+                raise ValueError(f"cyclotomic order {k} is given twice")
+            factors[k] = parse_integer(m)
+        return cls(unit, t_power, factors, formal=parse_flag(data.get("formal", False)))
 
 
 def parse_integer(value) -> int:
@@ -223,11 +228,28 @@ def parse_integer(value) -> int:
     return value
 
 
+def parse_flag(value) -> bool:
+    """A JSON boolean as is; any other value is rejected, not coerced."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def parse_array(value) -> list:
+    """A JSON array as is; an object or a scalar is rejected, not iterated."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected an array, got {value!r}")
+    return value
+
+
 def parse_fraction(value) -> Fraction:
     """Read a fraction given as an int, a string like '2/3', or a Fraction;
     bool and float values are rejected, not coerced."""
     if isinstance(value, (int, str, Fraction)) and not isinstance(value, bool):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            pass
     raise ValueError(f"cannot interpret {value!r} as an exact rational")
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .laurent import CyclotomicFactorization, parse_integer
+from .laurent import CyclotomicFactorization, parse_array, parse_flag, parse_integer
 from .localsing import (
     Brieskorn,
     Explicit,
@@ -400,6 +400,26 @@ def hard_violations(violations) -> list[Violation]:
 # Document parsing and serialization
 
 
+def _parse_alexander(data) -> CyclotomicFactorization:
+    """An Alexander polynomial of a document (a germ's `alexander`, `delta_U`):
+    an object, read strictly, and concrete, since a formal bound is none."""
+    if not isinstance(data, dict):
+        raise TypeError(f"expected an object, got {data!r}")
+    poly = CyclotomicFactorization.from_dict(data)
+    if poly.formal:
+        raise ValueError(
+            "an Alexander polynomial is not a formal bound; drop the formal flag"
+        )
+    return poly
+
+
+def _parse_hd(rows) -> tuple[tuple[int, int, int], ...]:
+    return tuple(
+        (parse_integer(p), parse_integer(q), parse_integer(c))
+        for p, q, c in parse_array(rows)
+    )
+
+
 def _parse_singularity(entry, errors) -> tuple[LocalSingularity, int] | None:
     if not isinstance(entry, dict):
         errors.append(f"singularity entry must be an object, got {type(entry)}")
@@ -415,7 +435,7 @@ def _parse_singularity(entry, errors) -> tuple[LocalSingularity, int] | None:
         if kind == "explicit":
             grf = entry.get("grF_dims")
             grf_rows = (
-                tuple((parse_integer(p), parse_integer(v)) for p, v in grf)
+                tuple((parse_integer(p), parse_integer(v)) for p, v in parse_array(grf))
                 if grf is not None
                 else None
             )
@@ -423,7 +443,7 @@ def _parse_singularity(entry, errors) -> tuple[LocalSingularity, int] | None:
                 Explicit(
                     milnor=parse_integer(entry["milnor_number"]),
                     branches=parse_integer(entry["branches"]),
-                    alexander=CyclotomicFactorization.from_dict(entry["alexander"]),
+                    alexander=_parse_alexander(entry["alexander"]),
                     pairs=SpectralPairTable.from_rows(entry["spectral_pairs"]),
                     grf_dims=grf_rows,
                 ),
@@ -446,44 +466,30 @@ def parse_spec(document: str | dict) -> HypersurfaceSpec:
     if not isinstance(document, dict):
         raise MalformedDocument("top-level document must be an object")
     errors: list[str] = []
-    ambient = document.get("ambient_dim")
-    degree = document.get("degree")
-    components = document.get("components")
-    for name, value in (
-        ("ambient_dim", ambient),
-        ("degree", degree),
-        ("components", components),
-    ):
-        if not isinstance(value, int) or isinstance(value, bool):
-            errors.append(f"{name} must be an integer, got {value!r}")
-    if errors:
-        raise MalformedDocument(errors)
+
+    def read(name, reader, default=None):
+        """reader(document[name]), reading default when the name is absent;
+        a value the reader rejects goes to errors and reads as None."""
+        try:
+            return reader(document.get(name, default))
+        except (TypeError, ValueError) as exc:
+            errors.append(f"bad {name}: {exc}")
+
+    ambient, degree, components = (
+        read(name, parse_integer) for name in ("ambient_dim", "degree", "components")
+    )
+    flags = {
+        name: read(name, parse_flag, False)
+        for name in ("line_arrangement", "rational_homology_manifold")
+    }
     sings: list[tuple[LocalSingularity, int]] = []
-    for entry in document.get("singularities", []):
+    for entry in read("singularities", parse_array, []) or []:
         parsed = _parse_singularity(entry, errors)
         if parsed is not None:
             sings.append(parsed)
-    delta_u = None
-    if document.get("delta_U") is not None:
-        try:
-            delta_u = CyclotomicFactorization.from_dict(document["delta_U"])
-        except (TypeError, ValueError, KeyError) as exc:
-            errors.append(f"bad delta_U: {exc}")
-        else:
-            if delta_u.formal:
-                errors.append(
-                    "bad delta_U: it is the Alexander polynomial of the "
-                    "complement, not a formal bound; drop the formal flag"
-                )
-    h_d = None
-    if document.get("hD") is not None:
-        try:
-            h_d = tuple(
-                (parse_integer(p), parse_integer(q), parse_integer(c))
-                for p, q, c in document["hD"]
-            )
-        except (TypeError, ValueError) as exc:
-            errors.append(f"bad hD rows: {exc}")
+    # delta_U and hD are optional: null reads as absent
+    delta_u = read("delta_U", lambda v: None if v is None else _parse_alexander(v))
+    h_d = read("hD", lambda v: None if v is None else _parse_hd(v))
     if errors:
         raise MalformedDocument(errors)
     return HypersurfaceSpec(
@@ -491,12 +497,9 @@ def parse_spec(document: str | dict) -> HypersurfaceSpec:
         d=degree,
         components=components,
         singularities=tuple(sings),
-        line_arrangement=bool(document.get("line_arrangement", False)),
-        rational_homology_manifold=bool(
-            document.get("rational_homology_manifold", False)
-        ),
         delta_u=delta_u,
         h_d=h_d,
+        **flags,
     )
 
 

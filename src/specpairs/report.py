@@ -67,7 +67,8 @@ class InvariantReport:
     pairs_full: SpectralPairTable | None = None
     weight_resolved: dict[int, SpectralPairTable] | None = None
     pairs_arrangement: SpectralPairTable | None = None
-    projective_hodge: boundary.ProjectiveCurveHodge | None = None
+    # (degree, p, q) -> h for "projective" and "compact_support" (curves only)
+    projective_hodge: dict[str, dict[tuple[int, int, int], int]] | None = None
 
     @property
     def all_passed(self) -> bool:
@@ -151,18 +152,29 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
         raise InvalidSpec(errors)
     warnings = [v for v in violations if v.severity == "warning"]
 
+    n, d = spec.n, spec.d
     derived = spec.derived
-    inv = boundary.compute_boundary_invariants(spec)
+    delta_m = boundary.boundary_alexander(spec)
+    nonunip = boundary.boundary_pairs_nonunipotent(spec)
+    # the full table is exact for curves and rational homology manifolds only
+    unip = full = weighted = None
+    if spec.rational_homology_manifold:
+        weighted = boundary.boundary_pairs_qhm(spec)
+    if n == 1:
+        full = boundary.boundary_pairs_curve(spec)
+        unip = full.unipotent()
+    elif weighted is not None:
+        unip = boundary.flatten_weights(weighted)
+        full = unip + nonunip
     checks: list[Check] = []
 
-    n, d = spec.n, spec.d
     expected_degree = 2 * (d - 1) ** (n + 1)
     checks.append(
         Check(
             "degree_identity",
-            inv.delta_m.degree == expected_degree,
+            delta_m.degree == expected_degree,
             "identity",
-            f"deg delta_M = {inv.delta_m.degree}, expected {expected_degree}",
+            f"deg delta_M = {delta_m.degree}, expected {expected_degree}",
         )
     )
     checks.append(
@@ -206,11 +218,11 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
             )
         )
 
-    tables: dict[str, SpectralPairTable] = {"nonunipotent": inv.pairs_nonunipotent}
-    if inv.pairs_full is not None:
-        tables["full"] = inv.pairs_full
-    if inv.weight_resolved is not None:
-        for w, t in inv.weight_resolved.items():
+    tables: dict[str, SpectralPairTable] = {"nonunipotent": nonunip}
+    if full is not None:
+        tables["full"] = full
+    if weighted is not None:
+        for w, t in weighted.items():
             tables[f"weight {w}"] = t
     pairs_arrangement = bound_arrangement = None
     if spec.line_arrangement:
@@ -219,45 +231,42 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
         bound_arrangement = bounds.spectral_bound_arrangement(d, mults)
         tables["arrangement"] = pairs_arrangement
     checks.append(_check_tables_conjugation(tables))
-    checks.append(
-        _check_level_duality(n, inv.pairs_nonunipotent, inv.pairs_full, inv.weight_resolved)
-    )
+    checks.append(_check_level_duality(n, nonunip, full, weighted))
 
     if n == 1:
         checks.append(
             Check(
                 "two_path_agreement",
-                inv.pairs_full.nonunipotent() == inv.pairs_nonunipotent,
+                full.nonunipotent() == nonunip,
                 "identity",
                 "curve route and local+infinity route agree above eigenvalue 1",
             )
         )
-    if inv.pairs_full is not None:
+    if full is not None:
         checks.append(
             Check(
                 "total_mass",
-                inv.pairs_full.total_dim() == inv.delta_m.degree,
+                full.total_dim() == delta_m.degree,
                 "identity",
-                f"table mass {inv.pairs_full.total_dim()} vs "
-                f"deg delta_M {inv.delta_m.degree}",
+                f"table mass {full.total_dim()} vs deg delta_M {delta_m.degree}",
             )
         )
     if pairs_arrangement is not None:
         checks.append(
             Check(
                 "arrangement_agreement",
-                pairs_arrangement == inv.pairs_full,
+                pairs_arrangement == full,
                 "identity",
                 "weak-data route equals the curve route",
             )
         )
     if spec.rational_homology_manifold and n == 1:
-        assert inv.weight_resolved is not None and inv.pairs_full is not None
-        flattened = boundary.flatten_weights(inv.weight_resolved)
+        assert weighted is not None and full is not None
+        flattened = boundary.flatten_weights(weighted)
         checks.append(
             Check(
                 "qhm_agreement",
-                flattened + inv.pairs_nonunipotent == inv.pairs_full,
+                flattened + nonunip == full,
                 "identity",
                 "weight-resolved route equals the curve route",
             )
@@ -306,19 +315,19 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
     return InvariantReport(
         spec=spec,
         derived=derived,
-        delta_m=inv.delta_m,
+        delta_m=delta_m,
         divisibility_infinity=div_infinity,
         divisibility_local=div_local,
         bound_complement=bound_complement,
-        pairs_nonunipotent=inv.pairs_nonunipotent,
+        pairs_nonunipotent=nonunip,
         checks=checks,
         warnings=warnings,
         bound_curve=bound_curve,
         bound_arrangement=bound_arrangement,
         error_term=err,
-        pairs_unipotent=inv.pairs_unipotent,
-        pairs_full=inv.pairs_full,
-        weight_resolved=inv.weight_resolved,
+        pairs_unipotent=unip,
+        pairs_full=full,
+        weight_resolved=weighted,
         pairs_arrangement=pairs_arrangement,
         projective_hodge=boundary.projective_curve_hodge(spec) if n == 1 else None,
     )
@@ -328,11 +337,34 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
 # Serialization
 
 
+def _sections(
+    report: InvariantReport,
+) -> list[tuple[tuple[str, ...], str | None, SpectralPairTable | bounds.BoundTable]]:
+    """The tables of a report in output order, as (location in the JSON
+    document, text heading or None for a table only the JSON carries, table);
+    tables the input does not support are left out."""
+    by_weight = sorted((report.weight_resolved or {}).items())
+    sections = [
+        (("tables", "nonunipotent"), "spectral pairs, eigenvalue != 1 (exact):",
+         report.pairs_nonunipotent),
+        (("tables", "unipotent"), None, report.pairs_unipotent),
+        (("tables", "full"), "spectral pairs, full table (exact):", report.pairs_full),
+        *((("tables", "by_weight", str(w)), f"eigenvalue-1 pairs of weight {w}:", t)
+          for w, t in by_weight),
+        (("tables", "arrangement"), None, report.pairs_arrangement),
+        (("bounds", "complement"), "complement bounds (upper unless marked exact):",
+         report.bound_complement),
+        (("bounds", "curve"), "complement bounds, curve form:", report.bound_curve),
+        (("bounds", "arrangement"), "complement bounds, arrangement form:",
+         report.bound_arrangement),
+    ]
+    return [section for section in sections if section[2] is not None]
+
+
 def report_to_dict(report: InvariantReport) -> dict:
     """JSON-ready, deterministic dictionary form of the report."""
-    spec = report.spec
     out: dict = {
-        "spec": serialize_spec(spec),
+        "spec": serialize_spec(report.spec),
         "derived": {
             "mu": report.derived.mu,
             "xi": report.derived.xi,
@@ -344,11 +376,7 @@ def report_to_dict(report: InvariantReport) -> dict:
             "infinity": report.divisibility_infinity.to_dict(),
             "local": report.divisibility_local.to_dict(),
         },
-        "bounds": {"complement": report.bound_complement.to_rows()},
-        "tables": {
-            "nonunipotent": report.pairs_nonunipotent.to_rows(),
-            "weights_resolved": report.weight_resolved is not None,
-        },
+        "tables": {"weights_resolved": bool(report.weight_resolved)},
         "checks": [
             {"name": c.name, "passed": c.passed, "kind": c.kind, "detail": c.detail}
             for c in report.checks
@@ -357,32 +385,17 @@ def report_to_dict(report: InvariantReport) -> dict:
             {"code": v.code, "message": v.message} for v in report.warnings
         ],
     }
-    if report.bound_curve is not None:
-        out["bounds"]["curve"] = report.bound_curve.to_rows()
-    if report.bound_arrangement is not None:
-        out["bounds"]["arrangement"] = report.bound_arrangement.to_rows()
+    for (*parents, key), _, table in _sections(report):
+        node = out
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[key] = table.to_rows()
     if report.error_term is not None:
         out["error_term"] = report.error_term.to_dict()
-    if report.pairs_unipotent is not None:
-        out["tables"]["unipotent"] = report.pairs_unipotent.to_rows()
-    if report.pairs_full is not None:
-        out["tables"]["full"] = report.pairs_full.to_rows()
-    if report.weight_resolved is not None:
-        out["tables"]["by_weight"] = {
-            str(w): t.to_rows() for w, t in sorted(report.weight_resolved.items())
-        }
-    if report.pairs_arrangement is not None:
-        out["tables"]["arrangement"] = report.pairs_arrangement.to_rows()
     if report.projective_hodge is not None:
         out["projective_curve"] = {
-            "projective": [
-                [deg, p, q, v]
-                for (deg, p, q), v in sorted(report.projective_hodge.projective)
-            ],
-            "compact_support": [
-                [deg, p, q, v]
-                for (deg, p, q), v in sorted(report.projective_hodge.compact_support)
-            ],
+            kind: [[*key, v] for key, v in sorted(numbers.items())]
+            for kind, numbers in report.projective_hodge.items()
         }
     return out
 
@@ -391,22 +404,16 @@ def report_to_json(report: InvariantReport) -> str:
     return json.dumps(report_to_dict(report), sort_keys=True, indent=2)
 
 
-def _table_lines(rows, header=("p", "q", "alpha", "count")) -> list[str]:
+def _table_lines(rows, header) -> list[str]:
     rows = [[str(x) for x in row] for row in rows]
     if not rows:
         return ["  (empty)"]
-    widths = [
-        max(len(header[i]) if i < len(header) else 0, *(len(r[i]) for r in rows))
-        for i in range(len(rows[0]))
+    header = [*header, *[""] * (len(rows[0]) - len(header))]
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    return [
+        "  " + "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
+        for row in (header, *rows)
     ]
-    head = "  " + "  ".join(
-        (header[i] if i < len(header) else "").ljust(widths[i])
-        for i in range(len(rows[0]))
-    )
-    lines = [head]
-    for row in rows:
-        lines.append("  " + "  ".join(row[i].ljust(widths[i]) for i in range(len(row))))
-    return lines
 
 
 def render_text(report: InvariantReport) -> str:
@@ -428,44 +435,13 @@ def render_text(report: InvariantReport) -> str:
         lines.append(
             f"e(t) = {report.error_term}   (degree {report.error_term.degree})"
         )
-    lines.append("")
-    lines.append("spectral pairs, eigenvalue != 1 (exact):")
-    lines.extend(_table_lines(report.pairs_nonunipotent.to_rows()))
-    if report.pairs_full is not None:
-        lines.append("")
-        lines.append("spectral pairs, full table (exact):")
-        lines.extend(_table_lines(report.pairs_full.to_rows()))
-    if report.weight_resolved is not None:
-        for w, table in sorted(report.weight_resolved.items()):
-            lines.append("")
-            lines.append(f"eigenvalue-1 pairs of weight {w}:")
-            lines.extend(_table_lines(table.to_rows()))
-    lines.append("")
-    lines.append("complement bounds (upper unless marked exact):")
-    lines.extend(
-        _table_lines(
-            report.bound_complement.to_rows(), ("p", "q", "alpha", "bound", "")
-        )
-    )
-    if report.bound_curve is not None:
-        lines.append("")
-        lines.append("complement bounds, curve form:")
-        lines.extend(
-            _table_lines(report.bound_curve.to_rows(), ("p", "q", "alpha", "bound", ""))
-        )
-    if report.bound_arrangement is not None:
-        lines.append("")
-        lines.append("complement bounds, arrangement form:")
-        lines.extend(
-            _table_lines(
-                report.bound_arrangement.to_rows(), ("p", "q", "alpha", "bound", "")
-            )
-        )
+    for (group, *_), heading, table in _sections(report):
+        if heading is not None:
+            # bound rows carry a fifth, unheaded column marking exact values
+            last = "count" if group == "tables" else "bound"
+            header = ("p", "q", "alpha", last)
+            lines += ["", heading, *_table_lines(table.to_rows(), header)]
     for violation in report.warnings:
-        lines.append("")
-        lines.append(f"warning: {violation.message}")
-    lines.append("")
-    lines.append("checks:")
-    for check in report.checks:
-        lines.append("  " + check.line())
+        lines += ["", f"warning: {violation.message}"]
+    lines += ["", "checks:", *("  " + check.line() for check in report.checks)]
     return "\n".join(lines) + "\n"

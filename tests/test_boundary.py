@@ -27,7 +27,7 @@ from specpairs import (
     boundary_pairs_curve,
     boundary_pairs_nonunipotent,
     boundary_pairs_qhm,
-    compute_boundary_invariants,
+    build_report,
     error_term,
     flatten_weights,
     projective_curve_hodge,
@@ -239,9 +239,9 @@ def test_qhm_flattened_total_mass_on_smooth_hypersurfaces():
             spec = HypersurfaceSpec(
                 n=n, d=d, components=1, rational_homology_manifold=True
             )
-            inv = compute_boundary_invariants(spec)
-            assert inv.pairs_full is not None
-            assert inv.pairs_full.total_dim() == 2 * (d - 1) ** (n + 1)
+            report = build_report(spec)
+            assert report.pairs_full is not None
+            assert report.pairs_full.total_dim() == 2 * (d - 1) ** (n + 1)
 
 
 def test_qhm_nodal_cubic_surface():
@@ -252,9 +252,9 @@ def test_qhm_nodal_cubic_surface():
     )
     weighted = boundary_pairs_qhm(spec)
     assert weighted[2] == SpectralPairTable({(1, 1, 0): 5})
-    inv = compute_boundary_invariants(spec)
-    assert inv.pairs_full.total_dim() == 16
-    assert inv.pairs_full.level_dual(2) == inv.pairs_full
+    report = build_report(spec)
+    assert report.pairs_full.total_dim() == 16
+    assert report.pairs_full.level_dual(2) == report.pairs_full
 
 
 def test_qhm_curve_routes_agree():
@@ -326,12 +326,13 @@ def test_betti_and_jordan_examples():
 
 
 def test_projective_curve_hodge_examples():
-    lines = projective_curve_hodge(THREE_GENERIC_LINES).projective_map()
+    lines = projective_curve_hodge(THREE_GENERIC_LINES)["projective"]
     assert lines[(1, 0, 0)] == 1
     assert lines[(2, 1, 1)] == 3
-    smooth = projective_curve_hodge(SMOOTH_CUBIC).projective_map()
+    smooth = projective_curve_hodge(SMOOTH_CUBIC)["projective"]
     assert smooth[(1, 0, 1)] == 1 and smooth[(1, 1, 0)] == 1
-    cusp = projective_curve_hodge(CUSPIDAL_CUBIC).compact_support_map()
+    assert (1, 0, 0) not in smooth  # zero entries are dropped
+    cusp = projective_curve_hodge(CUSPIDAL_CUBIC)["compact_support"]
     assert cusp[(1, 0, 0)] == 2
 
 
@@ -355,10 +356,10 @@ def test_projective_space_hodge():
 
 def test_full_invariants_none_outside_exact_cases():
     surface = HypersurfaceSpec(n=2, d=3, components=1)
-    inv = compute_boundary_invariants(surface)
-    assert inv.pairs_full is None and inv.pairs_unipotent is None
-    assert inv.weight_resolved is None
-    assert inv.delta_m.degree == 16
+    report = build_report(surface)
+    assert report.pairs_full is None and report.pairs_unipotent is None
+    assert report.weight_resolved is None
+    assert report.delta_m.degree == 16
 
 
 def test_boundary_alexander_negative_exponent():

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 from pathlib import Path
 
 import pytest
 from helpers import brieskorn_pham_explicit
 
-from specpairs import HypersurfaceSpec, model, serialize_spec
+from specpairs import CyclotomicFactorization, HypersurfaceSpec, model, serialize_spec
 from specpairs.cli import arrangement_spec, census_rows, main, weak_multisets
 
 THREE_GENERIC_LINES_DOC = {
@@ -147,6 +150,33 @@ def _ordinary(multiplicity):
     return [{"kind": "ordinary", "multiplicity": multiplicity, "count": 3}]
 
 
+CUSPIDAL_CUBIC_EXPLICIT_DOC = {
+    "ambient_dim": 2,
+    "degree": 3,
+    "components": 1,
+    "singularities": [
+        {
+            "kind": "explicit",
+            "milnor_number": 2,
+            "branches": 1,
+            "alexander": {"unit": "1/1", "t_power": 0, "factors": [[6, 1]]},
+            "spectral_pairs": [[0, 1, "5/6", 1], [1, 0, "1/6", 1]],
+            "grF_dims": [[0, 1], [1, 1]],
+        }
+    ],
+}
+
+
+def _cusp_with(**changes):
+    cusp = CUSPIDAL_CUBIC_EXPLICIT_DOC["singularities"][0]
+    return dict(CUSPIDAL_CUBIC_EXPLICIT_DOC, singularities=[dict(cusp, **changes)])
+
+
+def _cusp_with_alexander(**changes):
+    cusp = CUSPIDAL_CUBIC_EXPLICIT_DOC["singularities"][0]
+    return _cusp_with(alexander=dict(cusp["alexander"], **changes))
+
+
 def _explicit_nodes(**changes):
     node = {
         "kind": "explicit", "milnor_number": 1, "branches": 2,
@@ -224,6 +254,26 @@ def _explicit_nodes(**changes):
             ),
             "as an exact rational",
         ),
+        (_three_generic_lines_with(line_arrangement="false"), "got 'false'"),
+        (
+            dict(CUSPIDAL_CUBIC_EXPLICIT_DOC, rational_homology_manifold="no"),
+            "got 'no'",
+        ),
+        (_three_generic_lines_with(line_arrangement=None), "got None"),
+        (_cusp_with_alexander(formal="false"), "got 'false'"),
+        (_cusp_with_alexander(formal=True), "not a formal bound"),
+        (_cusp_with_alexander(factors=[[6, 1], [6, 1]]), "order 6 is given twice"),
+        (
+            _three_generic_lines_with(delta_U={"factors": [[1, 1], [1, 1]]}),
+            "order 1 is given twice",
+        ),
+        (_cusp_with_alexander(unit="1/0"), "'1/0' as an exact rational"),
+        (_three_generic_lines_with(singularities={}), "expected an array, got {}"),
+        (_three_generic_lines_with(singularities=None), "expected an array, got None"),
+        (_three_generic_lines_with(delta_U=[]), "expected an object, got []"),
+        (_cusp_with(alexander=None), "expected an object, got None"),
+        (_cusp_with_alexander(factors={}), "expected an array, got {}"),
+        (_three_generic_lines_with(hD={}), "expected an array, got {}"),
     ],
     ids=[
         "float_multiplicity", "string_multiplicity", "bool_multiplicity", "float_count",
@@ -231,7 +281,11 @@ def _explicit_nodes(**changes):
         "float_grf_dim", "bool_hd_count", "formal_negative_delta_u",
         "formal_delta_u", "negative_delta_u", "float_explicit_germ",
         "float_factor_order", "float_pair_count", "float_pair_hodge_index",
-        "float_pair_angle",
+        "float_pair_angle", "string_line_arrangement_flag", "string_rhm_flag",
+        "null_line_arrangement_flag", "string_formal_flag", "formal_germ",
+        "repeated_germ_order", "repeated_delta_u_order", "zero_denominator_unit",
+        "object_singularities", "null_singularities", "array_delta_u",
+        "null_alexander", "object_factors", "object_hd",
     ],
 )
 @pytest.mark.parametrize("command", ["compute", "verify"])
@@ -336,21 +390,7 @@ def test_explicit_document_matches_builtin_encoding(spec_file, capsys):
         "components": 1,
         "singularities": [{"kind": "brieskorn", "exponents": [2, 3], "count": 1}],
     }
-    explicit_doc = {
-        "ambient_dim": 2,
-        "degree": 3,
-        "components": 1,
-        "singularities": [
-            {
-                "kind": "explicit",
-                "milnor_number": 2,
-                "branches": 1,
-                "alexander": {"unit": "1/1", "t_power": 0, "factors": [[6, 1]]},
-                "spectral_pairs": [[0, 1, "5/6", 1], [1, 0, "1/6", 1]],
-                "grF_dims": [[0, 1], [1, 1]],
-            }
-        ],
-    }
+    explicit_doc = CUSPIDAL_CUBIC_EXPLICIT_DOC
     assert main(["compute", spec_file(builtin_doc, "b.json"),
                  "--format", "structured"]) == 0
     builtin = json.loads(capsys.readouterr().out)
@@ -383,3 +423,63 @@ def test_exit_status_mapping():
     assert _report_exit_status(ok) == 0
     assert _report_exit_status(bad_input) == 1
     assert _report_exit_status(bad_identity) == 2
+
+
+REPLACEMENTS = [None, True, 1.5, "x", [], {}]
+
+
+def _value_paths(value, prefix=()):
+    """Paths to every value nested in a JSON document, containers included."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _value_paths(child, prefix + (key,))
+
+
+def _replaced(document, path, new):
+    if not path:
+        return new
+    out = copy.deepcopy(document)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = new
+    return out
+
+
+def test_every_value_swapped_for_a_wrong_shape_ends_in_an_exit_status(tmp_path):
+    # each value of each golden input, the document itself included, swapped
+    # for each JSON shape: the CLI answers with a status and never raises
+    path = tmp_path / "swapped.json"
+    swapped = 0
+    for golden in sorted((Path(__file__).parent / "golden").glob("*.json")):
+        document = json.loads(golden.read_text(encoding="utf-8"))
+        for where in [(), *_value_paths(document)]:
+            for new in REPLACEMENTS:
+                path.write_text(json.dumps(_replaced(document, where, new)))
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    status = main(["verify", str(path)])
+                assert status in (0, 1, 2), (golden.name, where, new)
+                swapped += 1
+    assert swapped == 906
+
+
+def test_odd_error_term_is_a_failed_identity_check(monkeypatch, capsys):
+    # delta_M times Phi(2) keeps delta_U^2 | delta_M but makes e(t) odd
+    from specpairs import boundary
+
+    true_alexander = boundary.boundary_alexander
+    monkeypatch.setattr(
+        boundary,
+        "boundary_alexander",
+        lambda spec: true_alexander(spec) * CyclotomicFactorization(factors={2: 1}),
+    )
+    document = Path(__file__).parent / "golden" / "delta_u_concurrent_lines.json"
+    assert main(["verify", str(document)]) == 2
+    assert "FAIL  error_term_even_degree" in capsys.readouterr().out
