@@ -3,9 +3,6 @@ numbers (spectral pairs) of complements and boundary manifolds of affine
 hypersurfaces transversal at infinity with isolated singularities."""
 
 from .boundary import (
-    NegativeCount,
-    NegativeExponent,
-    ParityViolation,
     boundary_alexander,
     boundary_pairs_arrangement,
     boundary_pairs_curve,
@@ -17,7 +14,6 @@ from .boundary import (
 )
 from .bounds import (
     BoundTable,
-    NegativeMu,
     divisibility_bound_infinity,
     divisibility_bound_local,
     mhat,
@@ -36,10 +32,8 @@ from .localsing import (
     Explicit,
     ExplicitHasNoSpectrum,
     LocalSingularity,
-    MissingLocalHodgeData,
     Ordinary,
     branches,
-    hodge_filtration_dims,
     local_alexander,
     local_pairs,
     milnor_number,
@@ -55,6 +49,7 @@ from .milnor import (
 from .model import (
     Derived,
     HypersurfaceSpec,
+    InvalidSpec,
     MalformedDocument,
     Violation,
     derived_quantities,
@@ -65,7 +60,6 @@ from .model import (
 from .pairs import SpectralPairTable
 from .report import (
     Check,
-    InvalidSpec,
     InvariantReport,
     build_report,
     render_text,

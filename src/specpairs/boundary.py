@@ -17,25 +17,11 @@ from typing import TYPE_CHECKING
 
 from .bounds import divisibility_bound_infinity
 from .laurent import CyclotomicFactorization, NotDivisible
-from .localsing import MissingLocalHodgeData
 from .milnor import milnor_dim, smooth_primitive_middle, steenbrink_infinity
 from .pairs import SpectralPairTable
 
 if TYPE_CHECKING:
     from .model import HypersurfaceSpec
-
-
-class NegativeExponent(ValueError):
-    """The Alexander polynomial of the boundary would need a negative exponent,
-    signalling an inconsistent Milnor number budget."""
-
-
-class ParityViolation(ValueError):
-    """A curve Hodge number with a 1/2 factor is not an integer."""
-
-
-class NegativeCount(ValueError):
-    """A dimension formula evaluated to a negative number."""
 
 
 def boundary_alexander(spec: HypersurfaceSpec) -> CyclotomicFactorization:
@@ -44,18 +30,13 @@ def boundary_alexander(spec: HypersurfaceSpec) -> CyclotomicFactorization:
         (t-1)^((-1)^(n+1) + mu) * (t^d - 1)^xi * product of local polynomials,
 
     a concrete factorization of degree 2(d-1)^(n+1).  It is the product of the
-    two divisibility bounds of the complement; a negative mu (local Milnor
-    numbers over budget) surfaces as NegativeExponent."""
+    two divisibility bounds of the complement; spec.derived admits only
+    mu >= 0, so no exponent is negative."""
     result = (
         divisibility_bound_infinity(spec.n, spec.d)
         * CyclotomicFactorization(factors={1: spec.derived.mu}, formal=True)
         * spec.derived.local_alexander_product
     )
-    if any(m < 0 for m in result.factors.values()):
-        raise NegativeExponent(
-            "boundary Alexander polynomial has a negative exponent; "
-            "the Milnor number budget is inconsistent"
-        )
     return CyclotomicFactorization(result.unit, result.t_power, result.factors)
 
 
@@ -86,19 +67,10 @@ def boundary_pairs_nonunipotent(spec: HypersurfaceSpec) -> SpectralPairTable:
 
 def _curve_alpha0(spec: HypersurfaceSpec) -> tuple[int, int]:
     """Common eigenvalue-1 quantities for curves: the (0,0)/(1,1) count of the
-    boundary and half-sum entering the (0,1)/(1,0) counts."""
+    boundary and half-sum entering the (0,1)/(1,0) counts; validate keeps the
+    genus term even and both nonnegative."""
     corner = spec.derived.branch_excess + spec.d - spec.components
-    twice_genus = spec.derived.curve_genus
-    if twice_genus < 0 or corner < 0:
-        raise NegativeCount(
-            f"curve Hodge numbers evaluated negative (corner {corner}, "
-            f"doubled off-diagonal {twice_genus})"
-        )
-    if twice_genus % 2:
-        raise ParityViolation(
-            f"mu + 2r - d - 1 - branch excess = {twice_genus} must be even"
-        )
-    return corner, twice_genus // 2
+    return corner, spec.derived.curve_genus // 2
 
 
 def boundary_pairs_curve(spec: HypersurfaceSpec) -> SpectralPairTable:
@@ -191,8 +163,6 @@ def boundary_pairs_qhm(spec: HypersurfaceSpec) -> dict[int, SpectralPairTable]:
     if not spec.rational_homology_manifold:
         raise ValueError("spec is not flagged as a rational homology manifold")
     n, d = spec.n, spec.d
-    if spec.derived.local_grf is None:
-        raise MissingLocalHodgeData("germs above curves need grF_dims")
     local_grf = dict(spec.derived.local_grf)
     top: dict[tuple[int, int, int], int] = {}
     for p in range(n + 2):
@@ -202,11 +172,6 @@ def boundary_pairs_qhm(spec: HypersurfaceSpec) -> dict[int, SpectralPairTable]:
     middle: dict[tuple[int, int, int], int] = {}
     for p in range(n + 1):
         c = smooth_primitive_middle(n, d, p) - local_grf.get(p, 0)
-        if c < 0:
-            raise NegativeCount(
-                f"local Hodge data exceeds the smooth hypersurface "
-                f"numbers at filtration level {p}"
-            )
         if c:
             middle[(p, n - p, 0)] = c
     bottom: dict[tuple[int, int, int], int] = {}
@@ -241,10 +206,6 @@ def projective_curve_hodge(
     r = spec.components
     excess = spec.derived.branch_excess
     corner, off = _curve_alpha0(spec)
-    if excess + 1 - r < 0:
-        raise NegativeCount(
-            f"branch excess {excess} cannot support {r} components"
-        )
     projective = {
         (0, 0, 0): 1,
         (1, 0, 0): excess + 1 - r,

@@ -22,10 +22,6 @@ if TYPE_CHECKING:
     from .model import HypersurfaceSpec
 
 
-class NegativeMu(ValueError):
-    """Local Milnor numbers exceed the global budget (d-1)^(n+1)."""
-
-
 def mhat(m: int, alpha: Fraction) -> int:
     """m*alpha when that is an integer, else 1 (for alpha strictly inside (0, 1))."""
     alpha = Fraction(alpha)
@@ -168,11 +164,6 @@ def divisibility_bound_local(spec: HypersurfaceSpec) -> CyclotomicFactorization:
     """Divisor bound from the singular points: (t-1)^mu times the product of
     the top local Alexander polynomials."""
     mu, local = spec.derived.mu, spec.derived.local_alexander_product
-    if mu < 0:
-        raise NegativeMu(
-            f"local Milnor numbers exceed (d-1)^(n+1) = "
-            f"{(spec.d - 1) ** (spec.n + 1)}"
-        )
     return CyclotomicFactorization(factors={1: mu}) * local
 
 

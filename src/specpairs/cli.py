@@ -22,9 +22,9 @@ from pathlib import Path
 from .laurent import CyclotomicFactorization
 from .localsing import Ordinary
 from .milnor import milnor_dim, milnor_dim_bruteforce
-from .model import HypersurfaceSpec, MalformedDocument, parse_spec
+from .model import HypersurfaceSpec, InvalidSpec, MalformedDocument, parse_spec
 from .pairs import SpectralPairTable
-from .report import InvalidSpec, InvariantReport, build_report, render_text, report_to_json
+from .report import InvariantReport, build_report, render_text, report_to_json
 
 EXIT_OK = 0
 EXIT_INVALID = 1

@@ -22,10 +22,6 @@ class ExplicitHasNoSpectrum(TypeError):
     """Spectrum enumeration is only defined for the quasi-homogeneous built-ins."""
 
 
-class MissingLocalHodgeData(ValueError):
-    """Hodge filtration dimensions are needed but were not supplied."""
-
-
 @dataclass(frozen=True)
 class Ordinary:
     """An ordinary m-fold point: m pairwise transverse smooth branches."""
@@ -54,9 +50,9 @@ class Explicit:
     """User-supplied local data for a germ without a built-in model.
 
     grf_dims, when present, lists (p, dim Gr_F^p) pairs of the Hodge
-    filtration on the middle cohomology of the local Milnor fiber; it is the
-    input channel for the weight-n unipotent computation in ambient dimension
-    above curves.
+    filtration on the middle cohomology of the local Milnor fiber.  The
+    pipeline reads these dimensions off the pair table (summing over q and
+    alpha); validate checks supplied ones against it.
     """
 
     milnor: int
@@ -174,22 +170,6 @@ def local_pairs(s: LocalSingularity) -> SpectralPairTable:
         else:
             entries[(1, 0, k - den)] = c
     return SpectralPairTable._from_numerators(den, entries)
-
-
-def hodge_filtration_dims(s: LocalSingularity, n: int) -> dict[int, int]:
-    """dim Gr_F^p of the middle local cohomology, keyed by p.
-
-    Computed from the local pair table for curve germs; ambient dimensions
-    above curves require Explicit data with grf_dims supplied.
-    """
-    if isinstance(s, Explicit) and s.grf_dims is not None:
-        return {int(p): int(v) for p, v in s.grf_dims if v}
-    if n == 1:
-        return local_pairs(s).hodge_filtration_marginal()
-    raise MissingLocalHodgeData(
-        "Hodge filtration dimensions for an ambient dimension above curves "
-        "must be supplied as explicit grf_dims"
-    )
 
 
 def alexander_alpha_marginal(f: CyclotomicFactorization) -> dict[Fraction, int]:

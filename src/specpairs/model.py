@@ -11,18 +11,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, lcm
 
 from .laurent import CyclotomicFactorization, parse_array, parse_flag, parse_integer
 from .localsing import (
     Brieskorn,
     Explicit,
     LocalSingularity,
-    MissingLocalHodgeData,
     Ordinary,
     alexander_alpha_marginal,
     branches,
-    hodge_filtration_dims,
     local_alexander,
     local_pairs,
     milnor_number,
@@ -49,6 +47,14 @@ class Violation:
         return f"[{self.severity}] {self.code}: {self.message}"
 
 
+class InvalidSpec(ValueError):
+    """The spec fails validation; carries the violation list."""
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        super().__init__("; ".join(str(v) for v in self.violations))
+
+
 @dataclass(frozen=True)
 class HypersurfaceSpec:
     """Combinatorial description of an affine degree-d hypersurface in C^(n+1),
@@ -64,8 +70,25 @@ class HypersurfaceSpec:
     h_d: tuple[tuple[int, int, int], ...] | None = None  # rows (p, q, count)
 
     @cached_property
+    def violations(self) -> list[Violation]:
+        """validate(self), run once per spec."""
+        return validate(self)
+
+    @cached_property
     def derived(self) -> Derived:
-        """The quantities derived from this spec, computed on first access."""
+        """The quantities derived from this spec, computed on first access.
+
+        This is the one gate of the pipeline: it raises InvalidSpec with the
+        errors among self.violations, so every route reading it computes
+        only from valid specs."""
+        errors = [v for v in self.violations if v.severity == "error"]
+        if errors:
+            raise InvalidSpec(errors)
+        return self._unchecked
+
+    @cached_property
+    def _unchecked(self) -> Derived:
+        """The derived quantities without the gate, for validate itself."""
         return derived_quantities(self)
 
 
@@ -81,13 +104,13 @@ class Derived:
     local_alexander: tuple[CyclotomicFactorization, ...]
     local_pair_sum: SpectralPairTable  # count-weighted sum of local_pairs
     local_alexander_product: CyclotomicFactorization  # with counts as powers
+    # summed local dim Gr_F^p, the p-marginal of local_pair_sum: sorted (p, dim)
+    local_grf: tuple[tuple[int, int], ...]
     # line arrangements only: descending, one per ordinary point
     ordinary_multiplicities: tuple[int, ...] | None = None
     b1: int | None = None  # first Betti number of the boundary (curves only)
     j1: int | None = None  # eigenvalue-1 Jordan block count (curves only)
     curve_genus: int | None = None  # mu + 2r - d - 1 - branch excess (curves only)
-    # RHM with grF data: sorted (p, sum of dim Gr_F^p) pairs
-    local_grf: tuple[tuple[int, int], ...] | None = None
 
 
 def _local_milnor_total(spec: HypersurfaceSpec) -> int:
@@ -95,10 +118,11 @@ def _local_milnor_total(spec: HypersurfaceSpec) -> int:
 
 
 def derived_quantities(spec: HypersurfaceSpec) -> Derived:
-    """Derive every per-spec quantity; callers read it as spec.derived.
+    """Derive every per-spec quantity, unchecked; callers read it as
+    spec.derived, which validates first.
 
     Its cost grows with the singularity counts and the local Milnor numbers,
-    so validate reads it only once their total is within (d-1)^(n+1)."""
+    so validate reads it only within the work and Milnor budgets."""
     n, d, r = spec.n, spec.d, spec.components
     sings = spec.singularities
     mu = (d - 1) ** (n + 1) - _local_milnor_total(spec)
@@ -114,16 +138,6 @@ def derived_quantities(spec: HypersurfaceSpec) -> Derived:
         (s.multiplicity for s, c in sings if isinstance(s, Ordinary) for _ in range(c)),
         reverse=True,
     )) if spec.line_arrangement else None
-    grf: tuple[tuple[int, int], ...] | None = None
-    if spec.rational_homology_manifold:
-        try:
-            sums: dict[int, int] = {}
-            for s, count in sings:
-                for p, v in hodge_filtration_dims(s, n).items():
-                    sums[p] = sums.get(p, 0) + v * count
-            grf = tuple(sorted(sums.items()))
-        except MissingLocalHodgeData:
-            pass
     b1 = j1 = genus = None
     if n == 1:
         b1, j1, genus = 2 * r + mu - 1, 2 * r + mu - 2, mu + 2 * r - d - 1 - excess
@@ -135,11 +149,11 @@ def derived_quantities(spec: HypersurfaceSpec) -> Derived:
         local_alexander=alexander,
         local_pair_sum=pair_sum,
         local_alexander_product=alexander_product,
+        local_grf=tuple(sorted(pair_sum.hodge_filtration_marginal().items())),
         ordinary_multiplicities=mults,
         b1=b1,
         j1=j1,
         curve_genus=genus,
-        local_grf=grf,
     )
 
 
@@ -214,13 +228,56 @@ def _validate_explicit(s: Explicit, n: int, out: list[Violation]) -> None:
                 f"from the eigenvalue marginal of the pair table",
             )
         )
+    marginal = sorted(s.pairs.hodge_filtration_marginal().items())
+    if s.grf_dims is not None and sorted(r for r in s.grf_dims if r[1]) != marginal:
+        out.append(
+            Violation(
+                "explicit_inconsistent",
+                f"{where}: grF_dims {[list(r) for r in s.grf_dims]} differ from "
+                f"the Hodge filtration marginal {[list(r) for r in marginal]} of "
+                "the pair table",
+            )
+        )
+
+
+# The largest _work_estimate that validate admits.  A unit is about a
+# microsecond of `compute --format structured` (Python 3.11, one core).  The
+# largest estimate among the test, golden and benchmark documents is
+# 6.4 * 10^6, an Ordinary(10^5) germ that the Milnor budget then rejects;
+# the largest among those that get a report is 4 * 10^5.
+WORK_BUDGET = 10**7
+
+
+def _work_estimate(spec: HypersurfaceSpec) -> int:
+    """The work a spec asks for, in closed form and without deriving
+    anything: the tables at infinity, each germ's spectrum or eigenvalue
+    enumeration and, for line arrangements, the expanded point list."""
+    n, d = spec.n, spec.d
+    # (n+1)(d-1) entries at infinity, each a Milnor-algebra dimension: an
+    # inclusion-exclusion over n+2 binomial terms whose size grows with n
+    work = (n + 1) * (d - 1) * (32 + (n + 2) * (1 + n // 128))
+    for s, count in spec.singularities:
+        if isinstance(s, Explicit):
+            # alexander_alpha_marginal runs through 0 <= j < k for each order k
+            work += 4 * sum(s.alexander.factors)
+        elif isinstance(s, Ordinary):
+            work += 64 * s.multiplicity  # 2m spectrum values in closed form
+        else:
+            # a loop over the mu spectrum values; each distinct one (at most
+            # 2 lcm(a, b)) is an entry of every table built from the germ
+            mu = milnor_number(s)
+            work += mu // 2 + 32 * min(mu, 2 * lcm(s.a, s.b))
+        if spec.line_arrangement:
+            work += count
+    return work
 
 
 def validate(spec: HypersurfaceSpec) -> list[Violation]:
     """All invariant violations of a spec; empty iff the spec is usable.
 
     Entries with severity "warning" (the realizability heuristic) do not block
-    computation.
+    computation.  Pipeline code reads spec.violations, which runs this once
+    per spec.
     """
     out: list[Violation] = []
     n, d, r = spec.n, spec.d, spec.components
@@ -267,6 +324,24 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
                     )
                 )
                 break
+    if n == 0 and spec.singularities:
+        out.append(
+            Violation(
+                "zero_dimensional",
+                "a hypersurface in C^1 is d simple roots and has no singular "
+                "points; singularities must be empty",
+            )
+        )
+    if _work_estimate(spec) > WORK_BUDGET:
+        # the estimate itself may have too many digits to print
+        out.append(
+            Violation(
+                "budget_exceeded",
+                f"the estimated work exceeds the budget of {WORK_BUDGET} units "
+                "(about 10 s)",
+            )
+        )
+        return out
     for s, _ in spec.singularities:
         if isinstance(s, Explicit):
             _validate_explicit(s, n, out)
@@ -281,7 +356,7 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
             )
         )
         return out
-    derived = spec.derived
+    derived = spec._unchecked
     if spec.line_arrangement:
         if n != 1:
             out.append(
@@ -376,24 +451,17 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
                     )
                 )
                 break
-        grf = derived.local_grf
-        over = [p for p, v in grf or ()
+        over = [p for p, v in derived.local_grf
                 if 0 <= p <= n and v > smooth_primitive_middle(n, d, p)]
-        if grf is None or over:
+        if over:
             out.append(
                 Violation(
                     "rhm_inconsistent",
-                    "germs above curves need Hodge filtration dimensions (grF_dims)"
-                    if grf is None
-                    else "local Hodge data exceeds the smooth hypersurface "
+                    "local Hodge data exceeds the smooth hypersurface "
                     f"numbers at filtration level {over[0]}",
                 )
             )
     return out
-
-
-def hard_violations(violations) -> list[Violation]:
-    return [v for v in violations if v.severity == "error"]
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +529,7 @@ def parse_spec(document: str | dict) -> HypersurfaceSpec:
     if isinstance(document, str):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # too deep or too long
             raise MalformedDocument(f"invalid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise MalformedDocument("top-level document must be an object")

@@ -17,23 +17,8 @@ from dataclasses import dataclass, field
 from . import boundary, bounds
 from .laurent import CyclotomicFactorization, NotDivisible
 from .localsing import branches, milnor_number
-from .model import (
-    Derived,
-    HypersurfaceSpec,
-    Violation,
-    hard_violations,
-    serialize_spec,
-    validate,
-)
+from .model import Derived, HypersurfaceSpec, Violation, serialize_spec
 from .pairs import SpectralPairTable
-
-
-class InvalidSpec(ValueError):
-    """The spec fails validation; carries the violation list."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(str(v) for v in self.violations))
 
 
 @dataclass(frozen=True)
@@ -143,17 +128,12 @@ def _check_bound_consistency(
 def build_report(spec: HypersurfaceSpec) -> InvariantReport:
     """Compute every invariant and run every applicable cross-check.
 
-    Raises InvalidSpec when validation reports errors; warnings (the
-    realizability heuristic) are attached to the report instead.
+    spec.derived raises InvalidSpec when validation reports errors; warnings
+    (the realizability heuristic) are attached to the report instead.
     """
-    violations = validate(spec)
-    errors = hard_violations(violations)
-    if errors:
-        raise InvalidSpec(errors)
-    warnings = [v for v in violations if v.severity == "warning"]
-
-    n, d = spec.n, spec.d
     derived = spec.derived
+    warnings = [v for v in spec.violations if v.severity == "warning"]
+    n, d = spec.n, spec.d
     delta_m = boundary.boundary_alexander(spec)
     nonunip = boundary.boundary_pairs_nonunipotent(spec)
     # the full table is exact for curves and rational homology manifolds only

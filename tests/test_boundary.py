@@ -19,6 +19,7 @@ from specpairs import (
     CyclotomicFactorization,
     Explicit,
     HypersurfaceSpec,
+    InvalidSpec,
     NotDivisible,
     Ordinary,
     SpectralPairTable,
@@ -270,23 +271,18 @@ def test_qhm_requires_flag():
 
 
 def test_qhm_rejects_oversized_local_hodge_data():
-    from specpairs import NegativeCount
-
-    fat = Explicit(
-        milnor=2,
-        branches=1,
-        alexander=phi({6: 1}),
-        pairs=SpectralPairTable(
-            {(0, 1, Fraction(5, 6)): 1, (1, 0, Fraction(1, 6)): 1}
-        ),
-        grf_dims=((0, 2),),  # exceeds the genus of a smooth cubic
-    )
+    # x^3 + y^4 + z^5 has consistent pairs and no eigenvalue 1, but two
+    # spectral numbers below 1, while the smooth quartic surface has
+    # h^{2,0} = 1
+    fat = brieskorn_pham_explicit((3, 4, 5))
+    assert fat.pairs.hodge_filtration_marginal()[0] == 2
     spec = HypersurfaceSpec(
-        n=1, d=3, components=1, singularities=((fat, 1),),
+        n=2, d=4, components=1, singularities=((fat, 1),),
         rational_homology_manifold=True,
     )
-    with pytest.raises(NegativeCount):
+    with pytest.raises(InvalidSpec) as info:
         boundary_pairs_qhm(spec)
+    assert info.value.violations[0].code == "rhm_inconsistent"
 
 
 def test_curve_route_with_non_semisimple_explicit_germ():
@@ -363,19 +359,19 @@ def test_full_invariants_none_outside_exact_cases():
 
 
 def test_boundary_alexander_negative_exponent():
-    from specpairs import NegativeExponent
-
-    # mu = -4 with a unibranch germ pushes the combined t - 1 exponent below zero
+    # mu = -4 with a unibranch germ would push the t - 1 exponent below zero
     overloaded = HypersurfaceSpec(
         n=1, d=3, components=1, singularities=((Brieskorn(2, 9), 1),)
     )
-    with pytest.raises(NegativeExponent):
+    with pytest.raises(InvalidSpec) as info:
         boundary_alexander(overloaded)
+    assert info.value.violations[0].code == "negative_mu"
 
 
 def test_curve_table_parity_violation():
-    from specpairs import Explicit, ParityViolation
-
+    # the genus term has the parity of the non-unipotent local mass, which is
+    # even for every germ whose table is conjugation-symmetric and self-dual;
+    # so an odd one comes only with an inconsistent explicit germ
     odd_germ = Explicit(
         milnor=1,
         branches=1,
@@ -383,5 +379,8 @@ def test_curve_table_parity_violation():
         pairs=SpectralPairTable({(0, 1, Fraction(1, 2)): 1}),
     )
     spec = HypersurfaceSpec(n=1, d=3, components=1, singularities=((odd_germ, 1),))
-    with pytest.raises(ParityViolation):
+    with pytest.raises(InvalidSpec) as info:
         boundary_pairs_curve(spec)
+    assert [v.code for v in info.value.violations] == [
+        "explicit_inconsistent", "explicit_inconsistent", "parity_violation"
+    ]

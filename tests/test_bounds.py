@@ -11,7 +11,7 @@ from specpairs import (
     Brieskorn,
     CyclotomicFactorization,
     HypersurfaceSpec,
-    NegativeMu,
+    InvalidSpec,
     Ordinary,
     divisibility_bound_infinity,
     divisibility_bound_local,
@@ -77,8 +77,9 @@ def test_divisibility_bound_local_negative_mu():
     overloaded = HypersurfaceSpec(
         n=1, d=3, components=1, singularities=((Brieskorn(2, 6), 1),)
     )
-    with pytest.raises(NegativeMu):
+    with pytest.raises(InvalidSpec) as info:
         divisibility_bound_local(overloaded)
+    assert info.value.violations[0].code == "negative_mu"
 
 
 def test_spectral_bound_complement_cuspidal_cubic():

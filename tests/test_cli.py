@@ -6,6 +6,9 @@ import contextlib
 import copy
 import io
 import json
+import operator
+import time
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,8 @@ from helpers import brieskorn_pham_explicit
 
 from specpairs import CyclotomicFactorization, HypersurfaceSpec, model, serialize_spec
 from specpairs.cli import arrangement_spec, census_rows, main, weak_multisets
+
+GOLDEN = Path(__file__).parent / "golden"
 
 THREE_GENERIC_LINES_DOC = {
     "ambient_dim": 2,
@@ -27,10 +32,35 @@ THREE_GENERIC_LINES_DOC = {
 def spec_file(tmp_path):
     def write(document, name="input.json"):
         path = tmp_path / name
-        path.write_text(json.dumps(document), encoding="utf-8")
+        text = document if isinstance(document, str) else json.dumps(document)
+        path.write_text(text, encoding="utf-8")
         return str(path)
 
     return write
+
+
+def _value_paths(value, prefix=()):
+    """Paths to every value nested in a JSON document, containers included."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _value_paths(child, prefix + (key,))
+
+
+def _replaced(document, path, new):
+    if not path:
+        return new
+    out = copy.deepcopy(document)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = new
+    return out
 
 
 def test_compute_table_format(spec_file, capsys):
@@ -70,43 +100,50 @@ def test_verify_exit_one_on_bad_delta_u(spec_file, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def _nodal_cubic_surface_doc_without_grf():
-    node = brieskorn_pham_explicit((2, 2, 2))
-    doc = serialize_spec(
-        HypersurfaceSpec(n=2, d=3, components=1, singularities=((node, 1),),
-                         rational_homology_manifold=True)
+def _rhm_surface_doc(d, exponents):
+    germ = brieskorn_pham_explicit(exponents)  # grF_dims read off its pairs
+    return serialize_spec(
+        HypersurfaceSpec(n=len(exponents) - 1, d=d, components=1,
+                         singularities=((germ, 1),), rational_homology_manifold=True)
     )
-    del doc["singularities"][0]["grF_dims"]
+
+
+def _without_grf(doc):
+    doc = copy.deepcopy(doc)
+    for singularity in doc["singularities"]:
+        del singularity["grF_dims"]
     return doc
 
 
-RHM_QUARTIC_WITH_OVERSIZED_GRF = {
-    "ambient_dim": 2,
-    "degree": 4,
-    "components": 1,
-    "rational_homology_manifold": True,
-    "singularities": [
-        {
-            "kind": "explicit",
-            "milnor_number": 2,
-            "branches": 1,
-            "alexander": {"unit": "1/1", "t_power": 0, "factors": [[6, 1]]},
-            "spectral_pairs": [[0, 1, "5/6", 1], [1, 0, "1/6", 1]],
-            # the smooth quartic has h^{0,1} = 3
-            "grF_dims": [[0, 5], [1, 1]],
-        }
-    ],
-}
+def _golden_with(name, where, new):
+    document = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    return _replaced(document, where, new)
 
 
 @pytest.mark.parametrize(
     "doc, code",
     [
         ({"ambient_dim": 2, "degree": 1, "components": 1}, "degree"),
-        (_nodal_cubic_surface_doc_without_grf(), "rhm_inconsistent"),
-        (RHM_QUARTIC_WITH_OVERSIZED_GRF, "rhm_inconsistent"),
+        # consistent pairs, but two spectral numbers below 1 where the smooth
+        # quartic surface has h^{2,0} = 1
+        (_rhm_surface_doc(4, (3, 4, 5)), "rhm_inconsistent"),
+        # the same document without grF_dims: the filtration read off its
+        # pairs is just as oversized
+        (_without_grf(_rhm_surface_doc(4, (3, 4, 5))), "rhm_inconsistent"),
+        (
+            _golden_with("nodal_cubic_surface", ("singularities", 0, "grF_dims"),
+                         [[1, 2]]),
+            "explicit_inconsistent",
+        ),
+        (_golden_with("cuspidal_cubic", ("ambient_dim",), 1), "zero_dimensional"),
+        (
+            {"ambient_dim": 1, "degree": 5, "components": 1,
+             "singularities": [{"kind": "brieskorn", "exponents": [3, 3]}]},
+            "zero_dimensional",
+        ),
     ],
-    ids=["degree_one", "rhm_missing_grf", "rhm_oversized_grf"],
+    ids=["degree_one", "rhm_oversized_grf", "rhm_missing_grf", "grf_mismatch",
+         "cusp_at_n0", "brieskorn_at_n0"],
 )
 @pytest.mark.parametrize("command", ["compute", "verify"])
 def test_documents_that_used_to_crash_end_as_violations(
@@ -116,6 +153,52 @@ def test_documents_that_used_to_crash_end_as_violations(
     out, err = capsys.readouterr()
     assert out == ""
     assert f"] {code}: " in err
+
+
+def test_rhm_document_without_grf_dims_gets_the_tables_of_derived_ones(
+    spec_file, capsys
+):
+    # dim Gr_F^p is read off the pair table, so grF_dims are optional
+    with_grf = _rhm_surface_doc(3, (2, 2, 2))
+    without_grf = _without_grf(with_grf)
+    tables = []
+    for doc in (without_grf, with_grf):
+        assert main(["compute", spec_file(doc), "--format", "structured"]) == 0
+        tables.append(json.loads(capsys.readouterr().out)["tables"])
+    assert tables[0]["weights_resolved"]
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"ambient_dim": 2, "degree": 10**6, "components": 1},
+        {"ambient_dim": 2, "degree": 2100, "components": 1,
+         "singularities": [{"kind": "brieskorn", "exponents": [2000, 2001]}]},
+        {"ambient_dim": 1001, "degree": 3, "components": 1},
+        {"ambient_dim": 10**9, "degree": 3, "components": 1},
+        {"ambient_dim": 10**2000, "degree": 3, "components": 1},
+        {"ambient_dim": 2, "degree": 3, "components": 1,
+         "singularities": [{"kind": "explicit", "milnor_number": 2, "branches": 1,
+                            "alexander": {"factors": [[10**7, 1]]},
+                            "spectral_pairs": []}]},
+    ],
+    ids=["smooth_curve_degree_1e6", "brieskorn_2000_2001", "smooth_n1000_cubic",
+         "ambient_dim_1e9", "ambient_dim_2001_digits", "explicit_order_1e7"],
+)
+def test_slow_documents_end_as_budget_exceeded(spec_file, capsys, monkeypatch, doc):
+    # each would run from 20 s to hours; the estimate rejects it at once,
+    # before any derivation
+    def refuse(spec):
+        raise AssertionError("derived quantities of an over-budget spec")
+
+    monkeypatch.setattr(model, "derived_quantities", refuse)
+    start = time.perf_counter()
+    assert main(["verify", spec_file(doc)]) == 1
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "] budget_exceeded: " in err
 
 
 @pytest.mark.parametrize(
@@ -274,6 +357,8 @@ def _explicit_nodes(**changes):
         (_cusp_with(alexander=None), "expected an object, got None"),
         (_cusp_with_alexander(factors={}), "expected an array, got {}"),
         (_three_generic_lines_with(hD={}), "expected an array, got {}"),
+        ('{"singularities": ' + "[" * 100_000, "maximum recursion depth"),
+        ('{"degree": ' + "9" * 5000 + "}", "Exceeds the limit"),
     ],
     ids=[
         "float_multiplicity", "string_multiplicity", "bool_multiplicity", "float_count",
@@ -285,7 +370,8 @@ def _explicit_nodes(**changes):
         "null_line_arrangement_flag", "string_formal_flag", "formal_germ",
         "repeated_germ_order", "repeated_delta_u_order", "zero_denominator_unit",
         "object_singularities", "null_singularities", "array_delta_u",
-        "null_alexander", "object_factors", "object_hd",
+        "null_alexander", "object_factors", "object_hd", "deeply_nested",
+        "integer_of_5000_digits",
     ],
 )
 @pytest.mark.parametrize("command", ["compute", "verify"])
@@ -428,36 +514,12 @@ def test_exit_status_mapping():
 REPLACEMENTS = [None, True, 1.5, "x", [], {}]
 
 
-def _value_paths(value, prefix=()):
-    """Paths to every value nested in a JSON document, containers included."""
-    if isinstance(value, dict):
-        items = value.items()
-    elif isinstance(value, list):
-        items = enumerate(value)
-    else:
-        items = ()
-    for key, child in items:
-        yield prefix + (key,)
-        yield from _value_paths(child, prefix + (key,))
-
-
-def _replaced(document, path, new):
-    if not path:
-        return new
-    out = copy.deepcopy(document)
-    node = out
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = new
-    return out
-
-
 def test_every_value_swapped_for_a_wrong_shape_ends_in_an_exit_status(tmp_path):
     # each value of each golden input, the document itself included, swapped
     # for each JSON shape: the CLI answers with a status and never raises
     path = tmp_path / "swapped.json"
     swapped = 0
-    for golden in sorted((Path(__file__).parent / "golden").glob("*.json")):
+    for golden in sorted(GOLDEN.glob("*.json")):
         document = json.loads(golden.read_text(encoding="utf-8"))
         for where in [(), *_value_paths(document)]:
             for new in REPLACEMENTS:
@@ -468,6 +530,28 @@ def test_every_value_swapped_for_a_wrong_shape_ends_in_an_exit_status(tmp_path):
                 assert status in (0, 1, 2), (golden.name, where, new)
                 swapped += 1
     assert swapped == 906
+
+
+def test_every_integer_swapped_ends_in_a_report_or_a_violation(tmp_path):
+    # each integer of each golden input swapped for zero, -1, its neighbours
+    # and 10^9: the answer is a report or a violation, never a failed
+    # identity (exit 2), and never an unbounded run
+    path = tmp_path / "swapped.json"
+    swapped = 0
+    for golden in sorted(GOLDEN.glob("*.json")):
+        document = json.loads(golden.read_text(encoding="utf-8"))
+        for where in _value_paths(document):
+            value = reduce(operator.getitem, where, document)
+            if type(value) is not int:
+                continue
+            for new in (0, -1, value - 1, value + 1, 10**9):
+                path.write_text(json.dumps(_replaced(document, where, new)))
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    status = main(["verify", str(path)])
+                assert status in (0, 1), (golden.name, where, new)
+                swapped += 1
+    assert swapped == 370
 
 
 def test_odd_error_term_is_a_failed_identity_check(monkeypatch, capsys):

@@ -19,11 +19,9 @@ from specpairs import (
     CyclotomicFactorization,
     Explicit,
     ExplicitHasNoSpectrum,
-    MissingLocalHodgeData,
     Ordinary,
     SpectralPairTable,
     branches,
-    hodge_filtration_dims,
     local_alexander,
     local_pairs,
     milnor_number,
@@ -154,24 +152,14 @@ def test_explicit_passthrough():
 
 
 def test_hodge_filtration_dims():
-    assert hodge_filtration_dims(Brieskorn(2, 3), 1) == {0: 1, 1: 1}
-    assert hodge_filtration_dims(Ordinary(3), 1) == {0: 1, 1: 3}
-    explicit = Explicit(
-        milnor=1,
-        branches=1,
-        alexander=CyclotomicFactorization(factors={2: 1}),
-        pairs=SpectralPairTable({(1, 1, Fraction(1, 2)): 1}),
-        grf_dims=((1, 1),),
+    # dim Gr_F^p is the sum of h^{p,q}_alpha over q and alpha
+    assert local_pairs(Brieskorn(2, 3)).hodge_filtration_marginal() == {0: 1, 1: 1}
+    assert local_pairs(Ordinary(3)).hodge_filtration_marginal() == {0: 1, 1: 3}
+    table = SpectralPairTable(
+        {(1, 1, Fraction(1, 2)): 1, (0, 2, Fraction(1, 3)): 2, (2, 0, Fraction(2, 3)): 2}
     )
-    assert hodge_filtration_dims(explicit, 2) == {1: 1}
-    bare = Explicit(
-        milnor=1,
-        branches=1,
-        alexander=CyclotomicFactorization(factors={2: 1}),
-        pairs=SpectralPairTable({(1, 1, Fraction(1, 2)): 1}),
-    )
-    with pytest.raises(MissingLocalHodgeData):
-        hodge_filtration_dims(bare, 2)
+    assert table.hodge_filtration_marginal() == {0: 2, 1: 1, 2: 2}
+    assert SpectralPairTable().hodge_filtration_marginal() == {}
 
 
 def test_constructor_validation():

@@ -15,12 +15,20 @@ from specpairs import (
     CyclotomicFactorization,
     Explicit,
     HypersurfaceSpec,
+    InvalidSpec,
     MalformedDocument,
     Ordinary,
     SpectralPairTable,
+    boundary_alexander,
+    boundary_pairs_curve,
+    boundary_pairs_nonunipotent,
+    build_report,
     derived_quantities,
+    divisibility_bound_local,
     parse_spec,
+    projective_curve_hodge,
     serialize_spec,
+    spectral_bound_complement,
     validate,
 )
 from specpairs.model import shared_line_violations
@@ -223,6 +231,49 @@ def test_rhm_flag_constraints():
                              singularities=((Brieskorn(2, 3), 1),),
                              rational_homology_manifold=True)
     assert validate(clean) == []
+
+
+def test_every_route_raises_invalid_spec_with_the_validate_codes():
+    overloaded = HypersurfaceSpec(
+        n=1, d=3, components=1, singularities=((Brieskorn(2, 9), 1),)
+    )
+    routes = (
+        boundary_alexander, boundary_pairs_nonunipotent, boundary_pairs_curve,
+        divisibility_bound_local, spectral_bound_complement,
+        projective_curve_hodge, build_report,
+    )
+    for route in routes:
+        with pytest.raises(InvalidSpec) as info:
+            route(overloaded)
+        assert info.value.violations == validate(overloaded)
+
+
+def test_zero_dimensional_hypersurfaces_have_no_singular_points():
+    # a reduced polynomial in one variable has only simple roots
+    for germ in (Ordinary(2), brieskorn_pham_explicit((2,))):
+        spec = HypersurfaceSpec(n=0, d=5, components=1, singularities=((germ, 1),))
+        assert "zero_dimensional" in codes(spec)
+    assert validate(HypersurfaceSpec(n=0, d=5, components=1)) == []
+
+
+def test_explicit_grf_dims_must_match_the_pair_table():
+    node = brieskorn_pham_explicit((2, 2, 2))
+    assert node.grf_dims == ((1, 1),)
+
+    def surface(grf_dims):
+        germ = Explicit(milnor=node.milnor, branches=node.branches,
+                        alexander=node.alexander, pairs=node.pairs,
+                        grf_dims=grf_dims)
+        return HypersurfaceSpec(n=2, d=3, components=1,
+                                singularities=((germ, 1),),
+                                rational_homology_manifold=True)
+
+    for grf_dims in (None, ((1, 1),), ((0, 0), (1, 1))):  # zero entries ignored
+        assert validate(surface(grf_dims)) == []
+    for grf_dims in (((1, 2),), ((1, 0),), ((-1, 1),), ((1, 1), (1, 1)), ()):
+        assert codes(surface(grf_dims)) == {"explicit_inconsistent"}
+    # the derived dimensions are the p-marginal of the pair table either way
+    assert surface(None).derived.local_grf == ((1, 1),)
 
 
 def test_count_positive():

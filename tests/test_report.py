@@ -16,6 +16,7 @@ from specpairs import (
     InvalidSpec,
     Ordinary,
     build_report,
+    model,
     render_text,
     report_to_dict,
     report_to_json,
@@ -79,6 +80,27 @@ def test_invalid_spec_raises_with_violations():
     with pytest.raises(InvalidSpec) as info:
         build_report(bad)
     assert any(v.code == "negative_mu" for v in info.value.violations)
+
+
+def test_validate_runs_once_per_report(monkeypatch):
+    calls = []
+    true_validate = model.validate
+
+    def counting(spec):
+        calls.append(spec)
+        return true_validate(spec)
+
+    monkeypatch.setattr(model, "validate", counting)
+    spec = HypersurfaceSpec(
+        n=1, d=4, components=4,
+        singularities=((Ordinary(3), 2),),
+        line_arrangement=True,
+    )
+    report = build_report(spec)
+    assert calls == [spec]
+    # the warnings come from the same cached result
+    assert [v.code for v in report.warnings] == ["shared_line"]
+    assert report.warnings == spec.violations
 
 
 def test_warning_for_unrealizable_weak_data():
