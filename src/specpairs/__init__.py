@@ -43,7 +43,6 @@ from .milnor import (
     EnumerationTooLarge,
     milnor_dim,
     milnor_dim_bruteforce,
-    smooth_primitive_middle,
     steenbrink_infinity,
 )
 from .model import (

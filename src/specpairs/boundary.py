@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 
 from .bounds import divisibility_bound_infinity
 from .laurent import CyclotomicFactorization, NotDivisible
-from .milnor import milnor_dim, smooth_primitive_middle, steenbrink_infinity
 from .pairs import SpectralPairTable
 
 if TYPE_CHECKING:
@@ -61,8 +60,8 @@ def error_term(
 def boundary_pairs_nonunipotent(spec: HypersurfaceSpec) -> SpectralPairTable:
     """Eigenvalue != 1 spectral pairs of the middle boundary Alexander module:
     the sum of the local tables and the table at infinity."""
-    infinity = steenbrink_infinity(spec.n, spec.d)
-    return (infinity + spec.derived.local_pair_sum).nonunipotent()
+    derived = spec.derived
+    return (derived.infinity + derived.local_pair_sum).nonunipotent()
 
 
 def _curve_alpha0(spec: HypersurfaceSpec) -> tuple[int, int]:
@@ -143,46 +142,34 @@ def boundary_pairs_arrangement(d: int, multiplicities) -> SpectralPairTable:
     return SpectralPairTable._from_numerators(den, entries)
 
 
-def projective_space_hodge(big_n: int, k: int, p: int, q: int) -> int:
-    """Hodge number h^{p,q} of H^k of complex projective big_n-space."""
-    if 0 <= k <= 2 * big_n and k % 2 == 0 and p == q == k // 2:
-        return 1
-    return 0
-
-
 def boundary_pairs_qhm(spec: HypersurfaceSpec) -> dict[int, SpectralPairTable]:
     """Eigenvalue-1 spectral pairs when the hypersurface is a rational homology
     manifold, resolved by weight.
 
-    Only three weights occur: n + 1 carries the eigenvalue-1 pairs of the
-    fiber at infinity; n carries the primitive middle Hodge numbers of a
-    smooth hypersurface minus the local Hodge filtration dimensions; n - 1
-    carries the primitive cohomology of the section at infinity, whose Hodge
-    numbers are h^{p+1,n-p} of the weight-(n+1) part at infinity.
+    Only three weights occur, all read off the table at infinity: n + 1
+    carries its eigenvalue-1 pairs; n carries the primitive middle Hodge
+    numbers of a smooth hypersurface, the p-marginal of its eigenvalue != 1
+    pairs, minus the local Hodge filtration dimensions; n - 1 carries the
+    primitive cohomology of the section at infinity, whose Hodge numbers are
+    h^{p+1,n-p} of the weight-(n+1) part at infinity.
     """
     if not spec.rational_homology_manifold:
         raise ValueError("spec is not flagged as a rational homology manifold")
-    n, d = spec.n, spec.d
-    local_grf = dict(spec.derived.local_grf)
-    top: dict[tuple[int, int, int], int] = {}
-    for p in range(n + 2):
-        c = milnor_dim(n, d, p * d - n - 1)
-        if c:
-            top[(p, n + 1 - p, 0)] = c
+    n, derived = spec.n, spec.derived
+    top = derived.infinity.unipotent()
+    smooth = derived.infinity.nonunipotent().hodge_filtration_marginal()
+    local_grf = dict(derived.local_grf)
     middle: dict[tuple[int, int, int], int] = {}
     for p in range(n + 1):
-        c = smooth_primitive_middle(n, d, p) - local_grf.get(p, 0)
+        c = smooth.get(p, 0) - local_grf.get(p, 0)
         if c:
             middle[(p, n - p, 0)] = c
-    bottom: dict[tuple[int, int, int], int] = {}
-    for p in range(n):
-        c = milnor_dim(n, d, (p + 1) * d - n - 1)
-        if c:
-            bottom[(p, n - 1 - p, 0)] = c
+    # h^{0,n+1} and h^{n+1,0} at infinity vanish, so the shift loses nothing
+    bottom = {(p - 1, q - 1, 0): c for (p, q, _), c in top._aligned(1)[1].items()}
     return {
         n - 1: SpectralPairTable._from_numerators(1, bottom),
         n: SpectralPairTable._from_numerators(1, middle),
-        n + 1: SpectralPairTable._from_numerators(1, top),
+        n + 1: top,
     }
 
 

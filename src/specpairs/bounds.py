@@ -15,7 +15,7 @@ from math import lcm
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .laurent import CyclotomicFactorization, t_power_minus_one
-from .milnor import milnor_dim, xi_exponent
+from .milnor import xi_exponent
 from .pairs import PairKey, angle_numerator, angle_text, rescale, to_numerators
 
 if TYPE_CHECKING:
@@ -167,41 +167,32 @@ def divisibility_bound_local(spec: HypersurfaceSpec) -> CyclotomicFactorization:
     return CyclotomicFactorization(factors={1: mu}) * local
 
 
-def spectral_bound_complement(
-    spec: HypersurfaceSpec, h_d: Mapping[tuple[int, int], int] | None = None
-) -> BoundTable:
+def spectral_bound_complement(spec: HypersurfaceSpec) -> BoundTable:
     """Upper bounds for the spectral pairs of the middle Alexander module.
 
-    Weight n (alpha > 0): min of the local sum and the Milnor-algebra
-    dimension at grading p*d - n - 1 + d*alpha; the grading is integral only
-    for alpha a multiple of 1/d, and the bound vanishes otherwise.  Weight
-    n + 1 (alpha = 0): the Milnor-algebra side is always available, and the
-    local side is added only when the Hodge numbers of the hypersurface's
-    middle cohomology are supplied.
+    Each bound is capped by the entry of the table at infinity, the
+    Milnor-algebra dimension at grading p*d - n - 1 + d*alpha.  Weight n
+    (alpha > 0): min of the local sum and that entry; the table at infinity
+    lives on the angles j/d, so the bound vanishes elsewhere.  Weight n + 1
+    (alpha = 0): the entry alone, or, when the Hodge numbers of the
+    hypersurface's middle cohomology are supplied, the min of the entry and
+    the local sum plus those numbers.
     """
-    n, d = spec.n, spec.d
-    if h_d is None and spec.h_d is not None:
-        h_d = {(p, q): c for p, q, c in spec.h_d}
-    den, local = spec.derived.local_pair_sum._aligned(d)
+    d, derived = spec.d, spec.derived
+    h_d = None if spec.h_d is None else {(p, q): c for p, q, c in spec.h_d}
+    den, local = derived.local_pair_sum._aligned(d)
     step = den // d
     entries: dict[tuple[int, int, int], int] = {}
-    # The Milnor-algebra side vanishes off the angles j/d, so only they carry
-    # a bound; the table is kept over the denominator d.
-    for j in range(1, d):
-        for p in range(n + 1):
-            local_side = local.get((p, n - p, j * step), 0)
-            if local_side:
-                entries[(p, n - p, j)] = min(
-                    local_side, milnor_dim(n, d, p * d - n - 1 + j)
-                )
-    for p in range(n + 2):
-        infinity_side = milnor_dim(n, d, p * d - n - 1)
-        if h_d is None:
+    # the table is kept over the denominator d of the table at infinity
+    for (p, q, j), infinity_side in derived.infinity._aligned(d)[1].items():
+        local_side = local.get((p, q, j * step), 0)
+        if j:
+            bound = min(local_side, infinity_side)
+        elif h_d is None:
             bound = infinity_side
         else:
-            local_side = local.get((p, n + 1 - p, 0), 0)
-            bound = min(local_side + h_d.get((p, n + 1 - p), 0), infinity_side)
-        entries[(p, n + 1 - p, 0)] = bound
+            bound = min(local_side + h_d.get((p, q), 0), infinity_side)
+        entries[(p, q, j)] = bound
     return BoundTable._from_numerators(d, entries)
 
 

@@ -7,7 +7,7 @@ Subcommands:
   oracle   expose the brute-force oracles next to the closed forms
 
 Exit status: 0 success, 1 validation or input-data failure, 2 internal
-cross-check failure (an identity violated, indicating a bug), 3 usage error.
+cross-check failure or unexpected error (indicating a bug), 3 usage error.
 """
 
 from __future__ import annotations
@@ -247,7 +247,11 @@ def main(argv=None) -> int:
         "census": _cmd_census,
         "oracle": _cmd_oracle,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except Exception as exc:  # a bug: one line, not a traceback
+        print(f"specpairs: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_IDENTITY
 
 
 if __name__ == "__main__":

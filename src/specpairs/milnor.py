@@ -57,16 +57,6 @@ def xi_exponent(n: int, d: int) -> int:
     return ((d - 1) ** (n + 1) + (-1) ** n) // d
 
 
-def smooth_primitive_middle(n: int, d: int, p: int) -> int:
-    """Primitive middle Hodge number h^{p,n-p} of a smooth degree-d
-    hypersurface in projective (n+1)-space.
-
-    Equals the weight-n part of the cohomology of the fiber at infinity:
-    the sum of milnor_dim(n, d, pd + i - n - 1) over i = 1..d-1.
-    """
-    return sum(milnor_dim(n, d, p * d + i - n - 1) for i in range(1, d))
-
-
 def milnor_dim_bruteforce(n: int, d: int, m: int) -> int:
     """Independent oracle for milnor_dim by exhaustive monomial enumeration."""
     if n < 0 or d < 2:

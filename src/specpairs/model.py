@@ -25,7 +25,7 @@ from .localsing import (
     local_pairs,
     milnor_number,
 )
-from .milnor import smooth_primitive_middle, xi_exponent
+from .milnor import steenbrink_infinity, xi_exponent
 from .pairs import SpectralPairTable
 
 
@@ -106,6 +106,7 @@ class Derived:
     local_alexander_product: CyclotomicFactorization  # with counts as powers
     # summed local dim Gr_F^p, the p-marginal of local_pair_sum: sorted (p, dim)
     local_grf: tuple[tuple[int, int], ...]
+    infinity: SpectralPairTable  # the table at infinity, steenbrink_infinity(n, d)
     # line arrangements only: descending, one per ordinary point
     ordinary_multiplicities: tuple[int, ...] | None = None
     b1: int | None = None  # first Betti number of the boundary (curves only)
@@ -150,6 +151,7 @@ def derived_quantities(spec: HypersurfaceSpec) -> Derived:
         local_pair_sum=pair_sum,
         local_alexander_product=alexander_product,
         local_grf=tuple(sorted(pair_sum.hodge_filtration_marginal().items())),
+        infinity=steenbrink_infinity(n, d),
         ordinary_multiplicities=mults,
         b1=b1,
         j1=j1,
@@ -183,28 +185,25 @@ def _validate_explicit(s: Explicit, n: int, out: list[Violation]) -> None:
         out.append(
             Violation(
                 "explicit_inconsistent",
-                f"{where}: local Alexander degree {s.alexander.degree} "
-                f"differs from Milnor number {s.milnor}",
+                f"{where}: the degree of the local Alexander polynomial "
+                "differs from the Milnor number",
             )
         )
     if s.pairs.total_dim() != s.milnor:
         out.append(
             Violation(
                 "explicit_inconsistent",
-                f"{where}: pair table mass {s.pairs.total_dim()} "
-                f"differs from Milnor number {s.milnor}",
+                f"{where}: the pair table mass differs from the Milnor number",
             )
         )
-    if n == 1:
-        unipotent = s.pairs.unipotent().total_dim()
-        if unipotent != s.branches - 1:
-            out.append(
-                Violation(
-                    "explicit_inconsistent",
-                    f"{where}: eigenvalue-1 mass {unipotent} must equal "
-                    f"branches - 1 = {s.branches - 1} for curve germs",
-                )
+    if n == 1 and s.pairs.unipotent().total_dim() != s.branches - 1:
+        out.append(
+            Violation(
+                "explicit_inconsistent",
+                f"{where}: eigenvalue-1 mass must equal branches - 1 "
+                f"(branches = {s.branches}) for curve germs",
             )
+        )
     if s.pairs.conjugate() != s.pairs:
         out.append(
             Violation(
@@ -234,8 +233,7 @@ def _validate_explicit(s: Explicit, n: int, out: list[Violation]) -> None:
             Violation(
                 "explicit_inconsistent",
                 f"{where}: grF_dims {[list(r) for r in s.grf_dims]} differ from "
-                f"the Hodge filtration marginal {[list(r) for r in marginal]} of "
-                "the pair table",
+                "the Hodge filtration marginal of the pair table",
             )
         )
 
@@ -277,7 +275,9 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
 
     Entries with severity "warning" (the realizability heuristic) do not block
     computation.  Pipeline code reads spec.violations, which runs this once
-    per spec.
+    per spec.  Messages print document integers and numbers bounded by the
+    work budget only: a sum or product of document integers may have more
+    digits than str converts.
     """
     out: list[Violation] = []
     n, d, r = spec.n, spec.d, spec.components
@@ -346,12 +346,11 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
         if isinstance(s, Explicit):
             _validate_explicit(s, n, out)
     global_milnor = (d - 1) ** (n + 1)
-    local_milnor = _local_milnor_total(spec)
-    if local_milnor > global_milnor:
+    if _local_milnor_total(spec) > global_milnor:
         out.append(
             Violation(
                 "negative_mu",
-                f"local Milnor numbers total {local_milnor} > "
+                "local Milnor numbers total more than "
                 f"(d-1)^(n+1) = {global_milnor}",
             )
         )
@@ -413,24 +412,15 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
             out.append(
                 Violation(
                     "negative_count",
-                    f"branch excess {excess} cannot support {r} components "
-                    f"(h^(0,0) of the projective curve would be negative)",
+                    f"the branch excess cannot support {r} components "
+                    "(h^(0,0) of the projective curve would be negative)",
                 )
             )
+        genus_term = "mu + 2r - d - 1 - branch excess"
         if genus2 < 0:
-            out.append(
-                Violation(
-                    "negative_count",
-                    f"mu + 2r - d - 1 - branch excess = {genus2} is negative",
-                )
-            )
+            out.append(Violation("negative_count", f"{genus_term} is negative"))
         elif genus2 % 2:
-            out.append(
-                Violation(
-                    "parity_violation",
-                    f"mu + 2r - d - 1 - branch excess = {genus2} must be even",
-                )
-            )
+            out.append(Violation("parity_violation", f"{genus_term} must be even"))
     if spec.rational_homology_manifold:
         if n == 1 and r != 1:
             out.append(
@@ -439,20 +429,17 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
                     "a rational homology manifold curve is irreducible",
                 )
             )
-        for table in derived.local_pairs:
-            unipotent_mass = table.unipotent().total_dim()
-            if unipotent_mass:
-                out.append(
-                    Violation(
-                        "rhm_inconsistent",
-                        "rational homology manifolds admit no eigenvalue-1 "
-                        "local Milnor cohomology; found a germ with "
-                        f"unipotent mass {unipotent_mass}",
-                    )
+        if any(not table.unipotent().is_empty for table in derived.local_pairs):
+            out.append(
+                Violation(
+                    "rhm_inconsistent",
+                    "rational homology manifolds admit no eigenvalue-1 "
+                    "local Milnor cohomology; found a germ with eigenvalue-1 pairs",
                 )
-                break
+            )
+        middle = derived.infinity.nonunipotent().hodge_filtration_marginal()
         over = [p for p, v in derived.local_grf
-                if 0 <= p <= n and v > smooth_primitive_middle(n, d, p)]
+                if 0 <= p <= n and v > middle.get(p, 0)]
         if over:
             out.append(
                 Violation(

@@ -4,6 +4,7 @@ term, and every spectral-pair route."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -31,10 +32,11 @@ from specpairs import (
     build_report,
     error_term,
     flatten_weights,
+    milnor_dim_bruteforce,
     projective_curve_hodge,
-    smooth_primitive_middle,
+    spectral_bound_complement,
+    steenbrink_infinity,
 )
-from specpairs.boundary import projective_space_hodge
 
 THREE_GENERIC_LINES = HypersurfaceSpec(
     n=1, d=3, components=3, singularities=((Ordinary(2), 3),), line_arrangement=True
@@ -270,6 +272,86 @@ def test_qhm_requires_flag():
         boundary_pairs_qhm(THREE_GENERIC_LINES)
 
 
+def _infinity_oracle_specs(n, d):
+    """The valid specs among a few of degree d in C^(n+1), each also with hD
+    rows: the smooth rational homology manifold, and singular ones with and
+    without the flag."""
+    if n == 1:
+        from specpairs.cli import arrangement_spec
+
+        specs = [arrangement_spec(d, (d,))]  # d concurrent lines
+        if d >= 3:
+            specs.append(HypersurfaceSpec(n=1, d=d, components=1,
+                                          singularities=((Brieskorn(2, 3), 1),),
+                                          rational_homology_manifold=True))
+    else:
+        rhm_germ = brieskorn_pham_explicit((2, 2, 2) if n == 2 else (2, 2, 2, 3))
+        specs = [
+            HypersurfaceSpec(n=n, d=d, components=1, singularities=((germ, 1),),
+                             rational_homology_manifold=rhm)
+            for germ, rhm in ((rhm_germ, True),
+                              (brieskorn_pham_explicit((2,) * (n + 1)), False))
+        ]
+    specs.append(HypersurfaceSpec(n=n, d=d, components=1,
+                                  rational_homology_manifold=True))
+    specs = [spec for spec in specs
+             if all(v.severity != "error" for v in spec.violations)]
+    h_d = tuple((p, n + 1 - p, p) for p in range(n + 2))
+    return specs + [replace(spec, h_d=h_d) for spec in specs]
+
+
+def _oracle_complement_bounds(spec, dim):
+    n, d = spec.n, spec.d
+    local = spec.derived.local_pair_sum
+    h_d = {(p, q): c for p, q, c in spec.h_d or ()}
+    bounds = {}
+    for p in range(n + 1):
+        for j in range(1, d):
+            key = (p, n - p, Fraction(j, d))
+            bounds[key] = min(local.get(key), dim(p * d - n - 1 + j))
+    for p in range(n + 2):
+        key = (p, n + 1 - p, Fraction(0))
+        bounds[key] = dim(p * d - n - 1)
+        if spec.h_d is not None:
+            bounds[key] = min(local.get(key) + h_d.get(key[:2], 0), bounds[key])
+    return {key: v for key, v in bounds.items() if v}
+
+
+def _oracle_qhm(spec, dim):
+    n, d = spec.n, spec.d
+    local_grf = dict(spec.derived.local_grf)
+    top = {(p, n + 1 - p, 0): dim(p * d - n - 1) for p in range(n + 2)}
+    middle = {
+        (p, n - p, 0): sum(dim(p * d + i - n - 1) for i in range(1, d))
+        - local_grf.get(p, 0)
+        for p in range(n + 1)
+    }
+    bottom = {(p, n - 1 - p, 0): dim((p + 1) * d - n - 1) for p in range(n)}
+    return {
+        n - 1: SpectralPairTable(bottom),
+        n: SpectralPairTable(middle),
+        n + 1: SpectralPairTable(top),
+    }
+
+
+def test_routes_at_infinity_match_the_bruteforce_formulas():
+    # the complement bounds and the weight tables of rational homology
+    # manifolds, each rebuilt from enumerated Milnor-algebra dimensions
+    tested = 0
+    for n in (1, 2, 3):
+        for d in range(2, 6):
+            def dim(m, n=n, d=d):
+                return milnor_dim_bruteforce(n, d, m)
+
+            for spec in _infinity_oracle_specs(n, d):
+                got = dict(spectral_bound_complement(spec).items())
+                assert got == _oracle_complement_bounds(spec, dim), spec
+                if spec.rational_homology_manifold:
+                    assert boundary_pairs_qhm(spec) == _oracle_qhm(spec, dim), spec
+                tested += 1
+    assert tested == 68
+
+
 def test_qhm_rejects_oversized_local_hodge_data():
     # x^3 + y^4 + z^5 has consistent pairs and no eigenvalue 1, but two
     # spectral numbers below 1, while the smooth quartic surface has
@@ -332,22 +414,20 @@ def test_projective_curve_hodge_examples():
     assert cusp[(1, 0, 0)] == 2
 
 
-def test_smooth_primitive_middle_against_known_hodge_numbers():
+def test_primitive_middle_hodge_numbers_from_the_table_at_infinity():
+    def middle(n, d):
+        infinity = steenbrink_infinity(n, d).nonunipotent()
+        marginal = infinity.hodge_filtration_marginal()
+        return [marginal.get(p, 0) for p in range(n + 1)]
+
     # plane curves: genus of the smooth degree-d curve
-    assert [smooth_primitive_middle(1, d, 0) for d in (2, 3, 4, 5)] == [0, 1, 3, 6]
+    assert [middle(1, d)[0] for d in (2, 3, 4, 5)] == [0, 1, 3, 6]
     # surfaces: quadric 0,1,0; cubic 0,6,0; quartic (K3) 1,19,1
-    assert [smooth_primitive_middle(2, 2, p) for p in (0, 1, 2)] == [0, 1, 0]
-    assert [smooth_primitive_middle(2, 3, p) for p in (0, 1, 2)] == [0, 6, 0]
-    assert [smooth_primitive_middle(2, 4, p) for p in (0, 1, 2)] == [1, 19, 1]
-
-
-def test_projective_space_hodge():
-    assert projective_space_hodge(3, 2, 1, 1) == 1
-    assert projective_space_hodge(3, 2, 0, 2) == 0
-    assert projective_space_hodge(3, 3, 1, 1) == 0
-    assert projective_space_hodge(2, 6, 3, 3) == 0
-    # primitive + projective space = full middle cohomology of the cubic surface
-    assert smooth_primitive_middle(2, 3, 1) + projective_space_hodge(3, 2, 1, 1) == 7
+    assert middle(2, 2) == [0, 1, 0]
+    assert middle(2, 3) == [0, 6, 0]
+    assert middle(2, 4) == [1, 19, 1]
+    # primitive plus the hyperplane class: b2 = 7 for the cubic surface
+    assert middle(2, 3)[1] + 1 == 7
 
 
 def test_full_invariants_none_outside_exact_cases():

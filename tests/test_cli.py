@@ -14,7 +14,13 @@ from pathlib import Path
 import pytest
 from helpers import brieskorn_pham_explicit
 
-from specpairs import CyclotomicFactorization, HypersurfaceSpec, model, serialize_spec
+from specpairs import (
+    CyclotomicFactorization,
+    HypersurfaceSpec,
+    cli,
+    model,
+    serialize_spec,
+)
 from specpairs.cli import arrangement_spec, census_rows, main, weak_multisets
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -115,6 +121,28 @@ def _without_grf(doc):
     return doc
 
 
+CUSPIDAL_CUBIC_EXPLICIT_DOC = {
+    "ambient_dim": 2,
+    "degree": 3,
+    "components": 1,
+    "singularities": [
+        {
+            "kind": "explicit",
+            "milnor_number": 2,
+            "branches": 1,
+            "alexander": {"unit": "1/1", "t_power": 0, "factors": [[6, 1]]},
+            "spectral_pairs": [[0, 1, "5/6", 1], [1, 0, "1/6", 1]],
+            "grF_dims": [[0, 1], [1, 1]],
+        }
+    ],
+}
+
+
+def _cusp_with(**changes):
+    cusp = CUSPIDAL_CUBIC_EXPLICIT_DOC["singularities"][0]
+    return dict(CUSPIDAL_CUBIC_EXPLICIT_DOC, singularities=[dict(cusp, **changes)])
+
+
 def _golden_with(name, where, new):
     document = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     return _replaced(document, where, new)
@@ -141,9 +169,22 @@ def _golden_with(name, where, new):
              "singularities": [{"kind": "brieskorn", "exponents": [3, 3]}]},
             "zero_dimensional",
         ),
+        # sums and products of document integers with more than 4,300
+        # digits, which str refuses to convert
+        (dict(_cusp_with(branches=10**4299, count=5000), degree=101),
+         "negative_count"),
+        (dict(_cusp_with(milnor_number=10**4299, count=10**4299), degree=5),
+         "negative_mu"),
+        (_cusp_with(spectral_pairs=[[0, 1, "5/6", 9 * 10**4299],
+                                    [1, 0, "1/6", 9 * 10**4299]]),
+         "explicit_inconsistent"),
+        (_cusp_with(alexander={"factors": [[6, 9 * 10**4299]]}),
+         "explicit_inconsistent"),
     ],
     ids=["degree_one", "rhm_oversized_grf", "rhm_missing_grf", "grf_mismatch",
-         "cusp_at_n0", "brieskorn_at_n0"],
+         "cusp_at_n0", "brieskorn_at_n0", "oversized_branch_excess",
+         "oversized_milnor_total", "oversized_pair_mass",
+         "oversized_alexander_degree"],
 )
 @pytest.mark.parametrize("command", ["compute", "verify"])
 def test_documents_that_used_to_crash_end_as_violations(
@@ -153,6 +194,27 @@ def test_documents_that_used_to_crash_end_as_violations(
     out, err = capsys.readouterr()
     assert out == ""
     assert f"] {code}: " in err
+
+
+def test_unexpected_errors_end_in_one_line_and_exit_two(
+    spec_file, capsys, monkeypatch
+):
+    def broken(spec):
+        raise RuntimeError("broken route\nsecond line")
+
+    monkeypatch.setattr(cli, "build_report", broken)
+    for command in ("compute", "verify"):
+        assert main([command, spec_file(THREE_GENERIC_LINES_DOC)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        # one line: the message's newline is escaped
+        assert err == (
+            "specpairs: internal error: RuntimeError('broken route\\nsecond line')\n"
+        )
+    # usage errors still leave through SystemExit with their own status
+    with pytest.raises(SystemExit) as info:
+        main(["verify"])
+    assert info.value.code == 3
 
 
 def test_rhm_document_without_grf_dims_gets_the_tables_of_derived_ones(
@@ -231,28 +293,6 @@ def _three_generic_lines_with(**changes):
 
 def _ordinary(multiplicity):
     return [{"kind": "ordinary", "multiplicity": multiplicity, "count": 3}]
-
-
-CUSPIDAL_CUBIC_EXPLICIT_DOC = {
-    "ambient_dim": 2,
-    "degree": 3,
-    "components": 1,
-    "singularities": [
-        {
-            "kind": "explicit",
-            "milnor_number": 2,
-            "branches": 1,
-            "alexander": {"unit": "1/1", "t_power": 0, "factors": [[6, 1]]},
-            "spectral_pairs": [[0, 1, "5/6", 1], [1, 0, "1/6", 1]],
-            "grF_dims": [[0, 1], [1, 1]],
-        }
-    ],
-}
-
-
-def _cusp_with(**changes):
-    cusp = CUSPIDAL_CUBIC_EXPLICIT_DOC["singularities"][0]
-    return dict(CUSPIDAL_CUBIC_EXPLICIT_DOC, singularities=[dict(cusp, **changes)])
 
 
 def _cusp_with_alexander(**changes):

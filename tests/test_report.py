@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from helpers import random_spec
@@ -16,7 +18,9 @@ from specpairs import (
     InvalidSpec,
     Ordinary,
     build_report,
+    milnor,
     model,
+    parse_spec,
     render_text,
     report_to_dict,
     report_to_json,
@@ -101,6 +105,32 @@ def test_validate_runs_once_per_report(monkeypatch):
     # the warnings come from the same cached result
     assert [v.code for v in report.warnings] == ["shared_line"]
     assert report.warnings == spec.violations
+
+
+def test_milnor_dim_runs_once_per_entry_of_the_table_at_infinity(monkeypatch):
+    calls = []
+    true_milnor_dim = milnor.milnor_dim
+
+    def counting(n, d, m):
+        calls.append((n, d, m))
+        return true_milnor_dim(n, d, m)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "specpairs" and hasattr(module, "milnor_dim"):
+            monkeypatch.setattr(module, "milnor_dim", counting)
+    golden = sorted((Path(__file__).parent / "golden").glob("*.json"))
+    specs = [parse_spec(path.read_text(encoding="utf-8")) for path in golden]
+    specs += [
+        HypersurfaceSpec(n=n, d=d, components=1, rational_homology_manifold=True)
+        for n in (1, 2, 3)
+        for d in range(2, 6)
+    ]
+    for spec in specs:
+        calls.clear()
+        build_report(spec)
+        # (n+1)(d-1) entries off eigenvalue 1 and n+2 on it, each computed once
+        assert len(set(calls)) == len(calls)
+        assert len(calls) == (spec.n + 1) * (spec.d - 1) + spec.n + 2
 
 
 def test_warning_for_unrealizable_weak_data():
