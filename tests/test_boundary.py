@@ -414,20 +414,27 @@ def test_projective_curve_hodge_examples():
     assert cusp[(1, 0, 0)] == 2
 
 
-def test_primitive_middle_hodge_numbers_from_the_table_at_infinity():
-    def middle(n, d):
-        infinity = steenbrink_infinity(n, d).nonunipotent()
-        marginal = infinity.hodge_filtration_marginal()
-        return [marginal.get(p, 0) for p in range(n + 1)]
+def _primitive_middle(n, d):
+    """Primitive middle Hodge numbers h^{p, n-p} of a smooth degree-d
+    hypersurface in P^(n+1), read off the table at infinity."""
+    marginal = steenbrink_infinity(n, d).nonunipotent().hodge_filtration_marginal()
+    return [marginal.get(p, 0) for p in range(n + 1)]
 
+
+def test_smooth_primitive_middle_against_known_hodge_numbers():
     # plane curves: genus of the smooth degree-d curve
-    assert [middle(1, d)[0] for d in (2, 3, 4, 5)] == [0, 1, 3, 6]
+    assert [_primitive_middle(1, d)[0] for d in (2, 3, 4, 5)] == [0, 1, 3, 6]
     # surfaces: quadric 0,1,0; cubic 0,6,0; quartic (K3) 1,19,1
-    assert middle(2, 2) == [0, 1, 0]
-    assert middle(2, 3) == [0, 6, 0]
-    assert middle(2, 4) == [1, 19, 1]
-    # primitive plus the hyperplane class: b2 = 7 for the cubic surface
-    assert middle(2, 3)[1] + 1 == 7
+    assert _primitive_middle(2, 2) == [0, 1, 0]
+    assert _primitive_middle(2, 3) == [0, 6, 0]
+    assert _primitive_middle(2, 4) == [1, 19, 1]
+
+
+def test_projective_space_hodge():
+    # primitive + the hyperplane class of P^3 = full middle cohomology:
+    # b2 = 7 for the cubic surface, and 2, 22 for the quadric and quartic
+    assert _primitive_middle(2, 3)[1] + 1 == 7
+    assert [sum(_primitive_middle(2, d)) + 1 for d in (2, 3, 4)] == [2, 7, 22]
 
 
 def test_full_invariants_none_outside_exact_cases():
