@@ -51,9 +51,7 @@ def error_term(
     try:
         quotient = delta_m.divide(square)
     except NotDivisible as exc:
-        raise NotDivisible(
-            f"delta_U^2 = {square} does not divide delta_M = {delta_m}"
-        ) from exc
+        raise NotDivisible(f"delta_U^2 does not divide delta_M: {exc}") from exc
     return quotient
 
 

@@ -11,12 +11,12 @@ known, are user inputs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import TYPE_CHECKING, Iterable, Mapping
+from math import gcd, lcm
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .laurent import CyclotomicFactorization, t_power_minus_one
 from .milnor import xi_exponent
-from .pairs import PairKey, angle_numerator, angle_text, rescale, to_numerators
+from .pairs import PairKey, angle_numerator, rescale, to_numerators
 
 if TYPE_CHECKING:
     from .model import HypersurfaceSpec
@@ -130,17 +130,17 @@ class BoundTable:
         )
         return f"BoundTable({rows})"
 
+    def _cells(self) -> Iterator[tuple[int, int, str, int, str]]:
+        """The rows of every output, (p, q, "a/b", bound, "exact" or
+        "upper") in key order, with the angle in lowest terms."""
+        den, exact = self._den, self._exact
+        for (p, q, k), v in sorted(self._entries.items()):
+            g = gcd(k, den)
+            kind = "exact" if (p, q, k) in exact else "upper"
+            yield p, q, f"{k // g}/{den // g}", v, kind
+
     def to_rows(self) -> list[list]:
-        return [
-            [
-                p,
-                q,
-                angle_text(k, self._den),
-                v,
-                "exact" if (p, q, k) in self._exact else "upper",
-            ]
-            for (p, q, k), v in sorted(self._entries.items())
-        ]
+        return [list(cell) for cell in self._cells()]
 
 
 def divisibility_bound_infinity(n: int, d: int) -> CyclotomicFactorization:

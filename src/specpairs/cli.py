@@ -13,18 +13,19 @@ cross-check failure or unexpected error (indicating a bug), 3 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 from pathlib import Path
+from typing import Iterator
 
 from .laurent import CyclotomicFactorization
 from .localsing import Ordinary
 from .milnor import milnor_dim, milnor_dim_bruteforce
 from .model import HypersurfaceSpec, InvalidSpec, MalformedDocument, parse_spec
 from .pairs import SpectralPairTable
-from .report import InvariantReport, build_report, render_text, report_to_json
+from .report import InvariantReport, _json, build_report, render_text, report_to_json
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -47,26 +48,25 @@ class CensusRow:
     possibly_unrealizable: bool
 
 
-def weak_multisets(d: int) -> list[tuple[int, ...]]:
+def weak_multisets(d: int) -> Iterator[tuple[int, ...]]:
     """All descending multisets {m_i} with 2 <= m_i <= d and
-    sum C(m_i, 2) = C(d, 2): every pair of the d lines meets at exactly one
-    singular point."""
-    target = comb(d, 2)
-    out: list[tuple[int, ...]] = []
+    sum C(m_i, 2) = C(d, 2), in lexicographic order: every pair of the d
+    lines meets at exactly one singular point."""
 
-    def extend(prefix: list[int], remaining: int, cap: int) -> None:
+    def extend(prefix: tuple[int, ...], remaining: int, cap: int):
+        # The largest multiplicity comes first, so choosing it and then how
+        # often it repeats, each upward, gives lexicographic order; only 2s
+        # can follow a 2, so a run of 2s fills the rest.
         if remaining == 0:
-            out.append(tuple(prefix))
+            yield prefix
             return
-        for m in range(min(cap, d), 1, -1):
+        for m in range(2, cap + 1):
             weight = comb(m, 2)
-            if weight <= remaining:
-                prefix.append(m)
-                extend(prefix, remaining - weight, m)
-                prefix.pop()
+            for count in range(1 if m > 2 else remaining, remaining // weight + 1):
+                rest = remaining - count * weight
+                yield from extend(prefix + (m,) * count, rest, m - 1)
 
-    extend([], target, d)
-    return sorted(out)
+    return extend((), comb(d, 2), d)
 
 
 def arrangement_spec(d: int, multiplicities) -> HypersurfaceSpec:
@@ -86,26 +86,22 @@ def arrangement_spec(d: int, multiplicities) -> HypersurfaceSpec:
     )
 
 
-def census_rows(d: int, max_rows: int | None = None) -> list[CensusRow]:
-    rows = []
-    for mults in weak_multisets(d):
-        if max_rows is not None and len(rows) >= max_rows:
-            break
+def census_rows(d: int, max_rows: int | None = None) -> Iterator[CensusRow]:
+    """The census rows of d lines in weak_multisets order, each built when
+    it is asked for; at most max_rows of them."""
+    for mults in islice(weak_multisets(d), max_rows):
         report = build_report(arrangement_spec(d, mults))
-        rows.append(
-            CensusRow(
-                d=d,
-                multiplicities=mults,
-                mu=report.derived.mu,
-                delta_m=report.delta_m,
-                table=report.pairs_full,
-                checks_passed=report.all_passed,
-                failed_checks=tuple(c.name for c in report.failed()),
-                # the only warnings are shared-line realizability violations
-                possibly_unrealizable=bool(report.warnings),
-            )
+        yield CensusRow(
+            d=d,
+            multiplicities=mults,
+            mu=report.derived.mu,
+            delta_m=report.delta_m,
+            table=report.pairs_full,
+            checks_passed=report.all_passed,
+            failed_checks=tuple(c.name for c in report.failed()),
+            # the only warnings are shared-line realizability violations
+            possibly_unrealizable=bool(report.warnings),
         )
-    return rows
 
 
 def _census_row_dict(row: CensusRow) -> dict:
@@ -114,11 +110,29 @@ def _census_row_dict(row: CensusRow) -> dict:
         "multiplicities": list(row.multiplicities),
         "mu": row.mu,
         "delta_M": row.delta_m.to_dict(),
-        "table": row.table.to_rows(),
+        "table": row.table,
         "checks_passed": row.checks_passed,
         "failed_checks": list(row.failed_checks),
         "possibly_unrealizable": row.possibly_unrealizable,
     }
+
+
+def _census_line(row: CensusRow) -> str:
+    mults = ",".join(map(str, row.multiplicities))
+    flag = "  [possibly-unrealizable]" if row.possibly_unrealizable else ""
+    status = "ok" if row.checks_passed else "CHECKS-FAILED"
+    return (
+        f"d={row.d}  mults=({mults})  mu={row.mu}  "
+        f"delta_M={row.delta_m}  total={row.table.total_dim()}  "
+        f"checks={status}{flag}"
+    )
+
+
+def _row_count(text: str) -> int:
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"expected a count of at least 0, got {count}")
+    return count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,7 +158,7 @@ def _build_parser() -> _Parser:
         "census", help="enumerate line-arrangement weak data"
     )
     p_census.add_argument("--lines", type=int, required=True, metavar="D")
-    p_census.add_argument("--max-rows", type=int, default=None, metavar="N")
+    p_census.add_argument("--max-rows", type=_row_count, default=None, metavar="N")
     p_census.add_argument(
         "--format", choices=("table", "structured"), default="table"
     )
@@ -206,25 +220,20 @@ def _cmd_census(args) -> int:
     if args.lines < 2:
         print("census requires at least 2 lines", file=sys.stderr)
         return EXIT_INVALID
-    rows = census_rows(args.lines, args.max_rows)
-    if args.format == "structured":
-        print(json.dumps([_census_row_dict(r) for r in rows], sort_keys=True, indent=2))
-    else:
-        for row in rows:
-            mults = ",".join(map(str, row.multiplicities))
-            flags = []
-            if row.possibly_unrealizable:
-                flags.append("possibly-unrealizable")
-            status = "ok" if row.checks_passed else "CHECKS-FAILED"
-            flag_text = f"  [{' '.join(flags)}]" if flags else ""
-            print(
-                f"d={row.d}  mults=({mults})  mu={row.mu}  "
-                f"delta_M={row.delta_m}  total={row.table.total_dim()}  "
-                f"checks={status}{flag_text}"
-            )
-    if any(not r.checks_passed for r in rows):
-        return EXIT_IDENTITY
-    return EXIT_OK
+    # each row is written as soon as it is made, so memory stays flat
+    structured = args.format == "structured"
+    status, opening = EXIT_OK, "[\n  "
+    for row in census_rows(args.lines, args.max_rows):
+        if not row.checks_passed:
+            status = EXIT_IDENTITY
+        if structured:
+            sys.stdout.write(opening + _json(_census_row_dict(row), "  "))
+            opening = ",\n  "
+        else:
+            print(_census_line(row))
+    if structured:
+        print("[]" if opening == "[\n  " else "\n]")
+    return status
 
 
 def _cmd_oracle(args) -> int:

@@ -140,12 +140,15 @@ class CyclotomicFactorization:
         )
 
     def divide(self, other: CyclotomicFactorization) -> CyclotomicFactorization:
-        """Exact quotient self/other; raises NotDivisible on a negative exponent."""
+        """Exact quotient self/other; raises NotDivisible on a negative
+        exponent, naming the orders where it falls short (and no
+        multiplicity, which may have too many digits to print)."""
         data = dict(self._factors)
         for k, m in other._factors.items():
             data[k] = data.get(k, 0) - m
-        if any(m < 0 for m in data.values()):
-            raise NotDivisible(f"{other} does not divide {self}")
+        short = [f"Phi({k})" for k, m in sorted(data.items()) if m < 0]
+        if short:
+            raise NotDivisible(f"multiplicity too high at {', '.join(short)}")
         return CyclotomicFactorization(
             self._unit / other._unit, self._t_power - other._t_power, data
         )

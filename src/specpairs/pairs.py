@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .laurent import parse_fraction, parse_integer
 
@@ -46,12 +46,6 @@ def angle_numerator(alpha: Fraction, den: int) -> int | None:
     the denominator of alpha."""
     scale, rest = divmod(den, alpha.denominator)
     return None if rest else alpha.numerator * scale
-
-
-def angle_text(k: int, den: int) -> str:
-    """The angle k/den in lowest terms, as "a/b" ("0/1" for 0)."""
-    g = gcd(k, den)
-    return f"{k // g}/{den // g}"
 
 
 def rescale(entries: dict, factor: int) -> dict:
@@ -203,13 +197,17 @@ class SpectralPairTable:
         )
         return f"SpectralPairTable({{{inner}}})"
 
+    def _cells(self) -> Iterator[tuple[int, int, str, int]]:
+        """The rows of every output, (p, q, "a/b", count) in key order, with
+        the angle in lowest terms ("0/1" for 0)."""
+        den = self._den
+        for (p, q, k), c in sorted(self._entries.items()):
+            g = gcd(k, den)
+            yield p, q, f"{k // g}/{den // g}", c
+
     def to_rows(self) -> list[list]:
         """JSON-ready rows [p, q, "a/b", count], sorted lexicographically."""
-        den = self._den
-        return [
-            [p, q, angle_text(k, den), c]
-            for (p, q, k), c in sorted(self._entries.items())
-        ]
+        return [list(cell) for cell in self._cells()]
 
     @classmethod
     def from_rows(cls, rows: Iterable) -> SpectralPairTable:

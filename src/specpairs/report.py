@@ -341,8 +341,9 @@ def _sections(
     return [section for section in sections if section[2] is not None]
 
 
-def report_to_dict(report: InvariantReport) -> dict:
-    """JSON-ready, deterministic dictionary form of the report."""
+def _document(report: InvariantReport, leaf) -> dict:
+    """The one layout of the JSON document, with leaf(table) at the place
+    of each table."""
     out: dict = {
         "spec": serialize_spec(report.spec),
         "derived": {
@@ -369,7 +370,7 @@ def report_to_dict(report: InvariantReport) -> dict:
         node = out
         for name in parents:
             node = node.setdefault(name, {})
-        node[key] = table.to_rows()
+        node[key] = leaf(table)
     if report.error_term is not None:
         out["error_term"] = report.error_term.to_dict()
     if report.projective_hodge is not None:
@@ -380,20 +381,60 @@ def report_to_dict(report: InvariantReport) -> dict:
     return out
 
 
+def report_to_dict(report: InvariantReport) -> dict:
+    """JSON-ready, deterministic dictionary form of the report."""
+    return _document(report, lambda table: table.to_rows())
+
+
 def report_to_json(report: InvariantReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2)
+    """report_to_dict as JSON text: sorted keys, an indent of 2."""
+    return _json(_document(report, lambda table: table))
 
 
-def _table_lines(rows, header) -> list[str]:
-    rows = [[str(x) for x in row] for row in rows]
-    if not rows:
-        return ["  (empty)"]
-    header = [*header, *[""] * (len(rows[0]) - len(header))]
-    widths = [max(map(len, column)) for column in zip(header, *rows)]
-    return [
-        "  " + "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
-        for row in (header, *rows)
-    ]
+_string = json.encoder.encode_basestring_ascii  # C, where the interpreter has it
+
+
+def _json(value, pad: str = "") -> str:
+    """The text of json.dumps(value, sort_keys=True, indent=2) for a value
+    built of dicts with string keys, lists, strings, integers, booleans,
+    None and tables, each table standing for its to_rows(); pad is the
+    indent of the line the value starts on.
+
+    A table writes its rows straight from its sorted cells, one f-string
+    per row: the generic encoder is pure Python once an indent is set, and
+    the rows are nearly all of a document."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{_string(k)}: {_json(value[k], inner)}"
+                 for k in sorted(value)]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
+    if isinstance(value, list):
+        items = [inner + _json(item, inner) for item in value]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
+    row, cell = "\n" + inner, "\n" + inner + "  "
+    if isinstance(value, SpectralPairTable):
+        rows = [
+            f'{row}[{cell}{p},{cell}{q},{cell}"{alpha}",{cell}{c}{row}]'
+            for p, q, alpha, c in value._cells()
+        ]
+    elif isinstance(value, bounds.BoundTable):
+        rows = [
+            f'{row}[{cell}{p},{cell}{q},{cell}"{alpha}",{cell}{v},{cell}"{kind}"{row}]'
+            for p, q, alpha, v, kind in value._cells()
+        ]
+    else:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return "[" + ",".join(rows) + f"\n{pad}]" if rows else "[]"
 
 
 def render_text(report: InvariantReport) -> str:
@@ -416,11 +457,19 @@ def render_text(report: InvariantReport) -> str:
             f"e(t) = {report.error_term}   (degree {report.error_term.degree})"
         )
     for (group, *_), heading, table in _sections(report):
-        if heading is not None:
-            # bound rows carry a fifth, unheaded column marking exact values
-            last = "count" if group == "tables" else "bound"
-            header = ("p", "q", "alpha", last)
-            lines += ["", heading, *_table_lines(table.to_rows(), header)]
+        if heading is None:
+            continue
+        lines += ["", heading]
+        rows = [list(map(str, cell)) for cell in table._cells()]
+        if not rows:
+            lines.append("  (empty)")
+            continue
+        # bound rows carry a fifth, unheaded column marking exact values
+        header = ["p", "q", "alpha", "count" if group == "tables" else "bound"]
+        header += [""] * (len(rows[0]) - len(header))
+        widths = [max(map(len, column)) for column in zip(header, *rows)]
+        line = "  " + "  ".join(f"{{:<{w}}}" for w in widths)
+        lines += [line.format(*row) for row in (header, *rows)]
     for violation in report.warnings:
         lines += ["", f"warning: {violation.message}"]
     lines += ["", "checks:", *("  " + check.line() for check in report.checks)]

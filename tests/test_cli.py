@@ -196,6 +196,24 @@ def test_documents_that_used_to_crash_end_as_violations(
     assert f"] {code}: " in err
 
 
+@pytest.mark.parametrize("command", [["verify"], ["compute", "--format", "structured"]])
+def test_oversized_delta_u_square_is_a_failed_input_check(spec_file, capsys, command):
+    # delta_U^2 has a multiplicity of 4,301 digits, which str refuses to
+    # convert: the failure names only the order where it falls short
+    doc = _golden_with("three_generic_lines", ("delta_U",),
+                       {"factors": [[1, 9 * 10**4299]]})
+    assert main([command[0], spec_file(doc), *command[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    detail = "delta_U^2 does not divide delta_M: multiplicity too high at Phi(1)"
+    if command == ["verify"]:
+        assert out.splitlines()[-1] == f"FAIL  delta_u_consistent  ({detail})"
+    else:
+        check = json.loads(out)["checks"][-1]
+        assert check == {"name": "delta_u_consistent", "passed": False,
+                         "kind": "input", "detail": detail}
+
+
 def test_unexpected_errors_end_in_one_line_and_exit_two(
     spec_file, capsys, monkeypatch
 ):
@@ -459,16 +477,16 @@ def test_oracle(capsys):
 
 
 def test_weak_multisets_for_three_lines():
-    assert weak_multisets(3) == [(2, 2, 2), (3,)]
+    assert list(weak_multisets(3)) == [(2, 2, 2), (3,)]
 
 
 def test_weak_multisets_for_four_lines():
-    assert weak_multisets(4) == [(2, 2, 2, 2, 2, 2), (3, 2, 2, 2), (3, 3), (4,)]
+    assert list(weak_multisets(4)) == [(2, 2, 2, 2, 2, 2), (3, 2, 2, 2), (3, 3), (4,)]
 
 
 def test_census_rows_checks_pass_and_flag_unrealizable():
-    rows = census_rows(4)
-    assert [r.multiplicities for r in rows] == weak_multisets(4)
+    rows = list(census_rows(4))
+    assert [r.multiplicities for r in rows] == list(weak_multisets(4))
     assert all(r.checks_passed for r in rows)
     flagged = [r.multiplicities for r in rows if r.possibly_unrealizable]
     assert flagged == [(3, 3)]
@@ -495,11 +513,92 @@ def test_census_cli_structured_and_max_rows(capsys):
 
 def test_census_stable_for_small_line_counts():
     for d in range(2, 7):
-        rows = census_rows(d)
+        rows = list(census_rows(d))
         assert [r.multiplicities for r in rows] == sorted(
             r.multiplicities for r in rows
         )
         assert all(r.checks_passed for r in rows)
+
+
+def _row_dict(row):
+    # the census row as the structured output had it when it went through
+    # json.dumps whole
+    return {
+        "d": row.d,
+        "multiplicities": list(row.multiplicities),
+        "mu": row.mu,
+        "delta_M": row.delta_m.to_dict(),
+        "table": row.table.to_rows(),
+        "checks_passed": row.checks_passed,
+        "failed_checks": list(row.failed_checks),
+        "possibly_unrealizable": row.possibly_unrealizable,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, d, max_rows",
+    [(["--lines", str(d)], d, None) for d in range(2, 10)]
+    + [(["--lines", "6", "--max-rows", "0"], 6, 0),
+       (["--lines", "6", "--max-rows", "1"], 6, 1)],
+)
+def test_streamed_census_equals_json_dumps_of_the_rows(capsys, argv, d, max_rows):
+    assert main(["census", *argv, "--format", "structured"]) == 0
+    rows = [_row_dict(row) for row in census_rows(d, max_rows)]
+    want = json.dumps(rows, sort_keys=True, indent=2) + "\n"
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("fmt", ["structured", "table"])
+def test_census_writes_each_row_before_building_the_next(monkeypatch, fmt):
+    out = io.StringIO()
+    written = []  # length of stdout as each row's report is built
+    true_build_report = cli.build_report
+
+    def recording(spec):
+        written.append(len(out.getvalue()))
+        return true_build_report(spec)
+
+    monkeypatch.setattr(cli, "build_report", recording)
+    with contextlib.redirect_stdout(out):
+        assert main(["census", "--lines", "5", "--format", fmt]) == 0
+    assert len(written) == 7 and written[0] == 0
+    first = out.getvalue()[:written[1]]
+    if fmt == "structured":
+        assert [row["multiplicities"] for row in json.loads(first + "\n]")] == [
+            [2] * 10
+        ]
+    else:
+        assert first.count("\n") == 1 and "mults=(2,2,2,2,2,2,2,2,2,2)" in first
+
+
+def test_census_with_a_failed_check_exits_two_with_complete_json(monkeypatch, capsys):
+    from specpairs.report import Check
+
+    true_build_report = cli.build_report
+    built = []
+
+    def failing_second(spec):
+        report = true_build_report(spec)
+        built.append(spec)
+        if len(built) == 2:
+            report.checks.append(Check("forced", False, "identity"))
+        return report
+
+    monkeypatch.setattr(cli, "build_report", failing_second)
+    assert main(["census", "--lines", "5", "--format", "structured"]) == 2
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 7
+    assert [row["failed_checks"] for row in rows] == [[], ["forced"], *[[]] * 5]
+    assert [row["checks_passed"] for row in rows].count(False) == 1
+
+
+def test_negative_max_rows_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["census", "--lines", "4", "--max-rows", "-1"])
+    assert info.value.code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--max-rows: expected a count of at least 0, got -1" in err
 
 
 def test_arrangement_spec_builder():

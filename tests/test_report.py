@@ -6,10 +6,13 @@ import json
 import random
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from helpers import random_spec
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specpairs import (
     Brieskorn,
@@ -25,6 +28,11 @@ from specpairs import (
     report_to_dict,
     report_to_json,
 )
+from specpairs.bounds import BoundTable
+from specpairs.pairs import SpectralPairTable
+from specpairs.report import _json
+
+GOLDEN = Path(__file__).parent / "golden"
 
 THREE_GENERIC_LINES = HypersurfaceSpec(
     n=1, d=3, components=3, singularities=((Ordinary(2), 3),), line_arrangement=True
@@ -302,3 +310,60 @@ def test_check_helpers_detect_violations():
     assert not _check_bound_consistency(
         THREE_GENERIC_LINES, BoundTable({}), loose, None
     ).passed
+
+
+# The output writer against the stdlib encoder it replaces.
+
+characters = st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\xe9\u2028\U0001f600') | st.characters()
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.sampled_from([0, 1, -1])
+    | st.integers()
+    | st.integers(min_value=-(10**80), max_value=10**80)
+    | st.text(characters, max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(characters, max_size=6), children, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_values)
+def test_writer_equals_json_dumps(value):
+    assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+pair_keys = st.tuples(
+    st.integers(min_value=-2, max_value=3),
+    st.integers(min_value=-2, max_value=3),
+    st.fractions(min_value=0, max_value=Fraction(29, 30), max_denominator=30),
+)
+counts = st.integers(min_value=1, max_value=10**30)
+pair_tables = st.dictionaries(pair_keys, counts, max_size=8).map(SpectralPairTable)
+bound_tables = st.dictionaries(
+    pair_keys, st.tuples(st.integers(min_value=0, max_value=10**30), st.booleans()),
+    max_size=8,
+).map(lambda entries: BoundTable(
+    {key: value for key, (value, _) in entries.items()},
+    exact=[key for key, (_, exact) in entries.items() if exact],
+))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair_tables | bound_tables, st.integers(min_value=0, max_value=6))
+def test_table_rows_equal_json_dumps_of_to_rows_at_any_depth(table, depth):
+    pad = "  " * depth
+    reindented = json.dumps(table.to_rows(), indent=2).replace("\n", "\n" + pad)
+    assert _json(table, pad) == reindented
+    nested = {"tables": [{"rows": table, "empty": []}], "count": 1}
+    assert _json(nested) == json.dumps(
+        {"tables": [{"rows": table.to_rows(), "empty": []}], "count": 1},
+        sort_keys=True, indent=2,
+    )
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_report_json_reads_back_as_report_to_dict(path):
+    report = build_report(parse_spec(path.read_text(encoding="utf-8")))
+    assert json.loads(report_to_json(report)) == report_to_dict(report)
