@@ -12,6 +12,7 @@ along two independent routes that must agree and are cross-checked.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import lcm
 from typing import TYPE_CHECKING
 
@@ -42,12 +43,13 @@ def boundary_alexander(spec: HypersurfaceSpec) -> CyclotomicFactorization:
 def error_term(
     spec: HypersurfaceSpec, delta_u: CyclotomicFactorization
 ) -> CyclotomicFactorization:
-    """Quotient of the boundary Alexander polynomial by delta_u squared.
+    """Quotient of the boundary Alexander polynomial by delta_u squared, up
+    to units: like delta_M, e(t) has unit 1 and t^0.
 
     The quotient must exist when delta_u is the Alexander polynomial of the
     complement; its degree is even, which the report checks."""
     delta_m = boundary_alexander(spec)
-    square = delta_u.canonical() ** 2
+    square = CyclotomicFactorization(factors=delta_u.factors) ** 2
     try:
         quotient = delta_m.divide(square)
     except NotDivisible as exc:
@@ -129,9 +131,7 @@ def boundary_pairs_arrangement(d: int, multiplicities) -> SpectralPairTable:
     alpha > 0 the (0,1)/(1,0) counts are sum of (mhat(m_i, alpha) - 1) plus
     mhat(d, alpha) - 1.
     """
-    counts: dict[int, int] = {}
-    for m in multiplicities:
-        counts[m] = counts.get(m, 0) + 1
+    counts = Counter(multiplicities)
     den = lcm(d, *counts)
     entries = _eigenvalue_one_corners(sum((m - 1) * c for m, c in counts.items()), 0)
     for m, c in counts.items():

@@ -10,6 +10,7 @@ known, are user inputs.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
@@ -223,9 +224,7 @@ def spectral_bound_arrangement(d: int, multiplicities: Iterable[int]) -> BoundTa
     eigenvalue-1 pair (1,1) equals d - 1 exactly.  For gcd(j, d) = 1 the bound
     vanishes unless some multiplicity equals d.
     """
-    counts: dict[int, int] = {}
-    for m in multiplicities:
-        counts[m] = counts.get(m, 0) + 1
+    counts = Counter(multiplicities)
     values = []
     for j in range(1, d):
         excess = sum((_mhat(m, j, d) - 1) * c for m, c in counts.items())

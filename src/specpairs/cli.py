@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from math import comb
@@ -72,9 +73,7 @@ def weak_multisets(d: int) -> Iterator[tuple[int, ...]]:
 def arrangement_spec(d: int, multiplicities) -> HypersurfaceSpec:
     """Spec for a line arrangement with the given weak data, modelling each
     multiplicity-m point as an ordinary m-fold point."""
-    counts: dict[int, int] = {}
-    for m in multiplicities:
-        counts[m] = counts.get(m, 0) + 1
+    counts = Counter(multiplicities)
     return HypersurfaceSpec(
         n=1,
         d=d,
@@ -223,14 +222,20 @@ def _cmd_census(args) -> int:
     # each row is written as soon as it is made, so memory stays flat
     structured = args.format == "structured"
     status, opening = EXIT_OK, "[\n  "
-    for row in census_rows(args.lines, args.max_rows):
-        if not row.checks_passed:
-            status = EXIT_IDENTITY
-        if structured:
-            sys.stdout.write(opening + _json(_census_row_dict(row), "  "))
-            opening = ",\n  "
-        else:
-            print(_census_line(row))
+    try:
+        for row in census_rows(args.lines, args.max_rows):
+            if not row.checks_passed:
+                status = EXIT_IDENTITY
+            if structured:
+                sys.stdout.write(opening + _json(_census_row_dict(row), "  "))
+                opening = ",\n  "
+            else:
+                print(_census_line(row))
+    except InvalidSpec as exc:  # a row the work budget refuses ends the census
+        sys.stdout.flush()
+        for violation in exc.violations:
+            print(str(violation), file=sys.stderr)
+        return EXIT_INVALID
     if structured:
         print("[]" if opening == "[\n  " else "\n]")
     return status

@@ -153,15 +153,12 @@ class CyclotomicFactorization:
             self._unit / other._unit, self._t_power - other._t_power, data
         )
 
-    def divides(self, other: CyclotomicFactorization) -> bool:
-        """Divisibility up to units of Q[t, t^-1]: multiplicity-wise comparison."""
-        return all(m <= other.multiplicity(k) for k, m in self._factors.items())
-
-    def canonical(self) -> CyclotomicFactorization:
-        """Representative with positive leading coefficient and lowest exponent
-        0 (orders of torsion modules are defined up to units)."""
+    def gcd(self, other: CyclotomicFactorization) -> CyclotomicFactorization:
+        """Greatest common divisor up to units of Q[t, t^-1], the least
+        multiplicity at each order: self divides other exactly when it
+        equals self with unit 1 and t^0."""
         return CyclotomicFactorization(
-            abs(self._unit), 0, self._factors, formal=self._formal
+            factors={k: min(m, other.multiplicity(k)) for k, m in self._factors.items()}
         )
 
     def __eq__(self, other: object) -> bool:

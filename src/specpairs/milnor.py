@@ -41,13 +41,11 @@ def milnor_dim(n: int, d: int, m: int) -> int:
         raise ValueError(f"need n >= 0 and d >= 2, got n={n}, d={d}")
     if m < 0 or m > top_weight(n, d):
         return 0
-    total = 0
-    for j in range(n + 2):
-        a = m - j * (d - 1) + n
-        if a < n:
-            continue
-        total += (-1) ** j * comb(n + 1, j) * comb(a, n)
-    return total
+    # only j <= m/(d-1) leaves C(m - j(d-1) + n, n) nonzero
+    return sum(
+        (-1) ** j * comb(n + 1, j) * comb(m - j * (d - 1) + n, n)
+        for j in range(min(n + 1, m // (d - 1)) + 1)
+    )
 
 
 def xi_exponent(n: int, d: int) -> int:
@@ -61,9 +59,17 @@ def milnor_dim_bruteforce(n: int, d: int, m: int) -> int:
     """Independent oracle for milnor_dim by exhaustive monomial enumeration."""
     if n < 0 or d < 2:
         raise ValueError(f"need n >= 0 and d >= 2, got n={n}, d={d}")
-    if (d - 1) ** (n + 1) > _ENUMERATION_GUARD:
+    # (d-1)^(n+1) tuples of n+1 exponents, bounded without computing the
+    # power, which may have more digits than str converts
+    work = n + 1
+    for _ in range(n + 1 if d > 2 else 0):
+        if work > _ENUMERATION_GUARD:
+            break
+        work *= d - 1
+    if work > _ENUMERATION_GUARD:
         raise EnumerationTooLarge(
-            f"(d-1)^(n+1) = {(d - 1) ** (n + 1)} exceeds {_ENUMERATION_GUARD}"
+            f"enumerating (d-1)^(n+1) tuples of n+1 exponents exceeds "
+            f"{_ENUMERATION_GUARD} steps"
         )
     return sum(
         1 for exponents in product(range(d - 1), repeat=n + 1) if sum(exponents) == m

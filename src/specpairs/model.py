@@ -103,7 +103,8 @@ class Derived:
     local_pairs: tuple[SpectralPairTable, ...]
     local_alexander: tuple[CyclotomicFactorization, ...]
     local_pair_sum: SpectralPairTable  # count-weighted sum of local_pairs
-    local_alexander_product: CyclotomicFactorization  # with counts as powers
+    # with counts as powers, up to units: a germ's unit is not raised to its count
+    local_alexander_product: CyclotomicFactorization
     # summed local dim Gr_F^p, the p-marginal of local_pair_sum: sorted (p, dim)
     local_grf: tuple[tuple[int, int], ...]
     infinity: SpectralPairTable  # the table at infinity, steenbrink_infinity(n, d)
@@ -131,10 +132,11 @@ def derived_quantities(spec: HypersurfaceSpec) -> Derived:
     pairs = tuple(local_pairs(s) for s, _ in sings)
     alexander = tuple(local_alexander(s) for s, _ in sings)
     pair_sum = SpectralPairTable()
-    alexander_product = CyclotomicFactorization()
+    product: dict[int, int] = {}
     for (_, count), table, poly in zip(sings, pairs, alexander):
         pair_sum = pair_sum + table * count
-        alexander_product = alexander_product * poly**count
+        for k, m in poly.factors.items():
+            product[k] = product.get(k, 0) + m * count
     mults = tuple(sorted(
         (s.multiplicity for s, c in sings if isinstance(s, Ordinary) for _ in range(c)),
         reverse=True,
@@ -149,7 +151,7 @@ def derived_quantities(spec: HypersurfaceSpec) -> Derived:
         local_pairs=pairs,
         local_alexander=alexander,
         local_pair_sum=pair_sum,
-        local_alexander_product=alexander_product,
+        local_alexander_product=CyclotomicFactorization(factors=product),
         local_grf=tuple(sorted(pair_sum.hodge_filtration_marginal().items())),
         infinity=steenbrink_infinity(n, d),
         ordinary_multiplicities=mults,

@@ -3,10 +3,12 @@
 A report computes all invariants the input supports and then verifies the
 identities tying them together: the degree of the boundary Alexander
 polynomial, symmetry of every emitted table, agreement of independent
-computation routes, and consistency between bounds.  An identity-class check
-failing means a bug (or a genuinely inconsistent identity), while an
-input-class check failing means user-supplied data (such as delta_U) is
-inconsistent with the rest of the input.
+computation routes, and consistency between bounds.  Each check compares a
+found value with an expected one, and a failed check's detail names what
+differs between them.  An identity-class check failing means a bug (or a
+genuinely inconsistent identity), while an input-class check failing means
+user-supplied data (such as delta_U) is inconsistent with the rest of the
+input.
 """
 
 from __future__ import annotations
@@ -67,62 +69,42 @@ class InvariantReport:
         ]
 
 
-def _check_tables_conjugation(tables: dict[str, SpectralPairTable]) -> Check:
-    bad = [name for name, t in tables.items() if t.conjugate() != t]
-    return Check(
-        "conjugation_symmetry",
-        not bad,
-        "identity",
-        "all emitted tables" if not bad else f"asymmetric: {', '.join(bad)}",
-    )
+def _agree(name: str, found, expected, passing: str, kind: str = "identity") -> Check:
+    """The check that found == expected: `passing` is its detail when they
+    agree, and what differs between them when they do not."""
+    if found == expected:
+        return Check(name, True, kind, passing)
+    return Check(name, False, kind, _difference(found, expected))
 
 
-def _check_level_duality(
-    n: int,
-    nonunip: SpectralPairTable,
-    full: SpectralPairTable | None,
-    weighted: dict[int, SpectralPairTable] | None,
-) -> Check:
-    bad: list[str] = []
-    if nonunip.level_dual(n) != nonunip:
-        bad.append("nonunipotent")
-    if full is not None and full.level_dual(n) != full:
-        bad.append("full")
-    if weighted is not None:
-        for w, table in weighted.items():
-            if table.level_dual(n) != weighted[2 * n - w]:
-                bad.append(f"weight {w}")
-    return Check(
-        "level_duality",
-        not bad,
-        "identity",
-        f"self-dual at level {n}" if not bad else f"broken: {', '.join(bad)}",
-    )
-
-
-def _check_bound_consistency(
-    spec: HypersurfaceSpec,
-    complement: bounds.BoundTable,
-    curve: bounds.BoundTable | None,
-    arrangement: bounds.BoundTable | None,
-) -> Check:
-    problems: list[str] = []
-    if curve is not None:
-        for key, cap in complement.exceeding(curve):
-            problems.append(f"complement {key} > curve bound {cap}")
-        r_minus_1 = spec.components - 1
-        cap = complement.bound_at((1, 1, 0))
-        if r_minus_1 > cap:
-            problems.append("exact (1,1,0) value exceeds the complement bound")
-    if arrangement is not None and curve is not None:
-        for key, cap in arrangement.exceeding(curve):
-            problems.append(f"arrangement {key} > curve bound {cap}")
-    return Check(
-        "bound_consistency",
-        not problems,
-        "identity",
-        "; ".join(problems) if problems else "bounds nest as required",
-    )
+def _difference(found, expected) -> str:
+    """What differs between two unequal values of one type: per differing
+    dict key, the rows only one table has, the orders where factorizations
+    differ (not the multiplicities, which may have too many digits to
+    print), the items only one list has, or both values."""
+    if isinstance(found, dict):
+        return "; ".join(
+            f"{key}: {_difference(found.get(key), expected.get(key))}"
+            for key in {**found, **expected} if found.get(key) != expected.get(key)
+        )
+    if isinstance(found, list):
+        return "; ".join(
+            str(x) for x in found + expected if (x in found) != (x in expected)
+        )
+    if isinstance(found, SpectralPairTable):
+        a, b = set(found._cells()), set(expected._cells())
+        rows = [", ".join(f"h({p},{q},{alpha})={c}" for p, q, alpha, c in sorted(only))
+                or "none" for only in (a - b, b - a)]
+        return f"only found {rows[0]} vs only expected {rows[1]}"
+    if isinstance(found, CyclotomicFactorization):
+        orders: dict[str, list[str]] = {"high": [], "low": []}
+        for k in sorted(found.factors.keys() | expected.factors.keys()):
+            m, e = found.multiplicity(k), expected.multiplicity(k)
+            if m != e:
+                orders["high" if m > e else "low"].append(f"Phi({k})")
+        return "; ".join(f"multiplicity too {word} at {', '.join(ks)}"
+                         for word, ks in orders.items() if ks)
+    return f"found {found}, expected {expected}"
 
 
 def build_report(spec: HypersurfaceSpec) -> InvariantReport:
@@ -146,151 +128,98 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
     elif weighted is not None:
         unip = boundary.flatten_weights(weighted)
         full = unip + nonunip
-    checks: list[Check] = []
-
-    expected_degree = 2 * (d - 1) ** (n + 1)
-    checks.append(
-        Check(
-            "degree_identity",
-            delta_m.degree == expected_degree,
-            "identity",
-            f"deg delta_M = {delta_m.degree}, expected {expected_degree}",
-        )
-    )
-    checks.append(
-        Check(
-            "xi_integral",
-            d * derived.xi == (d - 1) ** (n + 1) + (-1) ** n,
-            "identity",
-            f"xi = {derived.xi}",
-        )
-    )
-
-    bad_locals = [
-        str(s)
-        for (s, _), poly in zip(spec.singularities, derived.local_alexander)
-        if poly.degree != milnor_number(s)
-    ]
-    checks.append(
-        Check(
-            "local_alexander_degree",
-            not bad_locals,
-            "identity",
-            "deg = Milnor number at each germ"
-            if not bad_locals
-            else f"mismatch: {bad_locals}",
-        )
-    )
-    if n == 1:
-        bad_mass = [
-            str(s)
-            for (s, _), table in zip(spec.singularities, derived.local_pairs)
-            if table.unipotent().total_dim() != branches(s) - 1
-        ]
-        checks.append(
-            Check(
-                "local_unipotent_mass",
-                not bad_mass,
-                "identity",
-                "eigenvalue-1 mass = branches - 1 at each germ"
-                if not bad_mass
-                else f"mismatch: {bad_mass}",
-            )
-        )
-
-    tables: dict[str, SpectralPairTable] = {"nonunipotent": nonunip}
-    if full is not None:
-        tables["full"] = full
-    if weighted is not None:
-        for w, t in weighted.items():
-            tables[f"weight {w}"] = t
     pairs_arrangement = bound_arrangement = None
     if spec.line_arrangement:
         mults = derived.ordinary_multiplicities
         pairs_arrangement = boundary.boundary_pairs_arrangement(d, mults)
         bound_arrangement = bounds.spectral_bound_arrangement(d, mults)
-        tables["arrangement"] = pairs_arrangement
-    checks.append(_check_tables_conjugation(tables))
-    checks.append(_check_level_duality(n, nonunip, full, weighted))
-
-    if n == 1:
-        checks.append(
-            Check(
-                "two_path_agreement",
-                full.nonunipotent() == nonunip,
-                "identity",
-                "curve route and local+infinity route agree above eigenvalue 1",
-            )
-        )
-    if full is not None:
-        checks.append(
-            Check(
-                "total_mass",
-                full.total_dim() == delta_m.degree,
-                "identity",
-                f"table mass {full.total_dim()} vs deg delta_M {delta_m.degree}",
-            )
-        )
-    if pairs_arrangement is not None:
-        checks.append(
-            Check(
-                "arrangement_agreement",
-                pairs_arrangement == full,
-                "identity",
-                "weak-data route equals the curve route",
-            )
-        )
-    if spec.rational_homology_manifold and n == 1:
-        assert weighted is not None and full is not None
-        flattened = boundary.flatten_weights(weighted)
-        checks.append(
-            Check(
-                "qhm_agreement",
-                flattened + nonunip == full,
-                "identity",
-                "weight-resolved route equals the curve route",
-            )
-        )
-
     div_infinity = bounds.divisibility_bound_infinity(n, d)
     div_local = bounds.divisibility_bound_local(spec)
     bound_complement = bounds.spectral_bound_complement(spec)
     bound_curve = bounds.spectral_bound_curve(spec) if n == 1 else None
-    checks.append(
-        _check_bound_consistency(spec, bound_complement, bound_curve, bound_arrangement)
-    )
-
-    err = None
+    err, refused = None, []
     if spec.delta_u is not None:
-        delta_u = spec.delta_u
-        checks.append(
-            Check(
-                "delta_u_divides_infinity",
-                delta_u.divides(div_infinity),
-                "input",
-                "delta_U divides the bound at infinity",
-            )
-        )
-        checks.append(
-            Check(
-                "delta_u_divides_local",
-                delta_u.divides(div_local),
-                "input",
-                "delta_U divides the local bound",
-            )
-        )
         try:
-            err = boundary.error_term(spec, delta_u)
-            checks.append(
-                Check(
-                    "error_term_even_degree",
-                    err.degree % 2 == 0,
-                    "identity",
-                    f"e(t) = {err}, degree {err.degree}",
-                )
-            )
+            err = boundary.error_term(spec, spec.delta_u)
         except NotDivisible as exc:
-            checks.append(Check("delta_u_consistent", False, "input", str(exc)))
+            refused = [str(exc)]
+
+    by_weight = {f"weight {w}": t for w, t in (weighted or {}).items()}
+    named = {"nonunipotent": nonunip, "full": full, **by_weight}
+    named = {name: t for name, t in named.items() if t is not None}
+    # each table is dual to itself at level n, but weight w to weight 2n - w
+    partners = {**named, **{f"weight {w}": weighted[2 * n - w] for w in weighted or ()}}
+    tables = (dict(named, arrangement=pairs_arrangement) if spec.line_arrangement
+              else named)
+    germs = [s for s, _ in spec.singularities]
+    nesting: list[str] = []
+    if bound_curve is not None:
+        nesting += [f"complement {key} > curve bound {cap}"
+                    for key, cap in bound_complement.exceeding(bound_curve)]
+        if spec.components - 1 > bound_complement.bound_at((1, 1, 0)):
+            nesting.append("exact (1,1,0) value exceeds the complement bound")
+        if bound_arrangement is not None:
+            nesting += [f"arrangement {key} > curve bound {cap}"
+                        for key, cap in bound_arrangement.exceeding(bound_curve)]
+
+    degree = 2 * (d - 1) ** (n + 1)
+    checks = [
+        _agree("degree_identity", {"deg delta_M": delta_m.degree},
+               {"deg delta_M": degree},
+               f"deg delta_M = {delta_m.degree}, expected {degree}"),
+        _agree("xi_integral", {"d * xi": d * derived.xi},
+               {"d * xi": (d - 1) ** (n + 1) + (-1) ** n}, f"xi = {derived.xi}"),
+        _agree("local_alexander_degree",
+               {s: poly.degree for s, poly in zip(germs, derived.local_alexander)},
+               {s: milnor_number(s) for s in germs},
+               "deg = Milnor number at each germ"),
+    ]
+    if n == 1:
+        checks.append(_agree(
+            "local_unipotent_mass",
+            {s: t.unipotent().total_dim() for s, t in zip(germs, derived.local_pairs)},
+            {s: branches(s) - 1 for s in germs},
+            "eigenvalue-1 mass = branches - 1 at each germ",
+        ))
+    checks += [
+        _agree("conjugation_symmetry", tables,
+               {name: t.conjugate() for name, t in tables.items()},
+               "all emitted tables"),
+        _agree("level_duality", {name: t.level_dual(n) for name, t in named.items()},
+               partners, f"self-dual at level {n}"),
+    ]
+    if n == 1:
+        checks.append(_agree(
+            "two_path_agreement", full.nonunipotent(), nonunip,
+            "curve route and local+infinity route agree above eigenvalue 1",
+        ))
+    if full is not None:
+        checks.append(_agree(
+            "total_mass", {"table mass": full.total_dim()},
+            {"table mass": delta_m.degree},
+            f"table mass {full.total_dim()} vs deg delta_M {delta_m.degree}",
+        ))
+    if pairs_arrangement is not None:
+        checks.append(_agree("arrangement_agreement", pairs_arrangement, full,
+                             "weak-data route equals the curve route"))
+    if weighted is not None and n == 1:
+        checks.append(_agree(
+            "qhm_agreement", boundary.flatten_weights(weighted) + nonunip, full,
+            "weight-resolved route equals the curve route",
+        ))
+    checks.append(_agree("bound_consistency", nesting, [], "bounds nest as required"))
+    if spec.delta_u is not None:
+        u = CyclotomicFactorization(factors=spec.delta_u.factors)
+        checks += [
+            _agree("delta_u_divides_infinity", u, u.gcd(div_infinity),
+                   "delta_U divides the bound at infinity", "input"),
+            _agree("delta_u_divides_local", u, u.gcd(div_local),
+                   "delta_U divides the local bound", "input"),
+            # emitted only when it fails: e(t) takes its place
+            _agree("delta_u_consistent", refused, [], "", "input") if err is None
+            else _agree("error_term_even_degree", {"deg e(t) mod 2": err.degree % 2},
+                        {"deg e(t) mod 2": 0}, f"e(t) = {err}, degree {err.degree}"),
+        ]
 
     return InvariantReport(
         spec=spec,

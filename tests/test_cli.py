@@ -214,6 +214,33 @@ def test_oversized_delta_u_square_is_a_failed_input_check(spec_file, capsys, com
                          "kind": "input", "detail": detail}
 
 
+HUGE_DELTA_U_UNIT = _golden_with("delta_u_concurrent_lines", ("delta_U", "unit"),
+                                 "1/" + "7" * 3000)
+
+
+@pytest.mark.parametrize(
+    "doc, command",
+    [
+        # e(t) would carry 1/unit^2, a denominator of 6,000 digits
+        (HUGE_DELTA_U_UNIT, "verify"),
+        (HUGE_DELTA_U_UNIT, "compute"),
+        # delta_M would carry the germ's unit to the power 10^6
+        (dict(_cusp_with(alexander={"unit": "2/1", "factors": [[6, 1]]}, count=10**6),
+              degree=1500), "compute"),
+    ],
+    ids=["delta_u_unit_verify", "delta_u_unit_compute", "germ_unit_to_a_huge_count"],
+)
+def test_units_are_dropped_from_delta_m_and_the_error_term(
+    spec_file, capsys, doc, command
+):
+    # Alexander polynomials are defined up to units, so the report ignores them
+    assert main([command, spec_file(doc)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "FAIL" not in out
+    if command == "compute":
+        assert "delta_M = Phi(1)^" in out
+
+
 def test_unexpected_errors_end_in_one_line_and_exit_two(
     spec_file, capsys, monkeypatch
 ):
@@ -476,6 +503,18 @@ def test_oracle(capsys):
     assert capsys.readouterr().out.strip() == "2 2"
 
 
+@pytest.mark.parametrize("d", ["3", "2"])
+def test_oracle_refuses_a_huge_enumeration_at_once(capsys, d):
+    start = time.perf_counter()
+    assert main(["oracle", "milnor-dim", "10000000", d, "5"]) == 1
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "enumerating (d-1)^(n+1) tuples of n+1 exponents exceeds 10000000 steps\n"
+    )
+
+
 def test_weak_multisets_for_three_lines():
     assert list(weak_multisets(3)) == [(2, 2, 2), (3,)]
 
@@ -590,6 +629,26 @@ def test_census_with_a_failed_check_exits_two_with_complete_json(monkeypatch, ca
     assert len(rows) == 7
     assert [row["failed_checks"] for row in rows] == [[], ["forced"], *[[]] * 5]
     assert [row["checks_passed"] for row in rows].count(False) == 1
+
+
+@pytest.mark.parametrize("fmt", ["structured", "table"])
+def test_census_row_refused_by_the_budget_ends_with_its_violation(
+    monkeypatch, capsys, fmt
+):
+    # a budget that admits the first rows of 8 lines but not every row
+    rows = list(weak_multisets(8))
+    estimates = [model._work_estimate(arrangement_spec(8, r)) for r in rows]
+    budget = sorted(estimates)[len(estimates) // 2]
+    admitted = estimates.index(next(e for e in estimates if e > budget))
+    assert admitted > 0
+    monkeypatch.setattr(model, "WORK_BUDGET", budget)
+    assert main(["census", "--lines", "8", "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("[error] budget_exceeded: ") and err.count("\n") == 1
+    if fmt == "structured":
+        assert len(json.loads(out + "\n]")) == admitted
+    else:
+        assert len(out.splitlines()) == admitted
 
 
 def test_negative_max_rows_is_a_usage_error(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,14 @@ def test_bruteforce_examples():
 def test_bruteforce_guard():
     with pytest.raises(EnumerationTooLarge):
         milnor_dim_bruteforce(7, 30, 5)
+    # d = 2 has one tuple, but of 10^9 + 1 exponents
+    with pytest.raises(EnumerationTooLarge):
+        milnor_dim_bruteforce(10**9, 2, 0)
+
+
+def test_milnor_dim_of_a_huge_n_sums_only_its_nonzero_terms():
+    # exponents at most 1: choose the 5 that are 1
+    assert milnor_dim(10**9, 3, 5) == comb(10**9 + 1, 5)
 
 
 def test_bad_parameters_rejected():

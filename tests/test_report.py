@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -20,6 +21,8 @@ from specpairs import (
     HypersurfaceSpec,
     InvalidSpec,
     Ordinary,
+    boundary,
+    bounds,
     build_report,
     milnor,
     model,
@@ -28,6 +31,7 @@ from specpairs import (
     report_to_dict,
     report_to_json,
 )
+from specpairs import report as report_module
 from specpairs.bounds import BoundTable
 from specpairs.pairs import SpectralPairTable
 from specpairs.report import _json
@@ -267,49 +271,151 @@ def test_render_text_sections():
     assert "PASS  degree_identity" in text
 
 
-def test_check_helpers_detect_violations():
-    # the cross-check helpers must actually fail on corrupted tables
-    from fractions import Fraction
+def _lines(**changes):
+    return HypersurfaceSpec(n=1, d=3, components=3, line_arrangement=True,
+                            singularities=((Ordinary(2), 3),), **changes)
 
-    from specpairs import BoundTable, SpectralPairTable
-    from specpairs.report import (
-        _check_bound_consistency,
-        _check_level_duality,
-        _check_tables_conjugation,
-    )
 
-    asymmetric = SpectralPairTable({(0, 1, Fraction(1, 3)): 1})
-    assert not _check_tables_conjugation({"bad": asymmetric}).passed
-    symmetric = SpectralPairTable(
-        {(0, 1, Fraction(1, 3)): 1, (1, 0, Fraction(2, 3)): 1}
-    )
-    assert _check_tables_conjugation({"good": symmetric}).passed
+def _rhm_cusp():
+    return HypersurfaceSpec(n=1, d=3, components=1, rational_homology_manifold=True,
+                            singularities=((Brieskorn(2, 3), 1),))
 
-    lopsided = SpectralPairTable({(0, 1, Fraction(1, 3)): 2})
-    assert not _check_level_duality(1, lopsided, None, None).passed
-    assert _check_level_duality(1, symmetric, None, None).passed
-    skewed_weights = {
-        0: SpectralPairTable({(0, 0, 0): 2}),
-        1: SpectralPairTable(),
-        2: SpectralPairTable({(1, 1, 0): 1}),
-    }
-    assert not _check_level_duality(
-        1, SpectralPairTable(), None, skewed_weights
-    ).passed
 
-    loose = BoundTable({(0, 1, Fraction(2, 3)): 5, (1, 1, Fraction(0)): 2})
-    tight = BoundTable({(0, 1, Fraction(2, 3)): 1, (1, 1, Fraction(0)): 2})
-    assert not _check_bound_consistency(
-        THREE_GENERIC_LINES, loose, tight, None
-    ).passed
-    assert _check_bound_consistency(
-        THREE_GENERIC_LINES, tight, loose, None
-    ).passed
-    # a complement table missing the eigenvalue-1 entry cannot support the
-    # exact curve value r - 1
-    assert not _check_bound_consistency(
-        THREE_GENERIC_LINES, BoundTable({}), loose, None
-    ).passed
+def _concurrent_lines():
+    return HypersurfaceSpec(n=1, d=3, components=3, line_arrangement=True,
+                            singularities=((Ordinary(3), 1),),
+                            delta_u=CyclotomicFactorization(factors={1: 2, 3: 1}))
+
+
+def _phi(factors, formal=False):
+    return CyclotomicFactorization(factors=factors, formal=formal)
+
+
+def _route(module, name, change):
+    """(module, name, the route module.name with `change` applied to what it
+    returns), for monkeypatch.setattr."""
+    true_route = getattr(module, name)
+    return module, name, lambda *args: change(true_route(*args))
+
+
+NODE = "Ordinary(multiplicity=2)"
+ONE_THIRD = SpectralPairTable({(0, 1, Fraction(1, 3)): 1})
+ZERO = SpectralPairTable({(0, 0, Fraction(0)): 1})
+SKEWED_WEIGHTS = {
+    0: SpectralPairTable({(0, 0, 0): 2}),
+    1: SpectralPairTable(),
+    2: SpectralPairTable({(1, 1, 0): 1}),
+}
+LOOSE = BoundTable({(0, 1, Fraction(2, 3)): 5, (1, 1, Fraction(0)): 2})
+
+# "check-case": (kind, spec, (module, name, patched route), detail), where
+# the patched route is one that build_report reads through its module,
+# corrupted so that the named check sees a difference
+FORCED_FAILURES = {
+    "degree_identity": (
+        "identity", _lines,
+        _route(boundary, "boundary_alexander", lambda f: f * _phi({2: 1})),
+        "deg delta_M: found 9, expected 8"),
+    "xi_integral": (
+        "identity", _lines,
+        _route(model, "xi_exponent", lambda xi: xi + 1),
+        "d * xi: found 6, expected 3"),
+    "local_alexander_degree": (
+        "identity", _lines,
+        _route(model, "local_alexander", lambda f: f * _phi({1: 1})),
+        f"{NODE}: found 2, expected 1"),
+    "local_unipotent_mass": (
+        "identity", _lines,
+        _route(report_module, "branches", lambda b: b + 1),
+        f"{NODE}: found 1, expected 2"),
+    "conjugation_symmetry-asymmetric": (
+        "identity", _lines,
+        _route(boundary, "boundary_pairs_arrangement", lambda t: t + ONE_THIRD),
+        "arrangement: only found h(0,1,1/3)=1 vs only expected h(1,0,2/3)=1"),
+    "level_duality-lopsided": (
+        "identity", _lines,
+        _route(boundary, "boundary_pairs_nonunipotent", lambda _: ONE_THIRD * 2),
+        "nonunipotent: only found h(1,0,2/3)=2 vs only expected h(0,1,1/3)=2"),
+    "level_duality-skewed_weights": (
+        "identity", _rhm_cusp,
+        _route(boundary, "boundary_pairs_qhm", lambda _: SKEWED_WEIGHTS),
+        "weight 0: only found h(1,1,0/1)=2 vs only expected h(1,1,0/1)=1; "
+        "weight 2: only found h(0,0,0/1)=1 vs only expected h(0,0,0/1)=2"),
+    "two_path_agreement": (
+        "identity", _lines,
+        _route(boundary, "boundary_pairs_curve", lambda t: t + ONE_THIRD),
+        "only found h(0,1,1/3)=1 vs only expected none"),
+    "total_mass": (
+        "identity", _lines,
+        _route(boundary, "boundary_pairs_curve", lambda t: t + ZERO),
+        "table mass: found 9, expected 8"),
+    "arrangement_agreement": (
+        "identity", _lines,
+        _route(boundary, "boundary_pairs_arrangement", lambda t: t + ZERO),
+        "only found h(0,0,0/1)=4 vs only expected h(0,0,0/1)=3"),
+    "qhm_agreement": (
+        "identity", _rhm_cusp,
+        _route(boundary, "flatten_weights", lambda t: t + ZERO),
+        "only found h(0,0,0/1)=3 vs only expected h(0,0,0/1)=2"),
+    "bound_consistency-loose_complement": (
+        "identity", _lines,
+        _route(bounds, "spectral_bound_complement", lambda _: LOOSE),
+        "complement (0, 1, Fraction(2, 3)) > curve bound 1"),
+    "bound_consistency-no_exact_entry": (
+        "identity", _lines,
+        _route(bounds, "spectral_bound_complement", lambda _: BoundTable({})),
+        "exact (1,1,0) value exceeds the complement bound"),
+    "delta_u_divides_infinity": (
+        "input", _concurrent_lines,
+        _route(bounds, "divisibility_bound_infinity",
+               lambda _: _phi({1: 1}, formal=True)),
+        "multiplicity too high at Phi(1), Phi(3)"),
+    "delta_u_divides_local": (
+        "input", _concurrent_lines,
+        _route(bounds, "divisibility_bound_local", lambda _: _phi({3: 1})),
+        "multiplicity too high at Phi(1)"),
+    "error_term_even_degree": (
+        "identity", _concurrent_lines,
+        _route(boundary, "error_term", lambda _: _phi({2: 1})),
+        "deg e(t) mod 2: found 1, expected 0"),
+    "delta_u_consistent": (
+        "input", _concurrent_lines,
+        _route(boundary, "boundary_alexander", lambda _: _phi({1: 1})),
+        "delta_U^2 does not divide delta_M: multiplicity too high at Phi(1), Phi(3)"),
+}
+
+
+@pytest.mark.parametrize("case", FORCED_FAILURES)
+def test_every_check_forced_to_fail_names_what_differs(monkeypatch, case):
+    kind, spec, (module, name, route), detail = FORCED_FAILURES[case]
+    monkeypatch.setattr(module, name, route)
+    checks = {c.name: c for c in build_report(spec()).checks}
+    check = checks[case.split("-")[0]]
+    assert check.line().startswith("FAIL  ")
+    assert (check.kind, check.detail) == (kind, detail)
+
+
+def test_forced_failures_cover_every_check_with_distinct_details():
+    names = {case.split("-")[0] for case in FORCED_FAILURES}
+    assert names == README_CHECKS and len(names) == 15
+    details = [detail for *_, detail in FORCED_FAILURES.values()]
+    assert len(set(details)) == len(details)
+
+
+def _readme_checks():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    return set(re.findall(r"^\| `(\w+)` \|", readme, flags=re.M))
+
+
+README_CHECKS = _readme_checks()
+
+
+def test_readme_check_table_names_every_emitted_check():
+    specs = [parse_spec(path.read_text(encoding="utf-8"))
+             for path in sorted(GOLDEN.glob("*.json"))]
+    specs.append(_lines(delta_u=CyclotomicFactorization(factors={1: 4})))
+    emitted = {c.name for spec in specs for c in build_report(spec).checks}
+    assert emitted == README_CHECKS
 
 
 # The output writer against the stdlib encoder it replaces.
