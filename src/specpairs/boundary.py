@@ -34,10 +34,12 @@ def boundary_alexander(spec: HypersurfaceSpec) -> CyclotomicFactorization:
     mu >= 0, so no exponent is negative."""
     result = (
         divisibility_bound_infinity(spec.n, spec.d)
-        * CyclotomicFactorization(factors={1: spec.derived.mu}, formal=True)
+        * CyclotomicFactorization._from_parts({1: spec.derived.mu}, formal=True)
         * spec.derived.local_alexander_product
     )
-    return CyclotomicFactorization(result.unit, result.t_power, result.factors)
+    return CyclotomicFactorization._from_parts(
+        result._factors, result.unit, result.t_power
+    )
 
 
 def error_term(
@@ -49,7 +51,7 @@ def error_term(
     The quotient must exist when delta_u is the Alexander polynomial of the
     complement; its degree is even, which the report checks."""
     delta_m = boundary_alexander(spec)
-    square = CyclotomicFactorization(factors=delta_u.factors) ** 2
+    square = CyclotomicFactorization._from_parts(delta_u._factors) ** 2
     try:
         quotient = delta_m.divide(square)
     except NotDivisible as exc:

@@ -28,12 +28,7 @@ def mhat(m: int, alpha: Fraction) -> int:
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError(f"mhat needs 0 < alpha < 1, got {alpha}")
-    return _mhat(m, alpha.numerator, alpha.denominator)
-
-
-def _mhat(m: int, k: int, den: int) -> int:
-    """mhat(m, k/den) for 0 < k < den, in integer arithmetic."""
-    scaled, rest = divmod(m * k, den)
+    scaled, rest = divmod(m * alpha.numerator, alpha.denominator)
     return 1 if rest else scaled
 
 
@@ -155,17 +150,16 @@ def divisibility_bound_infinity(n: int, d: int) -> CyclotomicFactorization:
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    xi = xi_exponent(n, d)
-    factors = {k: xi for k in t_power_minus_one(d).factors}
-    factors[1] = factors.get(1, 0) + (-1) ** (n + 1)
-    return CyclotomicFactorization(factors=factors, formal=True)
+    factors = dict.fromkeys(t_power_minus_one(d).factors, xi_exponent(n, d))
+    factors[1] += (-1) ** (n + 1)
+    return CyclotomicFactorization._from_parts(factors, formal=True)
 
 
 def divisibility_bound_local(spec: HypersurfaceSpec) -> CyclotomicFactorization:
     """Divisor bound from the singular points: (t-1)^mu times the product of
     the top local Alexander polynomials."""
     mu, local = spec.derived.mu, spec.derived.local_alexander_product
-    return CyclotomicFactorization(factors={1: mu}) * local
+    return CyclotomicFactorization._from_parts({1: mu}) * local
 
 
 def spectral_bound_complement(spec: HypersurfaceSpec) -> BoundTable:
@@ -224,9 +218,11 @@ def spectral_bound_arrangement(d: int, multiplicities: Iterable[int]) -> BoundTa
     eigenvalue-1 pair (1,1) equals d - 1 exactly.  For gcd(j, d) = 1 the bound
     vanishes unless some multiplicity equals d.
     """
-    counts = Counter(multiplicities)
-    values = []
-    for j in range(1, d):
-        excess = sum((_mhat(m, j, d) - 1) * c for m, c in counts.items())
-        values.append(min(j - 1, excess))
+    excess = [0] * d
+    for m, c in Counter(multiplicities).items():
+        # mhat(m, j/d) - 1 is m*j/d - 1 where d divides m*j, and 0 elsewhere
+        step = d // gcd(m, d)
+        for j in range(step, d, step):
+            excess[j] += (m * j // d - 1) * c
+    values = [min(j - 1, excess[j]) for j in range(1, d)]
     return _curve_shaped_bound(d, values, d - 1)

@@ -16,7 +16,7 @@ import argparse
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat
 from math import comb
 from pathlib import Path
 from typing import Iterator
@@ -53,8 +53,16 @@ def weak_multisets(d: int) -> Iterator[tuple[int, ...]]:
     """All descending multisets {m_i} with 2 <= m_i <= d and
     sum C(m_i, 2) = C(d, 2), in lexicographic order: every pair of the d
     lines meets at exactly one singular point."""
+    for runs in _weak_runs(d):
+        yield tuple(chain.from_iterable(repeat(m, count) for m, count in runs))
 
-    def extend(prefix: tuple[int, ...], remaining: int, cap: int):
+
+def _weak_runs(d: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The multisets of weak_multisets(d) in its order, each as its runs
+    (multiplicity, count) with the multiplicity descending, so that no
+    multiset is expanded before a row needs it."""
+
+    def extend(prefix: tuple[tuple[int, int], ...], remaining: int, cap: int):
         # The largest multiplicity comes first, so choosing it and then how
         # often it repeats, each upward, gives lexicographic order; only 2s
         # can follow a 2, so a run of 2s fills the rest.
@@ -65,14 +73,15 @@ def weak_multisets(d: int) -> Iterator[tuple[int, ...]]:
             weight = comb(m, 2)
             for count in range(1 if m > 2 else remaining, remaining // weight + 1):
                 rest = remaining - count * weight
-                yield from extend(prefix + (m,) * count, rest, m - 1)
+                yield from extend(prefix + ((m, count),), rest, m - 1)
 
     return extend((), comb(d, 2), d)
 
 
 def arrangement_spec(d: int, multiplicities) -> HypersurfaceSpec:
     """Spec for a line arrangement with the given weak data, modelling each
-    multiplicity-m point as an ordinary m-fold point."""
+    multiplicity-m point as an ordinary m-fold point; the weak data is the
+    multiplicities or a map from each multiplicity to its count."""
     counts = Counter(multiplicities)
     return HypersurfaceSpec(
         n=1,
@@ -87,12 +96,13 @@ def arrangement_spec(d: int, multiplicities) -> HypersurfaceSpec:
 
 def census_rows(d: int, max_rows: int | None = None) -> Iterator[CensusRow]:
     """The census rows of d lines in weak_multisets order, each built when
-    it is asked for; at most max_rows of them."""
-    for mults in islice(weak_multisets(d), max_rows):
-        report = build_report(arrangement_spec(d, mults))
+    it is asked for; at most max_rows of them.  A row's multiset is expanded
+    only once the work budget has admitted its spec."""
+    for runs in islice(_weak_runs(d), max_rows):
+        report = build_report(arrangement_spec(d, dict(runs)))
         yield CensusRow(
             d=d,
-            multiplicities=mults,
+            multiplicities=report.derived.ordinary_multiplicities,
             mu=report.derived.mu,
             delta_m=report.delta_m,
             table=report.pairs_full,

@@ -16,6 +16,7 @@ from functools import cache
 from typing import Mapping
 
 Rational = int | Fraction
+_ONE = Fraction(1)  # the unit of every factorization built without one
 
 
 class NotDivisible(ArithmeticError):
@@ -71,25 +72,48 @@ class CyclotomicFactorization:
         factors: Mapping[int, int] | None = None,
         formal: bool = False,
     ):
-        unit = Fraction(unit)
-        if unit == 0:
+        self._fill(
+            Fraction(unit),
+            int(t_power),
+            [(int(k), int(m)) for k, m in (factors or {}).items()],
+            bool(formal),
+        )
+
+    @classmethod
+    def _from_parts(
+        cls,
+        factors: Mapping[int, int],
+        unit: Fraction = _ONE,
+        t_power: int = 0,
+        formal: bool = False,
+    ) -> CyclotomicFactorization:
+        """Package-internal constructor for parts that are already int and
+        Fraction values: the checks of the public constructor without its
+        conversions."""
+        value = object.__new__(cls)
+        value._fill(unit, t_power, factors.items(), formal)
+        return value
+
+    def _fill(self, unit: Fraction, t_power: int, factors, formal: bool) -> None:
+        """Check and store the parts of either constructor, with `factors` as
+        (order, multiplicity) pairs; zero multiplicities are dropped."""
+        if not unit:
             raise ValueError("the unit of a factorization must be nonzero")
         data: dict[int, int] = {}
-        for k, m in (factors or {}).items():
-            k, m = int(k), int(m)
+        for k, m in factors:
             if k < 1:
                 raise ValueError(f"cyclotomic order must be >= 1, got {k}")
+            if m < 0 and not formal:
+                raise ValueError(
+                    "negative multiplicities require the formal flag; "
+                    "concrete polynomial orders must have nonnegative exponents"
+                )
             if m:
                 data[k] = m
-        if not formal and any(m < 0 for m in data.values()):
-            raise ValueError(
-                "negative multiplicities require the formal flag; "
-                "concrete polynomial orders must have nonnegative exponents"
-            )
         self._unit = unit
-        self._t_power = int(t_power)
+        self._t_power = t_power
         self._factors = data
-        self._formal = bool(formal)
+        self._formal = formal
 
     @property
     def unit(self) -> Fraction:
@@ -122,21 +146,21 @@ class CyclotomicFactorization:
         data = dict(self._factors)
         for k, m in other._factors.items():
             data[k] = data.get(k, 0) + m
-        return CyclotomicFactorization(
+        return CyclotomicFactorization._from_parts(
+            data,
             self._unit * other._unit,
             self._t_power + other._t_power,
-            data,
-            formal=self._formal or other._formal,
+            self._formal or other._formal,
         )
 
     def __pow__(self, n: int) -> CyclotomicFactorization:
         if n < 0:
             raise ValueError("negative powers are not defined; use divide")
-        return CyclotomicFactorization(
+        return CyclotomicFactorization._from_parts(
+            {k: m * n for k, m in self._factors.items()},
             self._unit**n,
             self._t_power * n,
-            {k: m * n for k, m in self._factors.items()},
-            formal=self._formal,
+            self._formal,
         )
 
     def divide(self, other: CyclotomicFactorization) -> CyclotomicFactorization:
@@ -149,16 +173,16 @@ class CyclotomicFactorization:
         short = [f"Phi({k})" for k, m in sorted(data.items()) if m < 0]
         if short:
             raise NotDivisible(f"multiplicity too high at {', '.join(short)}")
-        return CyclotomicFactorization(
-            self._unit / other._unit, self._t_power - other._t_power, data
+        return CyclotomicFactorization._from_parts(
+            data, self._unit / other._unit, self._t_power - other._t_power
         )
 
     def gcd(self, other: CyclotomicFactorization) -> CyclotomicFactorization:
         """Greatest common divisor up to units of Q[t, t^-1], the least
         multiplicity at each order: self divides other exactly when it
         equals self with unit 1 and t^0."""
-        return CyclotomicFactorization(
-            factors={k: min(m, other.multiplicity(k)) for k, m in self._factors.items()}
+        return CyclotomicFactorization._from_parts(
+            {k: min(m, other.multiplicity(k)) for k, m in self._factors.items()}
         )
 
     def __eq__(self, other: object) -> bool:
@@ -257,4 +281,4 @@ def t_power_minus_one(d: int) -> CyclotomicFactorization:
     """The factorization of t^d - 1 as the product of Phi_k over k | d."""
     if d < 1:
         raise ValueError(f"t^d - 1 requires d >= 1, got {d}")
-    return CyclotomicFactorization(factors={k: 1 for k in divisors(d)})
+    return CyclotomicFactorization._from_parts(dict.fromkeys(divisors(d), 1))

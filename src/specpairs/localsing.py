@@ -145,8 +145,8 @@ def local_alexander(s: LocalSingularity) -> CyclotomicFactorization:
     for k, c in numerators.items():
         order = den // gcd(k, den)
         per_order[order] = per_order.get(order, 0) + c
-    return CyclotomicFactorization(
-        factors={o: c // euler_phi(o) for o, c in per_order.items()}
+    return CyclotomicFactorization._from_parts(
+        {o: c // euler_phi(o) for o, c in per_order.items()}
     )
 
 

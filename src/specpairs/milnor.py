@@ -2,15 +2,20 @@
 infinity of a degree-d hypersurface transversal at infinity.
 
 The Milnor algebra of x_0^d + ... + x_n^d has a monomial basis with every
-exponent at most d - 2, so its graded dimension counts bounded compositions.
-The spectral pairs of the middle cohomology of the fiber at infinity depend
-only on (n, d) and are read off these dimensions by Steenbrink's formula.
+exponent at most d - 2, so its graded dimension counts bounded compositions:
+the coefficients of (1 + t + ... + t^(d-2))^(n+1).  The spectral pairs of the
+middle cohomology of the fiber at infinity depend only on (n, d) and are
+read off these dimensions by Steenbrink's formula; the table is built from
+one list of them, made by n + 1 passes of prefix sums.  ``milnor_dim`` is
+the inclusion-exclusion closed form for a single degree, kept for the
+``oracle`` command and as an independent check of that list.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, product
 from math import comb
+from operator import sub
 
 from .pairs import SpectralPairTable
 
@@ -86,14 +91,21 @@ def steenbrink_infinity(n: int, d: int) -> SpectralPairTable:
     """
     if n < 0 or d < 2:
         raise ValueError(f"need n >= 0 and d >= 2, got n={n}, d={d}")
+    # dims[m] = milnor_dim(n, d, m), the coefficients of (1 + ... + t^(d-2))^(n+1):
+    # each pass multiplies by 1 - t^(d-1) and divides by 1 - t with prefix
+    # sums, which leaves a zero top coefficient to drop
+    dims = [1]
+    pad = [0] * (d - 1)
+    for _ in range(n + 1):
+        dims = list(accumulate(map(sub, dims + pad, pad + dims)))[:-1]
     entries: dict[tuple[int, int, int], int] = {}
     for j in range(1, d):
         for p in range(n + 1):
-            count = milnor_dim(n, d, p * d - n - 1 + j)
-            if count:
-                entries[(p, n - p, j)] = count
+            m = p * d - n - 1 + j
+            if 0 <= m < len(dims) and dims[m]:
+                entries[(p, n - p, j)] = dims[m]
     for p in range(n + 2):
-        count = milnor_dim(n, d, p * d - n - 1)
-        if count:
-            entries[(p, n + 1 - p, 0)] = count
+        m = p * d - n - 1
+        if 0 <= m < len(dims) and dims[m]:
+            entries[(p, n + 1 - p, 0)] = dims[m]
     return SpectralPairTable._from_numerators(d, entries)

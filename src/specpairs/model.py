@@ -151,7 +151,7 @@ def derived_quantities(spec: HypersurfaceSpec) -> Derived:
         local_pairs=pairs,
         local_alexander=alexander,
         local_pair_sum=pair_sum,
-        local_alexander_product=CyclotomicFactorization(factors=product),
+        local_alexander_product=CyclotomicFactorization._from_parts(product),
         local_grf=tuple(sorted(pair_sum.hodge_filtration_marginal().items())),
         infinity=steenbrink_infinity(n, d),
         ordinary_multiplicities=mults,
@@ -253,8 +253,11 @@ def _work_estimate(spec: HypersurfaceSpec) -> int:
     anything: the tables at infinity, each germ's spectrum or eigenvalue
     enumeration and, for line arrangements, the expanded point list."""
     n, d = spec.n, spec.d
-    # (n+1)(d-1) entries at infinity, each a Milnor-algebra dimension: an
-    # inclusion-exclusion over n+2 binomial terms whose size grows with n
+    # (n+1)(d-1) entries at infinity, priced as an inclusion-exclusion over
+    # n+2 binomials each.  steenbrink_infinity reads them off one list of
+    # graded dimensions made in n+1 passes of prefix sums, so for large n the
+    # estimate overstates the table's cost; it stays as it is so that the
+    # budget refuses the same documents.
     work = (n + 1) * (d - 1) * (32 + (n + 2) * (1 + n // 128))
     for s, count in spec.singularities:
         if isinstance(s, Explicit):

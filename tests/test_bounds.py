@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from helpers import oracle_mhat
 
 from specpairs import (
+    BoundTable,
     Brieskorn,
     CyclotomicFactorization,
     HypersurfaceSpec,
@@ -144,6 +147,23 @@ def test_spectral_bound_arrangement_examples():
     table = spectral_bound_arrangement(3, (3,))
     assert table.bound_at((1, 1, Fraction(0))) == 2
     assert table.is_exact((1, 1, Fraction(0)))
+
+
+def test_spectral_bound_arrangement_equals_the_bound_at_every_angle():
+    # the bound of the definition, min(j - 1, sum of mhat(m_i, j/d) - 1),
+    # at every j; the multisets need not be weak data of d lines
+    rng = random.Random(10)
+    for _ in range(200):
+        d = rng.randint(2, 40)
+        mults = [rng.randint(2, d) for _ in range(rng.randint(0, 12))]
+        one = (1, 1, Fraction(0))
+        entries = {one: d - 1}
+        for j in range(1, d):
+            alpha = Fraction(j, d)
+            value = min(j - 1, sum(oracle_mhat(m, alpha) - 1 for m in mults))
+            entries[(0, 1, alpha)] = entries[(1, 0, 1 - alpha)] = value
+        expected = BoundTable(entries, exact=[one])
+        assert spectral_bound_arrangement(d, mults) == expected, (d, mults)
 
 
 def test_arrangement_vanishing_for_coprime_angles():

@@ -8,6 +8,7 @@ import io
 import json
 import operator
 import time
+import tracemalloc
 from functools import reduce
 from pathlib import Path
 
@@ -649,6 +650,20 @@ def test_census_row_refused_by_the_budget_ends_with_its_violation(
         assert len(json.loads(out + "\n]")) == admitted
     else:
         assert len(out.splitlines()) == admitted
+
+
+def test_census_refuses_an_over_budget_first_row_in_little_memory(capsys):
+    # the first row of 5000 lines is C(5000, 2) = 12,497,500 double points
+    tracemalloc.start()
+    try:
+        status = main(["census", "--lines", "5000", "--max-rows", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert status == 1 and out == ""
+    assert err.startswith("[error] budget_exceeded: ") and err.count("\n") == 1
+    assert peak < 4 * 10**6
 
 
 def test_negative_max_rows_is_a_usage_error(capsys):

@@ -117,6 +117,16 @@ def test_division_by_zero_and_bad_orders():
         CyclotomicFactorization(factors={0: 1})
     with pytest.raises(ValueError):
         CyclotomicFactorization() ** -1
+    # the package-internal constructor keeps every check
+    with pytest.raises(ValueError):
+        CyclotomicFactorization._from_parts({1: 1}, Fraction(0))
+    with pytest.raises(ValueError):
+        CyclotomicFactorization._from_parts({0: 1})
+    with pytest.raises(ValueError):
+        CyclotomicFactorization._from_parts({1: -1})
+    assert CyclotomicFactorization._from_parts({1: -1, 2: 0}, formal=True) == (
+        CyclotomicFactorization(factors={1: -1}, formal=True)
+    )
 
 
 small_factorizations = st.builds(

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import random
 import re
-import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +23,6 @@ from specpairs import (
     boundary,
     bounds,
     build_report,
-    milnor,
     model,
     parse_spec,
     render_text,
@@ -119,30 +117,25 @@ def test_validate_runs_once_per_report(monkeypatch):
     assert report.warnings == spec.violations
 
 
-def test_milnor_dim_runs_once_per_entry_of_the_table_at_infinity(monkeypatch):
-    calls = []
-    true_milnor_dim = milnor.milnor_dim
-
-    def counting(n, d, m):
-        calls.append((n, d, m))
-        return true_milnor_dim(n, d, m)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "specpairs" and hasattr(module, "milnor_dim"):
-            monkeypatch.setattr(module, "milnor_dim", counting)
-    golden = sorted((Path(__file__).parent / "golden").glob("*.json"))
-    specs = [parse_spec(path.read_text(encoding="utf-8")) for path in golden]
-    specs += [
-        HypersurfaceSpec(n=n, d=d, components=1, rational_homology_manifold=True)
-        for n in (1, 2, 3)
-        for d in range(2, 6)
-    ]
+def test_every_factorization_of_a_report_is_a_canonical_value():
+    specs = [parse_spec(path.read_text(encoding="utf-8"))
+             for path in sorted(GOLDEN.glob("*.json"))]
+    rng = random.Random(10)
+    specs += [random_spec(rng, n) for n in (1, 2, 3) for _ in range(10)]
+    with_error_term = 0
     for spec in specs:
-        calls.clear()
-        build_report(spec)
-        # (n+1)(d-1) entries off eigenvalue 1 and n+2 on it, each computed once
-        assert len(set(calls)) == len(calls)
-        assert len(calls) == (spec.n + 1) * (spec.d - 1) + spec.n + 2
+        report = build_report(spec)
+        polys = [report.delta_m, report.divisibility_infinity,
+                 report.divisibility_local, *report.derived.local_alexander]
+        if report.error_term is not None:
+            polys.append(report.error_term)
+            with_error_term += 1
+        for f in polys:
+            assert type(f.unit) is Fraction and type(f.t_power) is int
+            assert all(type(k) is int and type(m) is int for k, m in f.factors.items())
+            rebuilt = CyclotomicFactorization(f.unit, f.t_power, f.factors, f.formal)
+            assert rebuilt == f and hash(rebuilt) == hash(f)
+    assert with_error_term
 
 
 def test_warning_for_unrealizable_weak_data():
