@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
@@ -139,6 +140,7 @@ class BoundTable:
         return [list(cell) for cell in self._cells()]
 
 
+@lru_cache(maxsize=1)
 def divisibility_bound_infinity(n: int, d: int) -> CyclotomicFactorization:
     """Divisor bound from the fiber at infinity, as a formal factorization:
     (t-1)^((-1)^(n+1)) * (t^d-1)^xi with xi = ((d-1)^(n+1) + (-1)^n)/d.
@@ -146,7 +148,8 @@ def divisibility_bound_infinity(n: int, d: int) -> CyclotomicFactorization:
     The combined exponent of t - 1 is never negative: it is xi - 1 for even
     n, where xi >= 1, and xi + 1 for odd n, where xi >= 0 (xi = 0 only for
     d = 2).  The result is flagged formal because it is a divisibility bound,
-    not the order of a module.
+    not the order of a module.  As with steenbrink_infinity, the value of
+    the last (n, d) is kept and shared.
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")

@@ -78,17 +78,24 @@ def _weak_runs(d: int) -> Iterator[tuple[tuple[int, int], ...]]:
     return extend((), comb(d, 2), d)
 
 
-def arrangement_spec(d: int, multiplicities) -> HypersurfaceSpec:
+def arrangement_spec(
+    d: int, multiplicities, germs: dict[int, Ordinary] | None = None
+) -> HypersurfaceSpec:
     """Spec for a line arrangement with the given weak data, modelling each
     multiplicity-m point as an ordinary m-fold point; the weak data is the
-    multiplicities or a map from each multiplicity to its count."""
+    multiplicities or a map from each multiplicity to its count.  `germs`
+    maps multiplicities to the germs to use and gains the ones it lacks, so
+    specs built from one such map share each germ and its tables."""
     counts = Counter(multiplicities)
+    germs = {} if germs is None else germs
+    for m in counts.keys() - germs.keys():
+        germs[m] = Ordinary(m)
     return HypersurfaceSpec(
         n=1,
         d=d,
         components=d,
         singularities=tuple(
-            (Ordinary(m), c) for m, c in sorted(counts.items(), reverse=True)
+            (germs[m], c) for m, c in sorted(counts.items(), reverse=True)
         ),
         line_arrangement=True,
     )
@@ -97,9 +104,11 @@ def arrangement_spec(d: int, multiplicities) -> HypersurfaceSpec:
 def census_rows(d: int, max_rows: int | None = None) -> Iterator[CensusRow]:
     """The census rows of d lines in weak_multisets order, each built when
     it is asked for; at most max_rows of them.  A row's multiset is expanded
-    only once the work budget has admitted its spec."""
+    only once the work budget has admitted its spec.  The rows share one
+    germ per multiplicity, so each spectrum is enumerated once per census."""
+    germs: dict[int, Ordinary] = {}
     for runs in islice(_weak_runs(d), max_rows):
-        report = build_report(arrangement_spec(d, dict(runs)))
+        report = build_report(arrangement_spec(d, dict(runs), germs))
         yield CensusRow(
             d=d,
             multiplicities=report.derived.ordinary_multiplicities,

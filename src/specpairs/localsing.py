@@ -6,12 +6,18 @@ monodromy has finite order and every invariant is read off the singularity
 spectrum {i/a + j/b}.  Germs that are not quasi-homogeneous, and germs in
 ambient dimension above curves, enter through the Explicit variant carrying
 user-supplied data.
+
+A built-in germ enumerates its spectrum once, on first use, and keeps it on
+the instance with the local pairs and the local Alexander polynomial read
+off it; every spec holding the same germ object shares these read-only
+values, and they are freed with the germ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .laurent import CyclotomicFactorization, euler_phi
@@ -22,8 +28,48 @@ class ExplicitHasNoSpectrum(TypeError):
     """Spectrum enumeration is only defined for the quasi-homogeneous built-ins."""
 
 
+class _QuasiHomogeneous:
+    """The tables of a built-in germ, computed once per instance (on a frozen
+    dataclass, cached_property writes the instance dict directly)."""
+
+    @cached_property
+    def _spectrum(self) -> tuple[int, dict[int, int]]:
+        return spectrum_numerators(self)
+
+    @cached_property
+    def alexander(self) -> CyclotomicFactorization:
+        """The top local Alexander polynomial.  The eigenvalue multiset of a
+        germ is Galois-stable, so the eigenvalues of order o, counted
+        together, make up Phi(o) to the power count / phi(o)."""
+        den, numerators = self._spectrum
+        per_order: dict[int, int] = {}
+        for k, c in numerators.items():
+            order = den // gcd(k, den)
+            per_order[order] = per_order.get(order, 0) + c
+        return CyclotomicFactorization._from_parts(
+            {o: c // euler_phi(o) for o, c in per_order.items()}
+        )
+
+    @cached_property
+    def pairs(self) -> SpectralPairTable:
+        """The local pairs: each spectrum element s contributes (0, 1, s)
+        when s is in (0, 1), (1, 0, s - 1) when s is in (1, 2), and
+        (1, 1, 0) when s = 1; the eigenvalue-1 part has dimension
+        branches - 1 and pure type (1, 1)."""
+        den, numerators = self._spectrum
+        entries: dict[tuple[int, int, int], int] = {}
+        for k, c in numerators.items():
+            if k < den:
+                entries[(0, 1, k)] = c
+            elif k == den:
+                entries[(1, 1, 0)] = c
+            else:
+                entries[(1, 0, k - den)] = c
+        return SpectralPairTable._from_numerators(den, entries)
+
+
 @dataclass(frozen=True)
-class Ordinary:
+class Ordinary(_QuasiHomogeneous):
     """An ordinary m-fold point: m pairwise transverse smooth branches."""
 
     multiplicity: int
@@ -34,7 +80,7 @@ class Ordinary:
 
 
 @dataclass(frozen=True)
-class Brieskorn:
+class Brieskorn(_QuasiHomogeneous):
     """The germ x^a + y^b at the origin."""
 
     a: int
@@ -125,7 +171,8 @@ def spectrum(s: LocalSingularity) -> tuple[Fraction, ...]:
     For x^a + y^b this is { i/a + j/b : 1 <= i <= a-1, 1 <= j <= b-1 }; the
     ordinary m-fold point is the case a = b = m.
     """
-    den, numerators = spectrum_numerators(s)
+    # the enumerator itself refuses explicit data
+    den, numerators = spectrum_numerators(s) if isinstance(s, Explicit) else s._spectrum
     out: list[Fraction] = []
     for k in sorted(numerators):
         out.extend([Fraction(k, den)] * numerators[k])
@@ -134,42 +181,16 @@ def spectrum(s: LocalSingularity) -> tuple[Fraction, ...]:
 
 def local_alexander(s: LocalSingularity) -> CyclotomicFactorization:
     """Top local Alexander polynomial: the characteristic polynomial of the
-    local monodromy, prod over spectrum of (t - exp(2*pi*i*s)).
-
-    The eigenvalue multiset of a germ is Galois-stable, so the eigenvalues of
-    order o, counted together, make up Phi(o) to the power count / phi(o)."""
-    if isinstance(s, Explicit):
-        return s.alexander
-    den, numerators = spectrum_numerators(s)
-    per_order: dict[int, int] = {}
-    for k, c in numerators.items():
-        order = den // gcd(k, den)
-        per_order[order] = per_order.get(order, 0) + c
-    return CyclotomicFactorization._from_parts(
-        {o: c // euler_phi(o) for o, c in per_order.items()}
-    )
+    local monodromy, prod over spectrum of (t - exp(2*pi*i*s)); supplied
+    data for an explicit germ."""
+    return s.alexander
 
 
 def local_pairs(s: LocalSingularity) -> SpectralPairTable:
-    """Spectral pairs of the middle cohomology of the local Milnor fiber.
-
-    For the quasi-homogeneous built-ins each spectrum element s contributes
-    (0, 1, s) when s is in (0, 1), (1, 0, s - 1) when s is in (1, 2), and
-    (1, 1, 0) when s = 1; the eigenvalue-1 part has dimension branches - 1
-    and pure type (1, 1).
-    """
-    if isinstance(s, Explicit):
-        return s.pairs
-    den, numerators = spectrum_numerators(s)
-    entries: dict[tuple[int, int, int], int] = {}
-    for k, c in numerators.items():
-        if k < den:
-            entries[(0, 1, k)] = c
-        elif k == den:
-            entries[(1, 1, 0)] = c
-        else:
-            entries[(1, 0, k - den)] = c
-    return SpectralPairTable._from_numerators(den, entries)
+    """Spectral pairs of the middle cohomology of the local Milnor fiber,
+    read off the spectrum for a built-in germ; supplied data for an
+    explicit germ."""
+    return s.pairs
 
 
 def alexander_alpha_marginal(f: CyclotomicFactorization) -> dict[Fraction, int]:

@@ -13,6 +13,7 @@ the inclusion-exclusion closed form for a single degree, kept for the
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate, product
 from math import comb
 from operator import sub
@@ -81,6 +82,7 @@ def milnor_dim_bruteforce(n: int, d: int, m: int) -> int:
     )
 
 
+@lru_cache(maxsize=1)
 def steenbrink_infinity(n: int, d: int) -> SpectralPairTable:
     """Spectral pairs of the middle cohomology of the fiber at infinity.
 
@@ -88,6 +90,10 @@ def steenbrink_infinity(n: int, d: int) -> SpectralPairTable:
     h^{p,n-p} = milnor_dim(n, d, pd - n - 1 + j); eigenvalue 1 sits in weight
     n + 1 with h^{p,n+1-p} = milnor_dim(n, d, pd - n - 1).  The total
     dimension is (d-1)^(n+1).
+
+    The table of the last (n, d) is kept and returned again, a shared
+    read-only value: every row of a census asks for the same one, and no
+    more than one table is ever held.
     """
     if n < 0 or d < 2:
         raise ValueError(f"need n >= 0 and d >= 2, got n={n}, d={d}")

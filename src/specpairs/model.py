@@ -474,10 +474,15 @@ def _parse_alexander(data) -> CyclotomicFactorization:
 
 
 def _parse_hd(rows) -> tuple[tuple[int, int, int], ...]:
-    return tuple(
-        (parse_integer(p), parse_integer(q), parse_integer(c))
-        for p, q, c in parse_array(rows)
-    )
+    """hD rows, read strictly; a Hodge type given twice is an error, not an
+    overwrite."""
+    out: dict[tuple[int, int], int] = {}
+    for p, q, c in parse_array(rows):
+        key = (parse_integer(p), parse_integer(q))
+        if key in out:
+            raise ValueError(f"Hodge type {key} is given twice")
+        out[key] = parse_integer(c)
+    return tuple((p, q, c) for (p, q), c in out.items())
 
 
 def _parse_singularity(entry, errors) -> tuple[LocalSingularity, int] | None:

@@ -212,11 +212,15 @@ class SpectralPairTable:
     @classmethod
     def from_rows(cls, rows: Iterable) -> SpectralPairTable:
         """Read rows [p, q, alpha, count] of a document: p, q and count must
-        be integers and alpha an exact rational."""
+        be integers and alpha an exact rational; a key given twice is an
+        error, not a sum."""
         data: dict[PairKey, int] = {}
         for p, q, alpha, count in rows:
             key = _normalize_key(
                 (parse_integer(p), parse_integer(q), parse_fraction(alpha))
             )
-            data[key] = data.get(key, 0) + parse_integer(count)
+            if key in data:
+                p, q, alpha = key
+                raise ValueError(f"spectral pair ({p}, {q}, {alpha}) is given twice")
+            data[key] = parse_integer(count)
         return cls(data)

@@ -282,3 +282,15 @@ def oracle_arrangement_table(
         out[(0, 1, alpha)] += value
         out[(1, 0, 1 - alpha)] += value
     return {key: c for key, c in out.items() if c}
+
+
+def table_at_infinity_from_dims(n, d, dim) -> SpectralPairTable:
+    """The table at infinity written out from Steenbrink's formula, with
+    dim(m) the Milnor-algebra dimension in degree m."""
+    entries = {}
+    for p in range(n + 1):
+        for j in range(1, d):
+            entries[(p, n - p, Fraction(j, d))] = dim(p * d - n - 1 + j)
+    for p in range(n + 2):
+        entries[(p, n + 1 - p, Fraction(0))] = dim(p * d - n - 1)
+    return SpectralPairTable(entries)

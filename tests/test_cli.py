@@ -437,6 +437,16 @@ def _explicit_nodes(**changes):
             "order 1 is given twice",
         ),
         (_cusp_with_alexander(unit="1/0"), "'1/0' as an exact rational"),
+        (
+            {"ambient_dim": 2, "degree": 10, "components": 1,
+             "hD": [[1, 1, 5], [1, 1, 0]]},
+            "Hodge type (1, 1) is given twice",
+        ),
+        (
+            _cusp_with(spectral_pairs=[[0, 1, "5/6", 1], [1, 0, "1/6", 2],
+                                       [1, 0, "2/12", -1]]),
+            "spectral pair (1, 0, 1/6) is given twice",
+        ),
         (_three_generic_lines_with(singularities={}), "expected an array, got {}"),
         (_three_generic_lines_with(singularities=None), "expected an array, got None"),
         (_three_generic_lines_with(delta_U=[]), "expected an object, got []"),
@@ -455,6 +465,7 @@ def _explicit_nodes(**changes):
         "float_pair_angle", "string_line_arrangement_flag", "string_rhm_flag",
         "null_line_arrangement_flag", "string_formal_flag", "formal_germ",
         "repeated_germ_order", "repeated_delta_u_order", "zero_denominator_unit",
+        "repeated_hd_type", "repeated_pair_key",
         "object_singularities", "null_singularities", "array_delta_u",
         "null_alexander", "object_factors", "object_hd", "deeply_nested",
         "integer_of_5000_digits",

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from helpers import table_at_infinity_from_dims
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,18 +18,6 @@ from specpairs import (
     steenbrink_infinity,
 )
 from specpairs.milnor import top_weight
-
-
-def _table_from_dims(n, d, dim):
-    """The table at infinity written out from Steenbrink's formula, with
-    dim(m) the Milnor-algebra dimension in degree m."""
-    entries = {}
-    for p in range(n + 1):
-        for j in range(1, d):
-            entries[(p, n - p, Fraction(j, d))] = dim(p * d - n - 1 + j)
-    for p in range(n + 2):
-        entries[(p, n + 1 - p, Fraction(0))] = dim(p * d - n - 1)
-    return SpectralPairTable(entries)
 
 
 def test_milnor_dim_examples():
@@ -144,17 +133,17 @@ def test_closed_form_matches_generating_function_beyond_enumeration_range():
 def test_table_at_infinity_equals_its_entries_from_milnor_dim():
     for n in range(6):
         for d in range(2, 31):
-            expected = _table_from_dims(n, d, lambda m: milnor_dim(n, d, m))
+            expected = table_at_infinity_from_dims(n, d, lambda m: milnor_dim(n, d, m))
             assert steenbrink_infinity(n, d) == expected, (n, d)
     # the enumeration runs once per entry, so only small tuple counts
     for n in range(6):
         for d in range(2, 31):
             if (d - 1) ** (n + 1) <= 2000:
-                expected = _table_from_dims(
+                expected = table_at_infinity_from_dims(
                     n, d, lambda m: milnor_dim_bruteforce(n, d, m)
                 )
                 assert steenbrink_infinity(n, d) == expected, (n, d)
     # exponents 0 or 1: the degree-m piece has C(n+1, m) monomials
     n = 841
-    expected = _table_from_dims(n, 3, lambda m: comb(n + 1, m) if m >= 0 else 0)
+    expected = table_at_infinity_from_dims(n, 3, lambda m: comb(n + 1, m) if m >= 0 else 0)
     assert steenbrink_infinity(n, 3) == expected

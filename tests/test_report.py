@@ -217,9 +217,9 @@ def test_random_reports_with_consistent_delta_u():
         assert report.error_term.degree % 2 == 0
 
 
-def test_build_report_enumerates_each_germ_spectrum_at_most_twice(monkeypatch):
-    # each germ entry's spectrum feeds its local pairs and local Alexander
-    # polynomial; an RHM curve also reads its Hodge filtration from it
+def test_build_report_enumerates_each_germ_spectrum_once(monkeypatch):
+    # a built-in germ keeps its spectrum, and its local pairs and local
+    # Alexander polynomial are both read off the kept one
     from specpairs import localsing
 
     calls = []
@@ -239,10 +239,10 @@ def test_build_report_enumerates_each_germ_spectrum_at_most_twice(monkeypatch):
         singularities=((Brieskorn(2, 5), 1), (Brieskorn(3, 4), 1)),
         rational_homology_manifold=True,
     )
-    for spec, per_entry in ((braid, 2), (rhm_quintic, 3)):
+    for spec in (braid, rhm_quintic):
         calls.clear()
         build_report(spec)
-        assert 0 < len(calls) <= per_entry * len(spec.singularities)
+        assert calls == [s for s, _ in spec.singularities]
 
 
 def test_build_report_on_a_3000_line_pencil_stays_fast():

@@ -1,0 +1,114 @@
+"""Values that depend only on a germ, or only on (n, d), are computed once
+and shared read-only: each built-in germ keeps its spectrum and tables, a
+census keeps one germ per multiplicity, and the values at infinity of the
+last (n, d) are kept.  Nothing is shared beyond that."""
+
+from __future__ import annotations
+
+import gc
+import weakref
+from collections import Counter
+from pathlib import Path
+
+from helpers import table_at_infinity_from_dims
+
+from specpairs import (
+    HypersurfaceSpec,
+    Ordinary,
+    build_report,
+    cli,
+    divisibility_bound_infinity,
+    localsing,
+    milnor_dim,
+    parse_spec,
+    steenbrink_infinity,
+)
+from specpairs.cli import arrangement_spec, census_rows, main
+
+GOLDEN = Path(__file__).parent / "golden"
+AT_INFINITY = (steenbrink_infinity, divisibility_bound_infinity)
+
+
+def _clear_caches():
+    for cached in AT_INFINITY:
+        cached.cache_clear()
+
+
+def test_a_census_enumerates_each_multiplicity_once(monkeypatch):
+    calls = []
+    enumerate_spectrum = localsing.spectrum_numerators
+    monkeypatch.setattr(
+        localsing,
+        "spectrum_numerators",
+        lambda s: calls.append(s) or enumerate_spectrum(s),
+    )
+    _clear_caches()
+    rows = list(census_rows(8))
+    used = {m for row in rows for m in row.multiplicities}
+    assert Counter(s.multiplicity for s in calls) == Counter(used)
+    for cached in AT_INFINITY:
+        info = cached.cache_info()
+        assert info.misses == 1 and info.hits > 0, cached.__name__
+
+
+def test_specs_built_from_one_germ_map_share_tables():
+    germs = {}
+    first = arrangement_spec(6, {3: 4, 2: 3}, germs)
+    second = arrangement_spec(6, {3: 1, 2: 12}, germs)
+    assert set(germs) == {2, 3}
+    assert first.derived.local_pairs[1] is second.derived.local_pairs[1]
+    assert first.derived.local_alexander[0] is germs[3].alexander
+    assert first.derived.infinity is second.derived.infinity
+
+
+def test_only_the_last_degree_is_kept_at_infinity():
+    _clear_caches()
+    specs = [
+        HypersurfaceSpec(n=1, d=3, components=3,
+                         singularities=((Ordinary(2), 3),), line_arrangement=True),
+        HypersurfaceSpec(n=1, d=7, components=1),
+        HypersurfaceSpec(n=2, d=3, components=1),
+    ]
+    for spec in specs:
+        assert build_report(spec).all_passed
+    for cached in AT_INFINITY:
+        info = cached.cache_info()
+        assert (info.misses, info.currsize) == (3, 1), cached.__name__
+
+
+def test_a_parsed_germ_is_freed_with_its_spec():
+    spec = parse_spec((GOLDEN / "cuspidal_cubic.json").read_text(encoding="utf-8"))
+    report = build_report(spec)
+    germ = spec.singularities[0][0]
+    assert report.derived.local_pairs[0] is germ.pairs
+    ref = weakref.ref(germ)
+    del spec, report, germ
+    gc.collect()
+    assert ref() is None
+
+
+def test_shared_values_are_never_mutated(monkeypatch, capsys):
+    germs = {}
+    build = cli.build_report
+
+    def recording(spec):
+        for germ, _ in spec.singularities:
+            germs[id(germ)] = germ
+        return build(spec)
+
+    monkeypatch.setattr(cli, "build_report", recording)
+    outputs = []
+    for _ in range(2):
+        assert main(["census", "--lines", "9", "--format", "structured"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    # each run shares one germ per multiplicity among its rows
+    multiplicities = {germ.multiplicity for germ in germs.values()}
+    assert len(germs) == 2 * len(multiplicities)
+    for germ in germs.values():
+        fresh = Ordinary(germ.multiplicity)
+        assert germ._spectrum == localsing.spectrum_numerators(fresh)
+        assert germ.pairs == fresh.pairs
+        assert germ.alexander == fresh.alexander
+    expected = table_at_infinity_from_dims(1, 9, lambda m: milnor_dim(1, 9, m))
+    assert steenbrink_infinity(1, 9) == expected
