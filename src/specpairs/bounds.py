@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .laurent import CyclotomicFactorization, t_power_minus_one
 from .milnor import xi_exponent
-from .pairs import PairKey, angle_numerator, rescale, to_numerators
+from .pairs import PairKey, angle_numerator, angle_texts, rescale, to_numerators
 
 if TYPE_CHECKING:
     from .model import HypersurfaceSpec
@@ -130,11 +130,12 @@ class BoundTable:
     def _cells(self) -> Iterator[tuple[int, int, str, int, str]]:
         """The rows of every output, (p, q, "a/b", bound, "exact" or
         "upper") in key order, with the angle in lowest terms."""
-        den, exact = self._den, self._exact
-        for (p, q, k), v in sorted(self._entries.items()):
-            g = gcd(k, den)
-            kind = "exact" if (p, q, k) in exact else "upper"
-            yield p, q, f"{k // g}/{den // g}", v, kind
+        entries, exact = self._entries, self._exact
+        keys = sorted(entries)
+        angles = angle_texts(self._den, keys)
+        for key in keys:
+            p, q, k = key
+            yield p, q, angles[k], entries[key], "exact" if key in exact else "upper"
 
     def to_rows(self) -> list[list]:
         return [list(cell) for cell in self._cells()]

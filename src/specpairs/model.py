@@ -303,6 +303,7 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
         out.append(
             Violation("too_many_components", f"{r} components exceed the degree {d}")
         )
+    hodge_types: set[tuple[int, int]] = set()
     for p, q, count in spec.h_d or ():
         if count < 0:
             out.append(
@@ -310,6 +311,11 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
                     "negative_hd", f"hD row {[p, q, count]} has a negative count"
                 )
             )
+        if (p, q) in hodge_types:
+            out.append(
+                Violation("repeated_hd", f"hD row {[p, q, count]} repeats a Hodge type")
+            )
+        hodge_types.add((p, q))
     if n >= 2:
         if r != 1:
             out.append(

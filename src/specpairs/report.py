@@ -348,7 +348,12 @@ def _json(value, pad: str = "") -> str:
                  for k in sorted(value)]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
     if isinstance(value, list):
-        items = [inner + _json(item, inner) for item in value]
+        # a list of plain ints (not bools, which json writes as true/false)
+        # is written without a call per item
+        if all(type(item) is int for item in value):
+            items = [f"{inner}{item}" for item in value]
+        else:
+            items = [inner + _json(item, inner) for item in value]
         return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
     row, cell = "\n" + inner, "\n" + inner + "  "
     if isinstance(value, SpectralPairTable):
@@ -389,16 +394,19 @@ def render_text(report: InvariantReport) -> str:
         if heading is None:
             continue
         lines += ["", heading]
-        rows = [list(map(str, cell)) for cell in table._cells()]
-        if not rows:
+        cells = list(table._cells())
+        if not cells:
             lines.append("  (empty)")
             continue
         # bound rows carry a fifth, unheaded column marking exact values
-        header = ["p", "q", "alpha", "count" if group == "tables" else "bound"]
-        header += [""] * (len(rows[0]) - len(header))
-        widths = [max(map(len, column)) for column in zip(header, *rows)]
-        line = "  " + "  ".join(f"{{:<{w}}}" for w in widths)
-        lines += [line.format(*row) for row in (header, *rows)]
+        header = ("p", "q", "alpha", "count" if group == "tables" else "bound")
+        header += ("",) * (len(cells[0]) - len(header))
+        widths = [
+            max(len(title), *(len(str(v)) for v in {cell[i] for cell in cells}))
+            for i, title in enumerate(header)
+        ]
+        line = "  " + "  ".join(f"%-{w}s" for w in widths)
+        lines += [line % header, *(line % cell for cell in cells)]
     for violation in report.warnings:
         lines += ["", f"warning: {violation.message}"]
     lines += ["", "checks:", *("  " + check.line() for check in report.checks)]

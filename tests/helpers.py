@@ -294,3 +294,52 @@ def table_at_infinity_from_dims(n, d, dim) -> SpectralPairTable:
     for p in range(n + 2):
         entries[(p, n + 1 - p, Fraction(0))] = dim(p * d - n - 1)
     return SpectralPairTable(entries)
+
+
+def oracle_render_text(report) -> str:
+    """render_text as it was before cells were formatted directly: every
+    cell through str, the widths through a transpose of the header and all
+    rows, each line through str.format.  The rows come from the tables'
+    public items(), not from the writers' _cells."""
+    from specpairs.bounds import BoundTable
+    from specpairs.report import _sections
+
+    spec, derived = report.spec, report.derived
+    lines = [
+        f"hypersurface: n = {spec.n}, d = {spec.d}, components = "
+        f"{spec.components}, singular points = "
+        f"{sum(c for _, c in spec.singularities)}",
+        f"derived: mu = {derived.mu}, xi = {derived.xi}"
+        + (
+            f", b1(M) = {derived.b1}, J1 = {derived.j1}"
+            if derived.b1 is not None
+            else ""
+        ),
+        f"delta_M = {report.delta_m}   (degree {report.delta_m.degree})",
+    ]
+    if report.error_term is not None:
+        lines.append(
+            f"e(t) = {report.error_term}   (degree {report.error_term.degree})"
+        )
+    for (group, *_), heading, table in _sections(report):
+        if heading is None:
+            continue
+        lines += ["", heading]
+        rows = []
+        for (p, q, alpha), value in table.items():
+            row = [p, q, f"{alpha.numerator}/{alpha.denominator}", value]
+            if isinstance(table, BoundTable):
+                row.append("exact" if table.is_exact((p, q, alpha)) else "upper")
+            rows.append(list(map(str, row)))
+        if not rows:
+            lines.append("  (empty)")
+            continue
+        header = ["p", "q", "alpha", "count" if group == "tables" else "bound"]
+        header += [""] * (len(rows[0]) - len(header))
+        widths = [max(map(len, column)) for column in zip(header, *rows)]
+        line = "  " + "  ".join(f"{{:<{w}}}" for w in widths)
+        lines += [line.format(*row) for row in (header, *rows)]
+    for violation in report.warnings:
+        lines += ["", f"warning: {violation.message}"]
+    lines += ["", "checks:", *("  " + check.line() for check in report.checks)]
+    return "\n".join(lines) + "\n"

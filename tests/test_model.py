@@ -248,6 +248,18 @@ def test_every_route_raises_invalid_spec_with_the_validate_codes():
         assert info.value.violations == validate(overloaded)
 
 
+@pytest.mark.parametrize("rows", [((1, 1, 5), (1, 1, 0)), ((1, 1, 0), (1, 1, 5))])
+def test_a_repeated_hd_row_is_an_error_in_either_order(rows):
+    # the later row must not silently win (bound_at((1, 1, 0)) read 0 or 5)
+    spec = HypersurfaceSpec(n=1, d=10, components=1, h_d=rows)
+    assert codes(spec) == {"repeated_hd"}
+    with pytest.raises(InvalidSpec) as info:
+        spec.derived
+    assert [v.code for v in info.value.violations] == ["repeated_hd"]
+    distinct = HypersurfaceSpec(n=1, d=10, components=1, h_d=((1, 1, 5), (0, 2, 0)))
+    assert validate(distinct) == []
+
+
 def test_zero_dimensional_hypersurfaces_have_no_singular_points():
     # a reduced polynomial in one variable has only simple roots
     for germ in (Ordinary(2), brieskorn_pham_explicit((2,))):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import re
@@ -10,8 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import random_spec
-from hypothesis import given, settings
+from helpers import oracle_render_text, random_spec
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specpairs import (
@@ -429,6 +430,10 @@ json_values = st.recursive(
 
 @settings(max_examples=150, deadline=None)
 @given(json_values)
+@example([1, True])  # a bool is an int to isinstance, but json writes true
+@example([True, False])
+@example([0, -1, 10**80])
+@example([])
 def test_writer_equals_json_dumps(value):
     assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
 
@@ -466,3 +471,76 @@ def test_table_rows_equal_json_dumps_of_to_rows_at_any_depth(table, depth):
 def test_report_json_reads_back_as_report_to_dict(path):
     report = build_report(parse_spec(path.read_text(encoding="utf-8")))
     assert json.loads(report_to_json(report)) == report_to_dict(report)
+
+
+# The text renderer against the reference renderer in helpers.
+
+
+def _with_tables(spec, **tables):
+    return dataclasses.replace(build_report(spec), **tables)
+
+
+NARROW = SpectralPairTable({(0, 1, Fraction(1, 3)): 1, (1, 0, Fraction(2, 3)): 22})
+WIDE = SpectralPairTable({(0, 1, Fraction(1, 3)): 10**7, (-1, 2, Fraction(0)): 3})
+RENDER_CASES = {
+    **{path.stem: lambda path=path: build_report(parse_spec(path.read_text("utf-8")))
+       for path in sorted(GOLDEN.glob("*.json"))},
+    "two_brieskorn_23_22_d62": lambda: build_report(HypersurfaceSpec(
+        n=1, d=62, components=1,
+        singularities=((Brieskorn(23, 22), 2), (Ordinary(2), 2)))),
+    "forty_cusps_d200": lambda: build_report(HypersurfaceSpec(
+        n=1, d=200, components=1, singularities=((Brieskorn(2, 3), 40),))),
+    "pencil_arrangement": lambda: build_report(HypersurfaceSpec(
+        n=1, d=7, components=7, line_arrangement=True,
+        singularities=((Ordinary(4), 1), (Ordinary(2), 15)))),
+    "empty_table": lambda: build_report(HypersurfaceSpec(n=1, d=2, components=1)),
+    "counts_narrower_than_header": lambda: _with_tables(
+        THREE_GENERIC_LINES, pairs_nonunipotent=NARROW,
+        bound_complement=BoundTable({(1, 1, 0): 7}, exact=[(1, 1, 0)])),
+    "counts_wider_than_header": lambda: _with_tables(
+        THREE_GENERIC_LINES, pairs_nonunipotent=WIDE,
+        bound_complement=BoundTable({(0, 1, Fraction(1, 3)): 123456})),
+}
+
+
+@pytest.mark.parametrize("case", RENDER_CASES)
+def test_render_text_equals_the_reference_renderer(case):
+    report = RENDER_CASES[case]()
+    assert render_text(report) == oracle_render_text(report)
+
+
+def test_reference_cases_cover_every_column_shape():
+    texts = {case: render_text(build()) for case, build in RENDER_CASES.items()}
+    assert "  (empty)" in texts["empty_table"]
+    assert len(texts["two_brieskorn_23_22_d62"].splitlines()) == 1316
+    assert "  p  q  alpha  count\n" in texts["counts_narrower_than_header"]
+    assert "  p   q  alpha  count   \n" in texts["counts_wider_than_header"]
+    # the unheaded fifth column of the bound tables is padded too
+    arrangement = texts["pencil_arrangement"].split("arrangement form:\n")[1]
+    assert arrangement.startswith("  p  q  alpha  bound       \n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_tables, bound_tables)
+def test_render_text_equals_the_reference_renderer_on_any_tables(pairs, bound):
+    report = _with_tables(THREE_GENERIC_LINES, pairs_nonunipotent=pairs,
+                          bound_complement=bound, bound_arrangement=bound)
+    assert render_text(report) == oracle_render_text(report)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair_tables | bound_tables)
+@example(SpectralPairTable({(0, 0, Fraction(0)): 1, (0, 0, Fraction(1, 2)): 2}))
+def test_cells_are_the_sorted_items_with_lowest_terms_angles(table):
+    cells = list(table._cells())
+    items = sorted(table.items())
+    keyed = [((p, q, Fraction(alpha)), value) for p, q, alpha, value, *_ in cells]
+    assert keyed == items
+    assert [alpha for _, _, alpha, *_ in cells] == [
+        "0/1" if angle == 0 else f"{angle.numerator}/{angle.denominator}"
+        for (_, _, angle), _ in items
+    ]
+    if isinstance(table, BoundTable):
+        assert [kind for *_, kind in cells] == [
+            "exact" if table.is_exact(key) else "upper" for key, _ in items
+        ]
