@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .laurent import CyclotomicFactorization, t_power_minus_one
 from .milnor import xi_exponent
-from .pairs import PairKey, angle_numerator, angle_texts, rescale, to_numerators
+from .pairs import PairKey, angle_numerator, rescale, to_numerators
 
 if TYPE_CHECKING:
     from .model import HypersurfaceSpec
@@ -130,12 +130,12 @@ class BoundTable:
     def _cells(self) -> Iterator[tuple[int, int, str, int, str]]:
         """The rows of every output, (p, q, "a/b", bound, "exact" or
         "upper") in key order, with the angle in lowest terms."""
-        entries, exact = self._entries, self._exact
-        keys = sorted(entries)
-        angles = angle_texts(self._den, keys)
-        for key in keys:
+        den, entries, exact = self._den, self._entries, self._exact
+        for key in sorted(entries):
             p, q, k = key
-            yield p, q, angles[k], entries[key], "exact" if key in exact else "upper"
+            g = gcd(k, den)
+            kind = "exact" if key in exact else "upper"
+            yield p, q, f"{k // g}/{den // g}", entries[key], kind
 
     def to_rows(self) -> list[list]:
         return [list(cell) for cell in self._cells()]

@@ -48,12 +48,6 @@ def angle_numerator(alpha: Fraction, den: int) -> int | None:
     return None if rest else alpha.numerator * scale
 
 
-def angle_texts(den: int, keys: Iterable[tuple[int, int, int]]) -> dict[int, str]:
-    """The lowest-terms text "a/b" of k/den ("0/1" for 0), computed once for
-    each distinct numerator k among the keys (p, q, k)."""
-    return {k: f"{k // (g := gcd(k, den))}/{den // g}" for k in {k for _, _, k in keys}}
-
-
 def rescale(entries: dict, factor: int) -> dict:
     """Integer-keyed entries {(p, q, k): v} moved to a denominator `factor`
     times larger; the same dict when factor is 1."""
@@ -206,12 +200,11 @@ class SpectralPairTable:
     def _cells(self) -> Iterator[tuple[int, int, str, int]]:
         """The rows of every output, (p, q, "a/b", count) in key order, with
         the angle in lowest terms ("0/1" for 0)."""
-        entries = self._entries
-        keys = sorted(entries)
-        angles = angle_texts(self._den, keys)
-        for key in keys:
+        den, entries = self._den, self._entries
+        for key in sorted(entries):
             p, q, k = key
-            yield p, q, angles[k], entries[key]
+            g = gcd(k, den)
+            yield p, q, f"{k // g}/{den // g}", entries[key]
 
     def to_rows(self) -> list[list]:
         """JSON-ready rows [p, q, "a/b", count], sorted lexicographically."""

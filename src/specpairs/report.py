@@ -348,12 +348,7 @@ def _json(value, pad: str = "") -> str:
                  for k in sorted(value)]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
     if isinstance(value, list):
-        # a list of plain ints (not bools, which json writes as true/false)
-        # is written without a call per item
-        if all(type(item) is int for item in value):
-            items = [f"{inner}{item}" for item in value]
-        else:
-            items = [inner + _json(item, inner) for item in value]
+        items = [inner + _json(item, inner) for item in value]
         return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
     row, cell = "\n" + inner, "\n" + inner + "  "
     if isinstance(value, SpectralPairTable):
