@@ -14,11 +14,11 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .laurent import CyclotomicFactorization, t_power_minus_one
 from .milnor import xi_exponent
-from .pairs import PairKey, angle_numerator, rescale, to_numerators
+from .pairs import PairKey, rescale
 
 if TYPE_CHECKING:
     from .model import HypersurfaceSpec
@@ -36,64 +36,27 @@ def mhat(m: int, alpha: Fraction) -> int:
 class BoundTable:
     """Upper bounds on spectral pairs, with a subset flagged as exact equalities.
 
-    Keys absent from the table are bounded by 0.  As in SpectralPairTable,
-    angles are stored as integer numerators over one denominator.
+    As in SpectralPairTable, a bound is keyed by (p, q, k) for the angle
+    k/den; keys absent from the table are bounded by 0.
     """
 
     __slots__ = ("_den", "_entries", "_exact")
 
     def __init__(
         self,
-        entries: Mapping[PairKey, int] | None = None,
-        exact: Iterable[PairKey] = (),
+        den: int,
+        entries: dict[tuple[int, int, int], int],
+        exact: frozenset = frozenset(),
     ):
-        data: dict[PairKey, int] = {}
-        for key, value in (entries or {}).items():
-            p, q, alpha = key
-            data[(int(p), int(q), Fraction(alpha))] = int(value)
-        exact_keys = frozenset(
-            (int(p), int(q), Fraction(alpha)) for p, q, alpha in exact
-        )
-        missing = exact_keys - set(data)
-        if missing:
-            raise ValueError(f"exact keys {sorted(missing)} are not in the table")
-        den, numerators = to_numerators(data)
-        exact_numerators = to_numerators(dict.fromkeys(exact_keys), den)[1]
-        self._fill(den, numerators, frozenset(exact_numerators))
-
-    @classmethod
-    def _from_numerators(
-        cls, den: int, entries: dict[tuple[int, int, int], int], exact=frozenset()
-    ) -> BoundTable:
-        """Package-internal constructor: bounds keyed by (p, q, k) for the
-        angle k/den; `exact` is a frozenset of such keys present in entries."""
-        table = object.__new__(cls)
-        table._fill(den, entries, exact)
-        return table
-
-    def _fill(self, den, entries, exact) -> None:
+        """`exact` holds the keys of entries whose bound is an equality."""
         self._den = den
         self._exact = exact
         # Zero upper bounds carry no information; zero equalities do.
         self._entries = {k: v for k, v in entries.items() if v != 0 or k in exact}
 
-    def _numerator_key(self, key) -> tuple[int, int, int] | None:
-        p, q, alpha = key
-        k = angle_numerator(Fraction(alpha), self._den)
-        return None if k is None else (int(p), int(q), k)
-
-    def bound_at(self, key) -> int:
-        return self._entries.get(self._numerator_key(key), 0)
-
-    def is_exact(self, key) -> bool:
-        return self._numerator_key(key) in self._exact
-
-    def items(self) -> list[tuple[PairKey, int]]:
-        den = self._den
-        return [
-            ((p, q, Fraction(k, den)), v)
-            for (p, q, k), v in sorted(self._entries.items())
-        ]
+    def bound_at(self, key: tuple[int, int, int]) -> int:
+        """The bound at (p, q, k), for the angle k/den of this table."""
+        return self._entries.get(key, 0)
 
     def _over(self, den: int) -> tuple[dict, set]:
         """The entries and the exact keys over den, a multiple of _den."""
@@ -121,9 +84,8 @@ class BoundTable:
 
     def __repr__(self) -> str:
         rows = ", ".join(
-            f"({p},{q},{Fraction(k, self._den)})"
-            f"{'=' if (p, q, k) in self._exact else '<='}{v}"
-            for (p, q, k), v in sorted(self._entries.items())
+            f"({p},{q},{alpha}){'=' if kind == 'exact' else '<='}{v}"
+            for p, q, alpha, v, kind in self._cells()
         )
         return f"BoundTable({rows})"
 
@@ -192,7 +154,7 @@ def spectral_bound_complement(spec: HypersurfaceSpec) -> BoundTable:
         else:
             bound = min(local_side + h_d.get((p, q), 0), infinity_side)
         entries[(p, q, j)] = bound
-    return BoundTable._from_numerators(d, entries)
+    return BoundTable(d, entries)
 
 
 def spectral_bound_curve(spec: HypersurfaceSpec) -> BoundTable:
@@ -212,7 +174,7 @@ def _curve_shaped_bound(d: int, values: list[int], exact_11: int) -> BoundTable:
     for j, value in enumerate(values, start=1):
         entries[(0, 1, j)] = value
         entries[(1, 0, d - j)] = value
-    return BoundTable._from_numerators(d, entries, frozenset([(1, 1, 0)]))
+    return BoundTable(d, entries, frozenset([(1, 1, 0)]))
 
 
 def spectral_bound_arrangement(d: int, multiplicities: Iterable[int]) -> BoundTable:

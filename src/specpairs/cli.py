@@ -15,38 +15,20 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from math import comb
 from pathlib import Path
 from typing import Iterator
 
-from .laurent import CyclotomicFactorization
 from .localsing import Ordinary
 from .milnor import milnor_dim, milnor_dim_bruteforce
 from .model import HypersurfaceSpec, InvalidSpec, MalformedDocument, parse_spec
-from .pairs import SpectralPairTable
 from .report import InvariantReport, _json, build_report, render_text, report_to_json
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_IDENTITY = 2
 EXIT_USAGE = 3
-
-
-@dataclass(frozen=True)
-class CensusRow:
-    """One line-arrangement weak-data row: d lines with the given multiset of
-    singular point multiplicities."""
-
-    d: int
-    multiplicities: tuple[int, ...]
-    mu: int
-    delta_m: CyclotomicFactorization
-    table: SpectralPairTable
-    checks_passed: bool
-    failed_checks: tuple[str, ...]
-    possibly_unrealizable: bool
 
 
 def weak_multisets(d: int) -> Iterator[tuple[int, ...]]:
@@ -101,47 +83,38 @@ def arrangement_spec(
     )
 
 
-def census_rows(d: int, max_rows: int | None = None) -> Iterator[CensusRow]:
-    """The census rows of d lines in weak_multisets order, each built when
-    it is asked for; at most max_rows of them.  A row's multiset is expanded
-    only once the work budget has admitted its spec.  The rows share one
-    germ per multiplicity, so each spectrum is enumerated once per census."""
+def census_rows(d: int, max_rows: int | None = None) -> Iterator[InvariantReport]:
+    """The reports of the census rows of d lines in weak_multisets order,
+    each built when it is asked for; at most max_rows of them.  A row's
+    multiset is expanded only once the work budget has admitted its spec.
+    The rows share one germ per multiplicity, so each spectrum is enumerated
+    once per census."""
     germs: dict[int, Ordinary] = {}
     for runs in islice(_weak_runs(d), max_rows):
-        report = build_report(arrangement_spec(d, dict(runs), germs))
-        yield CensusRow(
-            d=d,
-            multiplicities=report.derived.ordinary_multiplicities,
-            mu=report.derived.mu,
-            delta_m=report.delta_m,
-            table=report.pairs_full,
-            checks_passed=report.all_passed,
-            failed_checks=tuple(c.name for c in report.failed()),
-            # the only warnings are shared-line realizability violations
-            possibly_unrealizable=bool(report.warnings),
-        )
+        yield build_report(arrangement_spec(d, dict(runs), germs))
 
 
-def _census_row_dict(row: CensusRow) -> dict:
+def _census_row_dict(report: InvariantReport) -> dict:
     return {
-        "d": row.d,
-        "multiplicities": list(row.multiplicities),
-        "mu": row.mu,
-        "delta_M": row.delta_m.to_dict(),
-        "table": row.table,
-        "checks_passed": row.checks_passed,
-        "failed_checks": list(row.failed_checks),
-        "possibly_unrealizable": row.possibly_unrealizable,
+        "d": report.spec.d,
+        "multiplicities": list(report.derived.ordinary_multiplicities),
+        "mu": report.derived.mu,
+        "delta_M": report.delta_m.to_dict(),
+        "table": report.pairs_full,
+        "checks_passed": report.all_passed,
+        "failed_checks": [c.name for c in report.failed()],
+        # the only warnings are shared-line realizability violations
+        "possibly_unrealizable": bool(report.warnings),
     }
 
 
-def _census_line(row: CensusRow) -> str:
-    mults = ",".join(map(str, row.multiplicities))
-    flag = "  [possibly-unrealizable]" if row.possibly_unrealizable else ""
-    status = "ok" if row.checks_passed else "CHECKS-FAILED"
+def _census_line(report: InvariantReport) -> str:
+    mults = ",".join(map(str, report.derived.ordinary_multiplicities))
+    flag = "  [possibly-unrealizable]" if report.warnings else ""
+    status = "ok" if report.all_passed else "CHECKS-FAILED"
     return (
-        f"d={row.d}  mults=({mults})  mu={row.mu}  "
-        f"delta_M={row.delta_m}  total={row.table.total_dim()}  "
+        f"d={report.spec.d}  mults=({mults})  mu={report.derived.mu}  "
+        f"delta_M={report.delta_m}  total={report.pairs_full.total_dim()}  "
         f"checks={status}{flag}"
     )
 
@@ -195,6 +168,9 @@ def _load_report(path: Path) -> InvariantReport | None:
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         return None
+    except UnicodeDecodeError as exc:
+        print(f"malformed document: not UTF-8: {exc}", file=sys.stderr)
+        return None
     try:
         return build_report(parse_spec(text))
     except MalformedDocument as exc:
@@ -242,14 +218,14 @@ def _cmd_census(args) -> int:
     structured = args.format == "structured"
     status, opening = EXIT_OK, "[\n  "
     try:
-        for row in census_rows(args.lines, args.max_rows):
-            if not row.checks_passed:
+        for report in census_rows(args.lines, args.max_rows):
+            if not report.all_passed:
                 status = EXIT_IDENTITY
             if structured:
-                sys.stdout.write(opening + _json(_census_row_dict(row), "  "))
+                sys.stdout.write(opening + _json(_census_row_dict(report), "  "))
                 opening = ",\n  "
             else:
-                print(_census_line(row))
+                print(_census_line(report))
     except InvalidSpec as exc:  # a row the work budget refuses ends the census
         sys.stdout.flush()
         for violation in exc.violations:
@@ -263,8 +239,10 @@ def _cmd_census(args) -> int:
 def _cmd_oracle(args) -> int:
     n, d, m = args.args
     try:
-        closed = milnor_dim(n, d, m)
+        # the brute force's guard refuses a huge enumeration before the
+        # closed form runs, whose cost also grows with n and m
         brute = milnor_dim_bruteforce(n, d, m)
+        closed = milnor_dim(n, d, m)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID

@@ -527,11 +527,22 @@ def _parse_singularity(entry, errors) -> tuple[LocalSingularity, int] | None:
     return None
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key given twice is an error (which
+    parse_spec reports as invalid JSON), not an overwrite by its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"key {key!r} is given twice")
+    return obj
+
+
 def parse_spec(document: str | dict) -> HypersurfaceSpec:
     """Parse and structurally check an input document (JSON text or dict)."""
     if isinstance(document, str):
         try:
-            document = json.loads(document)
+            document = json.loads(document, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:  # too deep or too long
             raise MalformedDocument(f"invalid JSON: {exc}") from exc
     if not isinstance(document, dict):

@@ -5,9 +5,11 @@ Hodge type, alpha is an exact rational in [0, 1) encoding the monodromy
 eigenvalue exp(2*pi*i*alpha), and the count is the dimension of the
 corresponding eigenspace.  Zero counts are never stored.
 
-Inside the package each angle is an integer numerator k over one
-denominator per table (alpha = k/den), so the table algebra is integer
-arithmetic; the public methods take and return Fraction angles.
+Each angle is stored as an integer numerator k over one denominator per
+table (alpha = k/den), so the table algebra is integer arithmetic.  Fraction
+angles come in only where a table is built from (p, q, alpha) keys or read
+from a document's rows; a table is read out through its rows, which write
+each angle as lowest-terms text.
 """
 
 from __future__ import annotations
@@ -27,25 +29,6 @@ def _normalize_key(key) -> PairKey:
     if not 0 <= alpha < 1:
         raise ValueError(f"eigenvalue angle must lie in [0, 1), got {alpha}")
     return (int(p), int(q), alpha)
-
-
-def to_numerators(entries: Mapping, den: int | None = None) -> tuple[int, dict]:
-    """(den, the entries re-keyed by (p, q, k) with alpha = k/den) for entries
-    keyed by (p, q, alpha) with Fraction alpha; den defaults to the lcm of
-    the angle denominators."""
-    if den is None:
-        den = lcm(*(alpha.denominator for _, _, alpha in entries))
-    return den, {
-        (p, q, alpha.numerator * (den // alpha.denominator)): v
-        for (p, q, alpha), v in entries.items()
-    }
-
-
-def angle_numerator(alpha: Fraction, den: int) -> int | None:
-    """The integer k with alpha = k/den, or None when den is no multiple of
-    the denominator of alpha."""
-    scale, rest = divmod(den, alpha.denominator)
-    return None if rest else alpha.numerator * scale
 
 
 def rescale(entries: dict, factor: int) -> dict:
@@ -70,7 +53,11 @@ class SpectralPairTable:
             if count:
                 key = _normalize_key(key)
                 data[key] = data.get(key, 0) + count
-        self._den, self._entries = to_numerators(data)
+        den = self._den = lcm(*(alpha.denominator for _, _, alpha in data))
+        self._entries = {
+            (p, q, alpha.numerator * (den // alpha.denominator)): c
+            for (p, q, alpha), c in data.items()
+        }
 
     @classmethod
     def _from_numerators(
@@ -92,18 +79,6 @@ class SpectralPairTable:
         """(den, entries over den) for den = lcm(_den, m); read-only."""
         den = lcm(self._den, m)
         return den, self._over(den)
-
-    def get(self, key) -> int:
-        p, q, alpha = _normalize_key(key)
-        k = angle_numerator(alpha, self._den)
-        return 0 if k is None else self._entries.get((p, q, k), 0)
-
-    def items(self) -> list[tuple[PairKey, int]]:
-        den = self._den
-        return [
-            ((p, q, Fraction(k, den)), c)
-            for (p, q, k), c in sorted(self._entries.items())
-        ]
 
     @property
     def is_empty(self) -> bool:
@@ -192,9 +167,7 @@ class SpectralPairTable:
         )
 
     def __repr__(self) -> str:
-        inner = ", ".join(
-            f"({p},{q},{alpha}): {c}" for (p, q, alpha), c in self.items()
-        )
+        inner = ", ".join(f"({p},{q},{alpha}): {c}" for p, q, alpha, c in self._cells())
         return f"SpectralPairTable({{{inner}}})"
 
     def _cells(self) -> Iterator[tuple[int, int, str, int]]:

@@ -11,6 +11,7 @@ from itertools import product
 from math import gcd, lcm, prod
 
 from specpairs import (
+    BoundTable,
     Brieskorn,
     CyclotomicFactorization,
     Explicit,
@@ -284,6 +285,27 @@ def oracle_arrangement_table(
     return {key: c for key, c in out.items() if c}
 
 
+def table_entries(table) -> dict:
+    """A pair or bound table's counts or bounds keyed by (p, q, alpha) with
+    Fraction alpha, read from its rows."""
+    return {(p, q, Fraction(a)): value for p, q, a, value, *_ in table.to_rows()}
+
+
+def bound_table(entries, exact=()) -> BoundTable:
+    """A BoundTable from bounds keyed by (p, q, alpha) with exact rational
+    alpha; `exact` lists the keys whose bound is an equality."""
+    den = lcm(*(Fraction(alpha).denominator for _, _, alpha in entries))
+
+    def key(p, q, alpha):
+        alpha = Fraction(alpha)
+        return (p, q, alpha.numerator * (den // alpha.denominator))
+
+    exact = frozenset(key(*k) for k in exact)
+    by_numerator = {key(*k): value for k, value in entries.items()}
+    assert exact <= by_numerator.keys(), "an exact key is not in the table"
+    return BoundTable(den, by_numerator, exact)
+
+
 def table_at_infinity_from_dims(n, d, dim) -> SpectralPairTable:
     """The table at infinity written out from Steenbrink's formula, with
     dim(m) the Milnor-algebra dimension in degree m."""
@@ -300,8 +322,7 @@ def oracle_render_text(report) -> str:
     """render_text as it was before cells were formatted directly: every
     cell through str, the widths through a transpose of the header and all
     rows, each line through str.format.  The rows come from the tables'
-    public items(), not from the writers' _cells."""
-    from specpairs.bounds import BoundTable
+    stored entries, not from the writers' _cells."""
     from specpairs.report import _sections
 
     spec, derived = report.spec, report.derived
@@ -326,10 +347,11 @@ def oracle_render_text(report) -> str:
             continue
         lines += ["", heading]
         rows = []
-        for (p, q, alpha), value in table.items():
+        for (p, q, k), value in sorted(table._entries.items()):
+            alpha = Fraction(k, table._den)
             row = [p, q, f"{alpha.numerator}/{alpha.denominator}", value]
             if isinstance(table, BoundTable):
-                row.append("exact" if table.is_exact((p, q, alpha)) else "upper")
+                row.append("exact" if (p, q, k) in table._exact else "upper")
             rows.append(list(map(str, row)))
         if not rows:
             lines.append("  (empty)")

@@ -216,11 +216,12 @@ def test_criterion_10_vanishing_bounds():
         bounds = spectral_bound_arrangement(d, mults)
         for j in range(1, d):
             if gcd(j, d) == 1:
-                assert bounds.bound_at((0, 1, Fraction(j, d))) == 0
-                assert bounds.bound_at((1, 0, Fraction(d - j, d))) == 0
+                # (0, 1, j) is the angle j/d
+                assert bounds.bound_at((0, 1, j)) == 0
+                assert bounds.bound_at((1, 0, d - j)) == 0
     for d in range(2, 13):
         curve = spectral_bound_curve(HypersurfaceSpec(n=1, d=d, components=1))
-        assert curve.bound_at((0, 1, Fraction(1, d))) == 0
+        assert curve.bound_at((0, 1, 1)) == 0
     _report(10, "vanishing bounds at coprime angles and at 1/d")
 
 

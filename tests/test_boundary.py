@@ -13,6 +13,7 @@ from helpers import (
     oracle_arrangement_table,
     oracle_boundary_alexander,
     random_spec,
+    table_entries,
 )
 
 from specpairs import (
@@ -188,12 +189,13 @@ def test_braid_arrangement_of_six_lines():
     assert delta_m.degree == 50
     table = boundary_pairs_curve(spec)
     assert table == boundary_pairs_arrangement(6, (3, 3, 3, 3, 2, 2, 2))
-    assert table.get((0, 0, Fraction(0))) == 11  # sum of (m_i - 1)
+    rows = table.to_rows()
+    assert [0, 0, "0/1", 11] in rows  # sum of (m_i - 1)
     # at 1/3 the triple points give mhat - 1 = 0, leaving dhat(1/3) - 1 = 1;
     # at 2/3 they give 1 each, plus dhat(2/3) - 1 = 3
-    assert table.get((0, 1, Fraction(1, 3))) == 1
-    assert table.get((0, 1, Fraction(2, 3))) == 7
-    assert table.get((0, 1, Fraction(5, 6))) == 4
+    assert [0, 1, "1/3", 1] in rows
+    assert [0, 1, "2/3", 7] in rows
+    assert [0, 1, "5/6", 4] in rows
     assert table.total_dim() == 50
 
 
@@ -210,11 +212,11 @@ def test_census_tables_match_the_mhat_oracle():
     from specpairs.cli import census_rows
 
     for d in range(2, 9):
-        for row in census_rows(d):
-            want = oracle_arrangement_table(d, row.multiplicities)
-            assert dict(row.table.items()) == want, (d, row.multiplicities)
-            got = boundary_pairs_arrangement(d, row.multiplicities)
-            assert dict(got.items()) == want
+        for report in census_rows(d):
+            mults = report.derived.ordinary_multiplicities
+            want = oracle_arrangement_table(d, mults)
+            for table in (report.pairs_full, boundary_pairs_arrangement(d, mults)):
+                assert table_entries(table) == want, (d, mults)
 
 
 def test_qhm_worked_examples():
@@ -302,18 +304,18 @@ def _infinity_oracle_specs(n, d):
 
 def _oracle_complement_bounds(spec, dim):
     n, d = spec.n, spec.d
-    local = spec.derived.local_pair_sum
+    local = table_entries(spec.derived.local_pair_sum)
     h_d = {(p, q): c for p, q, c in spec.h_d or ()}
     bounds = {}
     for p in range(n + 1):
         for j in range(1, d):
             key = (p, n - p, Fraction(j, d))
-            bounds[key] = min(local.get(key), dim(p * d - n - 1 + j))
+            bounds[key] = min(local.get(key, 0), dim(p * d - n - 1 + j))
     for p in range(n + 2):
         key = (p, n + 1 - p, Fraction(0))
         bounds[key] = dim(p * d - n - 1)
         if spec.h_d is not None:
-            bounds[key] = min(local.get(key) + h_d.get(key[:2], 0), bounds[key])
+            bounds[key] = min(local.get(key, 0) + h_d.get(key[:2], 0), bounds[key])
     return {key: v for key, v in bounds.items() if v}
 
 
@@ -344,7 +346,7 @@ def test_routes_at_infinity_match_the_bruteforce_formulas():
                 return milnor_dim_bruteforce(n, d, m)
 
             for spec in _infinity_oracle_specs(n, d):
-                got = dict(spectral_bound_complement(spec).items())
+                got = table_entries(spectral_bound_complement(spec))
                 assert got == _oracle_complement_bounds(spec, dim), spec
                 if spec.rational_homology_manifold:
                     assert boundary_pairs_qhm(spec) == _oracle_qhm(spec, dim), spec
@@ -388,8 +390,8 @@ def test_curve_route_with_non_semisimple_explicit_germ():
 
     assert validate(spec) == []
     full = boundary_pairs_curve(spec)
-    assert full.get((0, 0, Fraction(1, 3))) == 1
-    assert full.get((1, 1, Fraction(1, 3))) == 1
+    rows = full.to_rows()
+    assert [0, 0, "1/3", 1] in rows and [1, 1, "1/3", 1] in rows
     assert full.nonunipotent() == boundary_pairs_nonunipotent(spec)
     assert full.total_dim() == boundary_alexander(spec).degree == 18
     assert full.conjugate() == full

@@ -7,10 +7,9 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from helpers import oracle_mhat
+from helpers import bound_table, oracle_mhat, table_entries
 
 from specpairs import (
-    BoundTable,
     Brieskorn,
     CyclotomicFactorization,
     HypersurfaceSpec,
@@ -87,20 +86,20 @@ def test_divisibility_bound_local_negative_mu():
 
 def test_spectral_bound_complement_cuspidal_cubic():
     bounds = spectral_bound_complement(CUSPIDAL_CUBIC)
-    # the cusp contributes at 5/6 but the grading index is not integral there
-    assert bounds.bound_at((0, 1, Fraction(5, 6))) == 0
-    assert bounds.bound_at((1, 0, Fraction(1, 6))) == 0
+    # the cusp contributes at 5/6 but the grading index is not integral there:
+    # the bounds live on the angles j/3 of the table at infinity
+    assert not [row for row in bounds.to_rows() if row[2].endswith("/6")]
 
 
 def test_spectral_bound_complement_concurrent_lines():
     bounds = spectral_bound_complement(THREE_CONCURRENT_LINES)
-    assert bounds.bound_at((0, 1, Fraction(2, 3))) == 1
-    assert bounds.bound_at((1, 0, Fraction(1, 3))) == 1
+    assert bounds.bound_at((0, 1, 2)) == 1  # alpha = 2/3
+    assert bounds.bound_at((1, 0, 1)) == 1
 
 
 def test_spectral_bound_complement_smooth_is_empty_above_one():
     bounds = spectral_bound_complement(SMOOTH_QUARTIC_CURVE)
-    assert all(alpha == 0 for (_, _, alpha), _ in bounds.items())
+    assert all(alpha == "0/1" for _, _, alpha, *_ in bounds.to_rows())
 
 
 def test_spectral_bound_complement_hd_side():
@@ -111,42 +110,38 @@ def test_spectral_bound_complement_hd_side():
     )
     bounds = spectral_bound_complement(with_hd)
     # local (1,1,0) mass is 3, hD contributes 0, Milnor side is 2
-    assert bounds.bound_at((1, 1, Fraction(0))) == 2
+    assert bounds.bound_at((1, 1, 0)) == 2
 
 
 def test_spectral_bound_curve_examples():
     bounds = spectral_bound_curve(
         HypersurfaceSpec(n=1, d=3, components=3, singularities=((Ordinary(2), 3),))
     )
-    assert bounds.bound_at((1, 1, Fraction(0))) == 2
-    assert bounds.is_exact((1, 1, Fraction(0)))
-    assert bounds.bound_at((0, 1, Fraction(2, 3))) == 1
-    assert not bounds.is_exact((0, 1, Fraction(2, 3)))
-    assert bounds.bound_at((1, 0, Fraction(1, 3))) == 1
+    assert bounds.bound_at((1, 1, 0)) == 2
+    assert bounds.bound_at((0, 1, 2)) == 1  # alpha = 2/3
+    assert bounds.bound_at((1, 0, 1)) == 1
+    rows = bounds.to_rows()
+    assert [1, 1, "0/1", 2, "exact"] in rows and [0, 1, "2/3", 1, "upper"] in rows
 
     conic = spectral_bound_curve(HypersurfaceSpec(n=1, d=2, components=2,
                                                   singularities=((Ordinary(2), 1),)))
-    assert conic.items() == [((1, 1, Fraction(0)), 1)]
+    assert conic.to_rows() == [[1, 1, "0/1", 1, "exact"]]
 
 
 def test_curve_bound_vanishes_at_one_over_d():
     for d in range(2, 13):
         bounds = spectral_bound_curve(HypersurfaceSpec(n=1, d=d, components=1))
-        assert bounds.bound_at((0, 1, Fraction(1, d))) == 0
-        assert bounds.bound_at((1, 0, Fraction(d - 1, d))) == 0
+        assert bounds.bound_at((0, 1, 1)) == 0  # alpha = 1/d
+        assert bounds.bound_at((1, 0, d - 1)) == 0
 
 
 def test_spectral_bound_arrangement_examples():
-    assert spectral_bound_arrangement(3, (2, 2, 2)).bound_at(
-        (0, 1, Fraction(2, 3))
-    ) == 0
-    assert spectral_bound_arrangement(3, (3,)).bound_at((0, 1, Fraction(2, 3))) == 1
-    assert spectral_bound_arrangement(4, (2,) * 6).bound_at(
-        (0, 1, Fraction(1, 4))
-    ) == 0
+    # the tables are over the denominator d: (0, 1, j) is the angle j/d
+    assert spectral_bound_arrangement(3, (2, 2, 2)).bound_at((0, 1, 2)) == 0
+    assert spectral_bound_arrangement(3, (3,)).bound_at((0, 1, 2)) == 1
+    assert spectral_bound_arrangement(4, (2,) * 6).bound_at((0, 1, 1)) == 0
     table = spectral_bound_arrangement(3, (3,))
-    assert table.bound_at((1, 1, Fraction(0))) == 2
-    assert table.is_exact((1, 1, Fraction(0)))
+    assert [1, 1, "0/1", 2, "exact"] in table.to_rows()
 
 
 def test_spectral_bound_arrangement_equals_the_bound_at_every_angle():
@@ -162,7 +157,7 @@ def test_spectral_bound_arrangement_equals_the_bound_at_every_angle():
             alpha = Fraction(j, d)
             value = min(j - 1, sum(oracle_mhat(m, alpha) - 1 for m in mults))
             entries[(0, 1, alpha)] = entries[(1, 0, 1 - alpha)] = value
-        expected = BoundTable(entries, exact=[one])
+        expected = bound_table(entries, exact=[one])
         assert spectral_bound_arrangement(d, mults) == expected, (d, mults)
 
 
@@ -172,7 +167,7 @@ def test_arrangement_vanishing_for_coprime_angles():
         bounds = spectral_bound_arrangement(d, mults)
         for j in range(1, d):
             if gcd(j, d) == 1:
-                assert bounds.bound_at((0, 1, Fraction(j, d))) == 0
+                assert bounds.bound_at((0, 1, j)) == 0  # alpha = j/d
 
 
 def test_arrangement_bounds_below_curve_bounds():
@@ -181,9 +176,10 @@ def test_arrangement_bounds_below_curve_bounds():
                          singularities=((Ordinary(2), 6),), line_arrangement=True)
     )
     arrangement = spectral_bound_arrangement(4, (2,) * 6)
-    for key, value in arrangement.items():
+    caps = table_entries(curve)
+    for key, value in table_entries(arrangement).items():
         if key[2] > 0:
-            assert value <= curve.bound_at(key)
+            assert value <= caps.get(key, 0)
 
 
 def test_local_side_mass_identity():

@@ -1,10 +1,15 @@
-"""The package depends on nothing outside the Python standard library."""
+"""The package depends on nothing outside the Python standard library and
+keeps the names the benchmark looks up."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import sys
 from pathlib import Path
+
+from specpairs import CyclotomicFactorization, SpectralPairTable
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "specpairs"
 
@@ -26,3 +31,27 @@ def test_package_imports_only_the_standard_library():
                 if top != "specpairs" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno} imports {name}")
     assert outside == []
+
+
+# The names bench/tracing.py reads from its per-name call counts and times,
+# which are plain dicts: deleting or wrapping one of these makes
+# `bench/run.py --trace 1` raise KeyError, so this test fails first.
+TRACED_FUNCTIONS = {
+    "localsing": ("spectrum",),
+    "milnor": ("milnor_dim",),
+    "bounds": ("mhat",),
+    "model": ("parse_spec", "validate"),
+    "report": ("build_report", "report_to_dict", "report_to_json", "render_text"),
+}
+
+
+def test_the_names_the_benchmark_traces_are_public_functions():
+    for layer, names in TRACED_FUNCTIONS.items():
+        module = importlib.import_module(f"specpairs.{layer}")
+        for name in names:
+            obj = vars(module).get(name)
+            assert inspect.isfunction(obj), f"{layer}.{name}"
+            assert obj.__module__ == module.__name__, f"{layer}.{name}"
+    # the tracer counts tables and factorizations through their __init__
+    for cls in (SpectralPairTable, CyclotomicFactorization):
+        assert "__init__" in vars(cls), cls.__name__

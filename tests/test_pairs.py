@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from helpers import table_entries
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,7 +73,7 @@ def test_marginals():
 
 def test_scalar_multiple():
     t = table({(0, 1, Fraction(1, 3)): 2})
-    assert (t * 3).get((0, 1, Fraction(1, 3))) == 6
+    assert (t * 3).to_rows() == [[0, 1, "1/3", 6]]
     assert (t * 0).is_empty
 
 
@@ -137,7 +138,6 @@ def test_integer_keys_over_any_denominator_equal_fraction_keys(entries, extra, o
     assert by_numerator == by_fraction
     assert hash(by_numerator) == hash(by_fraction)
     assert by_numerator.to_rows() == by_fraction.to_rows()
-    assert by_numerator.items() == by_fraction.items()
     assert by_numerator + other == by_fraction + other
     assert hash(by_numerator + other) == hash(other + by_fraction)
-    assert (by_numerator == other) == (sorted(entries.items()) == other.items())
+    assert (by_numerator == other) == (entries == table_entries(other))

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import oracle_render_text, random_spec
+from helpers import bound_table, oracle_render_text, random_spec
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -300,7 +300,7 @@ SKEWED_WEIGHTS = {
     1: SpectralPairTable(),
     2: SpectralPairTable({(1, 1, 0): 1}),
 }
-LOOSE = BoundTable({(0, 1, Fraction(2, 3)): 5, (1, 1, Fraction(0)): 2})
+LOOSE = BoundTable(3, {(0, 1, 2): 5, (1, 1, 0): 2})
 
 # "check-case": (kind, spec, (module, name, patched route), detail), where
 # the patched route is one that build_report reads through its module,
@@ -357,7 +357,7 @@ FORCED_FAILURES = {
         "complement (0, 1, Fraction(2, 3)) > curve bound 1"),
     "bound_consistency-no_exact_entry": (
         "identity", _lines,
-        _route(bounds, "spectral_bound_complement", lambda _: BoundTable({})),
+        _route(bounds, "spectral_bound_complement", lambda _: BoundTable(1, {})),
         "exact (1,1,0) value exceeds the complement bound"),
     "delta_u_divides_infinity": (
         "input", _concurrent_lines,
@@ -448,7 +448,7 @@ pair_tables = st.dictionaries(pair_keys, counts, max_size=8).map(SpectralPairTab
 bound_tables = st.dictionaries(
     pair_keys, st.tuples(st.integers(min_value=0, max_value=10**30), st.booleans()),
     max_size=8,
-).map(lambda entries: BoundTable(
+).map(lambda entries: bound_table(
     {key: value for key, (value, _) in entries.items()},
     exact=[key for key, (_, exact) in entries.items() if exact],
 ))
@@ -496,10 +496,10 @@ RENDER_CASES = {
     "empty_table": lambda: build_report(HypersurfaceSpec(n=1, d=2, components=1)),
     "counts_narrower_than_header": lambda: _with_tables(
         THREE_GENERIC_LINES, pairs_nonunipotent=NARROW,
-        bound_complement=BoundTable({(1, 1, 0): 7}, exact=[(1, 1, 0)])),
+        bound_complement=BoundTable(1, {(1, 1, 0): 7}, frozenset([(1, 1, 0)]))),
     "counts_wider_than_header": lambda: _with_tables(
         THREE_GENERIC_LINES, pairs_nonunipotent=WIDE,
-        bound_complement=BoundTable({(0, 1, Fraction(1, 3)): 123456})),
+        bound_complement=BoundTable(3, {(0, 1, 1): 123456})),
 }
 
 
@@ -533,14 +533,15 @@ def test_render_text_equals_the_reference_renderer_on_any_tables(pairs, bound):
 @example(SpectralPairTable({(0, 0, Fraction(0)): 1, (0, 0, Fraction(1, 2)): 2}))
 def test_cells_are_the_sorted_items_with_lowest_terms_angles(table):
     cells = list(table._cells())
-    items = sorted(table.items())
-    keyed = [((p, q, Fraction(alpha)), value) for p, q, alpha, value, *_ in cells]
-    assert keyed == items
+    entries = sorted(table._entries.items())
+    angles = [Fraction(k, table._den) for (_, _, k), _ in entries]
+    assert [(p, q, value) for p, q, _, value, *_ in cells] == [
+        (p, q, value) for (p, q, _), value in entries
+    ]
     assert [alpha for _, _, alpha, *_ in cells] == [
-        "0/1" if angle == 0 else f"{angle.numerator}/{angle.denominator}"
-        for (_, _, angle), _ in items
+        f"{angle.numerator}/{angle.denominator}" for angle in angles
     ]
     if isinstance(table, BoundTable):
         assert [kind for *_, kind in cells] == [
-            "exact" if table.is_exact(key) else "upper" for key, _ in items
+            "exact" if key in table._exact else "upper" for key, _ in entries
         ]

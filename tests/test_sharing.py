@@ -44,7 +44,7 @@ def test_a_census_enumerates_each_multiplicity_once(monkeypatch):
     )
     _clear_caches()
     rows = list(census_rows(8))
-    used = {m for row in rows for m in row.multiplicities}
+    used = {m for row in rows for m in row.derived.ordinary_multiplicities}
     assert Counter(s.multiplicity for s in calls) == Counter(used)
     for cached in AT_INFINITY:
         info = cached.cache_info()
