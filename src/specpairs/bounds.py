@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .laurent import CyclotomicFactorization, t_power_minus_one
 from .milnor import xi_exponent
-from .pairs import PairKey, rescale
+from .pairs import rescale
 
 if TYPE_CHECKING:
     from .model import HypersurfaceSpec
@@ -64,16 +64,17 @@ class BoundTable:
         exact = {(p, q, k * factor) for p, q, k in self._exact}
         return rescale(self._entries, factor), exact
 
-    def exceeding(self, cap: BoundTable) -> list[tuple[PairKey, int]]:
-        """(key, cap's bound) for each key with alpha > 0 where this table's
-        bound exceeds the bound of `cap`, in key order."""
+    def exceeding(self, cap: BoundTable) -> list[tuple[int, int, str, int]]:
+        """(p, q, "a/b", cap's bound), angle in lowest terms, for each key
+        with alpha > 0 where this table's bound exceeds that of `cap`."""
         den = lcm(self._den, cap._den)
         caps = cap._over(den)[0]
         out = []
         for (p, q, k), v in sorted(self._over(den)[0].items()):
             c = caps.get((p, q, k), 0)
             if k > 0 and v > c:
-                out.append(((p, q, Fraction(k, den)), c))
+                g = gcd(k, den)
+                out.append((p, q, f"{k // g}/{den // g}", c))
         return out
 
     def __eq__(self, other: object) -> bool:

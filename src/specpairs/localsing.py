@@ -1,9 +1,11 @@
 """Local invariants of isolated plane-curve singularity germs.
 
 Built-in models are the ordinary m-fold point (m concurrent smooth branches)
-and the Brieskorn germ x^a + y^b.  Both are quasi-homogeneous, so the local
-monodromy has finite order and every invariant is read off the singularity
-spectrum {i/a + j/b}.  Germs that are not quasi-homogeneous, and germs in
+and the Brieskorn germ x^a + y^b, the Brieskorn-Pham germs with exponents
+(m, m) and (a, b).  Both are quasi-homogeneous, so the local monodromy has
+finite order and every invariant is read off the singularity spectrum
+{i/a + j/b}, enumerated by the engine in ``milnor`` that also gives the
+table at infinity.  Germs that are not quasi-homogeneous, and germs in
 ambient dimension above curves, enter through the Explicit variant carrying
 user-supplied data.
 
@@ -18,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, prod
 
 from .laurent import CyclotomicFactorization, euler_phi
+from .milnor import _pairs_at_level, brieskorn_pham_spectrum
 from .pairs import SpectralPairTable
 
 
@@ -29,12 +32,12 @@ class ExplicitHasNoSpectrum(TypeError):
 
 
 class _QuasiHomogeneous:
-    """The tables of a built-in germ, computed once per instance (on a frozen
-    dataclass, cached_property writes the instance dict directly)."""
+    """The tables of the built-in germ x^a + y^b, (a, b) = `exponents`, made
+    once per instance (cached_property writes a frozen dataclass's dict)."""
 
     @cached_property
     def _spectrum(self) -> tuple[int, dict[int, int]]:
-        return spectrum_numerators(self)
+        return brieskorn_pham_spectrum(self.exponents)
 
     @cached_property
     def alexander(self) -> CyclotomicFactorization:
@@ -52,20 +55,10 @@ class _QuasiHomogeneous:
 
     @cached_property
     def pairs(self) -> SpectralPairTable:
-        """The local pairs: each spectrum element s contributes (0, 1, s)
-        when s is in (0, 1), (1, 0, s - 1) when s is in (1, 2), and
-        (1, 1, 0) when s = 1; the eigenvalue-1 part has dimension
-        branches - 1 and pure type (1, 1)."""
-        den, numerators = self._spectrum
-        entries: dict[tuple[int, int, int], int] = {}
-        for k, c in numerators.items():
-            if k < den:
-                entries[(0, 1, k)] = c
-            elif k == den:
-                entries[(1, 1, 0)] = c
-            else:
-                entries[(1, 0, k - den)] = c
-        return SpectralPairTable._from_numerators(den, entries)
+        """The spectrum's pairs at level 1: (0, 1, s) for s in (0, 1),
+        (1, 0, s - 1) for s in (1, 2) and (1, 1, 0) for s = 1, so the
+        eigenvalue-1 part has dimension branches - 1 and type (1, 1)."""
+        return _pairs_at_level(1, *self._spectrum)
 
 
 @dataclass(frozen=True)
@@ -73,6 +66,7 @@ class Ordinary(_QuasiHomogeneous):
     """An ordinary m-fold point: m pairwise transverse smooth branches."""
 
     multiplicity: int
+    exponents = property(lambda self: (self.multiplicity, self.multiplicity))
 
     def __post_init__(self):
         if self.multiplicity < 2:
@@ -85,6 +79,7 @@ class Brieskorn(_QuasiHomogeneous):
 
     a: int
     b: int
+    exponents = property(lambda self: (self.a, self.b))
 
     def __post_init__(self):
         if self.a < 2 or self.b < 2:
@@ -117,66 +112,28 @@ class Explicit:
 LocalSingularity = Ordinary | Brieskorn | Explicit
 
 
-def _weights(s: Ordinary | Brieskorn) -> tuple[int, int]:
-    if isinstance(s, Ordinary):
-        return s.multiplicity, s.multiplicity
-    return s.a, s.b
-
-
 def milnor_number(s: LocalSingularity) -> int:
     """Dimension of the middle cohomology of the local Milnor fiber."""
     if isinstance(s, Explicit):
         return s.milnor
-    a, b = _weights(s)
-    return (a - 1) * (b - 1)
+    return prod(a - 1 for a in s.exponents)
 
 
 def branches(s: LocalSingularity) -> int:
     """Number of irreducible local branches of the germ."""
     if isinstance(s, Explicit):
         return s.branches
-    if isinstance(s, Ordinary):
-        return s.multiplicity
-    return gcd(s.a, s.b)
-
-
-def spectrum_numerators(s: LocalSingularity) -> tuple[int, dict[int, int]]:
-    """Spectrum of a built-in germ as (den, {k: multiplicity}): each value
-    k/den in (0, 2) with its multiplicity.
-
-    For x^a + y^b the values are i/a + j/b (1 <= i < a, 1 <= j < b), with
-    numerators i*(den/a) + j*(den/b) over den = lcm(a, b).  The ordinary
-    m-fold point is the case a = b = m in closed form: k/m has multiplicity
-    min(k - 1, 2m - 1 - k) for 2 <= k <= 2m - 2.
-    """
-    if isinstance(s, Explicit):
-        raise ExplicitHasNoSpectrum(
-            "explicit local data carries tables, not a spectrum"
-        )
-    if isinstance(s, Ordinary):
-        m = s.multiplicity
-        return m, {k: min(k - 1, 2 * m - 1 - k) for k in range(2, 2 * m - 1)}
-    den = lcm(s.a, s.b)
-    u, v = den // s.a, den // s.b
-    out: dict[int, int] = {}
-    for first in range(u, den, u):  # first = i*u, the numerator of i/a
-        for k in range(first + v, first + den, v):
-            out[k] = out.get(k, 0) + 1
-    return den, out
+    return gcd(*s.exponents)
 
 
 def spectrum(s: LocalSingularity) -> tuple[Fraction, ...]:
-    """Singularity spectrum of a built-in germ, as a sorted multiset in (0, 2).
-
-    For x^a + y^b this is { i/a + j/b : 1 <= i <= a-1, 1 <= j <= b-1 }; the
-    ordinary m-fold point is the case a = b = m.
-    """
-    # the enumerator itself refuses explicit data
-    den, numerators = spectrum_numerators(s) if isinstance(s, Explicit) else s._spectrum
-    out: list[Fraction] = []
-    for k in sorted(numerators):
-        out.extend([Fraction(k, den)] * numerators[k])
-    return tuple(out)
+    """Singularity spectrum of a built-in germ, as a sorted multiset in (0, 2):
+    { i/a + j/b : 1 <= i <= a-1, 1 <= j <= b-1 } for the exponents (a, b)."""
+    if isinstance(s, Explicit):
+        raise ExplicitHasNoSpectrum("explicit germs carry tables, not a spectrum")
+    den, numerators = s._spectrum
+    return tuple(Fraction(k, den) for k in sorted(numerators)
+                 for _ in range(numerators[k]))
 
 
 def local_alexander(s: LocalSingularity) -> CyclotomicFactorization:

@@ -1,21 +1,21 @@
-"""Graded dimensions of the Fermat Milnor algebra and the spectral pairs at
-infinity of a degree-d hypersurface transversal at infinity.
+"""The Brieskorn-Pham spectrum engine, graded dimensions of the Fermat
+Milnor algebra and the spectral pairs at infinity of a degree-d
+hypersurface transversal at infinity.
 
-The Milnor algebra of x_0^d + ... + x_n^d has a monomial basis with every
-exponent at most d - 2, so its graded dimension counts bounded compositions:
-the coefficients of (1 + t + ... + t^(d-2))^(n+1).  The spectral pairs of the
-middle cohomology of the fiber at infinity depend only on (n, d) and are
-read off these dimensions by Steenbrink's formula; the table is built from
-one list of them, made by n + 1 passes of prefix sums.  ``milnor_dim`` is
-the inclusion-exclusion closed form for a single degree, kept for the
-``oracle`` command and as an independent check of that list.
+``brieskorn_pham_spectrum`` enumerates the spectrum {sum_i k_i/a_i : 1 <=
+k_i < a_i} of x_0^{a_0} + ... + x_n^{a_n} (Steenbrink) as integer
+numerators, and ``_pairs_at_level`` turns a spectrum into spectral pairs.
+Every built-in germ and the table at infinity, the pair table of the Fermat
+germ x_0^d + ... + x_n^d, go through both.  ``milnor_dim``, the closed form
+of the Fermat graded dimensions, is kept for the ``oracle`` command and as
+an independent check of the engine.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, product
-from math import comb
+from math import comb, gcd, lcm
 from operator import sub
 
 from .pairs import SpectralPairTable
@@ -82,9 +82,45 @@ def milnor_dim_bruteforce(n: int, d: int, m: int) -> int:
     )
 
 
+def brieskorn_pham_spectrum(exponents: tuple[int, ...]) -> tuple[int, dict[int, int]]:
+    """Spectrum of x_0^{a_0} + ... + x_n^{a_n} as (den, {k: multiplicity}),
+    den = lcm(a): each value k/den in (0, n + 1) with its multiplicity.
+
+    In u = t^(1/den), c_i = den/a_i, it is u^(sum c_i) times the product of
+    the (1 - u^((a_i - 1)c_i)) / (1 - u^c_i): per factor, one shifted
+    subtraction and one prefix-sum pass of stride c_i, which leaves c_i zero
+    top coefficients to drop.  The product so far lives on multiples of
+    `step`, so the pass skips the residues mod c_i that hold only zeros.
+    """
+    den, step = lcm(*exponents), 0
+    coeffs = [1]
+    for a in sorted(exponents):
+        c, width = den // a, len(coeffs)
+        coeffs += [0] * ((a - 1) * c)
+        coeffs[-width:] = map(sub, coeffs[-width:], coeffs[:width])
+        step = gcd(step, c)
+        for r in range(0, c, step):
+            coeffs[r::c] = list(accumulate(coeffs[r::c]))
+        del coeffs[-c:]
+    shift = sum(den // a for a in exponents)
+    return den, {k: m for k, m in enumerate(coeffs, shift) if m}
+
+
+def _pairs_at_level(n: int, den: int, numerators: dict[int, int]) -> SpectralPairTable:
+    """The spectral pairs of a spectrum {k/den: multiplicity} at level n:
+    a non-integer s gives (floor(s), n - floor(s), s - floor(s)) and an
+    integer s gives (s, n + 1 - s, 0)."""
+    entries = {}
+    for k, c in numerators.items():
+        p, j = divmod(k, den)
+        entries[(p, n - p, j) if j else (p, n + 1 - p, 0)] = c
+    return SpectralPairTable._from_numerators(den, entries)
+
+
 @lru_cache(maxsize=1)
 def steenbrink_infinity(n: int, d: int) -> SpectralPairTable:
-    """Spectral pairs of the middle cohomology of the fiber at infinity.
+    """Spectral pairs of the middle cohomology of the fiber at infinity: the
+    pairs at level n of the Fermat germ x_0^d + ... + x_n^d.
 
     Eigenvalues exp(2*pi*i*j/d) with j > 0 sit in weight n with
     h^{p,n-p} = milnor_dim(n, d, pd - n - 1 + j); eigenvalue 1 sits in weight
@@ -97,21 +133,4 @@ def steenbrink_infinity(n: int, d: int) -> SpectralPairTable:
     """
     if n < 0 or d < 2:
         raise ValueError(f"need n >= 0 and d >= 2, got n={n}, d={d}")
-    # dims[m] = milnor_dim(n, d, m), the coefficients of (1 + ... + t^(d-2))^(n+1):
-    # each pass multiplies by 1 - t^(d-1) and divides by 1 - t with prefix
-    # sums, which leaves a zero top coefficient to drop
-    dims = [1]
-    pad = [0] * (d - 1)
-    for _ in range(n + 1):
-        dims = list(accumulate(map(sub, dims + pad, pad + dims)))[:-1]
-    entries: dict[tuple[int, int, int], int] = {}
-    for j in range(1, d):
-        for p in range(n + 1):
-            m = p * d - n - 1 + j
-            if 0 <= m < len(dims) and dims[m]:
-                entries[(p, n - p, j)] = dims[m]
-    for p in range(n + 2):
-        m = p * d - n - 1
-        if 0 <= m < len(dims) and dims[m]:
-            entries[(p, n + 1 - p, 0)] = dims[m]
-    return SpectralPairTable._from_numerators(d, entries)
+    return _pairs_at_level(n, *brieskorn_pham_spectrum((d,) * (n + 1)))

@@ -254,20 +254,20 @@ def _work_estimate(spec: HypersurfaceSpec) -> int:
     enumeration and, for line arrangements, the expanded point list."""
     n, d = spec.n, spec.d
     # (n+1)(d-1) entries at infinity, priced as an inclusion-exclusion over
-    # n+2 binomials each.  steenbrink_infinity reads them off one list of
-    # graded dimensions made in n+1 passes of prefix sums, so for large n the
-    # estimate overstates the table's cost; it stays as it is so that the
-    # budget refuses the same documents.
+    # n+2 binomials each.  steenbrink_infinity reads them off the spectrum
+    # of the Fermat germ, made in n+1 passes of the spectrum engine, so for
+    # large n the estimate overstates the table's cost; it stays as it is so
+    # that the budget refuses the same documents.
     work = (n + 1) * (d - 1) * (32 + (n + 2) * (1 + n // 128))
     for s, count in spec.singularities:
         if isinstance(s, Explicit):
             # alexander_alpha_marginal runs through 0 <= j < k for each order k
             work += 4 * sum(s.alexander.factors)
         elif isinstance(s, Ordinary):
-            work += 64 * s.multiplicity  # 2m spectrum values in closed form
+            work += 64 * s.multiplicity  # the engine's passes over 2m values
         else:
-            # a loop over the mu spectrum values; each distinct one (at most
-            # 2 lcm(a, b)) is an entry of every table built from the germ
+            # the engine's passes over 2 lcm(a, b) coefficients; each distinct
+            # spectrum value is an entry of every table built from the germ
             mu = milnor_number(s)
             work += mu // 2 + 32 * min(mu, 2 * lcm(s.a, s.b))
         if spec.line_arrangement:

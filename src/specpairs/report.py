@@ -154,13 +154,13 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
     germs = [s for s, _ in spec.singularities]
     nesting: list[str] = []
     if bound_curve is not None:
-        nesting += [f"complement {key} > curve bound {cap}"
-                    for key, cap in bound_complement.exceeding(bound_curve)]
+        nesting += [f"complement ({p}, {q}, {a}) > curve bound {cap}"
+                    for p, q, a, cap in bound_complement.exceeding(bound_curve)]
         if spec.components - 1 > bound_complement.bound_at((1, 1, 0)):
             nesting.append("exact (1,1,0) value exceeds the complement bound")
         if bound_arrangement is not None:
-            nesting += [f"arrangement {key} > curve bound {cap}"
-                        for key, cap in bound_arrangement.exceeding(bound_curve)]
+            nesting += [f"arrangement ({p}, {q}, {a}) > curve bound {cap}"
+                        for p, q, a, cap in bound_arrangement.exceeding(bound_curve)]
 
     degree = 2 * (d - 1) ** (n + 1)
     checks = [

@@ -257,6 +257,19 @@ def oracle_local_alexander(a: int, b: int) -> dict[int, int]:
     return out
 
 
+def milnor_orlik_alexander(a: int, b: int) -> dict[int, int]:
+    """Cyclotomic multiplicities of the monodromy of x^a + y^b from the
+    Milnor-Orlik divisor (Topology 9, 1970), built without any spectrum:
+    gcd(a, b) L(lcm(a, b)) - L(a) - L(b) + L(1), where L(n), the divisor of
+    t^n - 1, counts Phi_k once for each k dividing n."""
+    divisor: Counter = Counter()
+    for n, weight in ((lcm(a, b), gcd(a, b)), (a, -1), (b, -1), (1, 1)):
+        for k in range(1, n + 1):
+            if n % k == 0:
+                divisor[k] += weight
+    return {k: m for k, m in divisor.items() if m}
+
+
 def oracle_mhat(m: int, alpha: Fraction) -> int:
     """m * alpha when that is an integer, else 1."""
     scaled = m * alpha

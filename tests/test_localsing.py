@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    milnor_orlik_alexander,
     numeric_char_poly,
     oracle_expand,
     oracle_local_alexander,
@@ -140,6 +141,16 @@ def test_integer_enumeration_against_fraction_oracle(germ, a, b):
     assert list(spectrum(germ)) == oracle_spectrum(a, b)
     assert table_entries(local_pairs(germ)) == oracle_local_pairs(a, b)
     assert local_alexander(germ).factors == oracle_local_alexander(a, b)
+
+
+def test_local_alexander_against_milnor_orlik():
+    germs = [(Brieskorn(a, b), a, b) for a in range(2, 30) for b in range(2, 30)]
+    germs += [(Ordinary(m), m, m) for m in range(2, 41)]
+    mismatched = [
+        germ for germ, a, b in germs
+        if local_alexander(germ).factors != milnor_orlik_alexander(a, b)
+    ]
+    assert mismatched == []
 
 
 def test_explicit_passthrough():

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
-from helpers import table_at_infinity_from_dims
+from helpers import brieskorn_pham_explicit, table_at_infinity_from_dims
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from specpairs import (
     milnor_dim_bruteforce,
     steenbrink_infinity,
 )
-from specpairs.milnor import top_weight
+from specpairs.milnor import _pairs_at_level, brieskorn_pham_spectrum, top_weight
 
 
 def test_milnor_dim_examples():
@@ -147,3 +148,17 @@ def test_table_at_infinity_equals_its_entries_from_milnor_dim():
     n = 841
     expected = table_at_infinity_from_dims(n, 3, lambda m: comb(n + 1, m) if m >= 0 else 0)
     assert steenbrink_infinity(n, 3) == expected
+
+
+def test_engine_matches_fraction_enumeration_at_unequal_exponents():
+    # no built-in germ has more than two exponents or, for an ordinary
+    # point, unequal ones; the helper enumerates i_0/a_0 + ... + i_n/a_n
+    # with Fractions
+    tuples = [e for size in (2, 3) for e in product(range(2, 7), repeat=size)]
+    tuples += product(range(2, 6), repeat=4)
+    mismatched = [
+        e for e in tuples
+        if _pairs_at_level(len(e) - 1, *brieskorn_pham_spectrum(e))
+        != brieskorn_pham_explicit(e).pairs
+    ]
+    assert len(tuples) == 406 and mismatched == []

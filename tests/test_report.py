@@ -224,11 +224,11 @@ def test_build_report_enumerates_each_germ_spectrum_once(monkeypatch):
     from specpairs import localsing
 
     calls = []
-    enumerate_spectrum = localsing.spectrum_numerators
+    enumerate_spectrum = localsing.brieskorn_pham_spectrum
     monkeypatch.setattr(
         localsing,
-        "spectrum_numerators",
-        lambda s: calls.append(s) or enumerate_spectrum(s),
+        "brieskorn_pham_spectrum",
+        lambda e: calls.append(e) or enumerate_spectrum(e),
     )
     braid = HypersurfaceSpec(
         n=1, d=6, components=6,
@@ -243,7 +243,7 @@ def test_build_report_enumerates_each_germ_spectrum_once(monkeypatch):
     for spec in (braid, rhm_quintic):
         calls.clear()
         build_report(spec)
-        assert calls == [s for s, _ in spec.singularities]
+        assert calls == [s.exponents for s, _ in spec.singularities]
 
 
 def test_build_report_on_a_3000_line_pencil_stays_fast():
@@ -354,7 +354,7 @@ FORCED_FAILURES = {
     "bound_consistency-loose_complement": (
         "identity", _lines,
         _route(bounds, "spectral_bound_complement", lambda _: LOOSE),
-        "complement (0, 1, Fraction(2, 3)) > curve bound 1"),
+        "complement (0, 1, 2/3) > curve bound 1"),
     "bound_consistency-no_exact_entry": (
         "identity", _lines,
         _route(bounds, "spectral_bound_complement", lambda _: BoundTable(1, {})),

@@ -36,16 +36,17 @@ def _clear_caches():
 
 def test_a_census_enumerates_each_multiplicity_once(monkeypatch):
     calls = []
-    enumerate_spectrum = localsing.spectrum_numerators
+    enumerate_spectrum = localsing.brieskorn_pham_spectrum
     monkeypatch.setattr(
         localsing,
-        "spectrum_numerators",
-        lambda s: calls.append(s) or enumerate_spectrum(s),
+        "brieskorn_pham_spectrum",
+        lambda e: calls.append(e) or enumerate_spectrum(e),
     )
     _clear_caches()
     rows = list(census_rows(8))
     used = {m for row in rows for m in row.derived.ordinary_multiplicities}
-    assert Counter(s.multiplicity for s in calls) == Counter(used)
+    assert all(a == b for a, b in calls)
+    assert Counter(a for a, _ in calls) == Counter(used)
     for cached in AT_INFINITY:
         info = cached.cache_info()
         assert info.misses == 1 and info.hits > 0, cached.__name__
@@ -107,7 +108,7 @@ def test_shared_values_are_never_mutated(monkeypatch, capsys):
     assert len(germs) == 2 * len(multiplicities)
     for germ in germs.values():
         fresh = Ordinary(germ.multiplicity)
-        assert germ._spectrum == localsing.spectrum_numerators(fresh)
+        assert germ._spectrum == localsing.brieskorn_pham_spectrum(fresh.exponents)
         assert germ.pairs == fresh.pairs
         assert germ.alexander == fresh.alexander
     expected = table_at_infinity_from_dims(1, 9, lambda m: milnor_dim(1, 9, m))
