@@ -33,10 +33,6 @@ from .localsing import (
     ExplicitHasNoSpectrum,
     LocalSingularity,
     Ordinary,
-    branches,
-    local_alexander,
-    local_pairs,
-    milnor_number,
     spectrum,
 )
 from .milnor import (

@@ -16,7 +16,7 @@ from collections import Counter
 from math import lcm
 from typing import TYPE_CHECKING
 
-from .bounds import divisibility_bound_infinity
+from .bounds import divisibility_bound_infinity, divisibility_bound_local
 from .laurent import CyclotomicFactorization, NotDivisible
 from .pairs import SpectralPairTable
 
@@ -29,17 +29,11 @@ def boundary_alexander(spec: HypersurfaceSpec) -> CyclotomicFactorization:
 
         (t-1)^((-1)^(n+1) + mu) * (t^d - 1)^xi * product of local polynomials,
 
-    a concrete factorization of degree 2(d-1)^(n+1).  It is the product of the
-    two divisibility bounds of the complement; spec.derived admits only
-    mu >= 0, so no exponent is negative."""
-    result = (
-        divisibility_bound_infinity(spec.n, spec.d)
-        * CyclotomicFactorization._from_parts({1: spec.derived.mu}, formal=True)
-        * spec.derived.local_alexander_product
-    )
-    return CyclotomicFactorization._from_parts(
-        result._factors, result.unit, result.t_power
-    )
+    a concrete factorization of degree 2(d-1)^(n+1), with unit 1 and t^0.
+    It is the product of the two divisibility bounds of the complement;
+    spec.derived admits only mu >= 0, so no exponent is negative."""
+    bound = divisibility_bound_infinity(spec.n, spec.d) * divisibility_bound_local(spec)
+    return CyclotomicFactorization._from_parts(bound._factors)
 
 
 def error_term(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from itertools import chain, islice, repeat
+from itertools import islice
 from math import comb
 from pathlib import Path
 from typing import Iterator
@@ -31,16 +31,10 @@ EXIT_IDENTITY = 2
 EXIT_USAGE = 3
 
 
-def weak_multisets(d: int) -> Iterator[tuple[int, ...]]:
-    """All descending multisets {m_i} with 2 <= m_i <= d and
-    sum C(m_i, 2) = C(d, 2), in lexicographic order: every pair of the d
-    lines meets at exactly one singular point."""
-    for runs in _weak_runs(d):
-        yield tuple(chain.from_iterable(repeat(m, count) for m, count in runs))
-
-
 def _weak_runs(d: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """The multisets of weak_multisets(d) in its order, each as its runs
+    """All descending multisets {m_i} with 2 <= m_i <= d and
+    sum C(m_i, 2) = C(d, 2), in lexicographic order (every pair of the d
+    lines meets at exactly one singular point), each as its runs
     (multiplicity, count) with the multiplicity descending, so that no
     multiset is expanded before a row needs it."""
 
@@ -84,7 +78,7 @@ def arrangement_spec(
 
 
 def census_rows(d: int, max_rows: int | None = None) -> Iterator[InvariantReport]:
-    """The reports of the census rows of d lines in weak_multisets order,
+    """The reports of the census rows of d lines in _weak_runs order,
     each built when it is asked for; at most max_rows of them.  A row's
     multiset is expanded only once the work budget has admitted its spec.
     The rows share one germ per multiplicity, so each spectrum is enumerated

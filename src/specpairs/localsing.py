@@ -7,7 +7,8 @@ finite order and every invariant is read off the singularity spectrum
 {i/a + j/b}, enumerated by the engine in ``milnor`` that also gives the
 table at infinity.  Germs that are not quasi-homogeneous, and germs in
 ambient dimension above curves, enter through the Explicit variant carrying
-user-supplied data.
+user-supplied data.  Every germ answers `milnor`, `branches`, `pairs` and
+`alexander` itself.
 
 A built-in germ enumerates its spectrum once, on first use, and keeps it on
 the instance with the local pairs and the local Alexander polynomial read
@@ -32,8 +33,12 @@ class ExplicitHasNoSpectrum(TypeError):
 
 
 class _QuasiHomogeneous:
-    """The tables of the built-in germ x^a + y^b, (a, b) = `exponents`, made
-    once per instance (cached_property writes a frozen dataclass's dict)."""
+    """The invariants of the built-in germ x^a + y^b, (a, b) = `exponents`;
+    its tables are made once per instance (cached_property writes a frozen
+    dataclass's dict)."""
+
+    milnor = property(lambda self: prod(a - 1 for a in self.exponents))
+    branches = property(lambda self: gcd(*self.exponents))
 
     @cached_property
     def _spectrum(self) -> tuple[int, dict[int, int]]:
@@ -112,20 +117,6 @@ class Explicit:
 LocalSingularity = Ordinary | Brieskorn | Explicit
 
 
-def milnor_number(s: LocalSingularity) -> int:
-    """Dimension of the middle cohomology of the local Milnor fiber."""
-    if isinstance(s, Explicit):
-        return s.milnor
-    return prod(a - 1 for a in s.exponents)
-
-
-def branches(s: LocalSingularity) -> int:
-    """Number of irreducible local branches of the germ."""
-    if isinstance(s, Explicit):
-        return s.branches
-    return gcd(*s.exponents)
-
-
 def spectrum(s: LocalSingularity) -> tuple[Fraction, ...]:
     """Singularity spectrum of a built-in germ, as a sorted multiset in (0, 2):
     { i/a + j/b : 1 <= i <= a-1, 1 <= j <= b-1 } for the exponents (a, b)."""
@@ -134,20 +125,6 @@ def spectrum(s: LocalSingularity) -> tuple[Fraction, ...]:
     den, numerators = s._spectrum
     return tuple(Fraction(k, den) for k in sorted(numerators)
                  for _ in range(numerators[k]))
-
-
-def local_alexander(s: LocalSingularity) -> CyclotomicFactorization:
-    """Top local Alexander polynomial: the characteristic polynomial of the
-    local monodromy, prod over spectrum of (t - exp(2*pi*i*s)); supplied
-    data for an explicit germ."""
-    return s.alexander
-
-
-def local_pairs(s: LocalSingularity) -> SpectralPairTable:
-    """Spectral pairs of the middle cohomology of the local Milnor fiber,
-    read off the spectrum for a built-in germ; supplied data for an
-    explicit germ."""
-    return s.pairs
 
 
 def alexander_alpha_marginal(f: CyclotomicFactorization) -> dict[Fraction, int]:

@@ -20,10 +20,6 @@ from .localsing import (
     LocalSingularity,
     Ordinary,
     alexander_alpha_marginal,
-    branches,
-    local_alexander,
-    local_pairs,
-    milnor_number,
 )
 from .milnor import steenbrink_infinity, xi_exponent
 from .pairs import SpectralPairTable
@@ -95,14 +91,12 @@ class HypersurfaceSpec:
 @dataclass(frozen=True)
 class Derived:
     """Quantities determined by the combinatorial input, each computed once
-    per spec; the per-germ tuples follow the order of spec.singularities."""
+    per spec; each germ's own data is read off the germ."""
 
     mu: int  # (d-1)^(n+1) - sum of local Milnor numbers
     xi: int  # ((d-1)^(n+1) + (-1)^n) / d
     branch_excess: int  # sum over singular points of (local branch count - 1)
-    local_pairs: tuple[SpectralPairTable, ...]
-    local_alexander: tuple[CyclotomicFactorization, ...]
-    local_pair_sum: SpectralPairTable  # count-weighted sum of local_pairs
+    local_pair_sum: SpectralPairTable  # count-weighted sum of the germs' pairs
     # with counts as powers, up to units: a germ's unit is not raised to its count
     local_alexander_product: CyclotomicFactorization
     # summed local dim Gr_F^p, the p-marginal of local_pair_sum: sorted (p, dim)
@@ -116,7 +110,7 @@ class Derived:
 
 
 def _local_milnor_total(spec: HypersurfaceSpec) -> int:
-    return sum(milnor_number(s) * count for s, count in spec.singularities)
+    return sum(s.milnor * count for s, count in spec.singularities)
 
 
 def derived_quantities(spec: HypersurfaceSpec) -> Derived:
@@ -128,14 +122,12 @@ def derived_quantities(spec: HypersurfaceSpec) -> Derived:
     n, d, r = spec.n, spec.d, spec.components
     sings = spec.singularities
     mu = (d - 1) ** (n + 1) - _local_milnor_total(spec)
-    excess = sum((branches(s) - 1) * c for s, c in sings)
-    pairs = tuple(local_pairs(s) for s, _ in sings)
-    alexander = tuple(local_alexander(s) for s, _ in sings)
+    excess = sum((s.branches - 1) * c for s, c in sings)
     pair_sum = SpectralPairTable()
     product: dict[int, int] = {}
-    for (_, count), table, poly in zip(sings, pairs, alexander):
-        pair_sum = pair_sum + table * count
-        for k, m in poly.factors.items():
+    for s, count in sings:
+        pair_sum = pair_sum + s.pairs * count
+        for k, m in s.alexander.factors.items():
             product[k] = product.get(k, 0) + m * count
     mults = tuple(sorted(
         (s.multiplicity for s, c in sings if isinstance(s, Ordinary) for _ in range(c)),
@@ -148,8 +140,6 @@ def derived_quantities(spec: HypersurfaceSpec) -> Derived:
         mu=mu,
         xi=xi_exponent(n, d),
         branch_excess=excess,
-        local_pairs=pairs,
-        local_alexander=alexander,
         local_pair_sum=pair_sum,
         local_alexander_product=CyclotomicFactorization._from_parts(product),
         local_grf=tuple(sorted(pair_sum.hodge_filtration_marginal().items())),
@@ -268,7 +258,7 @@ def _work_estimate(spec: HypersurfaceSpec) -> int:
         else:
             # the engine's passes over 2 lcm(a, b) coefficients; each distinct
             # spectrum value is an entry of every table built from the germ
-            mu = milnor_number(s)
+            mu = s.milnor
             work += mu // 2 + 32 * min(mu, 2 * lcm(s.a, s.b))
         if spec.line_arrangement:
             work += count
@@ -440,7 +430,7 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
                     "a rational homology manifold curve is irreducible",
                 )
             )
-        if any(not table.unipotent().is_empty for table in derived.local_pairs):
+        if any(not s.pairs.unipotent().is_empty for s, _ in spec.singularities):
             out.append(
                 Violation(
                     "rhm_inconsistent",

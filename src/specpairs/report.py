@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from . import boundary, bounds
 from .laurent import CyclotomicFactorization, NotDivisible
-from .localsing import branches, milnor_number
 from .model import Derived, HypersurfaceSpec, Violation, serialize_spec
 from .pairs import SpectralPairTable
 
@@ -170,15 +169,15 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
         _agree("xi_integral", {"d * xi": d * derived.xi},
                {"d * xi": (d - 1) ** (n + 1) + (-1) ** n}, f"xi = {derived.xi}"),
         _agree("local_alexander_degree",
-               {s: poly.degree for s, poly in zip(germs, derived.local_alexander)},
-               {s: milnor_number(s) for s in germs},
+               {s: s.alexander.degree for s in germs},
+               {s: s.milnor for s in germs},
                "deg = Milnor number at each germ"),
     ]
     if n == 1:
         checks.append(_agree(
             "local_unipotent_mass",
-            {s: t.unipotent().total_dim() for s, t in zip(germs, derived.local_pairs)},
-            {s: branches(s) - 1 for s in germs},
+            {s: s.pairs.unipotent().total_dim() for s in germs},
+            {s: s.branches - 1 for s in germs},
             "eigenvalue-1 mass = branches - 1 at each germ",
         ))
     checks += [

@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 
 from specpairs import (
     BoundTable,
@@ -18,9 +18,7 @@ from specpairs import (
     HypersurfaceSpec,
     Ordinary,
     SpectralPairTable,
-    branches,
     euler_phi,
-    milnor_number,
 )
 
 
@@ -60,6 +58,21 @@ def oracle_expand(f) -> dict[int, Fraction]:
         for _ in range(m):
             coeffs = _poly_mul(coeffs, oracle_cyclotomic(k))
     return {f.t_power + e: f.unit * c for e, c in enumerate(coeffs) if c}
+
+
+def weak_multisets(d: int) -> list[tuple[int, ...]]:
+    """The weak data of d lines in lexicographic order: every descending
+    multiset {m_i} with 2 <= m_i <= d and sum C(m_i, 2) = C(d, 2), built one
+    point at a time, each no larger than the one before."""
+
+    def extend(prefix: tuple[int, ...], pairs_left: int):
+        if pairs_left == 0:
+            yield prefix
+        for m in range(2, (prefix[-1] if prefix else d) + 1):
+            if comb(m, 2) <= pairs_left:
+                yield from extend(prefix + (m,), pairs_left - comb(m, 2))
+
+    return sorted(extend((), comb(d, 2)))
 
 
 def oracle_shared_line_violations(
@@ -179,12 +192,12 @@ def random_curve_spec(rng, d_max: int = 8) -> HypersurfaceSpec:
                 candidate = Ordinary(m)
             else:
                 candidate = Brieskorn(rng.randint(2, 4), rng.randint(2, 6))
-            mu_x = milnor_number(candidate)
+            mu_x = candidate.milnor
             if total + mu_x > budget:
                 continue
             total += mu_x
             sings.append(candidate)
-        excess = sum(branches(s) - 1 for s in sings)
+        excess = sum(s.branches - 1 for s in sings)
         mu = budget - total
         r_lo = max(1, (d + 2 + excess - mu) // 2)
         r_hi = min(d, excess + 1)

@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from helpers import random_curve_spec, random_spec
+from helpers import random_curve_spec, random_spec, weak_multisets
 
 from specpairs import (
     Brieskorn,
@@ -20,19 +20,14 @@ from specpairs import (
     boundary_pairs_curve,
     boundary_pairs_nonunipotent,
     boundary_pairs_qhm,
-    branches,
     error_term,
     flatten_weights,
-    local_alexander,
-    local_pairs,
     milnor_dim,
     milnor_dim_bruteforce,
-    milnor_number,
     spectral_bound_arrangement,
     spectral_bound_curve,
     steenbrink_infinity,
 )
-from specpairs.cli import weak_multisets
 from specpairs.milnor import top_weight
 
 
@@ -164,11 +159,11 @@ def test_criterion_08_symmetry_suite():
             table = steenbrink_infinity(n, d)
             assert table.conjugate() == table
     for m in range(2, 13):
-        table = local_pairs(Ordinary(m))
+        table = Ordinary(m).pairs
         assert table.conjugate() == table
     for a in range(2, 13):
         for b in range(a, 13):
-            table = local_pairs(Brieskorn(a, b))
+            table = Brieskorn(a, b).pairs
             assert table.conjugate() == table
     _report(8, "conjugation and level duality fix every emitted table")
 
@@ -227,11 +222,10 @@ def test_criterion_10_vanishing_bounds():
 
 def test_criterion_11_local_consistency():
     for m in range(2, 13):
-        assert local_pairs(Ordinary(m)) == steenbrink_infinity(1, m)
+        assert Ordinary(m).pairs == steenbrink_infinity(1, m)
     germs = [Ordinary(m) for m in range(2, 13)]
     germs += [Brieskorn(a, b) for a in range(2, 13) for b in range(a, 13)]
     for germ in germs:
-        table = local_pairs(germ)
-        assert table.unipotent().total_dim() == branches(germ) - 1
-        assert local_alexander(germ).degree == milnor_number(germ)
+        assert germ.pairs.unipotent().total_dim() == germ.branches - 1
+        assert germ.alexander.degree == germ.milnor
     _report(11, "local pairs, masses and Alexander degrees")

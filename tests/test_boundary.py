@@ -14,6 +14,7 @@ from helpers import (
     oracle_boundary_alexander,
     random_spec,
     table_entries,
+    weak_multisets,
 )
 
 from specpairs import (
@@ -200,7 +201,7 @@ def test_braid_arrangement_of_six_lines():
 
 
 def test_arrangement_route_equals_curve_route_for_all_weak_data():
-    from specpairs.cli import arrangement_spec, weak_multisets
+    from specpairs.cli import arrangement_spec
 
     for d in range(2, 8):
         for mults in weak_multisets(d):

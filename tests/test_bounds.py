@@ -17,7 +17,6 @@ from specpairs import (
     Ordinary,
     divisibility_bound_infinity,
     divisibility_bound_local,
-    local_pairs,
     mhat,
     spectral_bound_arrangement,
     spectral_bound_complement,
@@ -190,7 +189,7 @@ def test_local_side_mass_identity():
         unipotent = 0
         above = 0
         for s, count in spec.singularities:
-            table = local_pairs(s)
+            table = s.pairs
             total += table.total_dim() * count
             unipotent += table.unipotent().total_dim() * count
             above += table.nonunipotent().total_dim() * count

@@ -13,7 +13,7 @@ from functools import reduce
 from pathlib import Path
 
 import pytest
-from helpers import brieskorn_pham_explicit
+from helpers import brieskorn_pham_explicit, weak_multisets
 
 from specpairs import (
     CyclotomicFactorization,
@@ -22,7 +22,7 @@ from specpairs import (
     model,
     serialize_spec,
 )
-from specpairs.cli import arrangement_spec, census_rows, main, weak_multisets
+from specpairs.cli import arrangement_spec, census_rows, main
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -23,10 +23,6 @@ from specpairs import (
     ExplicitHasNoSpectrum,
     Ordinary,
     SpectralPairTable,
-    branches,
-    local_alexander,
-    local_pairs,
-    milnor_number,
     spectrum,
     steenbrink_infinity,
     t_power_minus_one,
@@ -34,15 +30,15 @@ from specpairs import (
 
 
 def test_milnor_number_examples():
-    assert milnor_number(Ordinary(2)) == 1
-    assert milnor_number(Brieskorn(2, 3)) == 2
-    assert milnor_number(Ordinary(4)) == 9
+    assert Ordinary(2).milnor == 1
+    assert Brieskorn(2, 3).milnor == 2
+    assert Ordinary(4).milnor == 9
 
 
 def test_branches_examples():
-    assert branches(Ordinary(3)) == 3
-    assert branches(Brieskorn(2, 3)) == 1
-    assert branches(Brieskorn(4, 6)) == 2
+    assert Ordinary(3).branches == 3
+    assert Brieskorn(2, 3).branches == 1
+    assert Brieskorn(4, 6).branches == 2
 
 
 def test_spectrum_examples():
@@ -68,13 +64,9 @@ def test_spectrum_explicit_rejected():
 
 
 def test_local_alexander_examples():
-    assert local_alexander(Ordinary(2)) == CyclotomicFactorization(factors={1: 1})
-    assert local_alexander(Ordinary(3)) == CyclotomicFactorization(
-        factors={1: 2, 3: 1}
-    )
-    assert local_alexander(Brieskorn(2, 3)) == CyclotomicFactorization(
-        factors={6: 1}
-    )
+    assert Ordinary(2).alexander == CyclotomicFactorization(factors={1: 1})
+    assert Ordinary(3).alexander == CyclotomicFactorization(factors={1: 2, 3: 1})
+    assert Brieskorn(2, 3).alexander == CyclotomicFactorization(factors={6: 1})
 
 
 def test_local_alexander_against_torus_link_closed_form():
@@ -86,12 +78,12 @@ def test_local_alexander_against_torus_link_closed_form():
             g, l = gcd(a, b), lcm(a, b)
             numerator = t_power_minus_one(1) * t_power_minus_one(l) ** g
             denominator = t_power_minus_one(a) * t_power_minus_one(b)
-            assert local_alexander(Brieskorn(a, b)) == numerator.divide(denominator)
+            assert Brieskorn(a, b).alexander == numerator.divide(denominator)
 
 
 def test_local_alexander_against_numeric_characteristic_polynomial():
     for germ in (Ordinary(2), Ordinary(5), Brieskorn(2, 3), Brieskorn(4, 6)):
-        expanded = oracle_expand(local_alexander(germ))
+        expanded = oracle_expand(germ.alexander)
         exact = [complex(expanded.get(e, 0)) for e in range(max(expanded) + 1)]
         numeric = numeric_char_poly(spectrum(germ))
         assert len(exact) == len(numeric)
@@ -99,18 +91,18 @@ def test_local_alexander_against_numeric_characteristic_polynomial():
 
 
 def test_local_pairs_examples():
-    assert local_pairs(Ordinary(2)) == SpectralPairTable({(1, 1, 0): 1})
-    assert local_pairs(Ordinary(3)) == SpectralPairTable(
+    assert Ordinary(2).pairs == SpectralPairTable({(1, 1, 0): 1})
+    assert Ordinary(3).pairs == SpectralPairTable(
         {(1, 1, 0): 2, (0, 1, Fraction(2, 3)): 1, (1, 0, Fraction(1, 3)): 1}
     )
-    assert local_pairs(Brieskorn(2, 3)) == SpectralPairTable(
+    assert Brieskorn(2, 3).pairs == SpectralPairTable(
         {(0, 1, Fraction(5, 6)): 1, (1, 0, Fraction(1, 6)): 1}
     )
 
 
 def test_ordinary_point_table_is_the_table_at_infinity():
     for m in range(2, 13):
-        assert local_pairs(Ordinary(m)) == steenbrink_infinity(1, m)
+        assert Ordinary(m).pairs == steenbrink_infinity(1, m)
 
 
 @pytest.mark.parametrize(
@@ -119,16 +111,16 @@ def test_ordinary_point_table_is_the_table_at_infinity():
     + [Brieskorn(a, b) for a in range(2, 13) for b in range(a, 13)],
 )
 def test_builtin_invariants(germ):
-    mu = milnor_number(germ)
-    assert local_alexander(germ).degree == mu
-    table = local_pairs(germ)
+    mu = germ.milnor
+    assert germ.alexander.degree == mu
+    table = germ.pairs
     assert table.total_dim() == mu
-    assert table.unipotent().total_dim() == branches(germ) - 1
+    assert table.unipotent().total_dim() == germ.branches - 1
     assert table.conjugate() == table
     # eigenvalues of the Alexander polynomial match the table marginal
     from specpairs.localsing import alexander_alpha_marginal
 
-    assert alexander_alpha_marginal(local_alexander(germ)) == table.alpha_marginal()
+    assert alexander_alpha_marginal(germ.alexander) == table.alpha_marginal()
 
 
 @pytest.mark.parametrize(
@@ -139,8 +131,8 @@ def test_builtin_invariants(germ):
 )
 def test_integer_enumeration_against_fraction_oracle(germ, a, b):
     assert list(spectrum(germ)) == oracle_spectrum(a, b)
-    assert table_entries(local_pairs(germ)) == oracle_local_pairs(a, b)
-    assert local_alexander(germ).factors == oracle_local_alexander(a, b)
+    assert table_entries(germ.pairs) == oracle_local_pairs(a, b)
+    assert germ.alexander.factors == oracle_local_alexander(a, b)
 
 
 def test_local_alexander_against_milnor_orlik():
@@ -148,7 +140,7 @@ def test_local_alexander_against_milnor_orlik():
     germs += [(Ordinary(m), m, m) for m in range(2, 41)]
     mismatched = [
         germ for germ, a, b in germs
-        if local_alexander(germ).factors != milnor_orlik_alexander(a, b)
+        if germ.alexander.factors != milnor_orlik_alexander(a, b)
     ]
     assert mismatched == []
 
@@ -157,16 +149,16 @@ def test_explicit_passthrough():
     alexander = CyclotomicFactorization(factors={2: 1, 1: 1})
     pairs = SpectralPairTable({(0, 1, Fraction(1, 2)): 1, (1, 1, 0): 1})
     explicit = Explicit(milnor=2, branches=2, alexander=alexander, pairs=pairs)
-    assert milnor_number(explicit) == 2
-    assert branches(explicit) == 2
-    assert local_alexander(explicit) == alexander
-    assert local_pairs(explicit) == pairs
+    assert explicit.milnor == 2
+    assert explicit.branches == 2
+    assert explicit.alexander == alexander
+    assert explicit.pairs == pairs
 
 
 def test_hodge_filtration_dims():
     # dim Gr_F^p is the sum of h^{p,q}_alpha over q and alpha
-    assert local_pairs(Brieskorn(2, 3)).hodge_filtration_marginal() == {0: 1, 1: 1}
-    assert local_pairs(Ordinary(3)).hodge_filtration_marginal() == {0: 1, 1: 3}
+    assert Brieskorn(2, 3).pairs.hodge_filtration_marginal() == {0: 1, 1: 1}
+    assert Ordinary(3).pairs.hodge_filtration_marginal() == {0: 1, 1: 3}
     table = SpectralPairTable(
         {(1, 1, Fraction(1, 2)): 1, (0, 2, Fraction(1, 3)): 2, (2, 0, Fraction(2, 3)): 2}
     )

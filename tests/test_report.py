@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import random
 import re
@@ -11,7 +12,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import bound_table, oracle_render_text, random_spec
+from helpers import (
+    bound_table,
+    brieskorn_pham_explicit,
+    oracle_render_text,
+    random_spec,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,13 +30,13 @@ from specpairs import (
     boundary,
     bounds,
     build_report,
+    localsing,
     model,
     parse_spec,
     render_text,
     report_to_dict,
     report_to_json,
 )
-from specpairs import report as report_module
 from specpairs.bounds import BoundTable
 from specpairs.pairs import SpectralPairTable
 from specpairs.report import _json
@@ -127,7 +133,8 @@ def test_every_factorization_of_a_report_is_a_canonical_value():
     for spec in specs:
         report = build_report(spec)
         polys = [report.delta_m, report.divisibility_infinity,
-                 report.divisibility_local, *report.derived.local_alexander]
+                 report.divisibility_local]
+        polys += [s.alexander for s, _ in spec.singularities]
         if report.error_term is not None:
             polys.append(report.error_term)
             with_error_term += 1
@@ -258,6 +265,33 @@ def test_build_report_on_a_3000_line_pencil_stays_fast():
     assert report.derived.mu == 0
 
 
+def test_builtin_germs_and_their_explicit_twins_give_one_report():
+    # every consumer reads a germ's milnor, branches, pairs and alexander
+    # and none branches on its kind, so a built-in germ and Explicit data
+    # with the same values give the same violations and the same report
+    germs = [Ordinary(m) for m in range(2, 7)]
+    germs += [Brieskorn(a, b) for a in range(2, 9) for b in range(a, 9)]
+    valid = 0
+    for germ in germs:
+        twin = brieskorn_pham_explicit(germ.exponents)
+        for d, count in itertools.product(range(2, 12), (1, 2)):
+            for r in range(1, d + 1):
+                spec = HypersurfaceSpec(n=1, d=d, components=r,
+                                        singularities=((germ, count),))
+                other = dataclasses.replace(spec, singularities=((twin, count),))
+                codes = [v.code for v in spec.violations]
+                assert [v.code for v in other.violations] == codes, (spec, codes)
+                if any(v.severity == "error" for v in spec.violations):
+                    continue
+                valid += 1
+                found, expected = (
+                    report_to_dict(build_report(s)) for s in (other, spec)
+                )
+                assert found.pop("spec") != expected.pop("spec")
+                assert found == expected, spec
+    assert valid > 1000
+
+
 def test_render_text_sections():
     text = render_text(build_report(THREE_GENERIC_LINES))
     assert "delta_M = Phi(1)^6 * Phi(3)" in text
@@ -292,9 +326,18 @@ def _route(module, name, change):
     return module, name, lambda *args: change(true_route(*args))
 
 
+def _germ_attribute(name, change):
+    """(the built-in germ class, name, a property reading the germ's own
+    `name` with `change` applied), for monkeypatch.setattr."""
+    owner = localsing._QuasiHomogeneous
+    true_get = vars(owner)[name].__get__
+    return owner, name, property(lambda germ: change(true_get(germ)))
+
+
 NODE = "Ordinary(multiplicity=2)"
 ONE_THIRD = SpectralPairTable({(0, 1, Fraction(1, 3)): 1})
 ZERO = SpectralPairTable({(0, 0, Fraction(0)): 1})
+ZERO_CORNER = SpectralPairTable({(1, 1, Fraction(0)): 1})
 SKEWED_WEIGHTS = {
     0: SpectralPairTable({(0, 0, 0): 2}),
     1: SpectralPairTable(),
@@ -303,8 +346,8 @@ SKEWED_WEIGHTS = {
 LOOSE = BoundTable(3, {(0, 1, 2): 5, (1, 1, 0): 2})
 
 # "check-case": (kind, spec, (module, name, patched route), detail), where
-# the patched route is one that build_report reads through its module,
-# corrupted so that the named check sees a difference
+# the patched route is one that build_report reads through its module, or a
+# germ attribute, corrupted so that the named check sees a difference
 FORCED_FAILURES = {
     "degree_identity": (
         "identity", _lines,
@@ -316,12 +359,12 @@ FORCED_FAILURES = {
         "d * xi: found 6, expected 3"),
     "local_alexander_degree": (
         "identity", _lines,
-        _route(model, "local_alexander", lambda f: f * _phi({1: 1})),
+        _germ_attribute("alexander", lambda f: f * _phi({1: 1})),
         f"{NODE}: found 2, expected 1"),
     "local_unipotent_mass": (
         "identity", _lines,
-        _route(report_module, "branches", lambda b: b + 1),
-        f"{NODE}: found 1, expected 2"),
+        _germ_attribute("pairs", lambda t: t + ZERO_CORNER * 2),
+        f"{NODE}: found 3, expected 1"),
     "conjugation_symmetry-asymmetric": (
         "identity", _lines,
         _route(boundary, "boundary_pairs_arrangement", lambda t: t + ONE_THIRD),

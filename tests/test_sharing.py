@@ -57,8 +57,10 @@ def test_specs_built_from_one_germ_map_share_tables():
     first = arrangement_spec(6, {3: 4, 2: 3}, germs)
     second = arrangement_spec(6, {3: 1, 2: 12}, germs)
     assert set(germs) == {2, 3}
-    assert first.derived.local_pairs[1] is second.derived.local_pairs[1]
-    assert first.derived.local_alexander[0] is germs[3].alexander
+    assert first.singularities[0][0] is second.singularities[0][0] is germs[3]
+    assert first.singularities[1][0] is second.singularities[1][0] is germs[2]
+    assert first.derived.local_pair_sum == germs[3].pairs * 4 + germs[2].pairs * 3
+    assert vars(germs[3])["pairs"] is germs[3].pairs
     assert first.derived.infinity is second.derived.infinity
 
 
@@ -81,7 +83,9 @@ def test_a_parsed_germ_is_freed_with_its_spec():
     spec = parse_spec((GOLDEN / "cuspidal_cubic.json").read_text(encoding="utf-8"))
     report = build_report(spec)
     germ = spec.singularities[0][0]
-    assert report.derived.local_pairs[0] is germ.pairs
+    # the report made the germ's tables once, on the germ itself
+    assert vars(germ)["pairs"] is germ.pairs
+    assert vars(germ)["alexander"] is germ.alexander
     ref = weakref.ref(germ)
     del spec, report, germ
     gc.collect()
