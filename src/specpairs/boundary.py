@@ -16,9 +16,9 @@ from collections import Counter
 from math import lcm
 from typing import TYPE_CHECKING
 
-from .bounds import divisibility_bound_infinity, divisibility_bound_local
+from .bounds import divisibility_bound_infinity
 from .laurent import CyclotomicFactorization, NotDivisible
-from .pairs import SpectralPairTable
+from .pairs import SpectralPairTable, table_sum
 
 if TYPE_CHECKING:
     from .model import HypersurfaceSpec
@@ -32,19 +32,19 @@ def boundary_alexander(spec: HypersurfaceSpec) -> CyclotomicFactorization:
     a concrete factorization of degree 2(d-1)^(n+1), with unit 1 and t^0.
     It is the product of the two divisibility bounds of the complement;
     spec.derived admits only mu >= 0, so no exponent is negative."""
-    bound = divisibility_bound_infinity(spec.n, spec.d) * divisibility_bound_local(spec)
+    bound = divisibility_bound_infinity(spec.n, spec.d) * spec.derived.local_bound
     return CyclotomicFactorization._from_parts(bound._factors)
 
 
 def error_term(
-    spec: HypersurfaceSpec, delta_u: CyclotomicFactorization
+    delta_m: CyclotomicFactorization, delta_u: CyclotomicFactorization
 ) -> CyclotomicFactorization:
-    """Quotient of the boundary Alexander polynomial by delta_u squared, up
-    to units: like delta_M, e(t) has unit 1 and t^0.
+    """Quotient of the boundary Alexander polynomial delta_m (the value of
+    boundary_alexander) by delta_u squared, up to units: like delta_M, e(t)
+    has unit 1 and t^0.
 
     The quotient must exist when delta_u is the Alexander polynomial of the
     complement; its degree is even, which the report checks."""
-    delta_m = boundary_alexander(spec)
     square = CyclotomicFactorization._from_parts(delta_u._factors) ** 2
     try:
         quotient = delta_m.divide(square)
@@ -57,7 +57,8 @@ def boundary_pairs_nonunipotent(spec: HypersurfaceSpec) -> SpectralPairTable:
     """Eigenvalue != 1 spectral pairs of the middle boundary Alexander module:
     the sum of the local tables and the table at infinity."""
     derived = spec.derived
-    return (derived.infinity + derived.local_pair_sum).nonunipotent()
+    terms = ((derived.infinity, 1), (derived.local_pair_sum, 1))
+    return table_sum(terms, nonunipotent=True)
 
 
 def _curve_alpha0(spec: HypersurfaceSpec) -> tuple[int, int]:
@@ -81,14 +82,20 @@ def boundary_pairs_curve(spec: HypersurfaceSpec) -> SpectralPairTable:
     if spec.n != 1:
         raise ValueError("boundary_pairs_curve requires n = 1")
     corner, off = _curve_alpha0(spec)
-    den, local = spec.derived.local_pair_sum._aligned(spec.d)
+    local = spec.derived.local_pair_sum
+    den = lcm(local._den, spec.d)
+    step = den // local._den
     entries = _eigenvalue_one_corners(corner, off)
-    for (p, q, k), c in local.items():
-        if k and (p, q) == (0, 1):
-            _mirror_add(entries, k, c, den)
-        elif k and (p, q) == (0, 0):
-            entries[(0, 0, k)] = entries.get((0, 0, k), 0) + c
-            entries[(1, 1, k)] = entries.get((1, 1, k), 0) + c
+    # the local keys are distinct and these have alpha > 0, unlike the
+    # corners, so each key below is written once
+    for (p, q, k), c in local._entries.items():
+        if not k:
+            continue
+        k *= step
+        if (p, q) == (0, 1):
+            entries[(0, 1, k)] = entries[(1, 0, den - k)] = c
+        elif (p, q) == (0, 0):
+            entries[(0, 0, k)] = entries[(1, 1, k)] = c
     _add_mhat_excess(entries, spec.d, 1, den)
     return SpectralPairTable._from_numerators(den, entries)
 
@@ -104,19 +111,15 @@ def _eigenvalue_one_corners(corner: int, off: int) -> dict[tuple[int, int, int],
     return entries
 
 
-def _mirror_add(entries: dict, k: int, c: int, den: int) -> None:
-    """Add c at (0, 1, k/den) and at its mirror (1, 0, 1 - k/den)."""
-    entries[(0, 1, k)] = entries.get((0, 1, k), 0) + c
-    entries[(1, 0, den - k)] = entries.get((1, 0, den - k), 0) + c
-
-
 def _add_mhat_excess(entries: dict, m: int, count: int, den: int) -> None:
-    """Add count * (mhat(m, alpha) - 1) at (0, 1, alpha), mirrored, for all
-    alpha in (0, 1); den is a multiple of m.  The term is nonzero only at
-    alpha = j/m, where it is j - 1."""
+    """Add count * (mhat(m, alpha) - 1) at (0, 1, alpha) and at its mirror
+    (1, 0, 1 - alpha), for all alpha in (0, 1); den is a multiple of m.  The
+    term is nonzero only at alpha = j/m, where it is j - 1."""
     step = den // m
     for j in range(2, m):
-        _mirror_add(entries, j * step, (j - 1) * count, den)
+        k, c = j * step, (j - 1) * count
+        entries[(0, 1, k)] = entries.get((0, 1, k), 0) + c
+        entries[(1, 0, den - k)] = entries.get((1, 0, den - k), 0) + c
 
 
 def boundary_pairs_arrangement(d: int, multiplicities) -> SpectralPairTable:
@@ -159,7 +162,7 @@ def boundary_pairs_qhm(spec: HypersurfaceSpec) -> dict[int, SpectralPairTable]:
         if c:
             middle[(p, n - p, 0)] = c
     # h^{0,n+1} and h^{n+1,0} at infinity vanish, so the shift loses nothing
-    bottom = {(p - 1, q - 1, 0): c for (p, q, _), c in top._aligned(1)[1].items()}
+    bottom = {(p - 1, q - 1, 0): c for (p, q, _), c in top._entries.items()}
     return {
         n - 1: SpectralPairTable._from_numerators(1, bottom),
         n: SpectralPairTable._from_numerators(1, middle),
@@ -169,10 +172,7 @@ def boundary_pairs_qhm(spec: HypersurfaceSpec) -> dict[int, SpectralPairTable]:
 
 def flatten_weights(weighted: dict[int, SpectralPairTable]) -> SpectralPairTable:
     """Forget the weight grading, keeping (p, q, alpha) keys."""
-    total = SpectralPairTable()
-    for _, table in sorted(weighted.items()):
-        total = total + table
-    return total
+    return table_sum((table, 1) for table in weighted.values())
 
 
 def projective_curve_hodge(

@@ -124,9 +124,9 @@ def divisibility_bound_infinity(n: int, d: int) -> CyclotomicFactorization:
 
 def divisibility_bound_local(spec: HypersurfaceSpec) -> CyclotomicFactorization:
     """Divisor bound from the singular points: (t-1)^mu times the product of
-    the top local Alexander polynomials."""
-    mu, local = spec.derived.mu, spec.derived.local_alexander_product
-    return CyclotomicFactorization._from_parts({1: mu}) * local
+    the top local Alexander polynomials, made once per spec with
+    spec.derived."""
+    return spec.derived.local_bound
 
 
 def spectral_bound_complement(spec: HypersurfaceSpec) -> BoundTable:
@@ -140,14 +140,15 @@ def spectral_bound_complement(spec: HypersurfaceSpec) -> BoundTable:
     hypersurface's middle cohomology are supplied, the min of the entry and
     the local sum plus those numbers.
     """
-    d, derived = spec.d, spec.derived
+    derived = spec.derived
     h_d = None if spec.h_d is None else {(p, q): c for p, q, c in spec.h_d}
-    den, local = derived.local_pair_sum._aligned(d)
-    step = den // d
+    local, infinity = derived.local_pair_sum, derived.infinity
     entries: dict[tuple[int, int, int], int] = {}
-    # the table is kept over the denominator d of the table at infinity
-    for (p, q, j), infinity_side in derived.infinity._aligned(d)[1].items():
-        local_side = local.get((p, q, j * step), 0)
+    # the table is kept over the denominator d of the table at infinity; its
+    # angle j/d is a local angle k/local._den only where k is an integer
+    for (p, q, j), infinity_side in infinity._entries.items():
+        k, off_grid = divmod(j * local._den, infinity._den)
+        local_side = 0 if off_grid else local._entries.get((p, q, k), 0)
         if j:
             bound = min(local_side, infinity_side)
         elif h_d is None:
@@ -155,7 +156,7 @@ def spectral_bound_complement(spec: HypersurfaceSpec) -> BoundTable:
         else:
             bound = min(local_side + h_d.get((p, q), 0), infinity_side)
         entries[(p, q, j)] = bound
-    return BoundTable(d, entries)
+    return BoundTable(infinity._den, entries)
 
 
 def spectral_bound_curve(spec: HypersurfaceSpec) -> BoundTable:
@@ -164,7 +165,14 @@ def spectral_bound_curve(spec: HypersurfaceSpec) -> BoundTable:
     exactly.  The bound at angle 1/d is 0."""
     if spec.n != 1:
         raise ValueError("spectral_bound_curve requires n = 1")
-    d, r = spec.d, spec.components
+    return _curve_bound(spec.d, spec.components)
+
+
+@lru_cache(maxsize=1)
+def _curve_bound(d: int, r: int) -> BoundTable:
+    """spectral_bound_curve of a curve of degree d with r components.  As
+    with steenbrink_infinity, the table of the last (d, r) is kept and
+    shared read-only: every row of a census asks for the same one."""
     return _curve_shaped_bound(d, [j - 1 for j in range(1, d)], r - 1)
 
 

@@ -22,7 +22,7 @@ from .localsing import (
     alexander_alpha_marginal,
 )
 from .milnor import steenbrink_infinity, xi_exponent
-from .pairs import SpectralPairTable
+from .pairs import SpectralPairTable, table_sum
 
 
 class MalformedDocument(ValueError):
@@ -97,8 +97,10 @@ class Derived:
     xi: int  # ((d-1)^(n+1) + (-1)^n) / d
     branch_excess: int  # sum over singular points of (local branch count - 1)
     local_pair_sum: SpectralPairTable  # count-weighted sum of the germs' pairs
-    # with counts as powers, up to units: a germ's unit is not raised to its count
-    local_alexander_product: CyclotomicFactorization
+    # the local divisibility bound: (t-1)^mu times the germs' Alexander
+    # polynomials with counts as powers, up to units (a germ's unit is not
+    # raised to its count)
+    local_bound: CyclotomicFactorization
     # summed local dim Gr_F^p, the p-marginal of local_pair_sum: sorted (p, dim)
     local_grf: tuple[tuple[int, int], ...]
     infinity: SpectralPairTable  # the table at infinity, steenbrink_infinity(n, d)
@@ -123,12 +125,11 @@ def derived_quantities(spec: HypersurfaceSpec) -> Derived:
     sings = spec.singularities
     mu = (d - 1) ** (n + 1) - _local_milnor_total(spec)
     excess = sum((s.branches - 1) * c for s, c in sings)
-    pair_sum = SpectralPairTable()
-    product: dict[int, int] = {}
+    pair_sum = table_sum((s.pairs, count) for s, count in sings)
+    bound = {1: mu}
     for s, count in sings:
-        pair_sum = pair_sum + s.pairs * count
-        for k, m in s.alexander.factors.items():
-            product[k] = product.get(k, 0) + m * count
+        for k, m in s.alexander._factors.items():
+            bound[k] = bound.get(k, 0) + m * count
     mults = tuple(sorted(
         (s.multiplicity for s, c in sings if isinstance(s, Ordinary) for _ in range(c)),
         reverse=True,
@@ -141,7 +142,7 @@ def derived_quantities(spec: HypersurfaceSpec) -> Derived:
         xi=xi_exponent(n, d),
         branch_excess=excess,
         local_pair_sum=pair_sum,
-        local_alexander_product=CyclotomicFactorization._from_parts(product),
+        local_bound=CyclotomicFactorization._from_parts(bound),
         local_grf=tuple(sorted(pair_sum.hodge_filtration_marginal().items())),
         infinity=steenbrink_infinity(n, d),
         ordinary_multiplicities=mults,
@@ -188,7 +189,7 @@ def _validate_explicit(s: Explicit, n: int, out: list[Violation]) -> None:
                 f"{where}: the pair table mass differs from the Milnor number",
             )
         )
-    if n == 1 and s.pairs.unipotent().total_dim() != s.branches - 1:
+    if n == 1 and s.pairs.unipotent_dim() != s.branches - 1:
         out.append(
             Violation(
                 "explicit_inconsistent",
@@ -430,7 +431,7 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
                     "a rational homology manifold curve is irreducible",
                 )
             )
-        if any(not s.pairs.unipotent().is_empty for s, _ in spec.singularities):
+        if any(s.pairs.unipotent_dim() for s, _ in spec.singularities):
             out.append(
                 Violation(
                     "rhm_inconsistent",

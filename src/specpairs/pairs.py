@@ -75,21 +75,12 @@ class SpectralPairTable:
         """The entries keyed by numerators over den, a multiple of _den."""
         return rescale(self._entries, den // self._den)
 
-    def _aligned(self, m: int) -> tuple[int, dict[tuple[int, int, int], int]]:
-        """(den, entries over den) for den = lcm(_den, m); read-only."""
-        den = lcm(self._den, m)
-        return den, self._over(den)
-
     @property
     def is_empty(self) -> bool:
         return not self._entries
 
     def __add__(self, other: SpectralPairTable) -> SpectralPairTable:
-        den, mine = self._aligned(other._den)
-        data = dict(mine)
-        for key, count in other._over(den).items():
-            data[key] = data.get(key, 0) + count
-        return SpectralPairTable._from_numerators(den, data)
+        return table_sum(((self, 1), (other, 1)))
 
     def __mul__(self, n: int) -> SpectralPairTable:
         if n < 0:
@@ -129,6 +120,10 @@ class SpectralPairTable:
 
     def total_dim(self) -> int:
         return sum(self._entries.values())
+
+    def unipotent_dim(self) -> int:
+        """Total count at eigenvalue 1 (alpha = 0)."""
+        return sum(c for (_, _, k), c in self._entries.items() if not k)
 
     def alpha_marginal(self) -> dict[Fraction, int]:
         """Total count per eigenvalue angle."""
@@ -198,3 +193,23 @@ class SpectralPairTable:
                 raise ValueError(f"spectral pair ({p}, {q}, {alpha}) is given twice")
             data[key] = parse_integer(count)
         return cls(data)
+
+
+def table_sum(
+    terms: Iterable[tuple[SpectralPairTable, int]], nonunipotent: bool = False
+) -> SpectralPairTable:
+    """The sum of count * table over (table, count) terms with positive
+    counts, made in one pass over their entries over the lcm of their
+    denominators.  With nonunipotent, only the entries with eigenvalue
+    different from 1 (alpha > 0) are summed."""
+    terms = list(terms)
+    den = lcm(*(table._den for table, _ in terms))
+    data: dict[tuple[int, int, int], int] = {}
+    get = data.get
+    for table, count in terms:
+        step = den // table._den
+        for (p, q, k), c in table._entries.items():
+            if k or not nonunipotent:
+                key = (p, q, k * step)
+                data[key] = get(key, 0) + c * count
+    return SpectralPairTable._from_numerators(den, data)

@@ -14,6 +14,7 @@ input.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import boundary, bounds
@@ -116,6 +117,7 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
     warnings = [v for v in spec.violations if v.severity == "warning"]
     n, d = spec.n, spec.d
     delta_m = boundary.boundary_alexander(spec)
+    deg_m = delta_m.degree
     nonunip = boundary.boundary_pairs_nonunipotent(spec)
     # the full table is exact for curves and rational homology manifolds only
     unip = full = weighted = None
@@ -129,9 +131,11 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
         full = unip + nonunip
     pairs_arrangement = bound_arrangement = None
     if spec.line_arrangement:
-        mults = derived.ordinary_multiplicities
-        pairs_arrangement = boundary.boundary_pairs_arrangement(d, mults)
-        bound_arrangement = bounds.spectral_bound_arrangement(d, mults)
+        points = Counter()  # {multiplicity: number of points}
+        for s, count in spec.singularities:
+            points[s.multiplicity] += count
+        pairs_arrangement = boundary.boundary_pairs_arrangement(d, points)
+        bound_arrangement = bounds.spectral_bound_arrangement(d, points)
     div_infinity = bounds.divisibility_bound_infinity(n, d)
     div_local = bounds.divisibility_bound_local(spec)
     bound_complement = bounds.spectral_bound_complement(spec)
@@ -139,7 +143,7 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
     err, refused = None, []
     if spec.delta_u is not None:
         try:
-            err = boundary.error_term(spec, spec.delta_u)
+            err = boundary.error_term(delta_m, spec.delta_u)
         except NotDivisible as exc:
             refused = [str(exc)]
 
@@ -163,9 +167,8 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
 
     degree = 2 * (d - 1) ** (n + 1)
     checks = [
-        _agree("degree_identity", {"deg delta_M": delta_m.degree},
-               {"deg delta_M": degree},
-               f"deg delta_M = {delta_m.degree}, expected {degree}"),
+        _agree("degree_identity", {"deg delta_M": deg_m}, {"deg delta_M": degree},
+               f"deg delta_M = {deg_m}, expected {degree}"),
         _agree("xi_integral", {"d * xi": d * derived.xi},
                {"d * xi": (d - 1) ** (n + 1) + (-1) ** n}, f"xi = {derived.xi}"),
         _agree("local_alexander_degree",
@@ -176,7 +179,7 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
     if n == 1:
         checks.append(_agree(
             "local_unipotent_mass",
-            {s: s.pairs.unipotent().total_dim() for s in germs},
+            {s: s.pairs.unipotent_dim() for s in germs},
             {s: s.branches - 1 for s in germs},
             "eigenvalue-1 mass = branches - 1 at each germ",
         ))
@@ -193,10 +196,10 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
             "curve route and local+infinity route agree above eigenvalue 1",
         ))
     if full is not None:
+        mass = full.total_dim()
         checks.append(_agree(
-            "total_mass", {"table mass": full.total_dim()},
-            {"table mass": delta_m.degree},
-            f"table mass {full.total_dim()} vs deg delta_M {delta_m.degree}",
+            "total_mass", {"table mass": mass}, {"table mass": deg_m},
+            f"table mass {mass} vs deg delta_M {deg_m}",
         ))
     if pairs_arrangement is not None:
         checks.append(_agree("arrangement_agreement", pairs_arrangement, full,

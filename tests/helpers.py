@@ -311,6 +311,59 @@ def oracle_arrangement_table(
     return {key: c for key, c in out.items() if c}
 
 
+def oracle_table_sum(terms, nonunipotent: bool = False) -> dict:
+    """count * table summed over (table, count) terms, read from each
+    table's rows into a Counter keyed by (p, q, alpha) with Fraction alpha;
+    with nonunipotent, the rows at alpha = 0 are left out."""
+    out: Counter = Counter()
+    for table, count in terms:
+        for p, q, alpha, c in table.to_rows():
+            alpha = Fraction(alpha)
+            if alpha or not nonunipotent:
+                out[(p, q, alpha)] += c * count
+    return dict(out)
+
+
+def oracle_local_pair_sum(spec: HypersurfaceSpec) -> dict:
+    """The count-weighted sum of the germs' pair tables."""
+    return oracle_table_sum((germ.pairs, count) for germ, count in spec.singularities)
+
+
+def oracle_nonunipotent(spec: HypersurfaceSpec) -> dict:
+    """The eigenvalue != 1 rows of the local tables plus the table at
+    infinity."""
+    terms = [(germ.pairs, count) for germ, count in spec.singularities]
+    return oracle_table_sum([(spec.derived.infinity, 1), *terms], nonunipotent=True)
+
+
+def oracle_curve_table(spec: HypersurfaceSpec) -> dict:
+    """The full boundary table of a plane curve from its definition: branch
+    excess + d - r at (0,0,0) and (1,1,0), (mu + 2r - d - 1 - branch
+    excess)/2 at (0,1,0) and (1,0,0); at alpha > 0 the local (0,1) count
+    plus mhat(d, alpha) - 1 at (0,1,alpha) and (1,0,1-alpha), and the local
+    (0,0) count at (0,0,alpha) and (1,1,alpha)."""
+    d, r = spec.d, spec.components
+    sings = spec.singularities
+    excess = sum((germ.branches - 1) * count for germ, count in sings)
+    mu = (d - 1) ** 2 - sum(germ.milnor * count for germ, count in sings)
+    zero = Fraction(0)
+    out: Counter = Counter()
+    out[(0, 0, zero)] = out[(1, 1, zero)] = excess + d - r
+    out[(0, 1, zero)] = out[(1, 0, zero)] = (mu + 2 * r - d - 1 - excess) // 2
+    for (p, q, alpha), c in oracle_local_pair_sum(spec).items():
+        if alpha and (p, q) == (0, 1):
+            out[(0, 1, alpha)] += c
+            out[(1, 0, 1 - alpha)] += c
+        elif alpha and (p, q) == (0, 0):
+            out[(0, 0, alpha)] += c
+            out[(1, 1, alpha)] += c
+    for j in range(1, d):
+        alpha = Fraction(j, d)
+        out[(0, 1, alpha)] += oracle_mhat(d, alpha) - 1
+        out[(1, 0, 1 - alpha)] += oracle_mhat(d, alpha) - 1
+    return {key: c for key, c in out.items() if c}
+
+
 def table_entries(table) -> dict:
     """A pair or bound table's counts or bounds keyed by (p, q, alpha) with
     Fraction alpha, read from its rows."""

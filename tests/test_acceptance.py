@@ -174,7 +174,7 @@ def test_criterion_09_error_term_suite():
         line_arrangement=True,
     )
     assert error_term(
-        concurrent, CyclotomicFactorization(factors={1: 2, 3: 1})
+        boundary_alexander(concurrent), CyclotomicFactorization(factors={1: 2, 3: 1})
     ) == CyclotomicFactorization()
 
     lines = HypersurfaceSpec(
@@ -182,7 +182,7 @@ def test_criterion_09_error_term_suite():
         line_arrangement=True,
     )
     assert error_term(
-        lines, CyclotomicFactorization(factors={1: 2})
+        boundary_alexander(lines), CyclotomicFactorization(factors={1: 2})
     ) == CyclotomicFactorization(factors={1: 2, 3: 1})
 
     rng = random.Random(909)
@@ -194,7 +194,7 @@ def test_criterion_09_error_term_suite():
                 k: rng.randint(0, m // 2) for k, m in delta_m.factors.items()
             }
         )
-        assert error_term(spec, delta_u).degree % 2 == 0
+        assert error_term(delta_m, delta_u).degree % 2 == 0
     _report(9, "error term values and even degree")
 
 

@@ -3,13 +3,15 @@
 Each `tests/golden/<case>.json` is run under `compute --format structured`,
 `compute --format table` and `verify`, and compared with the stored
 `<case>.<command>.out`; `census7.structured.out` and `census7.table.out`
-hold `census --lines 7` in the structured and the table format.  The stored
-files are data, not expectations to refresh: a difference is a change of
-behaviour.
+hold `census --lines 7` in the structured and the table format, and
+`census --lines 10 --format structured` is pinned by its length and sha256.
+The stored files are data, not expectations to refresh: a difference is a
+change of behaviour.
 """
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -44,3 +46,16 @@ def test_golden_output(name, argv, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+# census --lines 10: 295 rows (census7 has 32), with local pair sums over
+# denominators up to 420 (census7: 60) and full tables of up to 36 rows
+CENSUS10_STRUCTURED = (
+    665_204, "5b8711ef91d5fbf74a6d9c0dda8989c5ca73dbe58bf9ca7444597dd1c152d2c3"
+)
+
+
+def test_census10_structured_output_is_pinned(capsys):
+    assert main(["census", "--lines", "10", "--format", "structured"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (len(out), hashlib.sha256(out).hexdigest()) == CENSUS10_STRUCTURED

@@ -6,11 +6,12 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from helpers import table_entries
+from helpers import oracle_table_sum, table_entries
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specpairs import SpectralPairTable
+from specpairs.pairs import table_sum
 
 
 def table(entries):
@@ -141,3 +142,13 @@ def test_integer_keys_over_any_denominator_equal_fraction_keys(entries, extra, o
     assert by_numerator + other == by_fraction + other
     assert hash(by_numerator + other) == hash(other + by_fraction)
     assert (by_numerator == other) == (entries == table_entries(other))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(tables, st.integers(min_value=1, max_value=4)), max_size=4),
+    st.booleans(),
+)
+def test_table_sum_equals_the_counter_oracle(terms, nonunipotent):
+    total = table_sum(terms, nonunipotent)
+    assert table_entries(total) == oracle_table_sum(terms, nonunipotent)

@@ -7,6 +7,7 @@ import itertools
 import json
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -122,6 +123,32 @@ def test_validate_runs_once_per_report(monkeypatch):
     # the warnings come from the same cached result
     assert [v.code for v in report.warnings] == ["shared_line"]
     assert report.warnings == spec.violations
+
+
+def test_each_bound_and_delta_m_is_made_once_per_report(monkeypatch):
+    # every module binding one of the two routes gets the counting wrapper,
+    # so calls from inside the package count as well
+    calls = {}
+    for owner, name in ((bounds, "divisibility_bound_local"),
+                        (boundary, "boundary_alexander")):
+        route = getattr(owner, name)
+        calls[name] = 0
+
+        def counting(*args, name=name, route=route):
+            calls[name] += 1
+            return route(*args)
+
+        for module in [m for key, m in sys.modules.items()
+                       if key.startswith("specpairs.")]:
+            if vars(module).get(name) is route:
+                monkeypatch.setattr(module, name, counting)
+    report = build_report(HypersurfaceSpec(
+        n=1, d=3, components=3, line_arrangement=True,
+        singularities=((Ordinary(3), 1),),
+        delta_u=CyclotomicFactorization(factors={1: 2, 3: 1}),
+    ))
+    assert report.all_passed and report.error_term is not None
+    assert calls == {"divisibility_bound_local": 1, "boundary_alexander": 1}
 
 
 def test_every_factorization_of_a_report_is_a_canonical_value():

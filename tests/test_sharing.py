@@ -1,7 +1,8 @@
-"""Values that depend only on a germ, or only on (n, d), are computed once
-and shared read-only: each built-in germ keeps its spectrum and tables, a
-census keeps one germ per multiplicity, and the values at infinity of the
-last (n, d) are kept.  Nothing is shared beyond that."""
+"""Values that depend only on a germ, only on (n, d) or only on (d, r) are
+computed once and shared read-only: each built-in germ keeps its spectrum
+and tables, a census keeps one germ per multiplicity, and the values at
+infinity of the last (n, d) and the curve bound of the last (d, r) are
+kept.  Nothing is shared beyond that."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from helpers import table_at_infinity_from_dims
 from specpairs import (
     HypersurfaceSpec,
     Ordinary,
+    bounds,
     build_report,
     cli,
     divisibility_bound_infinity,
@@ -26,7 +28,7 @@ from specpairs import (
 from specpairs.cli import arrangement_spec, census_rows, main
 
 GOLDEN = Path(__file__).parent / "golden"
-AT_INFINITY = (steenbrink_infinity, divisibility_bound_infinity)
+AT_INFINITY = (steenbrink_infinity, divisibility_bound_infinity, bounds._curve_bound)
 
 
 def _clear_caches():
@@ -76,7 +78,9 @@ def test_only_the_last_degree_is_kept_at_infinity():
         assert build_report(spec).all_passed
     for cached in AT_INFINITY:
         info = cached.cache_info()
-        assert (info.misses, info.currsize) == (3, 1), cached.__name__
+        # the surface has no curve bound
+        misses = 2 if cached is bounds._curve_bound else 3
+        assert (info.misses, info.currsize) == (misses, 1), cached.__name__
 
 
 def test_a_parsed_germ_is_freed_with_its_spec():
@@ -117,3 +121,4 @@ def test_shared_values_are_never_mutated(monkeypatch, capsys):
         assert germ.alexander == fresh.alexander
     expected = table_at_infinity_from_dims(1, 9, lambda m: milnor_dim(1, 9, m))
     assert steenbrink_infinity(1, 9) == expected
+    assert bounds._curve_bound(9, 9) == bounds._curve_shaped_bound(9, [*range(8)], 8)
