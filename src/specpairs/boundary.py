@@ -33,7 +33,7 @@ def boundary_alexander(spec: HypersurfaceSpec) -> CyclotomicFactorization:
     It is the product of the two divisibility bounds of the complement;
     spec.derived admits only mu >= 0, so no exponent is negative."""
     bound = divisibility_bound_infinity(spec.n, spec.d) * spec.derived.local_bound
-    return CyclotomicFactorization._from_parts(bound._factors)
+    return CyclotomicFactorization(bound._factors)
 
 
 def error_term(
@@ -45,7 +45,7 @@ def error_term(
 
     The quotient must exist when delta_u is the Alexander polynomial of the
     complement; its degree is even, which the report checks."""
-    square = CyclotomicFactorization._from_parts(delta_u._factors) ** 2
+    square = CyclotomicFactorization(delta_u._factors) ** 2
     try:
         quotient = delta_m.divide(square)
     except NotDivisible as exc:
@@ -97,7 +97,7 @@ def boundary_pairs_curve(spec: HypersurfaceSpec) -> SpectralPairTable:
         elif (p, q) == (0, 0):
             entries[(0, 0, k)] = entries[(1, 1, k)] = c
     _add_mhat_excess(entries, spec.d, 1, den)
-    return SpectralPairTable._from_numerators(den, entries)
+    return SpectralPairTable(den, entries)
 
 
 def _eigenvalue_one_corners(corner: int, off: int) -> dict[tuple[int, int, int], int]:
@@ -136,7 +136,7 @@ def boundary_pairs_arrangement(d: int, multiplicities) -> SpectralPairTable:
     for m, c in counts.items():
         _add_mhat_excess(entries, m, c, den)
     _add_mhat_excess(entries, d, 1, den)
-    return SpectralPairTable._from_numerators(den, entries)
+    return SpectralPairTable(den, entries)
 
 
 def boundary_pairs_qhm(spec: HypersurfaceSpec) -> dict[int, SpectralPairTable]:
@@ -164,8 +164,8 @@ def boundary_pairs_qhm(spec: HypersurfaceSpec) -> dict[int, SpectralPairTable]:
     # h^{0,n+1} and h^{n+1,0} at infinity vanish, so the shift loses nothing
     bottom = {(p - 1, q - 1, 0): c for (p, q, _), c in top._entries.items()}
     return {
-        n - 1: SpectralPairTable._from_numerators(1, bottom),
-        n: SpectralPairTable._from_numerators(1, middle),
+        n - 1: SpectralPairTable(1, bottom),
+        n: SpectralPairTable(1, middle),
         n + 1: top,
     }
 

@@ -119,7 +119,7 @@ def divisibility_bound_infinity(n: int, d: int) -> CyclotomicFactorization:
         raise ValueError(f"need d >= 2, got {d}")
     factors = dict.fromkeys(t_power_minus_one(d).factors, xi_exponent(n, d))
     factors[1] += (-1) ** (n + 1)
-    return CyclotomicFactorization._from_parts(factors, formal=True)
+    return CyclotomicFactorization(factors, formal=True)
 
 
 def divisibility_bound_local(spec: HypersurfaceSpec) -> CyclotomicFactorization:

@@ -4,7 +4,7 @@ Subcommands:
   compute  build the full invariant report for an input document
   verify   run the cross-checks only; exit status reflects the outcome
   census   enumerate line-arrangement weak data for a given line count
-  oracle   expose the brute-force oracles next to the closed forms
+  oracle   set a brute-force enumeration beside the spectrum engine
 
 Exit status: 0 success, 1 validation or input-data failure, 2 internal
 cross-check failure or unexpected error (indicating a bug), 3 usage error.
@@ -234,14 +234,14 @@ def _cmd_oracle(args) -> int:
     n, d, m = args.args
     try:
         # the brute force's guard refuses a huge enumeration before the
-        # closed form runs, whose cost also grows with n and m
+        # engine runs, whose cost also grows with n and d
         brute = milnor_dim_bruteforce(n, d, m)
-        closed = milnor_dim(n, d, m)
+        engine = milnor_dim(n, d, m)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
-    print(f"{closed} {brute}")
-    return EXIT_OK if closed == brute else EXIT_IDENTITY
+    print(f"{engine} {brute}")
+    return EXIT_OK if engine == brute else EXIT_IDENTITY
 
 
 def main(argv=None) -> int:

@@ -67,40 +67,20 @@ class CyclotomicFactorization:
 
     def __init__(
         self,
-        unit: Rational = 1,
-        t_power: int = 0,
         factors: Mapping[int, int] | None = None,
+        unit: Rational = _ONE,
+        t_power: int = 0,
         formal: bool = False,
     ):
-        self._fill(
-            Fraction(unit),
-            int(t_power),
-            [(int(k), int(m)) for k, m in (factors or {}).items()],
-            bool(formal),
-        )
-
-    @classmethod
-    def _from_parts(
-        cls,
-        factors: Mapping[int, int],
-        unit: Fraction = _ONE,
-        t_power: int = 0,
-        formal: bool = False,
-    ) -> CyclotomicFactorization:
-        """Package-internal constructor for parts that are already int and
-        Fraction values: the checks of the public constructor without its
-        conversions."""
-        value = object.__new__(cls)
-        value._fill(unit, t_power, factors.items(), formal)
-        return value
-
-    def _fill(self, unit: Fraction, t_power: int, factors, formal: bool) -> None:
-        """Check and store the parts of either constructor, with `factors` as
-        (order, multiplicity) pairs; zero multiplicities are dropped."""
+        """Check and store the parts, with `factors` as {order: multiplicity};
+        zero multiplicities are dropped.  from_dict is the reader that checks
+        a document's types."""
+        if not isinstance(unit, Fraction):
+            unit = Fraction(unit)
         if not unit:
             raise ValueError("the unit of a factorization must be nonzero")
         data: dict[int, int] = {}
-        for k, m in factors:
+        for k, m in (factors or {}).items():
             if k < 1:
                 raise ValueError(f"cyclotomic order must be >= 1, got {k}")
             if m < 0 and not formal:
@@ -146,7 +126,7 @@ class CyclotomicFactorization:
         data = dict(self._factors)
         for k, m in other._factors.items():
             data[k] = data.get(k, 0) + m
-        return CyclotomicFactorization._from_parts(
+        return CyclotomicFactorization(
             data,
             self._unit * other._unit,
             self._t_power + other._t_power,
@@ -156,7 +136,7 @@ class CyclotomicFactorization:
     def __pow__(self, n: int) -> CyclotomicFactorization:
         if n < 0:
             raise ValueError("negative powers are not defined; use divide")
-        return CyclotomicFactorization._from_parts(
+        return CyclotomicFactorization(
             {k: m * n for k, m in self._factors.items()},
             self._unit**n,
             self._t_power * n,
@@ -173,7 +153,7 @@ class CyclotomicFactorization:
         short = [f"Phi({k})" for k, m in sorted(data.items()) if m < 0]
         if short:
             raise NotDivisible(f"multiplicity too high at {', '.join(short)}")
-        return CyclotomicFactorization._from_parts(
+        return CyclotomicFactorization(
             data, self._unit / other._unit, self._t_power - other._t_power
         )
 
@@ -181,7 +161,7 @@ class CyclotomicFactorization:
         """Greatest common divisor up to units of Q[t, t^-1], the least
         multiplicity at each order: self divides other exactly when it
         equals self with unit 1 and t^0."""
-        return CyclotomicFactorization._from_parts(
+        return CyclotomicFactorization(
             {k: min(m, other.multiplicity(k)) for k, m in self._factors.items()}
         )
 
@@ -241,7 +221,7 @@ class CyclotomicFactorization:
             if k in factors:
                 raise ValueError(f"cyclotomic order {k} is given twice")
             factors[k] = parse_integer(m)
-        return cls(unit, t_power, factors, formal=parse_flag(data.get("formal", False)))
+        return cls(factors, unit, t_power, parse_flag(data.get("formal", False)))
 
 
 def parse_integer(value) -> int:
@@ -281,4 +261,4 @@ def t_power_minus_one(d: int) -> CyclotomicFactorization:
     """The factorization of t^d - 1 as the product of Phi_k over k | d."""
     if d < 1:
         raise ValueError(f"t^d - 1 requires d >= 1, got {d}")
-    return CyclotomicFactorization._from_parts(dict.fromkeys(divisors(d), 1))
+    return CyclotomicFactorization(dict.fromkeys(divisors(d), 1))

@@ -8,7 +8,8 @@ finite order and every invariant is read off the singularity spectrum
 table at infinity.  Germs that are not quasi-homogeneous, and germs in
 ambient dimension above curves, enter through the Explicit variant carrying
 user-supplied data.  Every germ answers `milnor`, `branches`, `pairs` and
-`alexander` itself.
+`alexander` itself, and `work`, its closed-form price in the work estimate
+of ``model.validate``.
 
 A built-in germ enumerates its spectrum once, on first use, and keeps it on
 the instance with the local pairs and the local Alexander polynomial read
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .laurent import CyclotomicFactorization, euler_phi
 from .milnor import _pairs_at_level, brieskorn_pham_spectrum
@@ -54,7 +55,7 @@ class _QuasiHomogeneous:
         for k, c in numerators.items():
             order = den // gcd(k, den)
             per_order[order] = per_order.get(order, 0) + c
-        return CyclotomicFactorization._from_parts(
+        return CyclotomicFactorization(
             {o: c // euler_phi(o) for o, c in per_order.items()}
         )
 
@@ -72,6 +73,8 @@ class Ordinary(_QuasiHomogeneous):
 
     multiplicity: int
     exponents = property(lambda self: (self.multiplicity, self.multiplicity))
+    # the engine's passes over 2m values
+    work = property(lambda self: 64 * self.multiplicity)
 
     def __post_init__(self):
         if self.multiplicity < 2:
@@ -85,6 +88,13 @@ class Brieskorn(_QuasiHomogeneous):
     a: int
     b: int
     exponents = property(lambda self: (self.a, self.b))
+
+    @property
+    def work(self) -> int:
+        """The engine's passes over 2 lcm(a, b) coefficients; each distinct
+        spectrum value is an entry of every table built from the germ."""
+        mu = self.milnor
+        return mu // 2 + 32 * min(mu, 2 * lcm(self.a, self.b))
 
     def __post_init__(self):
         if self.a < 2 or self.b < 2:
@@ -106,6 +116,8 @@ class Explicit:
     alexander: CyclotomicFactorization
     pairs: SpectralPairTable
     grf_dims: tuple[tuple[int, int], ...] | None = None
+    # alexander_alpha_marginal runs through 0 <= j < k for each order k
+    work = property(lambda self: 4 * sum(self.alexander.factors))
 
     def __post_init__(self):
         if self.milnor < 1:
@@ -127,11 +139,14 @@ def spectrum(s: LocalSingularity) -> tuple[Fraction, ...]:
                  for _ in range(numerators[k]))
 
 
-def alexander_alpha_marginal(f: CyclotomicFactorization) -> dict[Fraction, int]:
-    """Eigenvalue multiset of a cyclotomic product, grouped by angle alpha."""
-    out: dict[Fraction, int] = {}
+def alexander_alpha_marginal(f: CyclotomicFactorization) -> dict[tuple[int, int], int]:
+    """Eigenvalue multiset of a cyclotomic product, grouped by angle alpha
+    and keyed, as SpectralPairTable.alpha_marginal, by alpha in lowest
+    terms as (numerator, denominator): Phi(k) has the angles j/k with
+    gcd(j, k) = 1, and (0, 1) for k = 1."""
+    out: dict[tuple[int, int], int] = {}
     for k, m in f.factors.items():
         for j in range(k):
-            if k == 1 or gcd(j, k) == 1:
-                out[Fraction(j, k)] = out.get(Fraction(j, k), 0) + m
+            if gcd(j, k) == 1:
+                out[j, k] = out.get((j, k), 0) + m
     return out

@@ -6,16 +6,16 @@ hypersurface transversal at infinity.
 k_i < a_i} of x_0^{a_0} + ... + x_n^{a_n} (Steenbrink) as integer
 numerators, and ``_pairs_at_level`` turns a spectrum into spectral pairs.
 Every built-in germ and the table at infinity, the pair table of the Fermat
-germ x_0^d + ... + x_n^d, go through both.  ``milnor_dim``, the closed form
-of the Fermat graded dimensions, is kept for the ``oracle`` command and as
-an independent check of the engine.
+germ x_0^d + ... + x_n^d, go through both.  ``milnor_dim`` reads one graded
+dimension of the Fermat Milnor algebra off the engine for the ``oracle``
+command, which sets it beside a brute-force enumeration.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, product
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import sub
 
 from .pairs import SpectralPairTable
@@ -28,30 +28,14 @@ class EnumerationTooLarge(ValueError):
 _ENUMERATION_GUARD = 10**7
 
 
-def top_weight(n: int, d: int) -> int:
-    """Largest degree with a nonzero graded piece: (n+1)(d-2)."""
-    return (n + 1) * (d - 2)
-
-
 def milnor_dim(n: int, d: int, m: int) -> int:
-    """Dimension of the degree-m graded piece of the Fermat Milnor algebra.
-
-    Counts tuples (a_0, ..., a_n) with sum m and 0 <= a_i <= d - 2, by
-    inclusion-exclusion over coordinates exceeding the cap:
-
-        sum_j (-1)^j C(n+1, j) C(m - j(d-1) + n, n)
-
-    with C(a, b) = 0 whenever a < b.  Returns 0 outside [0, (n+1)(d-2)].
-    """
+    """Dimension of the degree-m graded piece of the Fermat Milnor algebra,
+    the number of tuples (a_0, ..., a_n) with sum m and 0 <= a_i <= d - 2:
+    the multiplicity of the spectrum value (m + n + 1)/d of
+    x_0^d + ... + x_n^d, so 0 outside [0, (n+1)(d-2)]."""
     if n < 0 or d < 2:
         raise ValueError(f"need n >= 0 and d >= 2, got n={n}, d={d}")
-    if m < 0 or m > top_weight(n, d):
-        return 0
-    # only j <= m/(d-1) leaves C(m - j(d-1) + n, n) nonzero
-    return sum(
-        (-1) ** j * comb(n + 1, j) * comb(m - j * (d - 1) + n, n)
-        for j in range(min(n + 1, m // (d - 1)) + 1)
-    )
+    return brieskorn_pham_spectrum((d,) * (n + 1))[1].get(m + n + 1, 0)
 
 
 def xi_exponent(n: int, d: int) -> int:
@@ -91,10 +75,13 @@ def brieskorn_pham_spectrum(exponents: tuple[int, ...]) -> tuple[int, dict[int, 
     subtraction and one prefix-sum pass of stride c_i, which leaves c_i zero
     top coefficients to drop.  The product so far lives on multiples of
     `step`, so the pass skips the residues mod c_i that hold only zeros.
+    An exponent 2 has the factor 1 and makes no pass.
     """
     den, step = lcm(*exponents), 0
     coeffs = [1]
     for a in sorted(exponents):
+        if a == 2:
+            continue
         c, width = den // a, len(coeffs)
         coeffs += [0] * ((a - 1) * c)
         coeffs[-width:] = map(sub, coeffs[-width:], coeffs[:width])
@@ -114,7 +101,7 @@ def _pairs_at_level(n: int, den: int, numerators: dict[int, int]) -> SpectralPai
     for k, c in numerators.items():
         p, j = divmod(k, den)
         entries[(p, n - p, j) if j else (p, n + 1 - p, 0)] = c
-    return SpectralPairTable._from_numerators(den, entries)
+    return SpectralPairTable(den, entries)
 
 
 @lru_cache(maxsize=1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, lcm
+from math import comb
 
 from .laurent import CyclotomicFactorization, parse_array, parse_flag, parse_integer
 from .localsing import (
@@ -142,7 +142,7 @@ def derived_quantities(spec: HypersurfaceSpec) -> Derived:
         xi=xi_exponent(n, d),
         branch_excess=excess,
         local_pair_sum=pair_sum,
-        local_bound=CyclotomicFactorization._from_parts(bound),
+        local_bound=CyclotomicFactorization(bound),
         local_grf=tuple(sorted(pair_sum.hodge_filtration_marginal().items())),
         infinity=steenbrink_infinity(n, d),
         ordinary_multiplicities=mults,
@@ -241,8 +241,8 @@ WORK_BUDGET = 10**7
 
 def _work_estimate(spec: HypersurfaceSpec) -> int:
     """The work a spec asks for, in closed form and without deriving
-    anything: the tables at infinity, each germ's spectrum or eigenvalue
-    enumeration and, for line arrangements, the expanded point list."""
+    anything: the tables at infinity, each germ's own price (`work`) and,
+    for line arrangements, the expanded point list."""
     n, d = spec.n, spec.d
     # (n+1)(d-1) entries at infinity, priced as an inclusion-exclusion over
     # n+2 binomials each.  steenbrink_infinity reads them off the spectrum
@@ -251,18 +251,7 @@ def _work_estimate(spec: HypersurfaceSpec) -> int:
     # that the budget refuses the same documents.
     work = (n + 1) * (d - 1) * (32 + (n + 2) * (1 + n // 128))
     for s, count in spec.singularities:
-        if isinstance(s, Explicit):
-            # alexander_alpha_marginal runs through 0 <= j < k for each order k
-            work += 4 * sum(s.alexander.factors)
-        elif isinstance(s, Ordinary):
-            work += 64 * s.multiplicity  # the engine's passes over 2m values
-        else:
-            # the engine's passes over 2 lcm(a, b) coefficients; each distinct
-            # spectrum value is an entry of every table built from the germ
-            mu = s.milnor
-            work += mu // 2 + 32 * min(mu, 2 * lcm(s.a, s.b))
-        if spec.line_arrangement:
-            work += count
+        work += s.work + (count if spec.line_arrangement else 0)
     return work
 
 

@@ -7,28 +7,18 @@ corresponding eigenspace.  Zero counts are never stored.
 
 Each angle is stored as an integer numerator k over one denominator per
 table (alpha = k/den), so the table algebra is integer arithmetic.  Fraction
-angles come in only where a table is built from (p, q, alpha) keys or read
-from a document's rows; a table is read out through its rows, which write
-each angle as lowest-terms text.
+angles come in only where a document's rows are read (``from_rows``); a
+table is read out through its rows, which write each angle as lowest-terms
+text.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .laurent import parse_fraction, parse_integer
-
-PairKey = tuple[int, int, Fraction]
-
-
-def _normalize_key(key) -> PairKey:
-    p, q, alpha = key
-    alpha = Fraction(alpha)
-    if not 0 <= alpha < 1:
-        raise ValueError(f"eigenvalue angle must lie in [0, 1), got {alpha}")
-    return (int(p), int(q), alpha)
 
 
 def rescale(entries: dict, factor: int) -> dict:
@@ -44,77 +34,44 @@ class SpectralPairTable:
 
     __slots__ = ("_den", "_entries")
 
-    def __init__(self, entries: Mapping[PairKey, int] | None = None):
-        data: dict[PairKey, int] = {}
-        for key, count in (entries or {}).items():
-            count = int(count)
-            if count < 0:
-                raise ValueError(f"negative count {count} at {key}")
-            if count:
-                key = _normalize_key(key)
-                data[key] = data.get(key, 0) + count
-        den = self._den = lcm(*(alpha.denominator for _, _, alpha in data))
-        self._entries = {
-            (p, q, alpha.numerator * (den // alpha.denominator)): c
-            for (p, q, alpha), c in data.items()
-        }
-
-    @classmethod
-    def _from_numerators(
-        cls, den: int, entries: dict[tuple[int, int, int], int]
-    ) -> SpectralPairTable:
-        """Package-internal constructor: positive counts keyed by (p, q, k)
-        with 0 <= k < den, standing for the angle k/den.  Takes ownership of
-        `entries`."""
-        table = object.__new__(cls)
-        table._den = den
-        table._entries = entries
-        return table
+    def __init__(self, den: int, entries: dict[tuple[int, int, int], int]):
+        """Positive counts keyed by (p, q, k) with 0 <= k < den, standing for
+        the angle k/den.  Takes ownership of `entries` and checks nothing;
+        from_rows is the reader that checks."""
+        self._den = den
+        self._entries = entries
 
     def _over(self, den: int) -> dict[tuple[int, int, int], int]:
         """The entries keyed by numerators over den, a multiple of _den."""
         return rescale(self._entries, den // self._den)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self._entries
-
     def __add__(self, other: SpectralPairTable) -> SpectralPairTable:
         return table_sum(((self, 1), (other, 1)))
-
-    def __mul__(self, n: int) -> SpectralPairTable:
-        if n < 0:
-            raise ValueError("table counts cannot be scaled by a negative integer")
-        return SpectralPairTable._from_numerators(
-            self._den, {k: n * c for k, c in self._entries.items()} if n else {}
-        )
-
-    __rmul__ = __mul__
 
     def conjugate(self) -> SpectralPairTable:
         """Complex conjugation: (p, q, alpha) -> (q, p, (1 - alpha) mod 1)."""
         den = self._den
-        return SpectralPairTable._from_numerators(
+        return SpectralPairTable(
             den, {(q, p, -k % den): c for (p, q, k), c in self._entries.items()}
         )
 
     def level_dual(self, n: int) -> SpectralPairTable:
         """Duality at level n: (p, q, alpha) -> (n - p, n - q, (1 - alpha) mod 1)."""
         den = self._den
-        return SpectralPairTable._from_numerators(
+        return SpectralPairTable(
             den,
             {(n - p, n - q, -k % den): c for (p, q, k), c in self._entries.items()},
         )
 
     def nonunipotent(self) -> SpectralPairTable:
         """Entries with eigenvalue different from 1 (alpha > 0)."""
-        return SpectralPairTable._from_numerators(
+        return SpectralPairTable(
             self._den, {key: c for key, c in self._entries.items() if key[2]}
         )
 
     def unipotent(self) -> SpectralPairTable:
         """Entries with eigenvalue 1 (alpha = 0)."""
-        return SpectralPairTable._from_numerators(
+        return SpectralPairTable(
             1, {key: c for key, c in self._entries.items() if not key[2]}
         )
 
@@ -125,12 +82,15 @@ class SpectralPairTable:
         """Total count at eigenvalue 1 (alpha = 0)."""
         return sum(c for (_, _, k), c in self._entries.items() if not k)
 
-    def alpha_marginal(self) -> dict[Fraction, int]:
-        """Total count per eigenvalue angle."""
-        by_k: dict[int, int] = {}
+    def alpha_marginal(self) -> dict[tuple[int, int], int]:
+        """Total count per eigenvalue angle, keyed by the angle in lowest
+        terms as (numerator, denominator), (0, 1) for 0."""
+        den, out = self._den, {}
         for (_, _, k), c in self._entries.items():
-            by_k[k] = by_k.get(k, 0) + c
-        return {Fraction(k, self._den): c for k, c in by_k.items()}
+            g = gcd(k, den)
+            key = (k // g, den // g)
+            out[key] = out.get(key, 0) + c
+        return out
 
     def hodge_filtration_marginal(self) -> dict[int, int]:
         """Total count per Hodge filtration level p, summed over q and alpha."""
@@ -181,18 +141,28 @@ class SpectralPairTable:
     @classmethod
     def from_rows(cls, rows: Iterable) -> SpectralPairTable:
         """Read rows [p, q, alpha, count] of a document: p, q and count must
-        be integers and alpha an exact rational; a key given twice is an
-        error, not a sum."""
-        data: dict[PairKey, int] = {}
+        be integers, alpha an exact rational in [0, 1) and no count
+        negative; a key given twice is an error, not a sum, and zero counts
+        are dropped."""
+        data: dict[tuple[int, int, Fraction], int] = {}
         for p, q, alpha, count in rows:
-            key = _normalize_key(
-                (parse_integer(p), parse_integer(q), parse_fraction(alpha))
+            key = p, q, alpha = (
+                parse_integer(p), parse_integer(q), parse_fraction(alpha)
             )
+            if not 0 <= alpha < 1:
+                raise ValueError(f"eigenvalue angle must lie in [0, 1), got {alpha}")
             if key in data:
-                p, q, alpha = key
                 raise ValueError(f"spectral pair ({p}, {q}, {alpha}) is given twice")
             data[key] = parse_integer(count)
-        return cls(data)
+        for key, count in data.items():
+            if count < 0:
+                raise ValueError(f"negative count {count} at {key}")
+        data = {key: c for key, c in data.items() if c}
+        den = lcm(*(alpha.denominator for _, _, alpha in data))
+        return cls(den, {
+            (p, q, alpha.numerator * (den // alpha.denominator)): c
+            for (p, q, alpha), c in data.items()
+        })
 
 
 def table_sum(
@@ -212,4 +182,4 @@ def table_sum(
             if k or not nonunipotent:
                 key = (p, q, k * step)
                 data[key] = get(key, 0) + c * count
-    return SpectralPairTable._from_numerators(den, data)
+    return SpectralPairTable(den, data)

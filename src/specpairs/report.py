@@ -211,7 +211,7 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
         ))
     checks.append(_agree("bound_consistency", nesting, [], "bounds nest as required"))
     if spec.delta_u is not None:
-        u = CyclotomicFactorization._from_parts(spec.delta_u._factors)
+        u = CyclotomicFactorization(spec.delta_u._factors)
         checks += [
             _agree("delta_u_divides_infinity", u, u.gcd(div_infinity),
                    "delta_U divides the bound at infinity", "input"),

@@ -138,7 +138,7 @@ def brieskorn_pham_explicit(exponents: tuple[int, ...]) -> Explicit:
         milnor=mu,
         branches=local_branches,
         alexander=alexander,
-        pairs=SpectralPairTable(entries),
+        pairs=pair_table(entries),
         grf_dims=tuple(sorted(grf.items())),
     )
 
@@ -385,6 +385,51 @@ def bound_table(entries, exact=()) -> BoundTable:
     return BoundTable(den, by_numerator, exact)
 
 
+def pair_table(entries=None) -> SpectralPairTable:
+    """A SpectralPairTable from {(p, q, alpha): count} literals with exact
+    rational alpha, read as a document's rows, so zero counts are dropped
+    and a negative count or an angle outside [0, 1) is rejected."""
+    return SpectralPairTable.from_rows(
+        [p, q, alpha, count] for (p, q, alpha), count in (entries or {}).items()
+    )
+
+
+def milnor_dim_closed_form(n: int, d: int, m: int) -> int:
+    """Dimension of the degree-m graded piece of the Fermat Milnor algebra,
+    tuples (a_0, ..., a_n) with sum m and 0 <= a_i <= d - 2, by
+    inclusion-exclusion over the coordinates that exceed the cap:
+
+        sum_j (-1)^j C(n+1, j) C(m - j(d-1) + n, n)
+
+    with C(a, b) = 0 whenever a < b; 0 outside [0, (n+1)(d-2)].  An oracle
+    for milnor.milnor_dim that shares no code with the spectrum engine."""
+    if m < 0 or m > (n + 1) * (d - 2):
+        return 0
+    # only j <= m/(d-1) leaves C(m - j(d-1) + n, n) nonzero
+    return sum(
+        (-1) ** j * comb(n + 1, j) * comb(m - j * (d - 1) + n, n)
+        for j in range(min(n + 1, m // (d - 1)) + 1)
+    )
+
+
+def work_estimate_closed_form(spec: HypersurfaceSpec) -> int:
+    """model._work_estimate written out with its per-germ prices chosen by
+    the germ's class, as it read before each germ priced itself."""
+    n, d = spec.n, spec.d
+    work = (n + 1) * (d - 1) * (32 + (n + 2) * (1 + n // 128))
+    for s, count in spec.singularities:
+        if isinstance(s, Explicit):
+            work += 4 * sum(s.alexander.factors)
+        elif isinstance(s, Ordinary):
+            work += 64 * s.multiplicity
+        else:
+            mu = (s.a - 1) * (s.b - 1)
+            work += mu // 2 + 32 * min(mu, 2 * lcm(s.a, s.b))
+        if spec.line_arrangement:
+            work += count
+    return work
+
+
 def table_at_infinity_from_dims(n, d, dim) -> SpectralPairTable:
     """The table at infinity written out from Steenbrink's formula, with
     dim(m) the Milnor-algebra dimension in degree m."""
@@ -394,7 +439,7 @@ def table_at_infinity_from_dims(n, d, dim) -> SpectralPairTable:
             entries[(p, n - p, Fraction(j, d))] = dim(p * d - n - 1 + j)
     for p in range(n + 2):
         entries[(p, n + 1 - p, Fraction(0))] = dim(p * d - n - 1)
-    return SpectralPairTable(entries)
+    return pair_table(entries)
 
 
 def oracle_render_text(report) -> str:

@@ -8,14 +8,13 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from helpers import random_curve_spec, random_spec, weak_multisets
+from helpers import pair_table, random_curve_spec, random_spec, weak_multisets
 
 from specpairs import (
     Brieskorn,
     CyclotomicFactorization,
     HypersurfaceSpec,
     Ordinary,
-    SpectralPairTable,
     boundary_alexander,
     boundary_pairs_curve,
     boundary_pairs_nonunipotent,
@@ -28,7 +27,6 @@ from specpairs import (
     spectral_bound_curve,
     steenbrink_infinity,
 )
-from specpairs.milnor import top_weight
 
 
 def _report(number: int, name: str) -> None:
@@ -43,7 +41,7 @@ def test_criterion_01_steenbrink_closed_form_for_curves():
             if j - 1:
                 expected[(0, 1, Fraction(j, d))] = j - 1
                 expected[(1, 0, Fraction(d - j, d))] = j - 1
-        assert steenbrink_infinity(1, d) == SpectralPairTable(expected)
+        assert steenbrink_infinity(1, d) == pair_table(expected)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
     _report(1, "curve table at infinity, closed form")
@@ -53,12 +51,12 @@ def test_criterion_02_milnor_algebra_oracle_equivalence():
     start = time.perf_counter()
     for n in range(0, 4):
         for d in range(2, 8):
-            top = top_weight(n, d)
+            top = (n + 1) * (d - 2)
             total = 0
             for m in range(-1, top + 2):
-                closed = milnor_dim(n, d, m)
-                assert closed == milnor_dim_bruteforce(n, d, m)
-                total += closed
+                dim = milnor_dim(n, d, m)
+                assert dim == milnor_dim_bruteforce(n, d, m)
+                total += dim
             assert total == (d - 1) ** (n + 1)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
@@ -88,7 +86,7 @@ def test_criterion_05_worked_examples():
         line_arrangement=True,
     )
     assert boundary_alexander(lines) == CyclotomicFactorization(factors={1: 6, 3: 1})
-    assert boundary_pairs_curve(lines) == SpectralPairTable(
+    assert boundary_pairs_curve(lines) == pair_table(
         {
             (0, 0, 0): 3,
             (1, 1, 0): 3,
@@ -104,7 +102,7 @@ def test_criterion_05_worked_examples():
     assert boundary_alexander(concurrent) == CyclotomicFactorization(
         factors={1: 4, 3: 2}
     )
-    assert boundary_pairs_curve(concurrent) == SpectralPairTable(
+    assert boundary_pairs_curve(concurrent) == pair_table(
         {
             (0, 0, 0): 2,
             (1, 1, 0): 2,

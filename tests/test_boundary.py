@@ -16,6 +16,7 @@ from helpers import (
     oracle_curve_table,
     oracle_local_pair_sum,
     oracle_nonunipotent,
+    pair_table,
     random_spec,
     table_entries,
     weak_multisets,
@@ -31,7 +32,6 @@ from specpairs import (
     InvalidSpec,
     NotDivisible,
     Ordinary,
-    SpectralPairTable,
     boundary_alexander,
     boundary_pairs_arrangement,
     boundary_pairs_curve,
@@ -123,7 +123,7 @@ def test_error_term_even_degree_on_random_divisible_cases():
 
 
 def test_nonunipotent_worked_examples():
-    assert boundary_pairs_nonunipotent(CUSPIDAL_CUBIC) == SpectralPairTable(
+    assert boundary_pairs_nonunipotent(CUSPIDAL_CUBIC) == pair_table(
         {
             (0, 1, Fraction(5, 6)): 1,
             (1, 0, Fraction(1, 6)): 1,
@@ -131,14 +131,14 @@ def test_nonunipotent_worked_examples():
             (1, 0, Fraction(1, 3)): 1,
         }
     )
-    assert boundary_pairs_nonunipotent(THREE_GENERIC_LINES) == SpectralPairTable(
+    assert boundary_pairs_nonunipotent(THREE_GENERIC_LINES) == pair_table(
         {(0, 1, Fraction(2, 3)): 1, (1, 0, Fraction(1, 3)): 1}
     )
-    assert boundary_pairs_nonunipotent(SMOOTH_CONIC).is_empty
+    assert boundary_pairs_nonunipotent(SMOOTH_CONIC) == pair_table()
 
 
 def test_curve_tables_worked_examples():
-    assert boundary_pairs_curve(THREE_GENERIC_LINES) == SpectralPairTable(
+    assert boundary_pairs_curve(THREE_GENERIC_LINES) == pair_table(
         {
             (0, 0, 0): 3,
             (1, 1, 0): 3,
@@ -147,7 +147,7 @@ def test_curve_tables_worked_examples():
         }
     )
     cusp = boundary_pairs_curve(CUSPIDAL_CUBIC)
-    assert cusp == SpectralPairTable(
+    assert cusp == pair_table(
         {
             (0, 0, 0): 2,
             (1, 1, 0): 2,
@@ -159,7 +159,7 @@ def test_curve_tables_worked_examples():
     )
     assert cusp.total_dim() == 8
     smooth = boundary_pairs_curve(SMOOTH_CUBIC)
-    assert smooth == SpectralPairTable(
+    assert smooth == pair_table(
         {
             (0, 0, 0): 2,
             (1, 1, 0): 2,
@@ -175,7 +175,7 @@ def test_arrangement_tables_worked_examples():
     assert boundary_pairs_arrangement(3, (2, 2, 2)) == boundary_pairs_curve(
         THREE_GENERIC_LINES
     )
-    assert boundary_pairs_arrangement(3, (3,)) == SpectralPairTable(
+    assert boundary_pairs_arrangement(3, (3,)) == pair_table(
         {
             (0, 0, 0): 2,
             (1, 1, 0): 2,
@@ -184,7 +184,7 @@ def test_arrangement_tables_worked_examples():
         }
     )
     two_lines = boundary_pairs_arrangement(2, (2,))
-    assert two_lines == SpectralPairTable({(0, 0, 0): 1, (1, 1, 0): 1})
+    assert two_lines == pair_table({(0, 0, 0): 1, (1, 1, 0): 1})
     assert two_lines.total_dim() == 2
 
 
@@ -232,21 +232,21 @@ def test_census_tables_match_the_mhat_oracle():
 
 def test_qhm_worked_examples():
     smooth_cubic = boundary_pairs_qhm(SMOOTH_CUBIC)
-    assert smooth_cubic[2] == SpectralPairTable({(1, 1, 0): 2})
-    assert smooth_cubic[1] == SpectralPairTable({(0, 1, 0): 1, (1, 0, 0): 1})
-    assert smooth_cubic[0] == SpectralPairTable({(0, 0, 0): 2})
+    assert smooth_cubic[2] == pair_table({(1, 1, 0): 2})
+    assert smooth_cubic[1] == pair_table({(0, 1, 0): 1, (1, 0, 0): 1})
+    assert smooth_cubic[0] == pair_table({(0, 0, 0): 2})
 
     conic = boundary_pairs_qhm(SMOOTH_CONIC)
-    assert conic[2] == SpectralPairTable({(1, 1, 0): 1})
-    assert conic[1].is_empty
-    assert conic[0] == SpectralPairTable({(0, 0, 0): 1})
+    assert conic[2] == pair_table({(1, 1, 0): 1})
+    assert conic[1] == pair_table()
+    assert conic[0] == pair_table({(0, 0, 0): 1})
 
     surface = boundary_pairs_qhm(
         HypersurfaceSpec(n=2, d=3, components=1, rational_homology_manifold=True)
     )
-    assert surface[3] == SpectralPairTable({(1, 2, 0): 1, (2, 1, 0): 1})
-    assert surface[1] == SpectralPairTable({(0, 1, 0): 1, (1, 0, 0): 1})
-    assert surface[2] == SpectralPairTable({(1, 1, 0): 6})
+    assert surface[3] == pair_table({(1, 2, 0): 1, (2, 1, 0): 1})
+    assert surface[1] == pair_table({(0, 1, 0): 1, (1, 0, 0): 1})
+    assert surface[2] == pair_table({(1, 1, 0): 6})
 
 
 def test_qhm_flattened_total_mass_on_smooth_hypersurfaces():
@@ -267,7 +267,7 @@ def test_qhm_nodal_cubic_surface():
         rational_homology_manifold=True,
     )
     weighted = boundary_pairs_qhm(spec)
-    assert weighted[2] == SpectralPairTable({(1, 1, 0): 5})
+    assert weighted[2] == pair_table({(1, 1, 0): 5})
     report = build_report(spec)
     assert report.pairs_full.total_dim() == 16
     assert report.pairs_full.level_dual(2) == report.pairs_full
@@ -341,9 +341,9 @@ def _oracle_qhm(spec, dim):
     }
     bottom = {(p, n - 1 - p, 0): dim((p + 1) * d - n - 1) for p in range(n)}
     return {
-        n - 1: SpectralPairTable(bottom),
-        n: SpectralPairTable(middle),
-        n + 1: SpectralPairTable(top),
+        n - 1: pair_table(bottom),
+        n: pair_table(middle),
+        n + 1: pair_table(top),
     }
 
 
@@ -387,7 +387,7 @@ def test_curve_route_with_non_semisimple_explicit_germ():
         milnor=4,
         branches=1,
         alexander=phi({3: 2}),
-        pairs=SpectralPairTable(
+        pairs=pair_table(
             {
                 (0, 0, Fraction(1, 3)): 1,
                 (0, 0, Fraction(2, 3)): 1,
@@ -476,7 +476,7 @@ def test_curve_table_parity_violation():
         milnor=1,
         branches=1,
         alexander=CyclotomicFactorization(factors={2: 1}),
-        pairs=SpectralPairTable({(0, 1, Fraction(1, 2)): 1}),
+        pairs=pair_table({(0, 1, Fraction(1, 2)): 1}),
     )
     spec = HypersurfaceSpec(n=1, d=3, components=1, singularities=((odd_germ, 1),))
     with pytest.raises(InvalidSpec) as info:

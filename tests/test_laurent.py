@@ -117,16 +117,16 @@ def test_division_by_zero_and_bad_orders():
         CyclotomicFactorization(factors={0: 1})
     with pytest.raises(ValueError):
         CyclotomicFactorization() ** -1
-    # the package-internal constructor keeps every check
+    # the one constructor takes the factors first, keeps every check, drops
+    # zero multiplicities and reads a unit given as an int as a Fraction
     with pytest.raises(ValueError):
-        CyclotomicFactorization._from_parts({1: 1}, Fraction(0))
+        CyclotomicFactorization({1: 1}, Fraction(0))
     with pytest.raises(ValueError):
-        CyclotomicFactorization._from_parts({0: 1})
-    with pytest.raises(ValueError):
-        CyclotomicFactorization._from_parts({1: -1})
-    assert CyclotomicFactorization._from_parts({1: -1, 2: 0}, formal=True) == (
+        CyclotomicFactorization({1: -1}, Fraction(1), 0, False)
+    assert CyclotomicFactorization({1: -1, 2: 0}, 1, 0, True) == (
         CyclotomicFactorization(factors={1: -1}, formal=True)
     )
+    assert type(CyclotomicFactorization(unit=3).unit) is Fraction
 
 
 small_factorizations = st.builds(

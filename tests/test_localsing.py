@@ -13,6 +13,7 @@ from helpers import (
     oracle_local_alexander,
     oracle_local_pairs,
     oracle_spectrum,
+    pair_table,
     table_entries,
 )
 
@@ -22,7 +23,6 @@ from specpairs import (
     Explicit,
     ExplicitHasNoSpectrum,
     Ordinary,
-    SpectralPairTable,
     spectrum,
     steenbrink_infinity,
     t_power_minus_one,
@@ -57,7 +57,7 @@ def test_spectrum_explicit_rejected():
         milnor=1,
         branches=2,
         alexander=CyclotomicFactorization(factors={1: 1}),
-        pairs=SpectralPairTable({(1, 1, 0): 1}),
+        pairs=pair_table({(1, 1, 0): 1}),
     )
     with pytest.raises(ExplicitHasNoSpectrum):
         spectrum(explicit)
@@ -91,11 +91,11 @@ def test_local_alexander_against_numeric_characteristic_polynomial():
 
 
 def test_local_pairs_examples():
-    assert Ordinary(2).pairs == SpectralPairTable({(1, 1, 0): 1})
-    assert Ordinary(3).pairs == SpectralPairTable(
+    assert Ordinary(2).pairs == pair_table({(1, 1, 0): 1})
+    assert Ordinary(3).pairs == pair_table(
         {(1, 1, 0): 2, (0, 1, Fraction(2, 3)): 1, (1, 0, Fraction(1, 3)): 1}
     )
-    assert Brieskorn(2, 3).pairs == SpectralPairTable(
+    assert Brieskorn(2, 3).pairs == pair_table(
         {(0, 1, Fraction(5, 6)): 1, (1, 0, Fraction(1, 6)): 1}
     )
 
@@ -147,7 +147,7 @@ def test_local_alexander_against_milnor_orlik():
 
 def test_explicit_passthrough():
     alexander = CyclotomicFactorization(factors={2: 1, 1: 1})
-    pairs = SpectralPairTable({(0, 1, Fraction(1, 2)): 1, (1, 1, 0): 1})
+    pairs = pair_table({(0, 1, Fraction(1, 2)): 1, (1, 1, 0): 1})
     explicit = Explicit(milnor=2, branches=2, alexander=alexander, pairs=pairs)
     assert explicit.milnor == 2
     assert explicit.branches == 2
@@ -159,11 +159,11 @@ def test_hodge_filtration_dims():
     # dim Gr_F^p is the sum of h^{p,q}_alpha over q and alpha
     assert Brieskorn(2, 3).pairs.hodge_filtration_marginal() == {0: 1, 1: 1}
     assert Ordinary(3).pairs.hodge_filtration_marginal() == {0: 1, 1: 3}
-    table = SpectralPairTable(
+    table = pair_table(
         {(1, 1, Fraction(1, 2)): 1, (0, 2, Fraction(1, 3)): 2, (2, 0, Fraction(2, 3)): 2}
     )
     assert table.hodge_filtration_marginal() == {0: 2, 1: 1, 2: 2}
-    assert SpectralPairTable().hodge_filtration_marginal() == {}
+    assert pair_table().hodge_filtration_marginal() == {}
 
 
 def test_constructor_validation():
@@ -176,5 +176,5 @@ def test_constructor_validation():
             milnor=0,
             branches=1,
             alexander=CyclotomicFactorization(),
-            pairs=SpectralPairTable(),
+            pairs=pair_table(),
         )

@@ -7,18 +7,22 @@ from itertools import product
 from math import comb
 
 import pytest
-from helpers import brieskorn_pham_explicit, table_at_infinity_from_dims
+from helpers import (
+    brieskorn_pham_explicit,
+    milnor_dim_closed_form,
+    pair_table,
+    table_at_infinity_from_dims,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specpairs import (
     EnumerationTooLarge,
-    SpectralPairTable,
     milnor_dim,
     milnor_dim_bruteforce,
     steenbrink_infinity,
 )
-from specpairs.milnor import _pairs_at_level, brieskorn_pham_spectrum, top_weight
+from specpairs.milnor import _pairs_at_level, brieskorn_pham_spectrum
 
 
 def test_milnor_dim_examples():
@@ -43,8 +47,8 @@ def test_bruteforce_guard():
 
 
 def test_milnor_dim_of_a_huge_n_sums_only_its_nonzero_terms():
-    # exponents at most 1: choose the 5 that are 1
-    assert milnor_dim(10**9, 3, 5) == comb(10**9 + 1, 5)
+    # the closed-form oracle; exponents at most 1: choose the 5 that are 1
+    assert milnor_dim_closed_form(10**9, 3, 5) == comb(10**9 + 1, 5)
 
 
 def test_bad_parameters_rejected():
@@ -61,13 +65,27 @@ def test_bad_parameters_rejected():
     st.integers(min_value=-2, max_value=18),
 )
 def test_closed_form_matches_bruteforce(n, d, m):
-    assert milnor_dim(n, d, m) == milnor_dim_bruteforce(n, d, m)
+    brute = milnor_dim_bruteforce(n, d, m)
+    assert milnor_dim(n, d, m) == milnor_dim_closed_form(n, d, m) == brute
+
+
+def test_engine_matches_the_closed_form_on_every_small_case():
+    # milnor_dim reads the engine's Fermat spectrum; the inclusion-exclusion
+    # oracle shares no code with it
+    cases = [
+        (n, d, m)
+        for n in range(6)
+        for d in range(2, 9)
+        for m in range(-2, (n + 1) * (d - 2) + 3)
+    ]
+    mismatched = [c for c in cases if milnor_dim(*c) != milnor_dim_closed_form(*c)]
+    assert len(cases) == 651 and mismatched == []
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=2, max_value=7))
 def test_complement_symmetry_and_total_mass(n, d):
-    top = top_weight(n, d)
+    top = (n + 1) * (d - 2)
     assert all(
         milnor_dim(n, d, m) == milnor_dim(n, d, top - m) for m in range(-1, top + 2)
     )
@@ -75,17 +93,17 @@ def test_complement_symmetry_and_total_mass(n, d):
 
 
 def test_steenbrink_table_for_plane_cubic():
-    assert steenbrink_infinity(1, 3) == SpectralPairTable(
+    assert steenbrink_infinity(1, 3) == pair_table(
         {(0, 1, Fraction(2, 3)): 1, (1, 0, Fraction(1, 3)): 1, (1, 1, 0): 2}
     )
 
 
 def test_steenbrink_table_for_conic():
-    assert steenbrink_infinity(1, 2) == SpectralPairTable({(1, 1, 0): 1})
+    assert steenbrink_infinity(1, 2) == pair_table({(1, 1, 0): 1})
 
 
 def test_steenbrink_table_for_cubic_surface():
-    assert steenbrink_infinity(2, 3) == SpectralPairTable(
+    assert steenbrink_infinity(2, 3) == pair_table(
         {
             (1, 1, Fraction(1, 3)): 3,
             (1, 1, Fraction(2, 3)): 3,
@@ -96,7 +114,7 @@ def test_steenbrink_table_for_cubic_surface():
 
 
 def test_steenbrink_table_for_quadric_surface():
-    assert steenbrink_infinity(2, 2) == SpectralPairTable(
+    assert steenbrink_infinity(2, 2) == pair_table(
         {(1, 1, Fraction(1, 2)): 1}
     )
 
@@ -126,15 +144,17 @@ def _generating_function_dims(n, d):
 def test_closed_form_matches_generating_function_beyond_enumeration_range():
     for n, d in ((4, 9), (5, 6), (6, 12), (2, 15)):
         coeffs = _generating_function_dims(n, d)
-        assert len(coeffs) == top_weight(n, d) + 1
-        for m in range(top_weight(n, d) + 1):
-            assert milnor_dim(n, d, m) == coeffs[m]
+        assert len(coeffs) == (n + 1) * (d - 2) + 1
+        for m, dim in enumerate(coeffs):
+            assert milnor_dim(n, d, m) == milnor_dim_closed_form(n, d, m) == dim
 
 
 def test_table_at_infinity_equals_its_entries_from_milnor_dim():
     for n in range(6):
         for d in range(2, 31):
-            expected = table_at_infinity_from_dims(n, d, lambda m: milnor_dim(n, d, m))
+            expected = table_at_infinity_from_dims(
+                n, d, lambda m: milnor_dim_closed_form(n, d, m)
+            )
             assert steenbrink_infinity(n, d) == expected, (n, d)
     # the enumeration runs once per entry, so only small tuple counts
     for n in range(6):

@@ -6,9 +6,17 @@ import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from helpers import brieskorn_pham_explicit, oracle_shared_line_violations
+from helpers import (
+    brieskorn_pham_explicit,
+    oracle_shared_line_violations,
+    pair_table,
+    work_estimate_closed_form,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specpairs import (
     Brieskorn,
@@ -18,7 +26,6 @@ from specpairs import (
     InvalidSpec,
     MalformedDocument,
     Ordinary,
-    SpectralPairTable,
     boundary_alexander,
     boundary_pairs_curve,
     boundary_pairs_nonunipotent,
@@ -31,7 +38,7 @@ from specpairs import (
     spectral_bound_complement,
     validate,
 )
-from specpairs.model import shared_line_violations
+from specpairs.model import _work_estimate, shared_line_violations
 
 THREE_GENERIC_LINES_DOC = {
     "ambient_dim": 2,
@@ -121,7 +128,7 @@ def test_parity_violation():
         milnor=1,
         branches=1,
         alexander=CyclotomicFactorization(factors={2: 1}),
-        pairs=SpectralPairTable({(0, 1, Fraction(1, 2)): 1}),
+        pairs=pair_table({(0, 1, Fraction(1, 2)): 1}),
     )
     spec = HypersurfaceSpec(n=1, d=3, components=1, singularities=((bad, 1),))
     found = codes(spec)
@@ -196,7 +203,7 @@ def test_explicit_consistency_checks():
         milnor=3,
         branches=1,
         alexander=CyclotomicFactorization(factors={2: 1}),
-        pairs=SpectralPairTable(
+        pairs=pair_table(
             {(0, 1, Fraction(1, 2)): 1, (1, 0, Fraction(1, 2)): 1, (1, 1, 0): 1}
         ),
     )
@@ -208,7 +215,7 @@ def test_explicit_consistency_checks():
         milnor=2,
         branches=1,
         alexander=CyclotomicFactorization(factors={3: 1}),
-        pairs=SpectralPairTable(
+        pairs=pair_table(
             {(0, 1, Fraction(1, 3)): 1, (0, 1, Fraction(2, 3)): 1}
         ),
     )
@@ -317,3 +324,38 @@ def test_xi_is_integral_for_all_small_parameters():
     for n in range(0, 7):
         for d in range(2, 13):
             assert ((d - 1) ** (n + 1) + (-1) ** n) % d == 0
+
+
+GOLDEN = Path(__file__).parent / "golden"
+germs = st.one_of(
+    st.builds(Ordinary, st.integers(min_value=2, max_value=10**4)),
+    st.builds(
+        Brieskorn,
+        st.integers(min_value=2, max_value=10**4),
+        st.integers(min_value=2, max_value=10**4),
+    ),
+    st.tuples(st.integers(2, 5), st.integers(2, 5)).map(brieskorn_pham_explicit),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=2, max_value=10**4),
+    st.lists(st.tuples(germs, st.integers(min_value=1, max_value=10**4)), max_size=4),
+    st.booleans(),
+)
+def test_each_germ_prices_itself_as_the_closed_form_did(n, d, singularities, lines):
+    spec = HypersurfaceSpec(
+        n=n, d=d, components=1, singularities=tuple(singularities),
+        line_arrangement=lines,
+    )
+    assert _work_estimate(spec) == work_estimate_closed_form(spec)
+
+
+def test_golden_specs_are_priced_as_the_closed_form_did():
+    specs = [parse_spec(path.read_text()) for path in sorted(GOLDEN.glob("*.json"))]
+    assert len(specs) == 7
+    for spec in specs:
+        assert _work_estimate(spec) == work_estimate_closed_form(spec)
+

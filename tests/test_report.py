@@ -17,6 +17,7 @@ from helpers import (
     bound_table,
     brieskorn_pham_explicit,
     oracle_render_text,
+    pair_table,
     random_spec,
 )
 from hypothesis import example, given, settings
@@ -39,7 +40,9 @@ from specpairs import (
     report_to_json,
 )
 from specpairs.bounds import BoundTable
-from specpairs.pairs import SpectralPairTable
+from specpairs.cli import census_rows
+from specpairs.milnor import steenbrink_infinity
+from specpairs.pairs import SpectralPairTable, table_sum
 from specpairs.report import _json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -168,7 +171,7 @@ def test_every_factorization_of_a_report_is_a_canonical_value():
         for f in polys:
             assert type(f.unit) is Fraction and type(f.t_power) is int
             assert all(type(k) is int and type(m) is int for k, m in f.factors.items())
-            rebuilt = CyclotomicFactorization(f.unit, f.t_power, f.factors, f.formal)
+            rebuilt = CyclotomicFactorization(f.factors, f.unit, f.t_power, f.formal)
             assert rebuilt == f and hash(rebuilt) == hash(f)
     assert with_error_term
 
@@ -362,13 +365,13 @@ def _germ_attribute(name, change):
 
 
 NODE = "Ordinary(multiplicity=2)"
-ONE_THIRD = SpectralPairTable({(0, 1, Fraction(1, 3)): 1})
-ZERO = SpectralPairTable({(0, 0, Fraction(0)): 1})
-ZERO_CORNER = SpectralPairTable({(1, 1, Fraction(0)): 1})
+ONE_THIRD = pair_table({(0, 1, Fraction(1, 3)): 1})
+ZERO = pair_table({(0, 0, Fraction(0)): 1})
+ZERO_CORNER = pair_table({(1, 1, Fraction(0)): 1})
 SKEWED_WEIGHTS = {
-    0: SpectralPairTable({(0, 0, 0): 2}),
-    1: SpectralPairTable(),
-    2: SpectralPairTable({(1, 1, 0): 1}),
+    0: pair_table({(0, 0, 0): 2}),
+    1: pair_table(),
+    2: pair_table({(1, 1, 0): 1}),
 }
 LOOSE = BoundTable(3, {(0, 1, 2): 5, (1, 1, 0): 2})
 
@@ -390,7 +393,7 @@ FORCED_FAILURES = {
         f"{NODE}: found 2, expected 1"),
     "local_unipotent_mass": (
         "identity", _lines,
-        _germ_attribute("pairs", lambda t: t + ZERO_CORNER * 2),
+        _germ_attribute("pairs", lambda t: table_sum([(t, 1), (ZERO_CORNER, 2)])),
         f"{NODE}: found 3, expected 1"),
     "conjugation_symmetry-asymmetric": (
         "identity", _lines,
@@ -398,7 +401,8 @@ FORCED_FAILURES = {
         "arrangement: only found h(0,1,1/3)=1 vs only expected h(1,0,2/3)=1"),
     "level_duality-lopsided": (
         "identity", _lines,
-        _route(boundary, "boundary_pairs_nonunipotent", lambda _: ONE_THIRD * 2),
+        _route(boundary, "boundary_pairs_nonunipotent",
+               lambda _: table_sum([(ONE_THIRD, 2)])),
         "nonunipotent: only found h(1,0,2/3)=2 vs only expected h(0,1,1/3)=2"),
     "level_duality-skewed_weights": (
         "identity", _rhm_cusp,
@@ -514,7 +518,7 @@ pair_keys = st.tuples(
     st.fractions(min_value=0, max_value=Fraction(29, 30), max_denominator=30),
 )
 counts = st.integers(min_value=1, max_value=10**30)
-pair_tables = st.dictionaries(pair_keys, counts, max_size=8).map(SpectralPairTable)
+pair_tables = st.dictionaries(pair_keys, counts, max_size=8).map(pair_table)
 bound_tables = st.dictionaries(
     pair_keys, st.tuples(st.integers(min_value=0, max_value=10**30), st.booleans()),
     max_size=8,
@@ -550,8 +554,8 @@ def _with_tables(spec, **tables):
     return dataclasses.replace(build_report(spec), **tables)
 
 
-NARROW = SpectralPairTable({(0, 1, Fraction(1, 3)): 1, (1, 0, Fraction(2, 3)): 22})
-WIDE = SpectralPairTable({(0, 1, Fraction(1, 3)): 10**7, (-1, 2, Fraction(0)): 3})
+NARROW = pair_table({(0, 1, Fraction(1, 3)): 1, (1, 0, Fraction(2, 3)): 22})
+WIDE = pair_table({(0, 1, Fraction(1, 3)): 10**7, (-1, 2, Fraction(0)): 3})
 RENDER_CASES = {
     **{path.stem: lambda path=path: build_report(parse_spec(path.read_text("utf-8")))
        for path in sorted(GOLDEN.glob("*.json"))},
@@ -600,7 +604,7 @@ def test_render_text_equals_the_reference_renderer_on_any_tables(pairs, bound):
 
 @settings(max_examples=100, deadline=None)
 @given(pair_tables | bound_tables)
-@example(SpectralPairTable({(0, 0, Fraction(0)): 1, (0, 0, Fraction(1, 2)): 2}))
+@example(pair_table({(0, 0, Fraction(0)): 1, (0, 0, Fraction(1, 2)): 2}))
 def test_cells_are_the_sorted_items_with_lowest_terms_angles(table):
     cells = list(table._cells())
     entries = sorted(table._entries.items())
@@ -615,3 +619,46 @@ def test_cells_are_the_sorted_items_with_lowest_terms_angles(table):
         assert [kind for *_, kind in cells] == [
             "exact" if key in table._exact else "upper" for key, _ in entries
         ]
+
+
+def _tables_and_factorizations(report) -> list:
+    """Every pair table and factorization a report reaches: its fields (a
+    dict field by its values), the derived sums and bounds, delta_U and each
+    germ's pairs and Alexander polynomial."""
+    spec, derived = report.spec, report.derived
+    values = [derived.local_pair_sum, derived.infinity, derived.local_bound,
+              spec.delta_u]
+    for germ, _ in spec.singularities:
+        values += [germ.pairs, germ.alexander]
+    for field in dataclasses.fields(report):
+        value = getattr(report, field.name)
+        values += value.values() if isinstance(value, dict) else [value]
+    kinds = (SpectralPairTable, CyclotomicFactorization)
+    return [value for value in values if isinstance(value, kinds)]
+
+
+def test_every_table_and_factorization_goes_through_its_constructor(monkeypatch):
+    made = []
+
+    def recording(init):
+        def wrapper(value, *args, **kwargs):
+            made.append(value)
+            init(value, *args, **kwargs)
+        return wrapper
+
+    for kind in (SpectralPairTable, CyclotomicFactorization):
+        monkeypatch.setattr(kind, "__init__", recording(kind.__init__))
+    for cached in (steenbrink_infinity, bounds.divisibility_bound_infinity,
+                   bounds._curve_bound):
+        cached.cache_clear()
+    reports = [build_report(parse_spec(path.read_text()))
+               for path in sorted(GOLDEN.glob("*.json"))]
+    reports += census_rows(7)
+    assert len(reports) == 7 + 32
+    recorded = {id(value) for value in made}
+    for report in reports:
+        values = _tables_and_factorizations(report)
+        assert len(values) >= 8
+        missed = [type(v).__name__ for v in values if id(v) not in recorded]
+        assert missed == [], (report.spec, missed)
+

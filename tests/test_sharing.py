@@ -11,7 +11,12 @@ import weakref
 from collections import Counter
 from pathlib import Path
 
-from helpers import table_at_infinity_from_dims
+from helpers import (
+    milnor_dim_closed_form,
+    oracle_table_sum,
+    table_at_infinity_from_dims,
+    table_entries,
+)
 
 from specpairs import (
     HypersurfaceSpec,
@@ -21,7 +26,6 @@ from specpairs import (
     cli,
     divisibility_bound_infinity,
     localsing,
-    milnor_dim,
     parse_spec,
     steenbrink_infinity,
 )
@@ -61,7 +65,8 @@ def test_specs_built_from_one_germ_map_share_tables():
     assert set(germs) == {2, 3}
     assert first.singularities[0][0] is second.singularities[0][0] is germs[3]
     assert first.singularities[1][0] is second.singularities[1][0] is germs[2]
-    assert first.derived.local_pair_sum == germs[3].pairs * 4 + germs[2].pairs * 3
+    expected = oracle_table_sum([(germs[3].pairs, 4), (germs[2].pairs, 3)])
+    assert table_entries(first.derived.local_pair_sum) == expected
     assert vars(germs[3])["pairs"] is germs[3].pairs
     assert first.derived.infinity is second.derived.infinity
 
@@ -119,6 +124,6 @@ def test_shared_values_are_never_mutated(monkeypatch, capsys):
         assert germ._spectrum == localsing.brieskorn_pham_spectrum(fresh.exponents)
         assert germ.pairs == fresh.pairs
         assert germ.alexander == fresh.alexander
-    expected = table_at_infinity_from_dims(1, 9, lambda m: milnor_dim(1, 9, m))
-    assert steenbrink_infinity(1, 9) == expected
+    dims = table_at_infinity_from_dims(1, 9, lambda m: milnor_dim_closed_form(1, 9, m))
+    assert steenbrink_infinity(1, 9) == dims
     assert bounds._curve_bound(9, 9) == bounds._curve_shaped_bound(9, [*range(8)], 8)
