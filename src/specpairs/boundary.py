@@ -12,7 +12,6 @@ along two independent routes that must agree and are cross-checked.
 
 from __future__ import annotations
 
-from collections import Counter
 from math import lcm
 from typing import TYPE_CHECKING
 
@@ -122,18 +121,17 @@ def _add_mhat_excess(entries: dict, m: int, count: int, den: int) -> None:
         entries[(1, 0, den - k)] = entries.get((1, 0, den - k), 0) + c
 
 
-def boundary_pairs_arrangement(d: int, multiplicities) -> SpectralPairTable:
+def boundary_pairs_arrangement(d: int, points) -> SpectralPairTable:
     """Full boundary table of a line arrangement from weak combinatorial data:
-    the number of lines d and the multiset of singular point multiplicities.
+    the number of lines d and a sequence of its (multiplicity, count) runs.
 
     The (0,0) and (1,1) eigenvalue-1 counts are the sum of (m_i - 1); at angle
     alpha > 0 the (0,1)/(1,0) counts are sum of (mhat(m_i, alpha) - 1) plus
     mhat(d, alpha) - 1.
     """
-    counts = Counter(multiplicities)
-    den = lcm(d, *counts)
-    entries = _eigenvalue_one_corners(sum((m - 1) * c for m, c in counts.items()), 0)
-    for m, c in counts.items():
+    den = lcm(d, *(m for m, _ in points))
+    entries = _eigenvalue_one_corners(sum((m - 1) * c for m, c in points), 0)
+    for m, c in points:
         _add_mhat_excess(entries, m, c, den)
     _add_mhat_excess(entries, d, 1, den)
     return SpectralPairTable(den, entries)

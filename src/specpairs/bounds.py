@@ -10,11 +10,10 @@ known, are user inputs.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .laurent import CyclotomicFactorization, t_power_minus_one
 from .milnor import xi_exponent
@@ -186,15 +185,15 @@ def _curve_shaped_bound(d: int, values: list[int], exact_11: int) -> BoundTable:
     return BoundTable(d, entries, frozenset([(1, 1, 0)]))
 
 
-def spectral_bound_arrangement(d: int, multiplicities: Iterable[int]) -> BoundTable:
-    """Line-arrangement bounds from weak combinatorial data.
+def spectral_bound_arrangement(d: int, points) -> BoundTable:
+    """Line-arrangement bounds from the (multiplicity, count) runs of its points.
 
     At angle j/d the bound is min(j - 1, sum of (mhat(m_i, j/d) - 1)); the
     eigenvalue-1 pair (1,1) equals d - 1 exactly.  For gcd(j, d) = 1 the bound
     vanishes unless some multiplicity equals d.
     """
     excess = [0] * d
-    for m, c in Counter(multiplicities).items():
+    for m, c in points:
         # mhat(m, j/d) - 1 is m*j/d - 1 where d divides m*j, and 0 elsewhere
         step = d // gcd(m, d)
         for j in range(step, d, step):

@@ -4,7 +4,7 @@ Subcommands:
   compute  build the full invariant report for an input document
   verify   run the cross-checks only; exit status reflects the outcome
   census   enumerate line-arrangement weak data for a given line count
-  oracle   set a brute-force enumeration beside the spectrum engine
+  oracle   the spectrum engine and a brute-force enumeration side by side
 
 Exit status: 0 success, 1 validation or input-data failure, 2 internal
 cross-check failure or unexpected error (indicating a bug), 3 usage error.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from itertools import islice
 from math import comb
 from pathlib import Path
@@ -35,8 +34,7 @@ def _weak_runs(d: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """All descending multisets {m_i} with 2 <= m_i <= d and
     sum C(m_i, 2) = C(d, 2), in lexicographic order (every pair of the d
     lines meets at exactly one singular point), each as its runs
-    (multiplicity, count) with the multiplicity descending, so that no
-    multiset is expanded before a row needs it."""
+    (multiplicity, count) with the multiplicity descending."""
 
     def extend(prefix: tuple[tuple[int, int], ...], remaining: int, cap: int):
         # The largest multiplicity comes first, so choosing it and then how
@@ -55,43 +53,43 @@ def _weak_runs(d: int) -> Iterator[tuple[tuple[int, int], ...]]:
 
 
 def arrangement_spec(
-    d: int, multiplicities, germs: dict[int, Ordinary] | None = None
+    d: int, points, germs: dict[int, Ordinary] | None = None
 ) -> HypersurfaceSpec:
-    """Spec for a line arrangement with the given weak data, modelling each
-    multiplicity-m point as an ordinary m-fold point; the weak data is the
-    multiplicities or a map from each multiplicity to its count.  `germs`
-    maps multiplicities to the germs to use and gains the ones it lacks, so
+    """Spec for a line arrangement with the given weak data, a sequence of
+    its (multiplicity, count) runs with the multiplicity descending, modelling
+    each multiplicity-m point as an ordinary m-fold point.  `germs` maps
+    multiplicities to the germs to use and gains the ones it lacks, so
     specs built from one such map share each germ and its tables."""
-    counts = Counter(multiplicities)
     germs = {} if germs is None else germs
-    for m in counts.keys() - germs.keys():
-        germs[m] = Ordinary(m)
+    germs.update((m, Ordinary(m)) for m, _ in points if m not in germs)
     return HypersurfaceSpec(
         n=1,
         d=d,
         components=d,
-        singularities=tuple(
-            (germs[m], c) for m, c in sorted(counts.items(), reverse=True)
-        ),
+        singularities=tuple((germs[m], c) for m, c in points),
         line_arrangement=True,
     )
 
 
 def census_rows(d: int, max_rows: int | None = None) -> Iterator[InvariantReport]:
     """The reports of the census rows of d lines in _weak_runs order,
-    each built when it is asked for; at most max_rows of them.  A row's
-    multiset is expanded only once the work budget has admitted its spec.
-    The rows share one germ per multiplicity, so each spectrum is enumerated
-    once per census."""
+    each built when it is asked for; at most max_rows of them.  The rows
+    share one germ per multiplicity, so each spectrum is enumerated once
+    per census."""
     germs: dict[int, Ordinary] = {}
     for runs in islice(_weak_runs(d), max_rows):
-        yield build_report(arrangement_spec(d, dict(runs), germs))
+        yield build_report(arrangement_spec(d, runs, germs))
+
+
+def _multiplicities(report: InvariantReport) -> list[int]:
+    """The point multiplicities of a census row, descending, one per point."""
+    return [s.multiplicity for s, c in report.spec.singularities for _ in range(c)]
 
 
 def _census_row_dict(report: InvariantReport) -> dict:
     return {
         "d": report.spec.d,
-        "multiplicities": list(report.derived.ordinary_multiplicities),
+        "multiplicities": _multiplicities(report),
         "mu": report.derived.mu,
         "delta_M": report.delta_m.to_dict(),
         "table": report.pairs_full,
@@ -103,7 +101,7 @@ def _census_row_dict(report: InvariantReport) -> dict:
 
 
 def _census_line(report: InvariantReport) -> str:
-    mults = ",".join(map(str, report.derived.ordinary_multiplicities))
+    mults = ",".join(map(str, _multiplicities(report)))
     flag = "  [possibly-unrealizable]" if report.warnings else ""
     status = "ok" if report.all_passed else "CHECKS-FAILED"
     return (
@@ -148,9 +146,12 @@ def _build_parser() -> _Parser:
         "--format", choices=("table", "structured"), default="table"
     )
 
-    p_oracle = sub.add_parser("oracle", help="closed form and brute force side by side")
+    p_oracle = sub.add_parser(
+        "oracle", help="the spectrum engine and a brute-force enumeration side by side"
+    )
     p_oracle.add_argument("name", choices=("milnor-dim",))
-    p_oracle.add_argument("args", type=int, nargs=3, metavar=("N", "D", "M"))
+    for name in ("n", "d", "m"):
+        p_oracle.add_argument(name, type=int, metavar=name.upper())
     return parser
 
 
@@ -231,7 +232,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    n, d, m = args.args
+    n, d, m = args.n, args.d, args.m
     try:
         # the brute force's guard refuses a huge enumeration before the
         # engine runs, whose cost also grows with n and d

@@ -26,6 +26,7 @@ class EnumerationTooLarge(ValueError):
 
 
 _ENUMERATION_GUARD = 10**7
+_TUPLE_GUARD = 10**5  # the longest tuple of exponents either side builds
 
 
 def milnor_dim(n: int, d: int, m: int) -> int:
@@ -60,6 +61,10 @@ def milnor_dim_bruteforce(n: int, d: int, m: int) -> int:
         raise EnumerationTooLarge(
             f"enumerating (d-1)^(n+1) tuples of n+1 exponents exceeds "
             f"{_ENUMERATION_GUARD} steps"
+        )
+    if n + 1 > _TUPLE_GUARD:
+        raise EnumerationTooLarge(
+            f"a tuple of n+1 = {n + 1} exponents exceeds {_TUPLE_GUARD} entries"
         )
     return sum(
         1 for exponents in product(range(d - 1), repeat=n + 1) if sum(exponents) == m

@@ -104,8 +104,6 @@ class Derived:
     # summed local dim Gr_F^p, the p-marginal of local_pair_sum: sorted (p, dim)
     local_grf: tuple[tuple[int, int], ...]
     infinity: SpectralPairTable  # the table at infinity, steenbrink_infinity(n, d)
-    # line arrangements only: descending, one per ordinary point
-    ordinary_multiplicities: tuple[int, ...] | None = None
     b1: int | None = None  # first Betti number of the boundary (curves only)
     j1: int | None = None  # eigenvalue-1 Jordan block count (curves only)
     curve_genus: int | None = None  # mu + 2r - d - 1 - branch excess (curves only)
@@ -130,10 +128,6 @@ def derived_quantities(spec: HypersurfaceSpec) -> Derived:
     for s, count in sings:
         for k, m in s.alexander._factors.items():
             bound[k] = bound.get(k, 0) + m * count
-    mults = tuple(sorted(
-        (s.multiplicity for s, c in sings if isinstance(s, Ordinary) for _ in range(c)),
-        reverse=True,
-    )) if spec.line_arrangement else None
     b1 = j1 = genus = None
     if n == 1:
         b1, j1, genus = 2 * r + mu - 1, 2 * r + mu - 2, mu + 2 * r - d - 1 - excess
@@ -145,30 +139,33 @@ def derived_quantities(spec: HypersurfaceSpec) -> Derived:
         local_bound=CyclotomicFactorization(bound),
         local_grf=tuple(sorted(pair_sum.hodge_filtration_marginal().items())),
         infinity=steenbrink_infinity(n, d),
-        ordinary_multiplicities=mults,
         b1=b1,
         j1=j1,
         curve_genus=genus,
     )
 
 
-def shared_line_violations(d: int, multiplicities) -> list[tuple[int, int]]:
-    """Pairs of multiplicities that cannot coexist on d lines.
+def shared_line_violations(d: int, points) -> list[tuple[int, int]]:
+    """Pairs of multiplicities that cannot coexist on d lines, one per pair
+    of points, from (multiplicity, count) runs in any order.
 
     Two distinct points lie on at most one common line, so any two singular
     points of multiplicities (a, b) force a + b - 1 <= d.
     """
-    mults = sorted(multiplicities, reverse=True)
+    runs = sorted(points, reverse=True)
     bad = []
-    # Descending order: once a pair fits, every later partner fits too, and
-    # once the two largest remaining points fit, every later pair does.
-    for i in range(len(mults) - 1):
-        if mults[i] + mults[i + 1] - 1 <= d:
+    # Descending order: once a partner fits, every later one does, and once
+    # two points of the largest remaining multiplicity fit, every pair does.
+    for i, (a, count) in enumerate(runs):
+        if 2 * a - 1 <= d:
             break
-        for b in mults[i + 1:]:
-            if mults[i] + b - 1 <= d:
+        later = []
+        for b, c in runs[i + 1:]:
+            if a + b - 1 <= d:
                 break
-            bad.append((mults[i], b))
+            later += [(a, b)] * c
+        for j in reversed(range(count)):  # each point with the j after it
+            bad += [(a, a)] * j + later
     return bad
 
 
@@ -370,10 +367,12 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
                 )
             )
         elif n == 1:
-            mults = derived.ordinary_multiplicities
-            have = sum(comb(m, 2) for m in mults)
+            points = [(s.multiplicity, c) for s, c in spec.singularities]
+            have = sum(comb(m, 2) * c for m, c in points)
             want = comb(d, 2)
             if have != want:
+                points.sort(reverse=True)
+                mults = tuple(m for m, c in points for _ in range(c))
                 out.append(
                     Violation(
                         "pair_count",
@@ -381,13 +380,13 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
                         f"but C({d},2) = {want}",
                     )
                 )
-            if any(m > d for m in mults):
+            if any(m > d for m, _ in points):
                 out.append(
                     Violation(
                         "pair_count", f"a multiplicity exceeds the line count {d}"
                     )
                 )
-            for a, b in shared_line_violations(d, mults):
+            for a, b in shared_line_violations(d, points):
                 out.append(
                     Violation(
                         "shared_line",

@@ -14,7 +14,6 @@ input.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 
 from . import boundary, bounds
@@ -131,9 +130,7 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
         full = unip + nonunip
     pairs_arrangement = bound_arrangement = None
     if spec.line_arrangement:
-        points = Counter()  # {multiplicity: number of points}
-        for s, count in spec.singularities:
-            points[s.multiplicity] += count
+        points = [(s.multiplicity, c) for s, c in spec.singularities]
         pairs_arrangement = boundary.boundary_pairs_arrangement(d, points)
         bound_arrangement = bounds.spectral_bound_arrangement(d, points)
     div_infinity = bounds.divisibility_bound_infinity(n, d)

@@ -75,6 +75,22 @@ def weak_multisets(d: int) -> list[tuple[int, ...]]:
     return sorted(extend((), comb(d, 2)))
 
 
+def runs(points) -> tuple[tuple[int, int], ...]:
+    """Weak data as its (multiplicity, count) runs, the multiplicity
+    descending, from a multiset of multiplicities or a map from each
+    multiplicity to its count."""
+    return tuple(sorted(Counter(points).items(), reverse=True))
+
+
+def expand(spec: HypersurfaceSpec) -> tuple[int, ...]:
+    """The point multiplicities of a line-arrangement spec, descending, one
+    per point."""
+    return tuple(sorted(
+        (s.multiplicity for s, c in spec.singularities for _ in range(c)),
+        reverse=True,
+    ))
+
+
 def oracle_shared_line_violations(
     d: int, multiplicities
 ) -> list[tuple[int, int]]:

@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from helpers import pair_table, random_curve_spec, random_spec, weak_multisets
+from helpers import pair_table, random_curve_spec, random_spec, runs, weak_multisets
 
 from specpairs import (
     Brieskorn,
@@ -206,7 +206,7 @@ def test_criterion_10_vanishing_bounds():
     rng = random.Random(1010)
     picks = [rng.choice(pool) for _ in range(100)]
     for d, mults in picks:
-        bounds = spectral_bound_arrangement(d, mults)
+        bounds = spectral_bound_arrangement(d, runs(mults))
         for j in range(1, d):
             if gcd(j, d) == 1:
                 # (0, 1, j) is the angle j/d

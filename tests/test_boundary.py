@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from helpers import (
     brieskorn_pham_explicit,
+    expand,
     oracle_arrangement_table,
     oracle_boundary_alexander,
     oracle_curve_table,
@@ -18,6 +19,7 @@ from helpers import (
     oracle_nonunipotent,
     pair_table,
     random_spec,
+    runs,
     table_entries,
     weak_multisets,
 )
@@ -172,10 +174,10 @@ def test_curve_tables_worked_examples():
 
 
 def test_arrangement_tables_worked_examples():
-    assert boundary_pairs_arrangement(3, (2, 2, 2)) == boundary_pairs_curve(
+    assert boundary_pairs_arrangement(3, ((2, 3),)) == boundary_pairs_curve(
         THREE_GENERIC_LINES
     )
-    assert boundary_pairs_arrangement(3, (3,)) == pair_table(
+    assert boundary_pairs_arrangement(3, ((3, 1),)) == pair_table(
         {
             (0, 0, 0): 2,
             (1, 1, 0): 2,
@@ -183,7 +185,7 @@ def test_arrangement_tables_worked_examples():
             (1, 0, Fraction(1, 3)): 2,
         }
     )
-    two_lines = boundary_pairs_arrangement(2, (2,))
+    two_lines = boundary_pairs_arrangement(2, ((2, 1),))
     assert two_lines == pair_table({(0, 0, 0): 1, (1, 1, 0): 1})
     assert two_lines.total_dim() == 2
 
@@ -199,7 +201,7 @@ def test_braid_arrangement_of_six_lines():
     assert delta_m == phi({1: 22, 2: 4, 3: 8, 6: 4})
     assert delta_m.degree == 50
     table = boundary_pairs_curve(spec)
-    assert table == boundary_pairs_arrangement(6, (3, 3, 3, 3, 2, 2, 2))
+    assert table == boundary_pairs_arrangement(6, ((3, 4), (2, 3)))
     rows = table.to_rows()
     assert [0, 0, "0/1", 11] in rows  # sum of (m_i - 1)
     # at 1/3 the triple points give mhat - 1 = 0, leaving dhat(1/3) - 1 = 1;
@@ -215,8 +217,9 @@ def test_arrangement_route_equals_curve_route_for_all_weak_data():
 
     for d in range(2, 8):
         for mults in weak_multisets(d):
-            spec = arrangement_spec(d, mults)
-            assert boundary_pairs_arrangement(d, mults) == boundary_pairs_curve(spec)
+            points = runs(mults)
+            spec = arrangement_spec(d, points)
+            assert boundary_pairs_arrangement(d, points) == boundary_pairs_curve(spec)
 
 
 def test_census_tables_match_the_mhat_oracle():
@@ -224,9 +227,10 @@ def test_census_tables_match_the_mhat_oracle():
 
     for d in range(2, 9):
         for report in census_rows(d):
-            mults = report.derived.ordinary_multiplicities
+            mults = expand(report.spec)
             want = oracle_arrangement_table(d, mults)
-            for table in (report.pairs_full, boundary_pairs_arrangement(d, mults)):
+            points = runs(mults)
+            for table in (report.pairs_full, boundary_pairs_arrangement(d, points)):
                 assert table_entries(table) == want, (d, mults)
 
 
@@ -292,7 +296,7 @@ def _infinity_oracle_specs(n, d):
     if n == 1:
         from specpairs.cli import arrangement_spec
 
-        specs = [arrangement_spec(d, (d,))]  # d concurrent lines
+        specs = [arrangement_spec(d, ((d, 1),))]  # d concurrent lines
         if d >= 3:
             specs.append(HypersurfaceSpec(n=1, d=d, components=1,
                                           singularities=((Brieskorn(2, 3), 1),),

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from helpers import bound_table, oracle_mhat, table_entries
+from helpers import bound_table, oracle_mhat, runs, table_entries
 
 from specpairs import (
     Brieskorn,
@@ -136,10 +136,10 @@ def test_curve_bound_vanishes_at_one_over_d():
 
 def test_spectral_bound_arrangement_examples():
     # the tables are over the denominator d: (0, 1, j) is the angle j/d
-    assert spectral_bound_arrangement(3, (2, 2, 2)).bound_at((0, 1, 2)) == 0
-    assert spectral_bound_arrangement(3, (3,)).bound_at((0, 1, 2)) == 1
-    assert spectral_bound_arrangement(4, (2,) * 6).bound_at((0, 1, 1)) == 0
-    table = spectral_bound_arrangement(3, (3,))
+    assert spectral_bound_arrangement(3, ((2, 3),)).bound_at((0, 1, 2)) == 0
+    assert spectral_bound_arrangement(3, ((3, 1),)).bound_at((0, 1, 2)) == 1
+    assert spectral_bound_arrangement(4, ((2, 6),)).bound_at((0, 1, 1)) == 0
+    table = spectral_bound_arrangement(3, ((3, 1),))
     assert [1, 1, "0/1", 2, "exact"] in table.to_rows()
 
 
@@ -157,13 +157,16 @@ def test_spectral_bound_arrangement_equals_the_bound_at_every_angle():
             value = min(j - 1, sum(oracle_mhat(m, alpha) - 1 for m in mults))
             entries[(0, 1, alpha)] = entries[(1, 0, 1 - alpha)] = value
         expected = bound_table(entries, exact=[one])
-        assert spectral_bound_arrangement(d, mults) == expected, (d, mults)
+        assert spectral_bound_arrangement(d, runs(mults)) == expected, (d, mults)
+        # one run per point, in any order: a multiplicity may repeat
+        points = [(m, 1) for m in mults]
+        assert spectral_bound_arrangement(d, points) == expected, (d, mults)
 
 
 def test_arrangement_vanishing_for_coprime_angles():
     for d, mults in ((4, (2,) * 6), (5, (2, 2, 3, 3)), (6, (3, 3, 3, 3, 3))):
         assert max(mults) < d
-        bounds = spectral_bound_arrangement(d, mults)
+        bounds = spectral_bound_arrangement(d, runs(mults))
         for j in range(1, d):
             if gcd(j, d) == 1:
                 assert bounds.bound_at((0, 1, j)) == 0  # alpha = j/d
@@ -174,7 +177,7 @@ def test_arrangement_bounds_below_curve_bounds():
         HypersurfaceSpec(n=1, d=4, components=4,
                          singularities=((Ordinary(2), 6),), line_arrangement=True)
     )
-    arrangement = spectral_bound_arrangement(4, (2,) * 6)
+    arrangement = spectral_bound_arrangement(4, ((2, 6),))
     caps = table_entries(curve)
     for key, value in table_entries(arrangement).items():
         if key[2] > 0:

@@ -13,7 +13,7 @@ from functools import reduce
 from pathlib import Path
 
 import pytest
-from helpers import brieskorn_pham_explicit, weak_multisets
+from helpers import brieskorn_pham_explicit, expand, runs, weak_multisets
 
 from specpairs import (
     CyclotomicFactorization,
@@ -518,6 +518,19 @@ def test_usage_error_exit_three(capsys):
     assert info.value.code == 3
 
 
+@pytest.mark.parametrize(
+    "command", [[], ["compute"], ["verify"], ["census"], ["oracle"]],
+    ids=["specpairs", "compute", "verify", "census", "oracle"],
+)
+def test_help_exits_zero_with_usage_on_stdout(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--help"])
+    assert info.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(" ".join(["usage: specpairs", *command]))
+    assert err == ""
+
+
 def test_oracle(capsys):
     assert main(["oracle", "milnor-dim", "1", "3", "1"]) == 0
     assert capsys.readouterr().out.strip() == "2 2"
@@ -550,10 +563,10 @@ def test_weak_multisets_for_four_lines():
 
 def test_census_rows_checks_pass_and_flag_unrealizable():
     reports = list(census_rows(4))
-    mults = [r.derived.ordinary_multiplicities for r in reports]
+    mults = [expand(r.spec) for r in reports]
     assert mults == list(weak_multisets(4))
     assert all(r.all_passed for r in reports)
-    flagged = [r.derived.ordinary_multiplicities for r in reports if r.warnings]
+    flagged = [expand(r.spec) for r in reports if r.warnings]
     assert flagged == [(3, 3)]
     for report in reports:
         assert report.pairs_full.total_dim() == 2 * (4 - 1) ** 2
@@ -579,7 +592,7 @@ def test_census_cli_structured_and_max_rows(capsys):
 def test_census_stable_for_small_line_counts():
     for d in range(2, 7):
         reports = list(census_rows(d))
-        mults = [r.derived.ordinary_multiplicities for r in reports]
+        mults = [expand(r.spec) for r in reports]
         assert mults == sorted(mults)
         assert all(r.all_passed for r in reports)
 
@@ -589,7 +602,7 @@ def _row_dict(report):
     # went through json.dumps whole
     return {
         "d": report.spec.d,
-        "multiplicities": list(report.derived.ordinary_multiplicities),
+        "multiplicities": list(expand(report.spec)),
         "mu": report.derived.mu,
         "delta_M": report.delta_m.to_dict(),
         "table": report.pairs_full.to_rows(),
@@ -662,7 +675,7 @@ def test_census_row_refused_by_the_budget_ends_with_its_violation(
 ):
     # a budget that admits the first rows of 8 lines but not every row
     rows = list(weak_multisets(8))
-    estimates = [model._work_estimate(arrangement_spec(8, r)) for r in rows]
+    estimates = [model._work_estimate(arrangement_spec(8, runs(r))) for r in rows]
     budget = sorted(estimates)[len(estimates) // 2]
     admitted = estimates.index(next(e for e in estimates if e > budget))
     assert admitted > 0
@@ -700,9 +713,9 @@ def test_negative_max_rows_is_a_usage_error(capsys):
 
 
 def test_arrangement_spec_builder():
-    spec = arrangement_spec(3, (2, 2, 2))
+    spec = arrangement_spec(3, ((2, 3),))
     assert spec.line_arrangement and spec.components == 3
-    assert spec.derived.ordinary_multiplicities == (2, 2, 2)
+    assert expand(spec) == (2, 2, 2)
 
 
 def test_explicit_document_matches_builtin_encoding(spec_file, capsys):

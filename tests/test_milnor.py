@@ -46,6 +46,14 @@ def test_bruteforce_guard():
         milnor_dim_bruteforce(10**9, 2, 0)
 
 
+def test_bruteforce_refuses_a_tuple_too_long_to_hold():
+    # d = 2 passes the step guard up to n + 1 = 10^7 steps, but the
+    # enumeration and the engine each hold a tuple of n + 1 exponents
+    with pytest.raises(EnumerationTooLarge, match=r"n\+1 = 1000001 exponents"):
+        milnor_dim_bruteforce(10**6, 2, 0)
+    assert milnor_dim_bruteforce(10**5 - 1, 2, 0) == 1
+
+
 def test_milnor_dim_of_a_huge_n_sums_only_its_nonzero_terms():
     # the closed-form oracle; exponents at most 1: choose the 5 that are 1
     assert milnor_dim_closed_form(10**9, 3, 5) == comb(10**9 + 1, 5)

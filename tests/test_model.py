@@ -13,6 +13,7 @@ from helpers import (
     brieskorn_pham_explicit,
     oracle_shared_line_violations,
     pair_table,
+    runs,
     work_estimate_closed_form,
 )
 from hypothesis import given, settings
@@ -144,6 +145,19 @@ def test_pair_count_enforced_for_arrangements():
     assert "pair_count" in codes(spec)
 
 
+def test_pair_count_message_lists_every_point_in_descending_order():
+    # the points of one multiplicity split over two entries, in mixed order
+    spec = HypersurfaceSpec(
+        n=1, d=5, components=5,
+        singularities=((Ordinary(2), 2), (Ordinary(4), 1), (Ordinary(2), 1)),
+        line_arrangement=True,
+    )
+    assert [str(v) for v in validate(spec)] == [
+        "[error] pair_count: multiplicities (4, 2, 2, 2) account for 9 line "
+        "pairs, but C(5,2) = 10"
+    ]
+
+
 def test_shared_line_heuristic_is_a_warning():
     spec = HypersurfaceSpec(
         n=1, d=4, components=4,
@@ -160,9 +174,18 @@ def test_shared_line_violations_match_the_pairwise_definition():
     for _ in range(500):
         d = rng.randint(2, 10)
         mults = [rng.randint(2, d + 1) for _ in range(rng.randint(0, 12))]
-        assert shared_line_violations(d, mults) == oracle_shared_line_violations(
-            d, mults
-        )
+        want = oracle_shared_line_violations(d, mults)
+        assert shared_line_violations(d, runs(mults)) == want
+        # the same points split into runs at random and shuffled, so that
+        # a multiplicity may repeat across runs in any order
+        split = []
+        for m, count in runs(mults):
+            while count:
+                part = rng.randint(1, count)
+                split.append((m, part))
+                count -= part
+        rng.shuffle(split)
+        assert shared_line_violations(d, split) == want, (d, split)
 
 
 def test_validate_on_a_300_line_generic_arrangement_stays_fast():

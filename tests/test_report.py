@@ -289,10 +289,37 @@ def test_build_report_on_a_3000_line_pencil_stays_fast():
     from specpairs.cli import arrangement_spec
 
     start = time.perf_counter()
-    report = build_report(arrangement_spec(3000, [3000]))
+    report = build_report(arrangement_spec(3000, ((3000, 1),)))
     assert time.perf_counter() - start < 10.0
     assert report.all_passed
     assert report.derived.mu == 0
+
+
+@pytest.mark.parametrize(
+    "d, merged, split",
+    [
+        (6, [(3, 4), (2, 3)], [(2, 1), (3, 1), (2, 2), (3, 3)]),  # braid_six_lines
+        (4, [(3, 2)], [(3, 1), (3, 1)]),  # the census row (3, 3), flagged
+    ],
+    ids=["braid_six_lines", "flagged_row"],
+)
+def test_arrangement_entry_layout_does_not_matter(d, merged, split):
+    # the points of one multiplicity over several entries in mixed order
+    # give the report of the document with one entry per multiplicity
+    def report(points):
+        doc = {
+            "ambient_dim": 2, "degree": d, "components": d, "line_arrangement": True,
+            "singularities": [
+                {"kind": "ordinary", "multiplicity": m, "count": c} for m, c in points
+            ],
+        }
+        return report_to_dict(build_report(parse_spec(json.dumps(doc))))
+
+    want, got = report(merged), report(split)
+    assert got.pop("spec") != want.pop("spec")
+    assert got == want
+    assert all(check["passed"] for check in got["checks"])
+    assert len(got["warnings"]) == (d == 4)
 
 
 def test_builtin_germs_and_their_explicit_twins_give_one_report():

@@ -50,7 +50,7 @@ def test_a_census_enumerates_each_multiplicity_once(monkeypatch):
     )
     _clear_caches()
     rows = list(census_rows(8))
-    used = {m for row in rows for m in row.derived.ordinary_multiplicities}
+    used = {s.multiplicity for row in rows for s, _ in row.spec.singularities}
     assert all(a == b for a, b in calls)
     assert Counter(a for a, _ in calls) == Counter(used)
     for cached in AT_INFINITY:
@@ -60,8 +60,8 @@ def test_a_census_enumerates_each_multiplicity_once(monkeypatch):
 
 def test_specs_built_from_one_germ_map_share_tables():
     germs = {}
-    first = arrangement_spec(6, {3: 4, 2: 3}, germs)
-    second = arrangement_spec(6, {3: 1, 2: 12}, germs)
+    first = arrangement_spec(6, ((3, 4), (2, 3)), germs)
+    second = arrangement_spec(6, ((3, 1), (2, 12)), germs)
     assert set(germs) == {2, 3}
     assert first.singularities[0][0] is second.singularities[0][0] is germs[3]
     assert first.singularities[1][0] is second.singularities[1][0] is germs[2]
