@@ -63,7 +63,9 @@ class CyclotomicFactorization:
     Instances are immutable; zero multiplicities are never stored.
     """
 
-    __slots__ = ("_unit", "_t_power", "_factors", "_formal")
+    # _degree is filled by the first read of degree; no code changes
+    # _factors after __init__, so the kept value stays the degree
+    __slots__ = ("_unit", "_t_power", "_factors", "_formal", "_degree")
 
     def __init__(
         self,
@@ -119,8 +121,13 @@ class CyclotomicFactorization:
 
     @property
     def degree(self) -> int:
-        """Sum of multiplicity(k) * phi(k), the degree of the polynomial part."""
-        return sum(m * euler_phi(k) for k, m in self._factors.items())
+        """Sum of multiplicity(k) * phi(k), the degree of the polynomial part;
+        computed on the first read and kept."""
+        try:
+            return self._degree
+        except AttributeError:
+            self._degree = sum(m * euler_phi(k) for k, m in self._factors.items())
+            return self._degree
 
     def __mul__(self, other: CyclotomicFactorization) -> CyclotomicFactorization:
         data = dict(self._factors)

@@ -11,10 +11,11 @@ user-supplied data.  Every germ answers `milnor`, `branches`, `pairs` and
 `alexander` itself, and `work`, its closed-form price in the work estimate
 of ``model.validate``.
 
-A built-in germ enumerates its spectrum once, on first use, and keeps it on
-the instance with the local pairs and the local Alexander polynomial read
-off it; every spec holding the same germ object shares these read-only
-values, and they are freed with the germ.
+A built-in germ computes its Milnor number and branch count and enumerates
+its spectrum once each, on first use, and keeps them on the instance with
+the local pairs and the local Alexander polynomial read off the spectrum;
+every spec holding the same germ object shares these read-only values, and
+they are freed with the germ.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ class ExplicitHasNoSpectrum(TypeError):
 
 class _QuasiHomogeneous:
     """The invariants of the built-in germ x^a + y^b, (a, b) = `exponents`;
-    its tables are made once per instance (cached_property writes a frozen
-    dataclass's dict)."""
+    its Milnor number, branch count and tables are made once per instance
+    (cached_property writes a frozen dataclass's dict)."""
 
-    milnor = property(lambda self: prod(a - 1 for a in self.exponents))
-    branches = property(lambda self: gcd(*self.exponents))
+    milnor = cached_property(lambda self: prod(a - 1 for a in self.exponents))
+    branches = cached_property(lambda self: gcd(*self.exponents))
 
     @cached_property
     def _spectrum(self) -> tuple[int, dict[int, int]]:

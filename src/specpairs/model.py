@@ -380,12 +380,6 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
                         f"but C({d},2) = {want}",
                     )
                 )
-            if any(m > d for m, _ in points):
-                out.append(
-                    Violation(
-                        "pair_count", f"a multiplicity exceeds the line count {d}"
-                    )
-                )
             for a, b in shared_line_violations(d, points):
                 out.append(
                     Violation(

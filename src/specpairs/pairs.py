@@ -32,7 +32,9 @@ def rescale(entries: dict, factor: int) -> dict:
 class SpectralPairTable:
     """An immutable multiset of spectral pairs with exact eigenvalue angles."""
 
-    __slots__ = ("_den", "_entries")
+    # _unipotent_dim is filled by the first call of unipotent_dim; no code
+    # changes _entries after __init__, so the kept value stays the count
+    __slots__ = ("_den", "_entries", "_unipotent_dim")
 
     def __init__(self, den: int, entries: dict[tuple[int, int, int], int]):
         """Positive counts keyed by (p, q, k) with 0 <= k < den, standing for
@@ -79,8 +81,13 @@ class SpectralPairTable:
         return sum(self._entries.values())
 
     def unipotent_dim(self) -> int:
-        """Total count at eigenvalue 1 (alpha = 0)."""
-        return sum(c for (_, _, k), c in self._entries.items() if not k)
+        """Total count at eigenvalue 1 (alpha = 0), kept after the first call."""
+        try:
+            return self._unipotent_dim
+        except AttributeError:
+            entries = self._entries
+            self._unipotent_dim = sum(c for (_, _, k), c in entries.items() if not k)
+            return self._unipotent_dim
 
     def alpha_marginal(self) -> dict[tuple[int, int], int]:
         """Total count per eigenvalue angle, keyed by the angle in lowest

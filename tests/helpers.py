@@ -48,6 +48,31 @@ def oracle_cyclotomic(k: int) -> tuple[int, ...]:
     return tuple(rem)
 
 
+def germ_invariants_recomputed(germ) -> tuple[int, int, int, int]:
+    """A germ's Milnor number, branch count, local Alexander degree and
+    eigenvalue-1 mass, recomputed with loops of their own: a built-in germ's
+    first two from its exponents (the product of a - 1, Euclid's algorithm),
+    an explicit germ's as given; the degree from the factorization's
+    _factors with phi(k) the degree of oracle_cyclotomic(k); the mass from
+    the pair table's _entries at numerator 0."""
+    if isinstance(germ, Explicit):
+        milnor, branches = germ.milnor, germ.branches
+    else:
+        a, b = germ.exponents
+        milnor = (a - 1) * (b - 1)
+        while b:
+            a, b = b, a % b
+        branches = a
+    degree = 0
+    for k, m in germ.alexander._factors.items():
+        degree += m * (len(oracle_cyclotomic(k)) - 1)
+    mass = 0
+    for (_, _, k), c in germ.pairs._entries.items():
+        if k == 0:
+            mass += c
+    return milnor, branches, degree, mass
+
+
 def oracle_expand(f) -> dict[int, Fraction]:
     """A CyclotomicFactorization multiplied out, as {exponent: coefficient}
     with zero coefficients dropped."""

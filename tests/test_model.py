@@ -145,6 +145,16 @@ def test_pair_count_enforced_for_arrangements():
     assert "pair_count" in codes(spec)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 10])
+def test_a_point_on_more_than_d_lines_is_negative_mu_alone(d):
+    # Ordinary(d + 1) has Milnor number d^2 > (d - 1)^2, so negative_mu ends
+    # validation before any line-arrangement rule reads the multiplicity
+    from specpairs.cli import arrangement_spec
+
+    violations = validate(arrangement_spec(d, [(d + 1, 1)]))
+    assert [v.code for v in violations] == ["negative_mu"]
+
+
 def test_pair_count_message_lists_every_point_in_descending_order():
     # the points of one multiplicity split over two entries, in mixed order
     spec = HypersurfaceSpec(

@@ -16,6 +16,7 @@ import pytest
 from helpers import (
     bound_table,
     brieskorn_pham_explicit,
+    germ_invariants_recomputed,
     oracle_render_text,
     pair_table,
     random_spec,
@@ -281,6 +282,66 @@ def test_build_report_enumerates_each_germ_spectrum_once(monkeypatch):
         calls.clear()
         build_report(spec)
         assert calls == [s.exponents for s, _ in spec.singularities]
+
+
+def test_census_computes_each_germ_invariant_once(monkeypatch):
+    # every row checks each of its germs' Milnor number, branch count,
+    # Alexander degree and eigenvalue-1 mass; the rows share one germ per
+    # multiplicity, which computes each of the four on its first read only.
+    # A computation is seen as the call of prod, gcd or sum made by the
+    # function behind the attribute, with that function's `self`.
+    import builtins
+
+    from specpairs import laurent, pairs
+
+    computed = []  # (name, instance) per computation
+
+    def count(module, called, owner, name, read):
+        behind = vars(owner)[name]
+        code = getattr(behind, "func", getattr(behind, "fget", behind)).__code__
+        original = getattr(module, called, None) or getattr(builtins, called)
+
+        def counted(*args):
+            caller = sys._getframe(1)
+            if caller.f_code is code:
+                computed.append((name, caller.f_locals["self"]))
+            return original(*args)
+
+        monkeypatch.setattr(module, called, counted, raising=False)
+        return name, read
+
+    quasi = localsing._QuasiHomogeneous
+    reads = [
+        count(localsing, "prod", quasi, "milnor", lambda s: s),
+        count(localsing, "gcd", quasi, "branches", lambda s: s),
+        count(laurent, "sum", laurent.CyclotomicFactorization, "degree",
+              lambda s: s.alexander),
+        count(pairs, "sum", SpectralPairTable, "unipotent_dim", lambda s: s.pairs),
+    ]
+    germs = {}
+    for report in census_rows(10):
+        assert report.all_passed
+        germs.update((s.multiplicity, s) for s, _ in report.spec.singularities)
+    assert sorted(germs) == list(range(2, 11))
+    for name, read in reads:
+        instances = [obj for label, obj in computed if label == name]
+        times = {m: sum(obj is read(s) for obj in instances) for m, s in germs.items()}
+        assert times == dict.fromkeys(germs, 1), name
+
+
+def test_kept_germ_invariants_equal_a_recomputation():
+    # each golden document's germs and the shared germs of every census row
+    # with d <= 8 answer the same four numbers on the first read and on the
+    # second, and the test helper's loops give them too
+    specs = [parse_spec(path.read_text()) for path in sorted(GOLDEN.glob("*.json"))]
+    specs += [report.spec for d in range(2, 9) for report in census_rows(d)]
+    germs = [s for spec in specs for s, _ in spec.singularities]
+    assert {type(s).__name__ for s in germs} == {"Brieskorn", "Explicit", "Ordinary"}
+    for s in germs:
+        want = germ_invariants_recomputed(s)
+        for _ in range(2):
+            found = s.milnor, s.branches, s.alexander.degree, s.pairs.unipotent_dim()
+            assert found == want, s
 
 
 def test_build_report_on_a_3000_line_pencil_stays_fast():

@@ -1,6 +1,6 @@
 """Values that depend only on a germ, only on (n, d) or only on (d, r) are
-computed once and shared read-only: each built-in germ keeps its spectrum
-and tables, a census keeps one germ per multiplicity, and the values at
+computed once and shared read-only: each built-in germ keeps its Milnor
+number, branch count, spectrum and tables, a census keeps one germ per multiplicity, and the values at
 infinity of the last (n, d) and the curve bound of the last (d, r) are
 kept.  Nothing is shared beyond that."""
 
