@@ -25,7 +25,6 @@ from .laurent import (
     CyclotomicFactorization,
     NotDivisible,
     euler_phi,
-    t_power_minus_one,
 )
 from .localsing import (
     Brieskorn,

@@ -31,8 +31,7 @@ def boundary_alexander(spec: HypersurfaceSpec) -> CyclotomicFactorization:
     a concrete factorization of degree 2(d-1)^(n+1), with unit 1 and t^0.
     It is the product of the two divisibility bounds of the complement;
     spec.derived admits only mu >= 0, so no exponent is negative."""
-    bound = divisibility_bound_infinity(spec.n, spec.d) * spec.derived.local_bound
-    return CyclotomicFactorization(bound._factors)
+    return divisibility_bound_infinity(spec.n, spec.d) * spec.derived.local_bound
 
 
 def error_term(

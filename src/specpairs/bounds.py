@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterator
 
-from .laurent import CyclotomicFactorization, t_power_minus_one
+from .laurent import CyclotomicFactorization, divisors
 from .milnor import xi_exponent
 from .pairs import rescale
 
@@ -105,20 +105,20 @@ class BoundTable:
 
 @lru_cache(maxsize=1)
 def divisibility_bound_infinity(n: int, d: int) -> CyclotomicFactorization:
-    """Divisor bound from the fiber at infinity, as a formal factorization:
+    """Divisor bound from the fiber at infinity, written as the quotient
     (t-1)^((-1)^(n+1)) * (t^d-1)^xi with xi = ((d-1)^(n+1) + (-1)^n)/d.
 
-    The combined exponent of t - 1 is never negative: it is xi - 1 for even
-    n, where xi >= 1, and xi + 1 for odd n, where xi >= 0 (xi = 0 only for
-    d = 2).  The result is flagged formal because it is a divisibility bound,
-    not the order of a module.  As with steenbrink_infinity, the value of
-    the last (n, d) is kept and shared.
+    It is a polynomial, since no multiplicity is negative: the combined
+    exponent of t - 1 is xi - 1 for even n, where xi >= 1, and xi + 1 for
+    odd n, where xi >= 0 (xi = 0 only for d = 2).  It is a divisibility
+    bound, not the order of a module.  As with steenbrink_infinity, the
+    value of the last (n, d) is kept and shared.
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    factors = dict.fromkeys(t_power_minus_one(d).factors, xi_exponent(n, d))
+    factors = dict.fromkeys(divisors(d), xi_exponent(n, d))
     factors[1] += (-1) ** (n + 1)
-    return CyclotomicFactorization(factors, formal=True)
+    return CyclotomicFactorization(factors)
 
 
 def divisibility_bound_local(spec: HypersurfaceSpec) -> CyclotomicFactorization:

@@ -58,21 +58,20 @@ class CyclotomicFactorization:
     """unit * t^t_power * product over k of Phi_k^multiplicity, where Phi_k is
     the k-th cyclotomic polynomial.
 
-    Negative multiplicities are allowed only on values flagged ``formal``,
-    which represent divisibility bounds rather than concrete polynomials.
+    Every value is a polynomial: multiplicities are never negative (the
+    divisibility bound at infinity, written as a quotient, included).
     Instances are immutable; zero multiplicities are never stored.
     """
 
     # _degree is filled by the first read of degree; no code changes
     # _factors after __init__, so the kept value stays the degree
-    __slots__ = ("_unit", "_t_power", "_factors", "_formal", "_degree")
+    __slots__ = ("_unit", "_t_power", "_factors", "_degree")
 
     def __init__(
         self,
         factors: Mapping[int, int] | None = None,
         unit: Rational = _ONE,
         t_power: int = 0,
-        formal: bool = False,
     ):
         """Check and store the parts, with `factors` as {order: multiplicity};
         zero multiplicities are dropped.  from_dict is the reader that checks
@@ -85,17 +84,15 @@ class CyclotomicFactorization:
         for k, m in (factors or {}).items():
             if k < 1:
                 raise ValueError(f"cyclotomic order must be >= 1, got {k}")
-            if m < 0 and not formal:
+            if m < 0:
                 raise ValueError(
-                    "negative multiplicities require the formal flag; "
-                    "concrete polynomial orders must have nonnegative exponents"
+                    f"negative multiplicities are not allowed, as at Phi({k})"
                 )
             if m:
                 data[k] = m
         self._unit = unit
         self._t_power = t_power
         self._factors = data
-        self._formal = formal
 
     @property
     def unit(self) -> Fraction:
@@ -104,10 +101,6 @@ class CyclotomicFactorization:
     @property
     def t_power(self) -> int:
         return self._t_power
-
-    @property
-    def formal(self) -> bool:
-        return self._formal
 
     @property
     def factors(self) -> dict[int, int]:
@@ -134,10 +127,7 @@ class CyclotomicFactorization:
         for k, m in other._factors.items():
             data[k] = data.get(k, 0) + m
         return CyclotomicFactorization(
-            data,
-            self._unit * other._unit,
-            self._t_power + other._t_power,
-            self._formal or other._formal,
+            data, self._unit * other._unit, self._t_power + other._t_power
         )
 
     def __pow__(self, n: int) -> CyclotomicFactorization:
@@ -147,7 +137,6 @@ class CyclotomicFactorization:
             {k: m * n for k, m in self._factors.items()},
             self._unit**n,
             self._t_power * n,
-            self._formal,
         )
 
     def divide(self, other: CyclotomicFactorization) -> CyclotomicFactorization:
@@ -179,19 +168,15 @@ class CyclotomicFactorization:
             self._unit == other._unit
             and self._t_power == other._t_power
             and self._factors == other._factors
-            and self._formal == other._formal
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (self._unit, self._t_power, frozenset(self._factors.items()), self._formal)
-        )
+        return hash((self._unit, self._t_power, frozenset(self._factors.items())))
 
     def __repr__(self) -> str:
         return (
             f"CyclotomicFactorization(unit={self._unit}, t_power={self._t_power}, "
-            f"factors={dict(sorted(self._factors.items()))}"
-            + (", formal=True)" if self._formal else ")")
+            f"factors={dict(sorted(self._factors.items()))})"
         )
 
     def __str__(self) -> str:
@@ -207,19 +192,20 @@ class CyclotomicFactorization:
 
     def to_dict(self) -> dict:
         """JSON-ready form: factors sorted by order, unit as a fraction string."""
-        out = {
+        return {
             "unit": f"{self._unit.numerator}/{self._unit.denominator}",
             "t_power": self._t_power,
             "factors": [[k, self._factors[k]] for k in self.orders()],
         }
-        if self._formal:
-            out["formal"] = True
-        return out
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> CyclotomicFactorization:
-        """Read a document object strictly; an order given twice is an error,
-        not an overwrite."""
+    def from_dict(cls, data) -> CyclotomicFactorization:
+        """Read an Alexander polynomial of a document (a germ's `alexander`,
+        `delta_U`) strictly: it must be an object, an order given twice is an
+        error, not an overwrite, and `"formal": true`, the label of the bound
+        at infinity in a report, is refused, since that bound is none."""
+        if not isinstance(data, dict):
+            raise TypeError(f"expected an object, got {data!r}")
         unit = parse_fraction(data.get("unit", 1))
         t_power = parse_integer(data.get("t_power", 0))
         factors: dict[int, int] = {}
@@ -228,7 +214,11 @@ class CyclotomicFactorization:
             if k in factors:
                 raise ValueError(f"cyclotomic order {k} is given twice")
             factors[k] = parse_integer(m)
-        return cls(factors, unit, t_power, parse_flag(data.get("formal", False)))
+        if parse_flag(data.get("formal", False)):
+            raise ValueError(
+                "an Alexander polynomial is not a formal bound; drop the formal flag"
+            )
+        return cls(factors, unit, t_power)
 
 
 def parse_integer(value) -> int:
@@ -263,9 +253,3 @@ def parse_fraction(value) -> Fraction:
             pass
     raise ValueError(f"cannot interpret {value!r} as an exact rational")
 
-
-def t_power_minus_one(d: int) -> CyclotomicFactorization:
-    """The factorization of t^d - 1 as the product of Phi_k over k | d."""
-    if d < 1:
-        raise ValueError(f"t^d - 1 requires d >= 1, got {d}")
-    return CyclotomicFactorization(dict.fromkeys(divisors(d), 1))

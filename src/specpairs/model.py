@@ -439,19 +439,6 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
 # Document parsing and serialization
 
 
-def _parse_alexander(data) -> CyclotomicFactorization:
-    """An Alexander polynomial of a document (a germ's `alexander`, `delta_U`):
-    an object, read strictly, and concrete, since a formal bound is none."""
-    if not isinstance(data, dict):
-        raise TypeError(f"expected an object, got {data!r}")
-    poly = CyclotomicFactorization.from_dict(data)
-    if poly.formal:
-        raise ValueError(
-            "an Alexander polynomial is not a formal bound; drop the formal flag"
-        )
-    return poly
-
-
 def _parse_hd(rows) -> tuple[tuple[int, int, int], ...]:
     """hD rows, read strictly; a Hodge type given twice is an error, not an
     overwrite."""
@@ -487,7 +474,7 @@ def _parse_singularity(entry, errors) -> tuple[LocalSingularity, int] | None:
                 Explicit(
                     milnor=parse_integer(entry["milnor_number"]),
                     branches=parse_integer(entry["branches"]),
-                    alexander=_parse_alexander(entry["alexander"]),
+                    alexander=CyclotomicFactorization.from_dict(entry["alexander"]),
                     pairs=SpectralPairTable.from_rows(entry["spectral_pairs"]),
                     grf_dims=grf_rows,
                 ),
@@ -543,7 +530,10 @@ def parse_spec(document: str | dict) -> HypersurfaceSpec:
         if parsed is not None:
             sings.append(parsed)
     # delta_U and hD are optional: null reads as absent
-    delta_u = read("delta_U", lambda v: None if v is None else _parse_alexander(v))
+    delta_u = read(
+        "delta_U",
+        lambda v: None if v is None else CyclotomicFactorization.from_dict(v),
+    )
     h_d = read("hD", lambda v: None if v is None else _parse_hd(v))
     if errors:
         raise MalformedDocument(errors)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
-from .laurent import parse_fraction, parse_integer
+from .laurent import parse_array, parse_fraction, parse_integer
 
 
 def rescale(entries: dict, factor: int) -> dict:
@@ -146,13 +146,13 @@ class SpectralPairTable:
         return [list(cell) for cell in self._cells()]
 
     @classmethod
-    def from_rows(cls, rows: Iterable) -> SpectralPairTable:
-        """Read rows [p, q, alpha, count] of a document: p, q and count must
-        be integers, alpha an exact rational in [0, 1) and no count
-        negative; a key given twice is an error, not a sum, and zero counts
-        are dropped."""
+    def from_rows(cls, rows: list) -> SpectralPairTable:
+        """Read rows [p, q, alpha, count] of a document: the rows and each row
+        must be arrays, p, q and count integers, alpha an exact rational in
+        [0, 1) and no count negative; a key given twice is an error, not a
+        sum, and zero counts are dropped."""
         data: dict[tuple[int, int, Fraction], int] = {}
-        for p, q, alpha, count in rows:
+        for p, q, alpha, count in map(parse_array, parse_array(rows)):
             key = p, q, alpha = (
                 parse_integer(p), parse_integer(q), parse_fraction(alpha)
             )

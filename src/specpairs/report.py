@@ -282,7 +282,9 @@ def _document(report: InvariantReport, leaf) -> dict:
         },
         "delta_M": report.delta_m.to_dict(),
         "divisibility": {
-            "infinity": report.divisibility_infinity.to_dict(),
+            # labelled formal: the bound is written as a quotient, not as
+            # the order of a module (and a reader refuses it as a polynomial)
+            "infinity": {**report.divisibility_infinity.to_dict(), "formal": True},
             "local": report.divisibility_local.to_dict(),
         },
         "tables": {"weights_resolved": bool(report.weight_resolved)},

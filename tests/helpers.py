@@ -48,6 +48,12 @@ def oracle_cyclotomic(k: int) -> tuple[int, ...]:
     return tuple(rem)
 
 
+def t_power_minus_one(d: int) -> CyclotomicFactorization:
+    """The factorization of t^d - 1, the product of Phi_k over k | d, with
+    the divisors found by trial division of every k <= d."""
+    return CyclotomicFactorization({k: 1 for k in range(1, d + 1) if d % k == 0})
+
+
 def germ_invariants_recomputed(germ) -> tuple[int, int, int, int]:
     """A germ's Milnor number, branch count, local Alexander degree and
     eigenvalue-1 mass, recomputed with loops of their own: a built-in germ's
@@ -76,8 +82,6 @@ def germ_invariants_recomputed(germ) -> tuple[int, int, int, int]:
 def oracle_expand(f) -> dict[int, Fraction]:
     """A CyclotomicFactorization multiplied out, as {exponent: coefficient}
     with zero coefficients dropped."""
-    if any(m < 0 for m in f.factors.values()):
-        raise ValueError("cannot expand a negative multiplicity")
     coeffs = [1]
     for k, m in f.factors.items():
         for _ in range(m):
@@ -431,7 +435,7 @@ def pair_table(entries=None) -> SpectralPairTable:
     rational alpha, read as a document's rows, so zero counts are dropped
     and a negative count or an angle outside [0, 1) is rejected."""
     return SpectralPairTable.from_rows(
-        [p, q, alpha, count] for (p, q, alpha), count in (entries or {}).items()
+        [[p, q, alpha, count] for (p, q, alpha), count in (entries or {}).items()]
     )
 
 

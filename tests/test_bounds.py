@@ -44,22 +44,24 @@ def test_mhat_examples():
 
 
 def test_divisibility_bound_infinity_examples():
-    assert divisibility_bound_infinity(1, 3) == CyclotomicFactorization(
-        factors={1: 2, 3: 1}, formal=True
-    )
-    assert divisibility_bound_infinity(2, 2) == CyclotomicFactorization(
-        factors={2: 1}, formal=True
-    )
-    assert divisibility_bound_infinity(1, 2) == CyclotomicFactorization(
-        factors={1: 1}, formal=True
-    )
+    assert divisibility_bound_infinity(1, 3) == CyclotomicFactorization({1: 2, 3: 1})
+    assert divisibility_bound_infinity(2, 2) == CyclotomicFactorization({2: 1})
+    assert divisibility_bound_infinity(1, 2) == CyclotomicFactorization({1: 1})
 
 
-def test_divisibility_bound_infinity_can_be_formal_negative():
-    # even n with xi = 0 never happens for d >= 2, but the type must carry
-    # negative exponents for the combined bound at small degrees
-    bound = divisibility_bound_infinity(2, 2)
-    assert bound.multiplicity(1) == 0  # -1 + xi = -1 + 1
+def test_divisibility_bound_infinity_is_a_polynomial():
+    # the quotient (t-1)^((-1)^(n+1)) * (t^d-1)^xi builds with no negative
+    # exponent, which is why a factorization needs no formal values; at
+    # (2, 2) the exponent of t - 1 is -1 + xi = 0
+    for n in range(7):
+        for d in range(2, 13):
+            xi = ((d - 1) ** (n + 1) + (-1) ** n) // d
+            expected = {k: xi for k in range(1, d + 1) if d % k == 0}
+            expected[1] += (-1) ** (n + 1)
+            assert min(expected.values()) >= 0
+            bound = divisibility_bound_infinity(n, d)
+            assert bound.factors == {k: m for k, m in expected.items() if m}
+    assert divisibility_bound_infinity(2, 2).multiplicity(1) == 0
 
 
 def test_divisibility_bound_local_examples():

@@ -456,6 +456,15 @@ def _explicit_nodes(**changes):
         (_cusp_with(alexander=None), "expected an object, got None"),
         (_cusp_with_alexander(factors={}), "expected an array, got {}"),
         (_three_generic_lines_with(hD={}), "expected an array, got {}"),
+        (_cusp_with(spectral_pairs={}), "expected an array, got {}"),
+        (_cusp_with(spectral_pairs="abcd"), "expected an array, got 'abcd'"),
+        (
+            _cusp_with(spectral_pairs=[{"p": 0, "q": 1, "alpha": "5/6", "n": 1}]),
+            "expected an array, got {'p': 0",
+        ),
+        # the formal flag is refused before the constructor's checks
+        (_cusp_with_alexander(formal=True, factors=[[0, 1]]), "not a formal bound"),
+        (_cusp_with_alexander(formal=True, unit="0/1"), "not a formal bound"),
         ('{"singularities": ' + "[" * 100_000, "maximum recursion depth"),
         ('{"degree": ' + "9" * 5000 + "}", "Exceeds the limit"),
         (b'{"ambient_dim": 2, "degree": 3, "components": 1, "name": "\xe9"}',
@@ -475,7 +484,9 @@ def _explicit_nodes(**changes):
         "repeated_germ_order", "repeated_delta_u_order", "zero_denominator_unit",
         "repeated_hd_type", "repeated_pair_key",
         "object_singularities", "null_singularities", "array_delta_u",
-        "null_alexander", "object_factors", "object_hd", "deeply_nested",
+        "null_alexander", "object_factors", "object_hd",
+        "object_spectral_pairs", "string_spectral_pairs", "object_spectral_pair_row",
+        "formal_germ_order_zero", "formal_germ_zero_unit", "deeply_nested",
         "integer_of_5000_digits", "not_utf8", "repeated_key",
     ],
 )

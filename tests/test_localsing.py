@@ -14,6 +14,7 @@ from helpers import (
     oracle_local_pairs,
     oracle_spectrum,
     pair_table,
+    t_power_minus_one,
     table_entries,
 )
 
@@ -25,7 +26,6 @@ from specpairs import (
     Ordinary,
     spectrum,
     steenbrink_infinity,
-    t_power_minus_one,
 )
 
 

@@ -172,7 +172,7 @@ def test_every_factorization_of_a_report_is_a_canonical_value():
         for f in polys:
             assert type(f.unit) is Fraction and type(f.t_power) is int
             assert all(type(k) is int and type(m) is int for k, m in f.factors.items())
-            rebuilt = CyclotomicFactorization(f.factors, f.unit, f.t_power, f.formal)
+            rebuilt = CyclotomicFactorization(f.factors, f.unit, f.t_power)
             assert rebuilt == f and hash(rebuilt) == hash(f)
     assert with_error_term
 
@@ -433,8 +433,8 @@ def _concurrent_lines():
                             delta_u=CyclotomicFactorization(factors={1: 2, 3: 1}))
 
 
-def _phi(factors, formal=False):
-    return CyclotomicFactorization(factors=factors, formal=formal)
+def _phi(factors):
+    return CyclotomicFactorization(factors=factors)
 
 
 def _route(module, name, change):
@@ -524,7 +524,7 @@ FORCED_FAILURES = {
     "delta_u_divides_infinity": (
         "input", _concurrent_lines,
         _route(bounds, "divisibility_bound_infinity",
-               lambda _: _phi({1: 1}, formal=True)),
+               lambda _: _phi({1: 1})),
         "multiplicity too high at Phi(1), Phi(3)"),
     "delta_u_divides_local": (
         "input", _concurrent_lines,
