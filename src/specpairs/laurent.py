@@ -209,7 +209,7 @@ class CyclotomicFactorization:
         unit = parse_fraction(data.get("unit", 1))
         t_power = parse_integer(data.get("t_power", 0))
         factors: dict[int, int] = {}
-        for k, m in parse_array(data.get("factors", [])):
+        for k, m in (parse_row(row, 2) for row in parse_array(data.get("factors", []))):
             k = parse_integer(k)
             if k in factors:
                 raise ValueError(f"cyclotomic order {k} is given twice")
@@ -241,6 +241,14 @@ def parse_array(value) -> list:
     if not isinstance(value, list):
         raise TypeError(f"expected an array, got {value!r}")
     return value
+
+
+def parse_row(value, arity: int) -> list:
+    """A JSON array of `arity` entries; anything else is rejected, not unpacked."""
+    row = parse_array(value)
+    if len(row) != arity:
+        raise ValueError(f"expected an array of {arity} entries, got {len(row)}")
+    return row
 
 
 def parse_fraction(value) -> Fraction:

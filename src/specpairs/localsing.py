@@ -20,10 +20,10 @@ they are freed with the germ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from .laurent import CyclotomicFactorization, euler_phi
 from .milnor import _pairs_at_level, brieskorn_pham_spectrum
@@ -36,8 +36,22 @@ class ExplicitHasNoSpectrum(TypeError):
 
 class _QuasiHomogeneous:
     """The invariants of the built-in germ x^a + y^b, (a, b) = `exponents`;
-    its Milnor number, branch count and tables are made once per instance
-    (cached_property writes a frozen dataclass's dict)."""
+    its Milnor number, branch count and tables are made once per instance.
+    A germ is a frozen value, shown by its constructor arguments `_fields`;
+    cached_property writes straight into the instance dict."""
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+    __hash__ = lambda self: hash(self.exponents)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.exponents == other.exponents
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
 
     milnor = cached_property(lambda self: prod(a - 1 for a in self.exponents))
     branches = cached_property(lambda self: gcd(*self.exponents))
@@ -68,26 +82,24 @@ class _QuasiHomogeneous:
         return _pairs_at_level(1, *self._spectrum)
 
 
-@dataclass(frozen=True)
 class Ordinary(_QuasiHomogeneous):
     """An ordinary m-fold point: m pairwise transverse smooth branches."""
 
-    multiplicity: int
+    _fields = ("multiplicity",)
     exponents = property(lambda self: (self.multiplicity, self.multiplicity))
     # the engine's passes over 2m values
     work = property(lambda self: 64 * self.multiplicity)
 
-    def __post_init__(self):
-        if self.multiplicity < 2:
+    def __init__(self, multiplicity: int):
+        if multiplicity < 2:
             raise ValueError("ordinary point needs multiplicity >= 2")
+        vars(self)["multiplicity"] = multiplicity
 
 
-@dataclass(frozen=True)
 class Brieskorn(_QuasiHomogeneous):
     """The germ x^a + y^b at the origin."""
 
-    a: int
-    b: int
+    _fields = ("a", "b")
     exponents = property(lambda self: (self.a, self.b))
 
     @property
@@ -97,13 +109,21 @@ class Brieskorn(_QuasiHomogeneous):
         mu = self.milnor
         return mu // 2 + 32 * min(mu, 2 * lcm(self.a, self.b))
 
-    def __post_init__(self):
-        if self.a < 2 or self.b < 2:
+    def __init__(self, a: int, b: int):
+        if a < 2 or b < 2:
             raise ValueError("Brieskorn exponents must both be >= 2")
+        vars(self).update(a=a, b=b)
 
 
-@dataclass(frozen=True)
-class Explicit:
+class _ExplicitFields(NamedTuple):
+    milnor: int
+    branches: int
+    alexander: CyclotomicFactorization
+    pairs: SpectralPairTable
+    grf_dims: tuple[tuple[int, int], ...] | None = None
+
+
+class Explicit(_ExplicitFields):
     """User-supplied local data for a germ without a built-in model.
 
     grf_dims, when present, lists (p, dim Gr_F^p) pairs of the Hodge
@@ -112,19 +132,17 @@ class Explicit:
     alpha); validate checks supplied ones against it.
     """
 
-    milnor: int
-    branches: int
-    alexander: CyclotomicFactorization
-    pairs: SpectralPairTable
-    grf_dims: tuple[tuple[int, int], ...] | None = None
+    __slots__ = ()
     # alexander_alpha_marginal runs through 0 <= j < k for each order k
     work = property(lambda self: 4 * sum(self.alexander.factors))
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.milnor < 1:
             raise ValueError("Milnor number must be positive")
         if self.branches < 1:
             raise ValueError("branch count must be positive")
+        return self
 
 
 LocalSingularity = Ordinary | Brieskorn | Explicit

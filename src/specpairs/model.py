@@ -9,11 +9,17 @@ never read and no symbolic geometry is performed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
+from typing import NamedTuple
 
-from .laurent import CyclotomicFactorization, parse_array, parse_flag, parse_integer
+from .laurent import (
+    CyclotomicFactorization,
+    parse_array,
+    parse_flag,
+    parse_integer,
+    parse_row,
+)
 from .localsing import (
     Brieskorn,
     Explicit,
@@ -33,8 +39,7 @@ class MalformedDocument(ValueError):
         super().__init__("; ".join(str(e) for e in self.errors))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     message: str
     severity: str = "error"  # "error" or "warning"
@@ -51,11 +56,7 @@ class InvalidSpec(ValueError):
         super().__init__("; ".join(str(v) for v in self.violations))
 
 
-@dataclass(frozen=True)
-class HypersurfaceSpec:
-    """Combinatorial description of an affine degree-d hypersurface in C^(n+1),
-    transversal at infinity, with isolated singularities."""
-
+class _SpecFields(NamedTuple):
     n: int
     d: int
     components: int
@@ -64,6 +65,12 @@ class HypersurfaceSpec:
     rational_homology_manifold: bool = False
     delta_u: CyclotomicFactorization | None = None
     h_d: tuple[tuple[int, int, int], ...] | None = None  # rows (p, q, count)
+
+
+class HypersurfaceSpec(_SpecFields):
+    """Combinatorial description of an affine degree-d hypersurface in C^(n+1),
+    transversal at infinity, with isolated singularities.  The values made
+    from it are kept in the __dict__ of this tuple subclass."""
 
     @cached_property
     def violations(self) -> list[Violation]:
@@ -87,9 +94,13 @@ class HypersurfaceSpec:
         """The derived quantities without the gate, for validate itself."""
         return derived_quantities(self)
 
+    @cached_property
+    def _local_milnor_total(self) -> int:
+        """The count-weighted sum of the local Milnor numbers."""
+        return sum(s.milnor * count for s, count in self.singularities)
 
-@dataclass(frozen=True)
-class Derived:
+
+class Derived(NamedTuple):
     """Quantities determined by the combinatorial input, each computed once
     per spec; each germ's own data is read off the germ."""
 
@@ -109,10 +120,6 @@ class Derived:
     curve_genus: int | None = None  # mu + 2r - d - 1 - branch excess (curves only)
 
 
-def _local_milnor_total(spec: HypersurfaceSpec) -> int:
-    return sum(s.milnor * count for s, count in spec.singularities)
-
-
 def derived_quantities(spec: HypersurfaceSpec) -> Derived:
     """Derive every per-spec quantity, unchecked; callers read it as
     spec.derived, which validates first.
@@ -121,7 +128,7 @@ def derived_quantities(spec: HypersurfaceSpec) -> Derived:
     so validate reads it only within the work and Milnor budgets."""
     n, d, r = spec.n, spec.d, spec.components
     sings = spec.singularities
-    mu = (d - 1) ** (n + 1) - _local_milnor_total(spec)
+    mu = (d - 1) ** (n + 1) - spec._local_milnor_total
     excess = sum((s.branches - 1) * c for s, c in sings)
     pair_sum = table_sum((s.pairs, count) for s, count in sings)
     bound = {1: mu}
@@ -334,7 +341,7 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
         if isinstance(s, Explicit):
             _validate_explicit(s, n, out)
     global_milnor = (d - 1) ** (n + 1)
-    if _local_milnor_total(spec) > global_milnor:
+    if spec._local_milnor_total > global_milnor:
         out.append(
             Violation(
                 "negative_mu",
@@ -443,7 +450,7 @@ def _parse_hd(rows) -> tuple[tuple[int, int, int], ...]:
     """hD rows, read strictly; a Hodge type given twice is an error, not an
     overwrite."""
     out: dict[tuple[int, int], int] = {}
-    for p, q, c in parse_array(rows):
+    for p, q, c in (parse_row(row, 3) for row in parse_array(rows)):
         key = (parse_integer(p), parse_integer(q))
         if key in out:
             raise ValueError(f"Hodge type {key} is given twice")
@@ -461,14 +468,12 @@ def _parse_singularity(entry, errors) -> tuple[LocalSingularity, int] | None:
         if kind == "ordinary":
             return Ordinary(parse_integer(entry["multiplicity"])), count
         if kind == "brieskorn":
-            a, b = entry["exponents"]
+            a, b = parse_row(entry["exponents"], 2)
             return Brieskorn(parse_integer(a), parse_integer(b)), count
         if kind == "explicit":
             grf = entry.get("grF_dims")
-            grf_rows = (
-                tuple((parse_integer(p), parse_integer(v)) for p, v in parse_array(grf))
-                if grf is not None
-                else None
+            grf_rows = None if grf is None else tuple(
+                tuple(map(parse_integer, parse_row(row, 2))) for row in parse_array(grf)
             )
             return (
                 Explicit(

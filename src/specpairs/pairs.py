@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
-from .laurent import parse_array, parse_fraction, parse_integer
+from .laurent import parse_array, parse_fraction, parse_integer, parse_row
 
 
 def rescale(entries: dict, factor: int) -> dict:
@@ -152,7 +152,7 @@ class SpectralPairTable:
         [0, 1) and no count negative; a key given twice is an error, not a
         sum, and zero counts are dropped."""
         data: dict[tuple[int, int, Fraction], int] = {}
-        for p, q, alpha, count in map(parse_array, parse_array(rows)):
+        for p, q, alpha, count in (parse_row(row, 4) for row in parse_array(rows)):
             key = p, q, alpha = (
                 parse_integer(p), parse_integer(q), parse_fraction(alpha)
             )

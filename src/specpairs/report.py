@@ -14,7 +14,7 @@ input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import boundary, bounds
 from .laurent import CyclotomicFactorization, NotDivisible
@@ -22,8 +22,7 @@ from .model import Derived, HypersurfaceSpec, Violation, serialize_spec
 from .pairs import SpectralPairTable
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     kind: str  # "identity": internal cross-check; "input": user data consistency
@@ -35,8 +34,7 @@ class Check:
         return f"{status}  {self.name}{detail}"
 
 
-@dataclass
-class InvariantReport:
+class InvariantReport(NamedTuple):
     spec: HypersurfaceSpec
     derived: Derived
     delta_m: CyclotomicFactorization
@@ -45,7 +43,7 @@ class InvariantReport:
     bound_complement: bounds.BoundTable
     pairs_nonunipotent: SpectralPairTable
     checks: list[Check]
-    warnings: list[Violation] = field(default_factory=list)
+    warnings: list[Violation]
     bound_curve: bounds.BoundTable | None = None
     bound_arrangement: bounds.BoundTable | None = None
     error_term: CyclotomicFactorization | None = None

@@ -4,7 +4,6 @@ term, and every spectral-pair route."""
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -314,7 +313,7 @@ def _infinity_oracle_specs(n, d):
     specs = [spec for spec in specs
              if all(v.severity != "error" for v in spec.violations)]
     h_d = tuple((p, n + 1 - p, p) for p in range(n + 2))
-    return specs + [replace(spec, h_d=h_d) for spec in specs]
+    return specs + [spec._replace(h_d=h_d) for spec in specs]
 
 
 def _oracle_complement_bounds(spec, dim):

@@ -472,6 +472,23 @@ def _explicit_nodes(**changes):
         # the later value is the valid one, which a reader must not keep
         ('{"degree": 4, ' + json.dumps(THREE_GENERIC_LINES_DOC)[1:],
          "key 'degree' is given twice"),
+        # a fixed-width row is an array of its width, not unpacked
+        (_three_generic_lines_with(hD=[[1, 1]]),
+         "bad hD: expected an array of 3 entries, got 2"),
+        (_three_generic_lines_with(hD=[{"1": 0, "2": 0, "3": 0}]),
+         "bad hD: expected an array, got {'1': 0"),
+        (
+            _three_generic_lines_with(
+                line_arrangement=False,
+                singularities=[{"kind": "brieskorn", "exponents": [2, 3, 4]}],
+            ),
+            "expected an array of 2 entries, got 3",
+        ),
+        (_three_generic_lines_with(**_explicit_nodes(grF_dims=[[1]])),
+         "expected an array of 2 entries, got 1"),
+        (_cusp_with_alexander(factors=[{"6": 1}]), "expected an array, got {'6': 1}"),
+        (_cusp_with(spectral_pairs=[[0, 1, "5/6"]]),
+         "expected an array of 4 entries, got 3"),
     ],
     ids=[
         "float_multiplicity", "string_multiplicity", "bool_multiplicity", "float_count",
@@ -488,6 +505,8 @@ def _explicit_nodes(**changes):
         "object_spectral_pairs", "string_spectral_pairs", "object_spectral_pair_row",
         "formal_germ_order_zero", "formal_germ_zero_unit", "deeply_nested",
         "integer_of_5000_digits", "not_utf8", "repeated_key",
+        "short_hd_row", "object_hd_row", "three_exponents", "short_grf_row",
+        "object_factor_row", "short_pair_row",
     ],
 )
 @pytest.mark.parametrize("command", ["compute", "verify"])

@@ -1,11 +1,14 @@
-"""The package depends on nothing outside the Python standard library and
-keeps the names the benchmark looks up."""
+"""The package depends on nothing outside the Python standard library,
+imports no module it does not use, and keeps the names the benchmark looks
+up."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,6 +34,17 @@ def test_package_imports_only_the_standard_library():
                 if top != "specpairs" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno} imports {name}")
     assert outside == []
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # each CLI call is a fresh process, so every module the package imports
+    # is start-up time; these two and what inspect imports cost about 10 ms
+    code = ("import sys, specpairs, specpairs.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
 
 
 # The names bench/tracing.py reads from its per-name call counts and times,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -21,12 +22,15 @@ from hypothesis import strategies as st
 
 from specpairs import (
     Brieskorn,
+    Check,
     CyclotomicFactorization,
     Explicit,
     HypersurfaceSpec,
     InvalidSpec,
+    InvariantReport,
     MalformedDocument,
     Ordinary,
+    Violation,
     boundary_alexander,
     boundary_pairs_curve,
     boundary_pairs_nonunipotent,
@@ -39,6 +43,8 @@ from specpairs import (
     spectral_bound_complement,
     validate,
 )
+from specpairs import model
+from specpairs.cli import census_rows
 from specpairs.model import _work_estimate, shared_line_violations
 
 THREE_GENERIC_LINES_DOC = {
@@ -86,6 +92,87 @@ def test_parse_all_singularity_kinds_and_round_trip():
         singularities=((Brieskorn(2, 3), 1), (Ordinary(2), 2)),
     )
     assert parse_spec(json.dumps(serialize_spec(curve))) == curve
+
+
+def _cuspidal_cubic():
+    return parse_spec((GOLDEN / "cuspidal_cubic.json").read_text(encoding="utf-8"))
+
+
+# Each record of the package as (a maker, the start of its repr, one of its
+# fields, a call its constructor refuses or None where it checks nothing).
+RECORDS = {
+    "Violation": (
+        lambda: Violation("degree", "degree 1 < 2"),
+        "Violation(code='degree', message='degree 1 < 2', severity='error')",
+        "code", None,
+    ),
+    "Check": (
+        lambda: Check("degree_identity", True, "identity"),
+        "Check(name='degree_identity', passed=True, kind='identity', detail='')",
+        "passed", None,
+    ),
+    "Ordinary": (
+        lambda: Ordinary(2), "Ordinary(multiplicity=2)", "multiplicity",
+        lambda: Ordinary(1),
+    ),
+    "Brieskorn": (
+        lambda: Brieskorn(2, 3), "Brieskorn(a=2, b=3)", "a", lambda: Brieskorn(2, 1),
+    ),
+    "Explicit": (
+        lambda: brieskorn_pham_explicit((2, 3)),
+        "Explicit(milnor=2, branches=1, alexander=", "pairs",
+        lambda: Explicit(milnor=2, branches=0,
+                         alexander=CyclotomicFactorization({6: 1}), pairs=pair_table()),
+    ),
+    "HypersurfaceSpec": (
+        _cuspidal_cubic,
+        "HypersurfaceSpec(n=1, d=3, components=1, "
+        "singularities=((Brieskorn(a=2, b=3), 1),), line_arrangement=False",
+        "d", None,
+    ),
+    "Derived": (lambda: _cuspidal_cubic().derived, "Derived(mu=2, xi=1, ", "mu", None),
+    "InvariantReport": (
+        lambda: build_report(_cuspidal_cubic()),
+        "InvariantReport(spec=HypersurfaceSpec(n=1, d=3, ", "checks", None,
+    ),
+}
+
+
+@pytest.mark.parametrize("make, text, field, refused", RECORDS.values(), ids=RECORDS)
+def test_records_are_frozen_values(make, text, field, refused):
+    value, twin = make(), make()
+    assert value is not twin
+    assert repr(value).startswith(text)
+    assert value == twin
+    if isinstance(value, InvariantReport):
+        with pytest.raises(TypeError):  # its checks and warnings are lists
+            hash(value)
+    else:
+        assert hash(value) == hash(twin)
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    if refused is not None:
+        with pytest.raises(ValueError):
+            refused()
+    if isinstance(value, HypersurfaceSpec):
+        assert parse_spec(serialize_spec(value)) == value
+    if isinstance(value, Ordinary):  # the same exponents (2, 2), another kind
+        assert value != Brieskorn(2, 2)
+
+
+def test_the_milnor_total_is_made_once_per_spec(monkeypatch):
+    # validate (the negative_mu rule) and derived_quantities both read the
+    # count-weighted sum of the local Milnor numbers; a spec makes it once
+    made = []
+
+    def counting_sum(values, *start):
+        if sys._getframe(1).f_code.co_name == "_local_milnor_total":
+            made.append(1)
+        return sum(values, *start)
+
+    monkeypatch.setattr(model, "sum", counting_sum, raising=False)
+    rows = sum(1 for _ in census_rows(10))
+    assert (rows, len(made)) == (295, 295)
 
 
 def test_malformed_documents():

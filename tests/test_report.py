@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import random
@@ -228,8 +227,6 @@ def test_random_reports_pass_all_checks():
 def test_random_reports_with_consistent_delta_u():
     # any delta_U below both divisibility bounds with delta_U^2 below delta_M
     # must pass all input checks and give an even-degree error term
-    import dataclasses
-
     from specpairs import (
         boundary_alexander,
         divisibility_bound_infinity,
@@ -250,7 +247,7 @@ def test_random_reports_with_consistent_delta_u():
         delta_u = CyclotomicFactorization(
             factors={k: m for k, m in factors.items() if m}
         )
-        report = build_report(dataclasses.replace(spec, delta_u=delta_u))
+        report = build_report(spec._replace(delta_u=delta_u))
         assert report.all_passed, [c.line() for c in report.failed()]
         assert report.error_term is not None
         assert report.error_term.degree % 2 == 0
@@ -396,7 +393,7 @@ def test_builtin_germs_and_their_explicit_twins_give_one_report():
             for r in range(1, d + 1):
                 spec = HypersurfaceSpec(n=1, d=d, components=r,
                                         singularities=((germ, count),))
-                other = dataclasses.replace(spec, singularities=((twin, count),))
+                other = spec._replace(singularities=((twin, count),))
                 codes = [v.code for v in spec.violations]
                 assert [v.code for v in other.violations] == codes, (spec, codes)
                 if any(v.severity == "error" for v in spec.violations):
@@ -639,7 +636,7 @@ def test_report_json_reads_back_as_report_to_dict(path):
 
 
 def _with_tables(spec, **tables):
-    return dataclasses.replace(build_report(spec), **tables)
+    return build_report(spec)._replace(**tables)
 
 
 NARROW = pair_table({(0, 1, Fraction(1, 3)): 1, (1, 0, Fraction(2, 3)): 22})
@@ -718,8 +715,7 @@ def _tables_and_factorizations(report) -> list:
               spec.delta_u]
     for germ, _ in spec.singularities:
         values += [germ.pairs, germ.alexander]
-    for field in dataclasses.fields(report):
-        value = getattr(report, field.name)
+    for value in report:
         values += value.values() if isinstance(value, dict) else [value]
     kinds = (SpectralPairTable, CyclotomicFactorization)
     return [value for value in values if isinstance(value, kinds)]

@@ -89,16 +89,18 @@ def test_only_the_last_degree_is_kept_at_infinity():
 
 
 def test_a_parsed_germ_is_freed_with_its_spec():
-    spec = parse_spec((GOLDEN / "cuspidal_cubic.json").read_text(encoding="utf-8"))
-    report = build_report(spec)
-    germ = spec.singularities[0][0]
-    # the report made the germ's tables once, on the germ itself
-    assert vars(germ)["pairs"] is germ.pairs
-    assert vars(germ)["alexander"] is germ.alexander
-    ref = weakref.ref(germ)
-    del spec, report, germ
-    gc.collect()
-    assert ref() is None
+    for name, kind in (("cuspidal_cubic", "Brieskorn"), ("three_generic_lines", "Ordinary")):
+        spec = parse_spec((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+        report = build_report(spec)
+        germ = spec.singularities[0][0]
+        assert type(germ).__name__ == kind
+        # the report made the germ's tables once, on the germ itself
+        assert vars(germ)["pairs"] is germ.pairs
+        assert vars(germ)["alexander"] is germ.alexander
+        ref = weakref.ref(germ)
+        del spec, report, germ
+        gc.collect()
+        assert ref() is None
 
 
 def test_shared_values_are_never_mutated(monkeypatch, capsys):
