@@ -67,9 +67,9 @@ class BoundTable:
         """(p, q, "a/b", cap's bound), angle in lowest terms, for each key
         with alpha > 0 where this table's bound exceeds that of `cap`."""
         den = lcm(self._den, cap._den)
-        caps = cap._over(den)[0]
+        caps = rescale(cap._entries, den // cap._den)
         out = []
-        for (p, q, k), v in sorted(self._over(den)[0].items()):
+        for (p, q, k), v in sorted(rescale(self._entries, den // self._den).items()):
             c = caps.get((p, q, k), 0)
             if k > 0 and v > c:
                 g = gcd(k, den)

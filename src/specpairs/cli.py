@@ -91,7 +91,7 @@ def _census_row_dict(report: InvariantReport) -> dict:
         "d": report.spec.d,
         "multiplicities": _multiplicities(report),
         "mu": report.derived.mu,
-        "delta_M": report.delta_m.to_dict(),
+        "delta_M": report.delta_m,
         "table": report.pairs_full,
         "checks_passed": report.all_passed,
         "failed_checks": [c.name for c in report.failed()],

@@ -86,21 +86,19 @@ class Ordinary(_QuasiHomogeneous):
     """An ordinary m-fold point: m pairwise transverse smooth branches."""
 
     _fields = ("multiplicity",)
-    exponents = property(lambda self: (self.multiplicity, self.multiplicity))
     # the engine's passes over 2m values
     work = property(lambda self: 64 * self.multiplicity)
 
     def __init__(self, multiplicity: int):
         if multiplicity < 2:
             raise ValueError("ordinary point needs multiplicity >= 2")
-        vars(self)["multiplicity"] = multiplicity
+        vars(self).update(multiplicity=multiplicity, exponents=(multiplicity,) * 2)
 
 
 class Brieskorn(_QuasiHomogeneous):
     """The germ x^a + y^b at the origin."""
 
     _fields = ("a", "b")
-    exponents = property(lambda self: (self.a, self.b))
 
     @property
     def work(self) -> int:
@@ -112,7 +110,7 @@ class Brieskorn(_QuasiHomogeneous):
     def __init__(self, a: int, b: int):
         if a < 2 or b < 2:
             raise ValueError("Brieskorn exponents must both be >= 2")
-        vars(self).update(a=a, b=b)
+        vars(self).update(a=a, b=b, exponents=(a, b))
 
 
 class _ExplicitFields(NamedTuple):

@@ -15,6 +15,7 @@ text.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
@@ -27,6 +28,13 @@ def rescale(entries: dict, factor: int) -> dict:
     if factor == 1:
         return entries
     return {(p, q, k * factor): v for (p, q, k), v in entries.items()}
+
+
+@lru_cache(maxsize=8)
+def _angle_texts(den: int) -> dict[int, str]:
+    """The lowest-terms texts "a/b" of angles k/den by k, made on demand (a
+    den may run to millions) and kept for the last few denominators."""
+    return {}
 
 
 class SpectralPairTable:
@@ -135,11 +143,14 @@ class SpectralPairTable:
     def _cells(self) -> Iterator[tuple[int, int, str, int]]:
         """The rows of every output, (p, q, "a/b", count) in key order, with
         the angle in lowest terms ("0/1" for 0)."""
-        den, entries = self._den, self._entries
+        den, entries, texts = self._den, self._entries, _angle_texts(self._den)
         for key in sorted(entries):
             p, q, k = key
-            g = gcd(k, den)
-            yield p, q, f"{k // g}/{den // g}", entries[key]
+            alpha = texts.get(k)
+            if alpha is None:
+                g = gcd(k, den)
+                alpha = texts[k] = f"{k // g}/{den // g}"
+            yield p, q, alpha, entries[key]
 
     def to_rows(self) -> list[list]:
         """JSON-ready rows [p, q, "a/b", count], sorted lexicographically."""

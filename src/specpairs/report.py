@@ -14,6 +14,7 @@ input.
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import NamedTuple
 
 from . import boundary, bounds
@@ -268,8 +269,8 @@ def _sections(
 
 
 def _document(report: InvariantReport, leaf) -> dict:
-    """The one layout of the JSON document, with leaf(table) at the place
-    of each table."""
+    """The one layout of the JSON document, with leaf(x) at the place of
+    each table and each factorization x but the formal bound at infinity."""
     out: dict = {
         "spec": serialize_spec(report.spec),
         "derived": {
@@ -278,12 +279,12 @@ def _document(report: InvariantReport, leaf) -> dict:
             "b1": report.derived.b1,
             "j1": report.derived.j1,
         },
-        "delta_M": report.delta_m.to_dict(),
+        "delta_M": leaf(report.delta_m),
         "divisibility": {
             # labelled formal: the bound is written as a quotient, not as
             # the order of a module (and a reader refuses it as a polynomial)
             "infinity": {**report.divisibility_infinity.to_dict(), "formal": True},
-            "local": report.divisibility_local.to_dict(),
+            "local": leaf(report.divisibility_local),
         },
         "tables": {"weights_resolved": bool(report.weight_resolved)},
         "checks": [
@@ -300,7 +301,7 @@ def _document(report: InvariantReport, leaf) -> dict:
             node = node.setdefault(name, {})
         node[key] = leaf(table)
     if report.error_term is not None:
-        out["error_term"] = report.error_term.to_dict()
+        out["error_term"] = leaf(report.error_term)
     if report.projective_hodge is not None:
         out["projective_curve"] = {
             kind: [[*key, v] for key, v in sorted(numbers.items())]
@@ -311,44 +312,46 @@ def _document(report: InvariantReport, leaf) -> dict:
 
 def report_to_dict(report: InvariantReport) -> dict:
     """JSON-ready, deterministic dictionary form of the report."""
-    return _document(report, lambda table: table.to_rows())
+    return _document(report, lambda x: x.to_dict()
+                     if isinstance(x, CyclotomicFactorization) else x.to_rows())
 
 
 def report_to_json(report: InvariantReport) -> str:
     """report_to_dict as JSON text: sorted keys, an indent of 2."""
-    return _json(_document(report, lambda table: table))
+    return _json(_document(report, lambda x: x))
 
 
 _string = json.encoder.encode_basestring_ascii  # C, where the interpreter has it
+# the writer of each scalar type; subclasses fall to the isinstance tests
+_SCALARS = {str: _string, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+            type(None): {None: "null"}.get}
 
 
 def _json(value, pad: str = "") -> str:
     """The text of json.dumps(value, sort_keys=True, indent=2) for a value
     built of dicts with string keys, lists, strings, integers, booleans,
-    None and tables, each table standing for its to_rows(); pad is the
-    indent of the line the value starts on.
+    None, tables and factorizations, standing for their to_rows() and
+    to_dict(); pad is the indent of the line the value starts on.
 
-    A table writes its rows straight from its sorted cells, one f-string
-    per row: the generic encoder is pure Python once an indent is set, and
-    the rows are nearly all of a document."""
+    The generic encoder is pure Python once an indent is set, so this one
+    writes a scalar in a dict or a list inline, and a table or factorization
+    straight from its entries, one f-string per row."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = pad + "  "
+    get, nested = _SCALARS.get, partial(_json, pad=inner)
+    if isinstance(value, list):
+        items = [inner + (get(type(v)) or nested)(v) for v in value]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
+    if isinstance(value, dict):
+        items = [f"{inner}{_string(k)}: {(get(type(v)) or nested)(v)}"
+                 for k, v in sorted(value.items())]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
     if isinstance(value, str):
         return _string(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        items = [f"{inner}{_string(k)}: {_json(value[k], inner)}"
-                 for k in sorted(value)]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
-    if isinstance(value, list):
-        items = [inner + _json(item, inner) for item in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
     row, cell = "\n" + inner, "\n" + inner + "  "
     if isinstance(value, SpectralPairTable):
         rows = [
@@ -360,6 +363,13 @@ def _json(value, pad: str = "") -> str:
             f'{row}[{cell}{p},{cell}{q},{cell}"{alpha}",{cell}{v},{cell}"{kind}"{row}]'
             for p, q, alpha, v, kind in value._cells()
         ]
+    elif isinstance(value, CyclotomicFactorization):
+        rows = [f"{cell}[{cell}  {k},{cell}  {m}{cell}]"  # one level below a table's
+                for k, m in sorted(value._factors.items())]
+        factors = "[" + ",".join(rows) + f"{row}]" if rows else "[]"
+        unit = value.unit
+        return (f'{{{row}"factors": {factors},{row}"t_power": {value.t_power},'
+                f'{row}"unit": "{unit.numerator}/{unit.denominator}"\n{pad}}}')
     else:
         raise TypeError(f"{type(value).__name__} is not JSON serializable")
     return "[" + ",".join(rows) + f"\n{pad}]" if rows else "[]"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import enum
 import itertools
 import json
 import random
@@ -42,7 +43,7 @@ from specpairs import (
 from specpairs.bounds import BoundTable
 from specpairs.cli import census_rows
 from specpairs.milnor import steenbrink_infinity
-from specpairs.pairs import SpectralPairTable, table_sum
+from specpairs.pairs import SpectralPairTable, _angle_texts, table_sum
 from specpairs.report import _json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -587,12 +588,24 @@ json_values = st.recursive(
 )
 
 
+class Level(enum.IntEnum):
+    HIGH = 7
+
+
+class Text(str):
+    pass
+
+
 @settings(max_examples=150, deadline=None)
 @given(json_values)
 @example([1, True])  # a bool is an int to isinstance, but json writes true
 @example([True, False])
 @example([0, -1, 10**80])
 @example([])
+@example({"a": True, "b": None, "c": 0})  # scalars written inline in a dict
+# subclasses miss the exact-type writers: json writes an int and a string
+@example([Level.HIGH, Text("a\u00e9"), {"k": Level.HIGH, "s": Text("")}])
+@example(Level.HIGH)
 def test_writer_equals_json_dumps(value):
     assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
 
@@ -624,6 +637,43 @@ def test_table_rows_equal_json_dumps_of_to_rows_at_any_depth(table, depth):
         {"tables": [{"rows": table.to_rows(), "empty": []}], "count": 1},
         sort_keys=True, indent=2,
     )
+
+
+factorizations = st.builds(
+    CyclotomicFactorization,
+    st.dictionaries(st.integers(min_value=1, max_value=60),
+                    st.integers(min_value=0, max_value=10**30), max_size=6),
+    st.fractions().filter(bool),
+    st.integers(min_value=-5, max_value=5),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(factorizations, st.integers(min_value=0, max_value=6))
+@example(CyclotomicFactorization({}), 0)
+@example(CyclotomicFactorization({1: 10**20 + 1, 12: 3 * 10**25}, -7, 2), 1)
+def test_factorization_equals_json_dumps_of_to_dict_at_any_depth(f, depth):
+    pad = "  " * depth
+    want = json.dumps(f.to_dict(), sort_keys=True, indent=2)
+    assert _json(f, pad) == want.replace("\n", "\n" + pad)
+
+
+def test_angle_texts_are_made_on_demand_for_the_last_few_denominators():
+    _angle_texts.cache_clear()
+    den = 10**6
+    table = SpectralPairTable(den, {(0, 1, 1): 2, (1, 0, den // 2): 1, (0, 0, 0): 5})
+    assert list(table._cells()) == [
+        (0, 0, "0/1", 5), (0, 1, "1/1000000", 2), (1, 0, "1/2", 1)]
+    assert len(_angle_texts(den)) == 3
+    limit = _angle_texts.cache_info().maxsize
+    for den in range(2, 2 * limit + 3):
+        entries = {(0, 1, k): k + 1 for k in range(den)}
+        table = SpectralPairTable(den, entries)
+        want = [[0, 1, f"{Fraction(k, den).numerator}/{Fraction(k, den).denominator}",
+                 k + 1] for k in range(den)]
+        assert table.to_rows() == want
+        assert _json(table) == json.dumps(want, indent=2)
+        assert _angle_texts.cache_info().currsize <= limit
 
 
 @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
