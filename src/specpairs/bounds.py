@@ -67,13 +67,17 @@ class BoundTable:
         """(p, q, "a/b", cap's bound), angle in lowest terms, for each key
         with alpha > 0 where this table's bound exceeds that of `cap`."""
         den = lcm(self._den, cap._den)
-        caps = rescale(cap._entries, den // cap._den)
-        out = []
-        for (p, q, k), v in sorted(rescale(self._entries, den // self._den).items()):
+        caps, step = rescale(cap._entries, den // cap._den), den // self._den
+        found = []
+        for (p, q, k), v in self._entries.items():
+            k *= step
             c = caps.get((p, q, k), 0)
             if k > 0 and v > c:
-                g = gcd(k, den)
-                out.append((p, q, f"{k // g}/{den // g}", c))
+                found.append((p, q, k, c))
+        out = []
+        for p, q, k, c in sorted(found):
+            g = gcd(k, den)
+            out.append((p, q, f"{k // g}/{den // g}", c))
         return out
 
     def __eq__(self, other: object) -> bool:

@@ -13,7 +13,9 @@ cross-check failure or unexpected error (indicating a bug), 3 usage error.
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
+from functools import partial
 from itertools import islice
 from math import comb
 from pathlib import Path
@@ -125,8 +127,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="specpairs", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # argparse makes a formatter per argument, each reading the terminal
+    # size; the tree reads it once, with argparse's own margin of 2
+    fmt = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser_class = partial(_Parser, formatter_class=fmt)
+    parser = parser_class(prog="specpairs", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(
+        dest="command", required=True, prog="specpairs", parser_class=parser_class
+    )
 
     p_compute = sub.add_parser("compute", help="build the full invariant report")
     p_compute.add_argument("input", type=Path, help="input document (JSON)")

@@ -201,15 +201,14 @@ def _validate_explicit(s: Explicit, n: int, out: list[Violation]) -> None:
                 f"(branches = {s.branches}) for curve germs",
             )
         )
-    if s.pairs.conjugate() != s.pairs:
+    if not s.pairs.symmetries(n)[0]:
         out.append(
             Violation(
                 "explicit_inconsistent",
                 f"{where}: pair table is not conjugation-symmetric",
             )
         )
-    nonunip = s.pairs.nonunipotent()
-    if nonunip.level_dual(n) != nonunip:
+    if not s.pairs.nonunipotent().symmetries(n)[1]:
         out.append(
             Violation(
                 "explicit_inconsistent",

@@ -73,6 +73,20 @@ class SpectralPairTable:
             {(n - p, n - q, -k % den): c for (p, q, k), c in self._entries.items()},
         )
 
+    def symmetries(self, n: int) -> tuple[bool, bool]:
+        """(self == self.conjugate(), self == self.level_dual(n)) in one
+        pass: both maps are involutions and no count is zero, so each holds
+        when every entry's image carries the same count."""
+        den, entries = self._den, self._entries
+        get, conjugate, dual = entries.get, True, True
+        for (p, q, k), c in entries.items():
+            k = -k % den
+            if get((q, p, k)) != c:
+                conjugate = False
+            if get((n - p, n - q, k)) != c:
+                dual = False
+        return conjugate, dual
+
     def nonunipotent(self) -> SpectralPairTable:
         """Entries with eigenvalue different from 1 (alpha > 0)."""
         return SpectralPairTable(
@@ -162,25 +176,22 @@ class SpectralPairTable:
         must be arrays, p, q and count integers, alpha an exact rational in
         [0, 1) and no count negative; a key given twice is an error, not a
         sum, and zero counts are dropped."""
-        data: dict[tuple[int, int, Fraction], int] = {}
+        # keyed by the lowest-terms angle as two ints, which hash faster
+        data: dict[tuple[int, int, int, int], int] = {}
         for p, q, alpha, count in (parse_row(row, 4) for row in parse_array(rows)):
-            key = p, q, alpha = (
-                parse_integer(p), parse_integer(q), parse_fraction(alpha)
-            )
-            if not 0 <= alpha < 1:
+            p, q, alpha = parse_integer(p), parse_integer(q), parse_fraction(alpha)
+            key = p, q, a, b = p, q, alpha.numerator, alpha.denominator
+            if not 0 <= a < b:
                 raise ValueError(f"eigenvalue angle must lie in [0, 1), got {alpha}")
             if key in data:
                 raise ValueError(f"spectral pair ({p}, {q}, {alpha}) is given twice")
             data[key] = parse_integer(count)
-        for key, count in data.items():
+        for (p, q, a, b), count in data.items():
             if count < 0:
-                raise ValueError(f"negative count {count} at {key}")
+                raise ValueError(f"negative count {count} at {(p, q, Fraction(a, b))}")
         data = {key: c for key, c in data.items() if c}
-        den = lcm(*(alpha.denominator for _, _, alpha in data))
-        return cls(den, {
-            (p, q, alpha.numerator * (den // alpha.denominator)): c
-            for (p, q, alpha), c in data.items()
-        })
+        den = lcm(*(b for _, _, _, b in data))
+        return cls(den, {(p, q, a * (den // b)): c for (p, q, a, b), c in data.items()})
 
 
 def table_sum(

@@ -8,6 +8,8 @@ from math import gcd
 
 import pytest
 from helpers import bound_table, oracle_mhat, runs, table_entries
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specpairs import (
     Brieskorn,
@@ -184,6 +186,28 @@ def test_arrangement_bounds_below_curve_bounds():
     for key, value in table_entries(arrangement).items():
         if key[2] > 0:
             assert value <= caps.get(key, 0)
+
+
+bounds_by_key = st.dictionaries(
+    st.tuples(
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=2),
+        st.fractions(min_value=0, max_value=Fraction(11, 12), max_denominator=12),
+    ),
+    st.integers(min_value=0, max_value=4),
+    max_size=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounds_by_key, bounds_by_key)
+def test_exceeding_lists_the_keys_above_the_cap_in_key_order(entries, caps):
+    want = [
+        (p, q, f"{alpha.numerator}/{alpha.denominator}", caps.get((p, q, alpha), 0))
+        for (p, q, alpha), v in sorted(entries.items())
+        if alpha > 0 and v > caps.get((p, q, alpha), 0)
+    ]
+    assert bound_table(entries).exceeding(bound_table(caps)) == want
 
 
 def test_local_side_mass_identity():

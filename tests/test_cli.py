@@ -7,6 +7,9 @@ import copy
 import io
 import json
 import operator
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from functools import reduce
@@ -559,6 +562,50 @@ def test_help_exits_zero_with_usage_on_stdout(capsys, command):
     out, err = capsys.readouterr()
     assert out.startswith(" ".join(["usage: specpairs", *command]))
     assert err == ""
+
+
+HELP_CASES = {
+    "specpairs": ["--help"],
+    "compute": ["compute", "--help"],
+    "census": ["census", "--help"],
+    "bogus": ["bogus"],
+}
+
+
+@pytest.mark.parametrize("columns", [50, 200])
+@pytest.mark.parametrize("case", HELP_CASES)
+def test_help_and_usage_texts_are_pinned_at_any_width(
+    capsys, monkeypatch, case, columns
+):
+    # COLUMNS sets the width; golden/help<columns>.<case>.out hold the texts
+    # argparse lays out at that width with its default formatter
+    monkeypatch.setenv("COLUMNS", str(columns))
+    with pytest.raises(SystemExit) as info:
+        main(HELP_CASES[case])
+    out, err = capsys.readouterr()
+    text, silent = (err, out) if case == "bogus" else (out, err)
+    assert (info.value.code, silent) == (3 if case == "bogus" else 0, "")
+    assert text == (GOLDEN / f"help{columns}.{case}.out").read_text(encoding="utf-8")
+
+
+def test_repeated_calls_in_one_process_equal_fresh_calls(capsys):
+    doc = str(GOLDEN / "cuspidal_cubic.json")
+    calls = [
+        ["compute", doc, "--format", "structured"],
+        ["verify", doc],
+        ["census", "--lines", "6", "--max-rows", "3"],
+        ["compute", doc, "--format", "table"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+    fresh = [
+        subprocess.run([sys.executable, "-m", "specpairs.cli", *argv], env=env,
+                       capture_output=True, text=True, timeout=60)
+        for argv in calls
+    ]
+    for _ in range(2):
+        for argv, done in zip(calls, fresh):
+            status = main(argv)
+            assert (status, capsys.readouterr().out) == (done.returncode, done.stdout)
 
 
 def test_oracle(capsys):

@@ -4,7 +4,9 @@ Each `tests/golden/<case>.json` is run under `compute --format structured`,
 `compute --format table` and `verify`, and compared with the stored
 `<case>.<command>.out`; `census7.structured.out` and `census7.table.out`
 hold `census --lines 7` in the structured and the table format, and
-`census --lines 10 --format structured` is pinned by its length and sha256.
+`census --lines 10 --format structured` is pinned by its length and sha256;
+`help<columns>.<case>.out` hold the help and usage texts at 50 and 200
+columns, which tests/test_cli.py compares.
 The stored files are data, not expectations to refresh: a difference is a
 change of behaviour.
 """

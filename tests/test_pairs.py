@@ -4,14 +4,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from helpers import oracle_table_sum, pair_table, table_entries
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specpairs import SpectralPairTable
+from specpairs import SpectralPairTable, build_report, parse_spec
+from specpairs.cli import census_rows
 from specpairs.pairs import table_sum
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def table(entries):
@@ -51,6 +55,9 @@ def test_zero_entries_dropped_and_negative_rejected():
     negative = r"negative count -1 at \(0, 0, Fraction\(0, 1\)\)"
     with pytest.raises(ValueError, match=negative):
         SpectralPairTable.from_rows([[0, 0, 0, -1]])
+    negative = r"negative count -3 at \(1, 0, Fraction\(1, 2\)\)"
+    with pytest.raises(ValueError, match=negative):
+        SpectralPairTable.from_rows([[0, 0, "1/3", 1], [1, 0, "2/4", -3]])
 
 
 def test_alpha_outside_unit_interval_rejected():
@@ -109,6 +116,54 @@ def test_conjugation_is_an_involution(t):
 @given(tables, st.integers(min_value=0, max_value=3))
 def test_level_duality_is_an_involution(t, n):
     assert t.level_dual(n).level_dual(n) == t
+
+
+def _oracle_symmetries(t, n):
+    return t == t.conjugate(), t == t.level_dual(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables, st.integers(min_value=0, max_value=3), st.sampled_from(range(4)))
+# every image is present, but with another count
+@example(table({(0, 0, 0): 1, (1, 1, 0): 2}), 1, 0)
+@example(table({(0, 1, Fraction(1, 3)): 1, (1, 0, Fraction(2, 3)): 2}), 1, 0)
+def test_symmetries_equal_the_mirrored_tables(t, n, mirror):
+    # random tables are mostly asymmetric; adding a table's images makes it
+    # symmetric under conjugation (mirror 1), level duality (2) or both (3)
+    if mirror & 1:
+        t = t + t.conjugate()
+    if mirror & 2:
+        t = t + t.level_dual(n)
+    conjugate, dual = t.symmetries(n)
+    assert (conjugate, dual) == _oracle_symmetries(t, n)
+    assert conjugate >= bool(mirror & 1) and dual >= bool(mirror & 2)
+
+
+def _report_tables(report):
+    """Every pair table of a report and of its germs."""
+    yield from (value for value in report if isinstance(value, SpectralPairTable))
+    yield from (report.weight_resolved or {}).values()
+    yield from (germ.pairs for germ, _ in report.spec.singularities)
+
+
+@pytest.mark.parametrize(
+    "source", ["golden", *(f"census{d}" for d in range(2, 11))]
+)
+def test_symmetries_of_every_golden_and_census_table(source):
+    if source == "golden":
+        reports = [build_report(parse_spec(path.read_text(encoding="utf-8")))
+                   for path in sorted(GOLDEN.glob("*.json"))]
+    else:
+        reports = census_rows(int(source.removeprefix("census")))
+    seen = 0
+    for report in reports:
+        n = report.spec.n
+        for t in _report_tables(report):
+            # at level n + 1 most of these tables are not self-dual
+            for level in (n, n + 1):
+                assert t.symmetries(level) == _oracle_symmetries(t, level)
+            seen += 1
+    assert seen
 
 
 @settings(max_examples=60, deadline=None)
