@@ -83,41 +83,43 @@ def boundary_pairs_curve(spec: HypersurfaceSpec) -> SpectralPairTable:
     local = spec.derived.local_pair_sum
     den = lcm(local._den, spec.d)
     step = den // local._den
-    entries = _eigenvalue_one_corners(corner, off)
+    groups = _eigenvalue_one_corners(corner, off)
     # the local keys are distinct and these have alpha > 0, unlike the
     # corners, so each key below is written once
-    for (p, q, k), c in local._entries.items():
-        if not k:
-            continue
-        k *= step
-        if (p, q) == (0, 1):
-            entries[(0, 1, k)] = entries[(1, 0, den - k)] = c
-        elif (p, q) == (0, 0):
-            entries[(0, 0, k)] = entries[(1, 1, k)] = c
-    _add_mhat_excess(entries, spec.d, 1, den)
-    return SpectralPairTable(den, entries)
+    into, mirror = groups[0, 1], groups[1, 0]
+    for k, c in local._groups.get((0, 1), {}).items():
+        if k:
+            k *= step
+            into[k] = mirror[den - k] = c
+    into, mirror = groups[0, 0], groups[1, 1]
+    for k, c in local._groups.get((0, 0), {}).items():
+        if k:
+            into[k * step] = mirror[k * step] = c
+    _add_mhat_excess(groups, spec.d, 1, den)
+    return SpectralPairTable(den, {pq: group for pq, group in groups.items() if group})
 
 
-def _eigenvalue_one_corners(corner: int, off: int) -> dict[tuple[int, int, int], int]:
-    """Eigenvalue-1 entries of a curve table: corner at (0,0) and (1,1), off
-    at (0,1) and (1,0)."""
-    entries = {}
-    if corner:
-        entries[(0, 0, 0)] = entries[(1, 1, 0)] = corner
-    if off:
-        entries[(0, 1, 0)] = entries[(1, 0, 0)] = off
-    return entries
+def _eigenvalue_one_corners(corner: int, off: int) -> dict[tuple[int, int], dict]:
+    """The four groups of a curve table, (0,0), (1,1), (0,1) and (1,0), with
+    their eigenvalue-1 entries: corner in the first two, off in the others
+    (none where zero).  A group may stay empty, so the caller drops the
+    empty ones once it has filled them."""
+    corners = {0: corner} if corner else {}
+    offs = {0: off} if off else {}
+    return {(0, 0): corners, (1, 1): dict(corners), (0, 1): offs, (1, 0): dict(offs)}
 
 
-def _add_mhat_excess(entries: dict, m: int, count: int, den: int) -> None:
+def _add_mhat_excess(groups: dict, m: int, count: int, den: int) -> None:
     """Add count * (mhat(m, alpha) - 1) at (0, 1, alpha) and at its mirror
-    (1, 0, 1 - alpha), for all alpha in (0, 1); den is a multiple of m.  The
-    term is nonzero only at alpha = j/m, where it is j - 1."""
+    (1, 0, 1 - alpha), for all alpha in (0, 1), into the (0,1) and (1,0)
+    groups of a table being built; den is a multiple of m.  The term is
+    nonzero only at alpha = j/m, where it is j - 1."""
     step = den // m
+    into, mirror = groups[0, 1], groups[1, 0]
     for j in range(2, m):
         k, c = j * step, (j - 1) * count
-        entries[(0, 1, k)] = entries.get((0, 1, k), 0) + c
-        entries[(1, 0, den - k)] = entries.get((1, 0, den - k), 0) + c
+        into[k] = into.get(k, 0) + c
+        mirror[den - k] = mirror.get(den - k, 0) + c
 
 
 def boundary_pairs_arrangement(d: int, points) -> SpectralPairTable:
@@ -129,11 +131,11 @@ def boundary_pairs_arrangement(d: int, points) -> SpectralPairTable:
     mhat(d, alpha) - 1.
     """
     den = lcm(d, *(m for m, _ in points))
-    entries = _eigenvalue_one_corners(sum((m - 1) * c for m, c in points), 0)
+    groups = _eigenvalue_one_corners(sum((m - 1) * c for m, c in points), 0)
     for m, c in points:
-        _add_mhat_excess(entries, m, c, den)
-    _add_mhat_excess(entries, d, 1, den)
-    return SpectralPairTable(den, entries)
+        _add_mhat_excess(groups, m, c, den)
+    _add_mhat_excess(groups, d, 1, den)
+    return SpectralPairTable(den, {pq: group for pq, group in groups.items() if group})
 
 
 def boundary_pairs_qhm(spec: HypersurfaceSpec) -> dict[int, SpectralPairTable]:
@@ -153,13 +155,14 @@ def boundary_pairs_qhm(spec: HypersurfaceSpec) -> dict[int, SpectralPairTable]:
     top = derived.infinity.unipotent()
     smooth = derived.infinity.nonunipotent().hodge_filtration_marginal()
     local_grf = dict(derived.local_grf)
-    middle: dict[tuple[int, int, int], int] = {}
+    middle = {}
     for p in range(n + 1):
         c = smooth.get(p, 0) - local_grf.get(p, 0)
         if c:
-            middle[(p, n - p, 0)] = c
-    # h^{0,n+1} and h^{n+1,0} at infinity vanish, so the shift loses nothing
-    bottom = {(p - 1, q - 1, 0): c for (p, q, _), c in top._entries.items()}
+            middle[p, n - p] = {0: c}
+    # h^{0,n+1} and h^{n+1,0} at infinity vanish, so the shift loses nothing;
+    # the shifted table shares the groups of top, which no code changes
+    bottom = {(p - 1, q - 1): group for (p, q), group in top._groups.items()}
     return {
         n - 1: SpectralPairTable(1, bottom),
         n: SpectralPairTable(1, middle),

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .laurent import CyclotomicFactorization, divisors
 from .milnor import xi_exponent
-from .pairs import rescale
+from .pairs import _angle_texts, rescale
 
 if TYPE_CHECKING:
     from .model import HypersurfaceSpec
@@ -35,56 +35,61 @@ def mhat(m: int, alpha: Fraction) -> int:
 class BoundTable:
     """Upper bounds on spectral pairs, with a subset flagged as exact equalities.
 
-    As in SpectralPairTable, a bound is keyed by (p, q, k) for the angle
-    k/den; keys absent from the table are bounded by 0.
+    As in SpectralPairTable, the bounds are grouped by Hodge type,
+    {(p, q): {k: bound}} for the angle k/den, with no empty group; keys
+    absent from the table are bounded by 0.
     """
 
-    __slots__ = ("_den", "_entries", "_exact")
+    __slots__ = ("_den", "_groups", "_exact")
 
     def __init__(
         self,
         den: int,
-        entries: dict[tuple[int, int, int], int],
+        groups: dict[tuple[int, int], dict[int, int]],
         exact: frozenset = frozenset(),
     ):
-        """`exact` holds the keys of entries whose bound is an equality."""
+        """`exact` holds the (p, q, k) keys whose bound is an equality."""
         self._den = den
         self._exact = exact
         # Zero upper bounds carry no information; zero equalities do.
-        self._entries = {k: v for k, v in entries.items() if v != 0 or k in exact}
+        self._groups = {}
+        for (p, q), group in groups.items():
+            if 0 in group.values():
+                group = {k: v for k, v in group.items() if v or (p, q, k) in exact}
+            if group:
+                self._groups[p, q] = group
 
     def bound_at(self, key: tuple[int, int, int]) -> int:
         """The bound at (p, q, k), for the angle k/den of this table."""
-        return self._entries.get(key, 0)
-
-    def _over(self, den: int) -> tuple[dict, set]:
-        """The entries and the exact keys over den, a multiple of _den."""
-        factor = den // self._den
-        exact = {(p, q, k * factor) for p, q, k in self._exact}
-        return rescale(self._entries, factor), exact
+        p, q, k = key
+        return self._groups.get((p, q), {}).get(k, 0)
 
     def exceeding(self, cap: BoundTable) -> list[tuple[int, int, str, int]]:
         """(p, q, "a/b", cap's bound), angle in lowest terms, for each key
         with alpha > 0 where this table's bound exceeds that of `cap`."""
         den = lcm(self._den, cap._den)
-        caps, step = rescale(cap._entries, den // cap._den), den // self._den
+        caps, step = rescale(cap._groups, den // cap._den), den // self._den
         found = []
-        for (p, q, k), v in self._entries.items():
-            k *= step
-            c = caps.get((p, q, k), 0)
-            if k > 0 and v > c:
-                found.append((p, q, k, c))
-        out = []
-        for p, q, k, c in sorted(found):
-            g = gcd(k, den)
-            out.append((p, q, f"{k // g}/{den // g}", c))
-        return out
+        for (p, q), group in self._groups.items():
+            capped = caps.get((p, q), {}).get
+            for k, v in group.items():
+                k *= step
+                c = capped(k, 0)
+                if k > 0 and v > c:
+                    found.append((p, q, k, c))
+        return [(p, q, _angle_texts(den)[k], c) for p, q, k, c in sorted(found)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BoundTable):
             return NotImplemented
         den = lcm(self._den, other._den)
         return self._over(den) == other._over(den)
+
+    def _over(self, den: int) -> tuple[dict, set]:
+        """The groups and the exact keys over den, a multiple of _den."""
+        factor = den // self._den
+        exact = {(p, q, k * factor) for p, q, k in self._exact}
+        return rescale(self._groups, factor), exact
 
     def __repr__(self) -> str:
         rows = ", ".join(
@@ -93,15 +98,26 @@ class BoundTable:
         )
         return f"BoundTable({rows})"
 
+    def _rows(self) -> list[tuple[int, int, list[tuple[str, int, str]]]]:
+        """The rows of every output by Hodge type in key order, each type
+        as (p, q, [("a/b", bound, "exact" or "upper"), ...]) with the
+        angles in order and in lowest terms."""
+        texts, groups, out = _angle_texts(self._den), self._groups, []
+        for p, q in sorted(groups):
+            group = groups[p, q]
+            exact = {k for e_p, e_q, k in self._exact if e_p == p and e_q == q}
+            out.append((p, q, [
+                (texts[k], group[k], "exact" if k in exact else "upper")
+                for k in sorted(group)
+            ]))
+        return out
+
     def _cells(self) -> Iterator[tuple[int, int, str, int, str]]:
         """The rows of every output, (p, q, "a/b", bound, "exact" or
-        "upper") in key order, with the angle in lowest terms."""
-        den, entries, exact = self._den, self._entries, self._exact
-        for key in sorted(entries):
-            p, q, k = key
-            g = gcd(k, den)
-            kind = "exact" if key in exact else "upper"
-            yield p, q, f"{k // g}/{den // g}", entries[key], kind
+        "upper") in key order."""
+        for p, q, cells in self._rows():
+            for alpha, v, kind in cells:
+                yield p, q, alpha, v, kind
 
     def to_rows(self) -> list[list]:
         return [list(cell) for cell in self._cells()]
@@ -146,20 +162,28 @@ def spectral_bound_complement(spec: HypersurfaceSpec) -> BoundTable:
     derived = spec.derived
     h_d = None if spec.h_d is None else {(p, q): c for p, q, c in spec.h_d}
     local, infinity = derived.local_pair_sum, derived.infinity
-    entries: dict[tuple[int, int, int], int] = {}
+    groups: dict[tuple[int, int], dict[int, int]] = {}
     # the table is kept over the denominator d of the table at infinity; its
-    # angle j/d is a local angle k/local._den only where k is an integer
-    for (p, q, j), infinity_side in infinity._entries.items():
-        k, off_grid = divmod(j * local._den, infinity._den)
-        local_side = 0 if off_grid else local._entries.get((p, q, k), 0)
-        if j:
-            bound = min(local_side, infinity_side)
-        elif h_d is None:
-            bound = infinity_side
-        else:
-            bound = min(local_side + h_d.get((p, q), 0), infinity_side)
-        entries[(p, q, j)] = bound
-    return BoundTable(infinity._den, entries)
+    # angle j/d is a local angle k/local._den only where k is an integer,
+    # and elsewhere j > 0, so the local side and the bound are 0
+    for pq, group in infinity._groups.items():
+        local_group = local._groups.get(pq, {})
+        extra = None if h_d is None else h_d.get(pq, 0)
+        groups[pq] = bounds = {}
+        for j, infinity_side in group.items():
+            k, off_grid = divmod(j * local._den, infinity._den)
+            if off_grid:
+                continue
+            local_side = local_group.get(k, 0)
+            if j:
+                bound = min(local_side, infinity_side)
+            elif extra is None:
+                bound = infinity_side
+            else:
+                bound = min(local_side + extra, infinity_side)
+            if bound:
+                bounds[j] = bound
+    return BoundTable(infinity._den, groups)
 
 
 def spectral_bound_curve(spec: HypersurfaceSpec) -> BoundTable:
@@ -182,11 +206,10 @@ def _curve_bound(d: int, r: int) -> BoundTable:
 def _curve_shaped_bound(d: int, values: list[int], exact_11: int) -> BoundTable:
     """Bounds values[j-1] at (0, 1, j/d) and mirrored at (1, 0, (d-j)/d) for
     j = 1..d-1, and the exact value exact_11 at (1, 1, 0)."""
-    entries = {(1, 1, 0): exact_11}
-    for j, value in enumerate(values, start=1):
-        entries[(0, 1, j)] = value
-        entries[(1, 0, d - j)] = value
-    return BoundTable(d, entries, frozenset([(1, 1, 0)]))
+    into = {j: value for j, value in enumerate(values, start=1) if value}
+    mirror = {d - j: value for j, value in into.items()}
+    groups = {(0, 1): into, (1, 0): mirror, (1, 1): {0: exact_11}}
+    return BoundTable(d, groups, frozenset([(1, 1, 0)]))
 
 
 def spectral_bound_arrangement(d: int, points) -> BoundTable:

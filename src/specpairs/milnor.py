@@ -102,11 +102,16 @@ def _pairs_at_level(n: int, den: int, numerators: dict[int, int]) -> SpectralPai
     """The spectral pairs of a spectrum {k/den: multiplicity} at level n:
     a non-integer s gives (floor(s), n - floor(s), s - floor(s)) and an
     integer s gives (s, n + 1 - s, 0)."""
-    entries = {}
+    groups: dict[tuple[int, int], dict[int, int]] = {}
     for k, c in numerators.items():
         p, j = divmod(k, den)
-        entries[(p, n - p, j) if j else (p, n + 1 - p, 0)] = c
-    return SpectralPairTable(den, entries)
+        key = (p, n - p) if j else (p, n + 1 - p)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = {j: c}
+        else:
+            group[j] = c
+    return SpectralPairTable(den, groups)
 
 
 @lru_cache(maxsize=1)

@@ -193,6 +193,18 @@ def _validate_explicit(s: Explicit, n: int, out: list[Violation]) -> None:
                 f"{where}: the pair table mass differs from the Milnor number",
             )
         )
+    # Steenbrink's mixed Hodge structure on H^n(F) has h^{p,q} = 0 unless
+    # 0 <= p, q <= n; the rows are sorted, so the first outside is named
+    if any(not (0 <= p <= n and 0 <= q <= n) for p, q in s.pairs._groups):
+        p, q, alpha, _ = next(cell for cell in s.pairs._cells()
+                              if not (0 <= cell[0] <= n and 0 <= cell[1] <= n))
+        out.append(
+            Violation(
+                "explicit_inconsistent",
+                f"{where}: spectral pair ({p}, {q}, {alpha}) lies outside "
+                f"0 <= p, q <= {n}",
+            )
+        )
     if n == 1 and s.pairs.unipotent_dim() != s.branches - 1:
         out.append(
             Violation(

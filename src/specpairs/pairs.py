@@ -6,10 +6,17 @@ eigenvalue exp(2*pi*i*alpha), and the count is the dimension of the
 corresponding eigenspace.  Zero counts are never stored.
 
 Each angle is stored as an integer numerator k over one denominator per
-table (alpha = k/den), so the table algebra is integer arithmetic.  Fraction
+table (alpha = k/den), and the entries are grouped by Hodge type,
+{(p, q): {k: count}} with no empty group, so every pass over a table looks
+up its few Hodge types once and then works on integer keys.  Fraction
 angles come in only where a document's rows are read (``from_rows``); a
 table is read out through its rows, which write each angle as lowest-terms
 text.
+
+No code changes a group after its table is built, since tables may share
+groups: ``nonunipotent`` keeps each group without an eigenvalue-1 entry,
+``rescale`` by 1 returns its input, and the weight n - 1 table of a
+rational homology manifold shifts the groups at infinity.
 """
 
 from __future__ import annotations
@@ -22,38 +29,62 @@ from typing import Iterable, Iterator
 from .laurent import parse_array, parse_fraction, parse_integer, parse_row
 
 
-def rescale(entries: dict, factor: int) -> dict:
-    """Integer-keyed entries {(p, q, k): v} moved to a denominator `factor`
-    times larger; the same dict when factor is 1."""
+def grouped(entries: dict) -> dict:
+    """Flat entries {(p, q, k): v} grouped by Hodge type, {(p, q): {k: v}}."""
+    groups: dict = {}
+    for (p, q, k), v in entries.items():
+        group = groups.get((p, q))
+        if group is None:
+            groups[p, q] = {k: v}
+        else:
+            group[k] = v
+    return groups
+
+
+def rescale(groups: dict, factor: int) -> dict:
+    """Groups {(p, q): {k: v}} moved to a denominator `factor` times
+    larger; the same dict when factor is 1."""
     if factor == 1:
-        return entries
-    return {(p, q, k * factor): v for (p, q, k), v in entries.items()}
+        return groups
+    return {
+        pq: {k * factor: v for k, v in group.items()} for pq, group in groups.items()
+    }
+
+
+class _AngleTexts(dict):
+    """The lowest-terms texts "a/b" of angles k/den by k, each made on its
+    first lookup (a den may run to millions)."""
+
+    __slots__ = ("den",)
+
+    def __init__(self, den: int):
+        self.den = den
+
+    def __missing__(self, k: int) -> str:
+        g = gcd(k, self.den)
+        text = self[k] = f"{k // g}/{self.den // g}"
+        return text
 
 
 @lru_cache(maxsize=8)
-def _angle_texts(den: int) -> dict[int, str]:
-    """The lowest-terms texts "a/b" of angles k/den by k, made on demand (a
-    den may run to millions) and kept for the last few denominators."""
-    return {}
+def _angle_texts(den: int) -> _AngleTexts:
+    """The angle texts over den, kept for the last few denominators."""
+    return _AngleTexts(den)
 
 
 class SpectralPairTable:
     """An immutable multiset of spectral pairs with exact eigenvalue angles."""
 
     # _unipotent_dim is filled by the first call of unipotent_dim; no code
-    # changes _entries after __init__, so the kept value stays the count
-    __slots__ = ("_den", "_entries", "_unipotent_dim")
+    # changes _groups after __init__, so the kept value stays the count
+    __slots__ = ("_den", "_groups", "_unipotent_dim")
 
-    def __init__(self, den: int, entries: dict[tuple[int, int, int], int]):
-        """Positive counts keyed by (p, q, k) with 0 <= k < den, standing for
-        the angle k/den.  Takes ownership of `entries` and checks nothing;
-        from_rows is the reader that checks."""
+    def __init__(self, den: int, groups: dict[tuple[int, int], dict[int, int]]):
+        """Positive counts {(p, q): {k: count}} with 0 <= k < den, standing
+        for the angle k/den, and no empty group.  Takes ownership of
+        `groups` and checks nothing; from_rows is the reader that checks."""
         self._den = den
-        self._entries = entries
-
-    def _over(self, den: int) -> dict[tuple[int, int, int], int]:
-        """The entries keyed by numerators over den, a multiple of _den."""
-        return rescale(self._entries, den // self._den)
+        self._groups = groups
 
     def __add__(self, other: SpectralPairTable) -> SpectralPairTable:
         return table_sum(((self, 1), (other, 1)))
@@ -61,110 +92,124 @@ class SpectralPairTable:
     def conjugate(self) -> SpectralPairTable:
         """Complex conjugation: (p, q, alpha) -> (q, p, (1 - alpha) mod 1)."""
         den = self._den
-        return SpectralPairTable(
-            den, {(q, p, -k % den): c for (p, q, k), c in self._entries.items()}
-        )
+        return SpectralPairTable(den, {
+            (q, p): {-k % den: c for k, c in group.items()}
+            for (p, q), group in self._groups.items()
+        })
 
     def level_dual(self, n: int) -> SpectralPairTable:
         """Duality at level n: (p, q, alpha) -> (n - p, n - q, (1 - alpha) mod 1)."""
         den = self._den
-        return SpectralPairTable(
-            den,
-            {(n - p, n - q, -k % den): c for (p, q, k), c in self._entries.items()},
-        )
+        return SpectralPairTable(den, {
+            (n - p, n - q): {-k % den: c for k, c in group.items()}
+            for (p, q), group in self._groups.items()
+        })
 
     def symmetries(self, n: int) -> tuple[bool, bool]:
         """(self == self.conjugate(), self == self.level_dual(n)) in one
         pass: both maps are involutions and no count is zero, so each holds
         when every entry's image carries the same count."""
-        den, entries = self._den, self._entries
-        get, conjugate, dual = entries.get, True, True
-        for (p, q, k), c in entries.items():
-            k = -k % den
-            if get((q, p, k)) != c:
-                conjugate = False
-            if get((n - p, n - q, k)) != c:
-                dual = False
+        den, groups = self._den, self._groups
+        conjugate = dual = True
+        for (p, q), group in groups.items():
+            mirror = groups.get((q, p), {}).get
+            image = groups.get((n - p, n - q), {}).get
+            for k, c in group.items():
+                k = -k % den
+                if mirror(k) != c:
+                    conjugate = False
+                if image(k) != c:
+                    dual = False
         return conjugate, dual
 
     def nonunipotent(self) -> SpectralPairTable:
         """Entries with eigenvalue different from 1 (alpha > 0)."""
-        return SpectralPairTable(
-            self._den, {key: c for key, c in self._entries.items() if key[2]}
-        )
+        groups = {}
+        for pq, group in self._groups.items():
+            if 0 in group:
+                group = {k: c for k, c in group.items() if k}
+            if group:
+                groups[pq] = group
+        return SpectralPairTable(self._den, groups)
 
     def unipotent(self) -> SpectralPairTable:
         """Entries with eigenvalue 1 (alpha = 0)."""
         return SpectralPairTable(
-            1, {key: c for key, c in self._entries.items() if not key[2]}
+            1, {pq: {0: group[0]} for pq, group in self._groups.items() if 0 in group}
         )
 
     def total_dim(self) -> int:
-        return sum(self._entries.values())
+        return sum(sum(group.values()) for group in self._groups.values())
 
     def unipotent_dim(self) -> int:
         """Total count at eigenvalue 1 (alpha = 0), kept after the first call."""
         try:
             return self._unipotent_dim
         except AttributeError:
-            entries = self._entries
-            self._unipotent_dim = sum(c for (_, _, k), c in entries.items() if not k)
+            groups = self._groups.values()
+            self._unipotent_dim = sum(group.get(0, 0) for group in groups)
             return self._unipotent_dim
 
     def alpha_marginal(self) -> dict[tuple[int, int], int]:
         """Total count per eigenvalue angle, keyed by the angle in lowest
         terms as (numerator, denominator), (0, 1) for 0."""
+        by_k: dict[int, int] = {}
+        for group in self._groups.values():
+            for k, c in group.items():
+                by_k[k] = by_k.get(k, 0) + c
         den, out = self._den, {}
-        for (_, _, k), c in self._entries.items():
+        for k, c in by_k.items():
             g = gcd(k, den)
-            key = (k // g, den // g)
-            out[key] = out.get(key, 0) + c
+            out[k // g, den // g] = c
         return out
 
     def hodge_filtration_marginal(self) -> dict[int, int]:
         """Total count per Hodge filtration level p, summed over q and alpha."""
         out: dict[int, int] = {}
-        for (p, _, _), c in self._entries.items():
-            out[p] = out.get(p, 0) + c
+        for (p, _), group in self._groups.items():
+            out[p] = out.get(p, 0) + sum(group.values())
         return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpectralPairTable):
             return NotImplemented
         if self._den == other._den:
-            return self._entries == other._entries
-        if len(self._entries) != len(other._entries):
+            return self._groups == other._groups
+        if self._groups.keys() != other._groups.keys():
             return False
         den = lcm(self._den, other._den)
-        return self._over(den) == other._over(den)
+        return rescale(self._groups, den // self._den) == rescale(
+            other._groups, den // other._den
+        )
 
     def __hash__(self) -> int:
         # Reduce to the least common denominator, which equal tables share.
-        g = gcd(self._den, *(k for _, _, k in self._entries))
-        return hash(
-            (
-                self._den // g,
-                frozenset(
-                    ((p, q, k // g), c) for (p, q, k), c in self._entries.items()
-                ),
-            )
-        )
+        groups = self._groups
+        g = gcd(self._den, *(k for group in groups.values() for k in group))
+        return hash((self._den // g, frozenset(
+            (pq, frozenset((k // g, c) for k, c in group.items()))
+            for pq, group in groups.items()
+        )))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"({p},{q},{alpha}): {c}" for p, q, alpha, c in self._cells())
         return f"SpectralPairTable({{{inner}}})"
 
+    def _rows(self) -> list[tuple[int, int, list[tuple[str, int]]]]:
+        """The rows of every output by Hodge type in key order, each type
+        as (p, q, [("a/b", count), ...]) with the angles in order and in
+        lowest terms ("0/1" for 0)."""
+        texts, groups, out = _angle_texts(self._den), self._groups, []
+        for p, q in sorted(groups):
+            group = groups[p, q]
+            out.append((p, q, [(texts[k], group[k]) for k in sorted(group)]))
+        return out
+
     def _cells(self) -> Iterator[tuple[int, int, str, int]]:
-        """The rows of every output, (p, q, "a/b", count) in key order, with
-        the angle in lowest terms ("0/1" for 0)."""
-        den, entries, texts = self._den, self._entries, _angle_texts(self._den)
-        for key in sorted(entries):
-            p, q, k = key
-            alpha = texts.get(k)
-            if alpha is None:
-                g = gcd(k, den)
-                alpha = texts[k] = f"{k // g}/{den // g}"
-            yield p, q, alpha, entries[key]
+        """The rows of every output, (p, q, "a/b", count) in key order."""
+        for p, q, cells in self._rows():
+            for alpha, c in cells:
+                yield p, q, alpha, c
 
     def to_rows(self) -> list[list]:
         """JSON-ready rows [p, q, "a/b", count], sorted lexicographically."""
@@ -191,7 +236,9 @@ class SpectralPairTable:
                 raise ValueError(f"negative count {count} at {(p, q, Fraction(a, b))}")
         data = {key: c for key, c in data.items() if c}
         den = lcm(*(b for _, _, _, b in data))
-        return cls(den, {(p, q, a * (den // b)): c for (p, q, a, b), c in data.items()})
+        return cls(den, grouped(
+            {(p, q, a * (den // b)): c for (p, q, a, b), c in data.items()}
+        ))
 
 
 def table_sum(
@@ -203,12 +250,16 @@ def table_sum(
     different from 1 (alpha > 0) are summed."""
     terms = list(terms)
     den = lcm(*(table._den for table, _ in terms))
-    data: dict[tuple[int, int, int], int] = {}
-    get = data.get
+    groups: dict[tuple[int, int], dict[int, int]] = {}
     for table, count in terms:
         step = den // table._den
-        for (p, q, k), c in table._entries.items():
-            if k or not nonunipotent:
-                key = (p, q, k * step)
-                data[key] = get(key, 0) + c * count
-    return SpectralPairTable(den, data)
+        for pq, group in table._groups.items():
+            into = groups.get(pq)
+            if into is None:
+                into = groups[pq] = {}
+            get = into.get
+            for k, c in group.items():
+                if k or not nonunipotent:
+                    k *= step
+                    into[k] = get(k, 0) + c * count
+    return SpectralPairTable(den, {pq: group for pq, group in groups.items() if group})

@@ -360,15 +360,16 @@ def _json(value, pad: str = "") -> str:
         return int.__repr__(value)
     row, cell = "\n" + inner, "\n" + inner + "  "
     if isinstance(value, SpectralPairTable):
-        rows = [
-            f'{row}[{cell}{p},{cell}{q},{cell}"{alpha}",{cell}{c}{row}]'
-            for p, q, alpha, c in value._cells()
-        ]
+        rows = []
+        for p, q, cells in value._rows():
+            head = f'{row}[{cell}{p},{cell}{q},{cell}"'
+            rows += [f'{head}{alpha}",{cell}{c}{row}]' for alpha, c in cells]
     elif isinstance(value, bounds.BoundTable):
-        rows = [
-            f'{row}[{cell}{p},{cell}{q},{cell}"{alpha}",{cell}{v},{cell}"{kind}"{row}]'
-            for p, q, alpha, v, kind in value._cells()
-        ]
+        rows = []
+        for p, q, cells in value._rows():
+            head = f'{row}[{cell}{p},{cell}{q},{cell}"'
+            rows += [f'{head}{alpha}",{cell}{v},{cell}"{kind}"{row}]'
+                     for alpha, v, kind in cells]
     elif isinstance(value, CyclotomicFactorization):
         rows = [f"{cell}[{cell}  {k},{cell}  {m}{cell}]"  # one level below a table's
                 for k, m in sorted(value._factors.items())]
@@ -404,19 +405,27 @@ def render_text(report: InvariantReport) -> str:
         if heading is None:
             continue
         lines += ["", heading]
-        cells = list(table._cells())
-        if not cells:
+        rows = table._rows()
+        if not rows:
             lines.append("  (empty)")
             continue
+        cells = [cell for *_, group_cells in rows for cell in group_cells]
+        columns = [[p for p, _, _ in rows], [q for _, q, _ in rows], *zip(*cells)]
         # bound rows carry a fifth, unheaded column marking exact values
-        header = ("p", "q", "alpha", "count" if group == "tables" else "bound")
-        header += ("",) * (len(cells[0]) - len(header))
+        header = ("p", "q", "alpha", "count" if group == "tables" else "bound",
+                  "")[:len(columns)]
+        # an int's text is longest at the least or the greatest value
         widths = [
-            max(len(title), *(len(str(v)) for v in {cell[i] for cell in cells}))
-            for i, title in enumerate(header)
+            max(len(title), *map(len, set(column))) if isinstance(column[0], str)
+            else max(len(title), len(str(min(column))), len(str(max(column))))
+            for title, column in zip(header, columns)
         ]
-        line = "  " + "  ".join(f"%-{w}s" for w in widths)
-        lines += [line % header, *(line % cell for cell in cells)]
+        head = f"  %-{widths[0]}s  %-{widths[1]}s  "
+        line = "  ".join(f"%-{w}s" for w in widths[2:])
+        lines.append(head % header[:2] + line % header[2:])
+        for p, q, group_cells in rows:
+            row = head % (p, q) + line  # p and q are ints, with no "%" to escape
+            lines += [row % cell for cell in group_cells]
     for violation in report.warnings:
         lines += ["", f"warning: {violation.message}"]
     lines += ["", "checks:", *("  " + check.line() for check in report.checks)]

@@ -20,6 +20,7 @@ from specpairs import (
     SpectralPairTable,
     euler_phi,
 )
+from specpairs.pairs import grouped
 
 
 def _poly_mul(a, b) -> list[int]:
@@ -60,7 +61,7 @@ def germ_invariants_recomputed(germ) -> tuple[int, int, int, int]:
     first two from its exponents (the product of a - 1, Euclid's algorithm),
     an explicit germ's as given; the degree from the factorization's
     _factors with phi(k) the degree of oracle_cyclotomic(k); the mass from
-    the pair table's _entries at numerator 0."""
+    the pair table's _groups at numerator 0."""
     if isinstance(germ, Explicit):
         milnor, branches = germ.milnor, germ.branches
     else:
@@ -73,9 +74,10 @@ def germ_invariants_recomputed(germ) -> tuple[int, int, int, int]:
     for k, m in germ.alexander._factors.items():
         degree += m * (len(oracle_cyclotomic(k)) - 1)
     mass = 0
-    for (_, _, k), c in germ.pairs._entries.items():
-        if k == 0:
-            mass += c
+    for group in germ.pairs._groups.values():
+        for k, c in group.items():
+            if k == 0:
+                mass += c
     return milnor, branches, degree, mass
 
 
@@ -427,7 +429,7 @@ def bound_table(entries, exact=()) -> BoundTable:
     exact = frozenset(key(*k) for k in exact)
     by_numerator = {key(*k): value for k, value in entries.items()}
     assert exact <= by_numerator.keys(), "an exact key is not in the table"
-    return BoundTable(den, by_numerator, exact)
+    return BoundTable(den, grouped(by_numerator), exact)
 
 
 def pair_table(entries=None) -> SpectralPairTable:
@@ -491,7 +493,7 @@ def oracle_render_text(report) -> str:
     """render_text as it was before cells were formatted directly: every
     cell through str, the widths through a transpose of the header and all
     rows, each line through str.format.  The rows come from the tables'
-    stored entries, not from the writers' _cells."""
+    stored groups, read as a flat view, not from the writers' _rows."""
     from specpairs.report import _sections
 
     spec, derived = report.spec, report.derived
@@ -516,7 +518,9 @@ def oracle_render_text(report) -> str:
             continue
         lines += ["", heading]
         rows = []
-        for (p, q, k), value in sorted(table._entries.items()):
+        flat = [((p, q, k), value) for (p, q), group in table._groups.items()
+                for k, value in group.items()]
+        for (p, q, k), value in sorted(flat):
             alpha = Fraction(k, table._den)
             row = [p, q, f"{alpha.numerator}/{alpha.denominator}", value]
             if isinstance(table, BoundTable):

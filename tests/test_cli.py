@@ -203,6 +203,26 @@ def test_documents_that_used_to_crash_end_as_violations(
     assert f"] {code}: " in err
 
 
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_explicit_pairs_outside_the_hodge_range_are_a_violation(
+    spec_file, capsys, command
+):
+    # symmetric under both maps and of the right mass and eigenvalues, so
+    # only the range 0 <= p, q <= n rejects it; it used to pass validation
+    # and end on two failed identity checks with exit 2
+    cusp = dict(CUSPIDAL_CUBIC_EXPLICIT_DOC["singularities"][0],
+                spectral_pairs=[[-1, 2, "5/6", 1], [2, -1, "1/6", 1]])
+    del cusp["grF_dims"]
+    doc = dict(CUSPIDAL_CUBIC_EXPLICIT_DOC, singularities=[cusp])
+    assert main([command, spec_file(doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "[error] explicit_inconsistent: explicit singularity (mu=2): spectral "
+        "pair (-1, 2, 5/6) lies outside 0 <= p, q <= 1\n"
+    )
+
+
 @pytest.mark.parametrize("command", [["verify"], ["compute", "--format", "structured"]])
 def test_oversized_delta_u_square_is_a_failed_input_check(spec_file, capsys, command):
     # delta_U^2 has a multiplicity of 4,301 digits, which str refuses to

@@ -12,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specpairs import SpectralPairTable, build_report, parse_spec
+from specpairs.bounds import BoundTable
 from specpairs.cli import census_rows
-from specpairs.pairs import table_sum
+from specpairs.pairs import grouped, table_sum
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -185,10 +186,10 @@ def test_integer_keys_over_any_denominator_equal_fraction_keys(entries, extra, o
     den = lcm(*(alpha.denominator for _, _, alpha in entries)) * extra
     by_numerator = SpectralPairTable(
         den,
-        {
+        grouped({
             (p, q, alpha.numerator * (den // alpha.denominator)): c
             for (p, q, alpha), c in entries.items()
-        },
+        }),
     )
     by_fraction = pair_table(entries)
     assert by_numerator == by_fraction
@@ -207,3 +208,38 @@ def test_integer_keys_over_any_denominator_equal_fraction_keys(entries, extra, o
 def test_table_sum_equals_the_counter_oracle(terms, nonunipotent):
     total = table_sum(terms, nonunipotent)
     assert table_entries(total) == oracle_table_sum(terms, nonunipotent)
+
+
+def _pair_and_bound_tables(report) -> list:
+    """Every pair and bound table a report reaches: its fields (a dict field
+    by its values), the local pair sum, the table at infinity and each
+    germ's pairs."""
+    spec, derived = report.spec, report.derived
+    values = [derived.local_pair_sum, derived.infinity]
+    values += [germ.pairs for germ, _ in spec.singularities]
+    for value in report:
+        values += value.values() if isinstance(value, dict) else [value]
+    return [v for v in values if isinstance(v, (SpectralPairTable, BoundTable))]
+
+
+def test_every_stored_group_is_nonempty_with_counts_and_angles_in_range():
+    # __eq__ compares the groups directly, so an empty group or a stored
+    # zero count would make equal tables unequal
+    reports = [build_report(parse_spec(path.read_text(encoding="utf-8")))
+               for path in sorted(GOLDEN.glob("*.json"))]
+    for d in range(3, 11):
+        reports += census_rows(d)
+    seen = 0
+    for report in reports:
+        for table in _pair_and_bound_tables(report):
+            seen += 1
+            exact = getattr(table, "_exact", frozenset())
+            for (p, q), group in table._groups.items():
+                assert group, (report.spec, p, q)
+                for k, value in group.items():
+                    assert 0 <= k < table._den, (report.spec, p, q, k)
+                    if isinstance(table, SpectralPairTable):
+                        assert value > 0, (report.spec, p, q, k)
+                    else:
+                        assert value > 0 or (p, q, k) in exact and value == 0
+    assert seen > 10 * len(reports)

@@ -43,7 +43,7 @@ from specpairs import (
 from specpairs.bounds import BoundTable
 from specpairs.cli import census_rows
 from specpairs.milnor import steenbrink_infinity
-from specpairs.pairs import SpectralPairTable, _angle_texts, table_sum
+from specpairs.pairs import SpectralPairTable, _angle_texts, grouped, table_sum
 from specpairs.report import _json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -459,7 +459,7 @@ SKEWED_WEIGHTS = {
     1: pair_table(),
     2: pair_table({(1, 1, 0): 1}),
 }
-LOOSE = BoundTable(3, {(0, 1, 2): 5, (1, 1, 0): 2})
+LOOSE = BoundTable(3, grouped({(0, 1, 2): 5, (1, 1, 0): 2}))
 
 # "check-case": (kind, spec, (module, name, patched route), detail), where
 # the patched route is one that build_report reads through its module, or a
@@ -661,14 +661,15 @@ def test_factorization_equals_json_dumps_of_to_dict_at_any_depth(f, depth):
 def test_angle_texts_are_made_on_demand_for_the_last_few_denominators():
     _angle_texts.cache_clear()
     den = 10**6
-    table = SpectralPairTable(den, {(0, 1, 1): 2, (1, 0, den // 2): 1, (0, 0, 0): 5})
+    table = SpectralPairTable(
+        den, grouped({(0, 1, 1): 2, (1, 0, den // 2): 1, (0, 0, 0): 5}))
     assert list(table._cells()) == [
         (0, 0, "0/1", 5), (0, 1, "1/1000000", 2), (1, 0, "1/2", 1)]
     assert len(_angle_texts(den)) == 3
     limit = _angle_texts.cache_info().maxsize
     for den in range(2, 2 * limit + 3):
         entries = {(0, 1, k): k + 1 for k in range(den)}
-        table = SpectralPairTable(den, entries)
+        table = SpectralPairTable(den, grouped(entries))
         want = [[0, 1, f"{Fraction(k, den).numerator}/{Fraction(k, den).denominator}",
                  k + 1] for k in range(den)]
         assert table.to_rows() == want
@@ -705,10 +706,10 @@ RENDER_CASES = {
     "empty_table": lambda: build_report(HypersurfaceSpec(n=1, d=2, components=1)),
     "counts_narrower_than_header": lambda: _with_tables(
         THREE_GENERIC_LINES, pairs_nonunipotent=NARROW,
-        bound_complement=BoundTable(1, {(1, 1, 0): 7}, frozenset([(1, 1, 0)]))),
+        bound_complement=BoundTable(1, grouped({(1, 1, 0): 7}), frozenset([(1, 1, 0)]))),
     "counts_wider_than_header": lambda: _with_tables(
         THREE_GENERIC_LINES, pairs_nonunipotent=WIDE,
-        bound_complement=BoundTable(3, {(0, 1, 1): 123456})),
+        bound_complement=BoundTable(3, grouped({(0, 1, 1): 123456}))),
 }
 
 
@@ -737,12 +738,44 @@ def test_render_text_equals_the_reference_renderer_on_any_tables(pairs, bound):
     assert render_text(report) == oracle_render_text(report)
 
 
+# one angle per Hodge type, with p and q running to four characters either
+# side of zero, and bounds that may be 0 where they are exact
+wide_types = st.tuples(st.integers(min_value=-999, max_value=9999),
+                       st.integers(min_value=-999, max_value=9999))
+angles = st.fractions(min_value=0, max_value=Fraction(29, 30), max_denominator=30)
+one_row_groups = st.dictionaries(wide_types, st.tuples(angles, counts), max_size=6).map(
+    lambda rows: {(p, q, alpha): c for (p, q), (alpha, c) in rows.items()})
+wide_pair_tables = one_row_groups.map(pair_table) | st.dictionaries(
+    st.tuples(st.integers(min_value=-120, max_value=120),
+              st.integers(min_value=-120, max_value=120), angles),
+    st.integers(min_value=1, max_value=10**12), max_size=12,
+).map(pair_table)
+wide_bound_tables = one_row_groups.map(lambda rows: bound_table(
+    {key: c % 3 * c for key, c in rows.items()},
+    exact=[key for key, c in rows.items() if c % 2],
+))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_pair_tables, wide_bound_tables)
+# the widest p is the least in one table and the greatest in the other
+@example(pair_table({(-100, 0, 0): 1, (99, 0, 0): 1}),
+         bound_table({(-1, 5, 0): 0, (1000, 2, Fraction(1, 3)): 7}, exact=[(-1, 5, 0)]))
+@example(pair_table({(0, -10, 0): 10**9, (0, 5, Fraction(1, 2)): 3}),
+         bound_table({(3, 3, 0): 123}))
+def test_render_text_column_widths_equal_the_reference_on_wide_tables(pairs, bound):
+    report = _with_tables(THREE_GENERIC_LINES, pairs_nonunipotent=pairs,
+                          bound_complement=bound, bound_arrangement=bound)
+    assert render_text(report) == oracle_render_text(report)
+
+
 @settings(max_examples=100, deadline=None)
 @given(pair_tables | bound_tables)
 @example(pair_table({(0, 0, Fraction(0)): 1, (0, 0, Fraction(1, 2)): 2}))
 def test_cells_are_the_sorted_items_with_lowest_terms_angles(table):
     cells = list(table._cells())
-    entries = sorted(table._entries.items())
+    entries = sorted(((p, q, k), value) for (p, q), group in table._groups.items()
+                     for k, value in group.items())
     angles = [Fraction(k, table._den) for (_, _, k), _ in entries]
     assert [(p, q, value) for p, q, _, value, *_ in cells] == [
         (p, q, value) for (p, q, _), value in entries

@@ -27,6 +27,8 @@ from specpairs import (
     divisibility_bound_infinity,
     localsing,
     parse_spec,
+    render_text,
+    report_to_json,
     steenbrink_infinity,
 )
 from specpairs.cli import arrangement_spec, census_rows, main
@@ -129,3 +131,35 @@ def test_shared_values_are_never_mutated(monkeypatch, capsys):
     dims = table_at_infinity_from_dims(1, 9, lambda m: milnor_dim_closed_form(1, 9, m))
     assert steenbrink_infinity(1, 9) == dims
     assert bounds._curve_bound(9, 9) == bounds._curve_shaped_bound(9, [*range(8)], 8)
+
+
+def _fingerprint(table) -> int:
+    """A pair table's hash; a bound table, which has none, hashes its rows."""
+    if isinstance(table, bounds.BoundTable):
+        return hash(tuple(map(tuple, table.to_rows())))
+    return hash(table)
+
+
+def test_tables_that_share_groups_are_never_changed():
+    # tables may share their inner groups: nonunipotent() keeps each group
+    # without an eigenvalue-1 entry, and the weight n - 1 table of a
+    # rational homology manifold shifts those of the table at infinity
+    _clear_caches()
+    rows = list(census_rows(10))
+    quintic = parse_spec((GOLDEN / "rhm_quintic.json").read_text(encoding="utf-8"))
+    germs = {germ for row in rows for germ, _ in row.spec.singularities}
+    assert all(germ.pairs == Ordinary(germ.multiplicity).pairs for germ in germs)
+    tables = [steenbrink_infinity(1, 10), bounds._curve_bound(10, 10)]
+    tables += [germ.pairs for germ in germs]
+    tables += [germ.pairs for germ, _ in quintic.singularities]
+    tables += [quintic.derived.infinity, quintic.derived.local_pair_sum]
+    before = [_fingerprint(table) for table in tables]
+    # the same specs again, reusing their germs and derived values, then a
+    # fresh census, which reuses the values at infinity and the curve bound
+    for report in [*map(build_report, (row.spec for row in rows)), *census_rows(10)]:
+        render_text(report), report_to_json(report)
+    for _ in range(2):
+        report = build_report(quintic)
+        assert report.weight_resolved and report.all_passed
+        render_text(report), report_to_json(report)
+    assert [_fingerprint(table) for table in tables] == before
