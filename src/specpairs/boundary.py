@@ -28,7 +28,7 @@ def boundary_alexander(spec: HypersurfaceSpec) -> CyclotomicFactorization:
 
         (t-1)^((-1)^(n+1) + mu) * (t^d - 1)^xi * product of local polynomials,
 
-    a concrete factorization of degree 2(d-1)^(n+1), with unit 1 and t^0.
+    a concrete factorization of degree 2(d-1)^(n+1).
     It is the product of the two divisibility bounds of the complement;
     spec.derived admits only mu >= 0, so no exponent is negative."""
     return divisibility_bound_infinity(spec.n, spec.d) * spec.derived.local_bound
@@ -38,17 +38,14 @@ def error_term(
     delta_m: CyclotomicFactorization, delta_u: CyclotomicFactorization
 ) -> CyclotomicFactorization:
     """Quotient of the boundary Alexander polynomial delta_m (the value of
-    boundary_alexander) by delta_u squared, up to units: like delta_M, e(t)
-    has unit 1 and t^0.
+    boundary_alexander) by delta_u squared.
 
     The quotient must exist when delta_u is the Alexander polynomial of the
     complement; its degree is even, which the report checks."""
-    square = CyclotomicFactorization(delta_u._factors) ** 2
     try:
-        quotient = delta_m.divide(square)
+        return delta_m.divide(delta_u**2)
     except NotDivisible as exc:
         raise NotDivisible(f"delta_U^2 does not divide delta_M: {exc}") from exc
-    return quotient
 
 
 def boundary_pairs_nonunipotent(spec: HypersurfaceSpec) -> SpectralPairTable:

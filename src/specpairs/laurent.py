@@ -3,10 +3,10 @@
 Every Alexander-type polynomial this package handles (local monodromy
 polynomials, the divisibility bounds, delta_M and delta_U) is a product of
 cyclotomic polynomials up to a unit of Q[t, t^-1].  ``CyclotomicFactorization``
-stores it as a rational unit, a power of t and integer multiplicities of
-cyclotomic polynomials, so multiplication, exact division and divisibility
-are integer arithmetic on the multiplicities and no polynomial is ever
-multiplied out.
+stores only the integer multiplicities of the cyclotomic factors, so
+multiplication, exact division and divisibility are integer arithmetic and no
+polynomial is ever multiplied out; a document's unit and power of t are
+checked on reading and dropped.
 """
 
 from __future__ import annotations
@@ -14,9 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from typing import Mapping
-
-Rational = int | Fraction
-_ONE = Fraction(1)  # the unit of every factorization built without one
 
 
 class NotDivisible(ArithmeticError):
@@ -55,8 +52,8 @@ def divisors(k: int) -> list[int]:
 
 
 class CyclotomicFactorization:
-    """unit * t^t_power * product over k of Phi_k^multiplicity, where Phi_k is
-    the k-th cyclotomic polynomial.
+    """product over k of Phi_k^multiplicity, where Phi_k is the k-th
+    cyclotomic polynomial: an Alexander polynomial up to units.
 
     Every value is a polynomial: multiplicities are never negative (the
     divisibility bound at infinity, written as a quotient, included).
@@ -65,21 +62,12 @@ class CyclotomicFactorization:
 
     # _degree is filled by the first read of degree; no code changes
     # _factors after __init__, so the kept value stays the degree
-    __slots__ = ("_unit", "_t_power", "_factors", "_degree")
+    __slots__ = ("_factors", "_degree")
 
-    def __init__(
-        self,
-        factors: Mapping[int, int] | None = None,
-        unit: Rational = _ONE,
-        t_power: int = 0,
-    ):
-        """Check and store the parts, with `factors` as {order: multiplicity};
-        zero multiplicities are dropped.  from_dict is the reader that checks
-        a document's types."""
-        if not isinstance(unit, Fraction):
-            unit = Fraction(unit)
-        if not unit:
-            raise ValueError("the unit of a factorization must be nonzero")
+    def __init__(self, factors: Mapping[int, int] | None = None):
+        """Check and store `factors` as {order: multiplicity}; zero
+        multiplicities are dropped.  from_dict is the reader that checks a
+        document's types."""
         data: dict[int, int] = {}
         for k, m in (factors or {}).items():
             if k < 1:
@@ -90,17 +78,7 @@ class CyclotomicFactorization:
                 )
             if m:
                 data[k] = m
-        self._unit = unit
-        self._t_power = t_power
         self._factors = data
-
-    @property
-    def unit(self) -> Fraction:
-        return self._unit
-
-    @property
-    def t_power(self) -> int:
-        return self._t_power
 
     @property
     def factors(self) -> dict[int, int]:
@@ -114,7 +92,7 @@ class CyclotomicFactorization:
 
     @property
     def degree(self) -> int:
-        """Sum of multiplicity(k) * phi(k), the degree of the polynomial part;
+        """Sum of multiplicity(k) * phi(k), the degree of the polynomial;
         computed on the first read and kept."""
         try:
             return self._degree
@@ -126,18 +104,12 @@ class CyclotomicFactorization:
         data = dict(self._factors)
         for k, m in other._factors.items():
             data[k] = data.get(k, 0) + m
-        return CyclotomicFactorization(
-            data, self._unit * other._unit, self._t_power + other._t_power
-        )
+        return CyclotomicFactorization(data)
 
     def __pow__(self, n: int) -> CyclotomicFactorization:
         if n < 0:
             raise ValueError("negative powers are not defined; use divide")
-        return CyclotomicFactorization(
-            {k: m * n for k, m in self._factors.items()},
-            self._unit**n,
-            self._t_power * n,
-        )
+        return CyclotomicFactorization({k: m * n for k, m in self._factors.items()})
 
     def divide(self, other: CyclotomicFactorization) -> CyclotomicFactorization:
         """Exact quotient self/other; raises NotDivisible on a negative
@@ -149,14 +121,11 @@ class CyclotomicFactorization:
         short = [f"Phi({k})" for k, m in sorted(data.items()) if m < 0]
         if short:
             raise NotDivisible(f"multiplicity too high at {', '.join(short)}")
-        return CyclotomicFactorization(
-            data, self._unit / other._unit, self._t_power - other._t_power
-        )
+        return CyclotomicFactorization(data)
 
     def gcd(self, other: CyclotomicFactorization) -> CyclotomicFactorization:
-        """Greatest common divisor up to units of Q[t, t^-1], the least
-        multiplicity at each order: self divides other exactly when it
-        equals self with unit 1 and t^0."""
+        """Greatest common divisor, the least multiplicity at each order:
+        self divides other exactly when it equals self."""
         return CyclotomicFactorization(
             {k: min(m, other.multiplicity(k)) for k, m in self._factors.items()}
         )
@@ -164,37 +133,24 @@ class CyclotomicFactorization:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CyclotomicFactorization):
             return NotImplemented
-        return (
-            self._unit == other._unit
-            and self._t_power == other._t_power
-            and self._factors == other._factors
-        )
+        return self._factors == other._factors
 
     def __hash__(self) -> int:
-        return hash((self._unit, self._t_power, frozenset(self._factors.items())))
+        return hash(frozenset(self._factors.items()))
 
     def __repr__(self) -> str:
-        return (
-            f"CyclotomicFactorization(unit={self._unit}, t_power={self._t_power}, "
-            f"factors={dict(sorted(self._factors.items()))})"
-        )
+        return f"CyclotomicFactorization({dict(sorted(self._factors.items()))})"
 
     def __str__(self) -> str:
-        parts = []
-        if self._unit != 1 or not (self._factors or self._t_power):
-            parts.append(str(self._unit))
-        if self._t_power:
-            parts.append("t" if self._t_power == 1 else f"t^{self._t_power}")
-        for k in self.orders():
-            m = self._factors[k]
-            parts.append(f"Phi({k})" if m == 1 else f"Phi({k})^{m}")
-        return " * ".join(parts)
+        parts = [f"Phi({k})" if m == 1 else f"Phi({k})^{m}"
+                 for k, m in sorted(self._factors.items())]
+        return " * ".join(parts) or "1"
 
     def to_dict(self) -> dict:
-        """JSON-ready form: factors sorted by order, unit as a fraction string."""
+        """JSON-ready form: factors sorted by order, unit 1 and t^0."""
         return {
-            "unit": f"{self._unit.numerator}/{self._unit.denominator}",
-            "t_power": self._t_power,
+            "unit": "1/1",
+            "t_power": 0,
             "factors": [[k, self._factors[k]] for k in self.orders()],
         }
 
@@ -203,11 +159,13 @@ class CyclotomicFactorization:
         """Read an Alexander polynomial of a document (a germ's `alexander`,
         `delta_U`) strictly: it must be an object, an order given twice is an
         error, not an overwrite, and `"formal": true`, the label of the bound
-        at infinity in a report, is refused, since that bound is none."""
+        at infinity in a report, is refused, since that bound is none.  The
+        `unit` (a nonzero exact rational) and `t_power` (an integer) are
+        checked and dropped."""
         if not isinstance(data, dict):
             raise TypeError(f"expected an object, got {data!r}")
         unit = parse_fraction(data.get("unit", 1))
-        t_power = parse_integer(data.get("t_power", 0))
+        parse_integer(data.get("t_power", 0))
         factors: dict[int, int] = {}
         for k, m in (parse_row(row, 2) for row in parse_array(data.get("factors", []))):
             k = parse_integer(k)
@@ -218,7 +176,9 @@ class CyclotomicFactorization:
             raise ValueError(
                 "an Alexander polynomial is not a formal bound; drop the formal flag"
             )
-        return cls(factors, unit, t_power)
+        if not unit:
+            raise ValueError("the unit of a factorization must be nonzero")
+        return cls(factors)
 
 
 def parse_integer(value) -> int:

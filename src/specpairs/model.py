@@ -109,8 +109,7 @@ class Derived(NamedTuple):
     branch_excess: int  # sum over singular points of (local branch count - 1)
     local_pair_sum: SpectralPairTable  # count-weighted sum of the germs' pairs
     # the local divisibility bound: (t-1)^mu times the germs' Alexander
-    # polynomials with counts as powers, up to units (a germ's unit is not
-    # raised to its count)
+    # polynomials with counts as powers
     local_bound: CyclotomicFactorization
     # summed local dim Gr_F^p, the p-marginal of local_pair_sum: sorted (p, dim)
     local_grf: tuple[tuple[int, int], ...]
@@ -300,6 +299,9 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
         )
     hodge_types: set[tuple[int, int]] = set()
     for p, q, count in spec.h_d or ():
+        if not (0 <= p <= n + 1 and 0 <= q <= n + 1):
+            out.append(Violation("hd_hodge_type", f"hD row {[p, q, count]} has a "
+                                 f"Hodge type outside 0 <= p, q <= n + 1, n = {n}"))
         if count < 0:
             out.append(
                 Violation(

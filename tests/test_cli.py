@@ -551,6 +551,36 @@ def test_negative_hd_count_is_a_violation(spec_file, capsys):
     assert "[error] negative_hd: hD row [1, 1, -5] has a negative count" in err
 
 
+@pytest.mark.parametrize("command", [["verify"], ["compute", "--format", "structured"]])
+def test_hd_row_outside_the_hodge_range_is_a_violation(spec_file, capsys, command):
+    doc = json.loads((GOLDEN / "hd_quartic_surface.json").read_text(encoding="utf-8"))
+    doc["hD"].append([7, -5, 4])
+    assert main([command[0], spec_file(doc), *command[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert ("[error] hd_hodge_type: hD row [7, -5, 4] has a Hodge type outside "
+            "0 <= p, q <= n + 1, n = 2") in err
+    # the range ends at n + 1: the corner types (0, n + 1) and (n + 1, 0) pass
+    doc["hD"][-1:] = [[0, 3, 1], [3, 0, 1]]
+    assert main([command[0], spec_file(doc), *command[1:]]) == 0
+
+
+@pytest.mark.parametrize(
+    "command", [["compute", "--format", "structured"], ["compute"], ["verify"]]
+)
+def test_units_and_powers_of_t_are_dropped_from_end_to_end(spec_file, capsys, command):
+    def document(delta_u_unit, delta_u_t_power, germ_unit, germ_t_power):
+        alexander = {"unit": germ_unit, "t_power": germ_t_power, "factors": [[6, 1]]}
+        return dict(_cusp_with(alexander=alexander), delta_U={
+            "unit": delta_u_unit, "t_power": delta_u_t_power, "factors": [[6, 1]]})
+
+    outputs = []
+    for doc in (document("-3/4", 5, "2/1", -1), document("1/1", 0, "1/1", 0)):
+        status = main([command[0], spec_file(doc), *command[1:]])
+        outputs.append((status, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+
+
 def test_compute_exit_one_on_malformed(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{", encoding="utf-8")
