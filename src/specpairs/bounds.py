@@ -13,11 +13,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from .laurent import CyclotomicFactorization, divisors
 from .milnor import xi_exponent
-from .pairs import _angle_texts, rescale
+from .pairs import _angle_texts, _GroupedTable, rescale
 
 if TYPE_CHECKING:
     from .model import HypersurfaceSpec
@@ -32,15 +32,15 @@ def mhat(m: int, alpha: Fraction) -> int:
     return 1 if rest else scaled
 
 
-class BoundTable:
+class BoundTable(_GroupedTable):
     """Upper bounds on spectral pairs, with a subset flagged as exact equalities.
 
     As in SpectralPairTable, the bounds are grouped by Hodge type,
-    {(p, q): {k: bound}} for the angle k/den, with no empty group; keys
-    absent from the table are bounded by 0.
+    {(p, q): {k: bound}} for the angle k/den, with no empty group and no
+    zero outside the exact keys; keys absent from the table are bounded by 0.
     """
 
-    __slots__ = ("_den", "_groups", "_exact")
+    __slots__ = ("_exact",)
 
     def __init__(
         self,
@@ -48,16 +48,9 @@ class BoundTable:
         groups: dict[tuple[int, int], dict[int, int]],
         exact: frozenset = frozenset(),
     ):
-        """`exact` holds the (p, q, k) keys whose bound is an equality."""
-        self._den = den
-        self._exact = exact
-        # Zero upper bounds carry no information; zero equalities do.
-        self._groups = {}
-        for (p, q), group in groups.items():
-            if 0 in group.values():
-                group = {k: v for k, v in group.items() if v or (p, q, k) in exact}
-            if group:
-                self._groups[p, q] = group
+        """`exact` holds the (p, q, k) keys whose bound is an equality.
+        Takes ownership of `groups` and checks nothing."""
+        self._den, self._groups, self._exact = den, groups, exact
 
     def bound_at(self, key: tuple[int, int, int]) -> int:
         """The bound at (p, q, k), for the angle k/den of this table."""
@@ -79,17 +72,10 @@ class BoundTable:
                     found.append((p, q, k, c))
         return [(p, q, _angle_texts(den)[k], c) for p, q, k, c in sorted(found)]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BoundTable):
-            return NotImplemented
-        den = lcm(self._den, other._den)
-        return self._over(den) == other._over(den)
-
     def _over(self, den: int) -> tuple[dict, set]:
         """The groups and the exact keys over den, a multiple of _den."""
         factor = den // self._den
-        exact = {(p, q, k * factor) for p, q, k in self._exact}
-        return rescale(self._groups, factor), exact
+        return super()._over(den), {(p, q, k * factor) for p, q, k in self._exact}
 
     def __repr__(self) -> str:
         rows = ", ".join(
@@ -111,16 +97,6 @@ class BoundTable:
                 for k in sorted(group)
             ]))
         return out
-
-    def _cells(self) -> Iterator[tuple[int, int, str, int, str]]:
-        """The rows of every output, (p, q, "a/b", bound, "exact" or
-        "upper") in key order."""
-        for p, q, cells in self._rows():
-            for alpha, v, kind in cells:
-                yield p, q, alpha, v, kind
-
-    def to_rows(self) -> list[list]:
-        return [list(cell) for cell in self._cells()]
 
 
 @lru_cache(maxsize=1)
@@ -183,7 +159,7 @@ def spectral_bound_complement(spec: HypersurfaceSpec) -> BoundTable:
                 bound = min(local_side + extra, infinity_side)
             if bound:
                 bounds[j] = bound
-    return BoundTable(infinity._den, groups)
+    return BoundTable(infinity._den, {pq: g for pq, g in groups.items() if g})
 
 
 def spectral_bound_curve(spec: HypersurfaceSpec) -> BoundTable:
@@ -208,7 +184,8 @@ def _curve_shaped_bound(d: int, values: list[int], exact_11: int) -> BoundTable:
     j = 1..d-1, and the exact value exact_11 at (1, 1, 0)."""
     into = {j: value for j, value in enumerate(values, start=1) if value}
     mirror = {d - j: value for j, value in into.items()}
-    groups = {(0, 1): into, (1, 0): mirror, (1, 1): {0: exact_11}}
+    groups = {(0, 1): into, (1, 0): mirror} if into else {}
+    groups[1, 1] = {0: exact_11}
     return BoundTable(d, groups, frozenset([(1, 1, 0)]))
 
 

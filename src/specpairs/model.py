@@ -459,16 +459,17 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
 # Document parsing and serialization
 
 
-def _parse_hd(rows) -> tuple[tuple[int, int, int], ...]:
-    """hD rows, read strictly; a Hodge type given twice is an error, not an
+def _parse_keyed(rows, width: int, name: str) -> tuple[tuple[int, ...], ...]:
+    """Rows of `width` integers (hD, grF_dims), read strictly: all but the
+    last entry are the row's key, and a key given twice is an error, not an
     overwrite."""
-    out: dict[tuple[int, int], int] = {}
-    for p, q, c in (parse_row(row, 3) for row in parse_array(rows)):
-        key = (parse_integer(p), parse_integer(q))
-        if key in out:
-            raise ValueError(f"Hodge type {key} is given twice")
-        out[key] = parse_integer(c)
-    return tuple((p, q, c) for (p, q), c in out.items())
+    out: dict[tuple[int, ...], int] = {}
+    for row in parse_array(rows):
+        *key, value = map(parse_integer, parse_row(row, width))
+        if (key := tuple(key)) in out:
+            raise ValueError(f"{name} {key[0] if width == 2 else key} is given twice")
+        out[key] = value
+    return tuple((*key, value) for key, value in out.items())
 
 
 def _parse_singularity(entry, errors) -> tuple[LocalSingularity, int] | None:
@@ -485,9 +486,7 @@ def _parse_singularity(entry, errors) -> tuple[LocalSingularity, int] | None:
             return Brieskorn(parse_integer(a), parse_integer(b)), count
         if kind == "explicit":
             grf = entry.get("grF_dims")
-            grf_rows = None if grf is None else tuple(
-                tuple(map(parse_integer, parse_row(row, 2))) for row in parse_array(grf)
-            )
+            grf_rows = None if grf is None else _parse_keyed(grf, 2, "filtration level")
             return (
                 Explicit(
                     milnor=parse_integer(entry["milnor_number"]),
@@ -552,7 +551,7 @@ def parse_spec(document: str | dict) -> HypersurfaceSpec:
         "delta_U",
         lambda v: None if v is None else CyclotomicFactorization.from_dict(v),
     )
-    h_d = read("hD", lambda v: None if v is None else _parse_hd(v))
+    h_d = read("hD", lambda v: None if v is None else _parse_keyed(v, 3, "Hodge type"))
     if errors:
         raise MalformedDocument(errors)
     return HypersurfaceSpec(

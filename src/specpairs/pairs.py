@@ -13,6 +13,10 @@ angles come in only where a document's rows are read (``from_rows``); a
 table is read out through its rows, which write each angle as lowest-terms
 text.
 
+``_GroupedTable`` holds the groups, rows and equality of this table and of
+``bounds.BoundTable``.  Neither constructor checks its groups: producers
+store no empty group and no zero outside a bound table's exact keys.
+
 No code changes a group after its table is built, since tables may share
 groups: ``nonunipotent`` keeps each group without an eigenvalue-1 entry,
 ``rescale`` by 1 returns its input, and the weight n - 1 table of a
@@ -72,37 +76,73 @@ def _angle_texts(den: int) -> _AngleTexts:
     return _AngleTexts(den)
 
 
-class SpectralPairTable:
+class _GroupedTable:
+    """Values {(p, q): {k: value}} for the angle k/den, grouped by Hodge
+    type: the core of pair and bound tables."""
+
+    __slots__ = ("_den", "_groups")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        den = lcm(self._den, other._den)
+        return self._over(den) == other._over(den)
+
+    def _over(self, den: int) -> dict:
+        """What equality compares: the groups over den, a multiple of _den."""
+        return rescale(self._groups, den // self._den)
+
+    def _rows(self) -> list[tuple[int, int, list[tuple]]]:
+        """The rows of every output by Hodge type in key order, each type
+        as (p, q, [("a/b", count), ...]) with the angles in order and in
+        lowest terms ("0/1" for 0)."""
+        texts, groups, out = _angle_texts(self._den), self._groups, []
+        for p, q in sorted(groups):
+            group = groups[p, q]
+            out.append((p, q, [(texts[k], group[k]) for k in sorted(group)]))
+        return out
+
+    def _cells(self) -> Iterator[tuple]:
+        """The rows of every output, (p, q, *cell) per cell of _rows, in key order."""
+        for p, q, cells in self._rows():
+            for cell in cells:
+                yield p, q, *cell
+
+    def to_rows(self) -> list[list]:
+        """JSON-ready rows [p, q, "a/b", value, ...], sorted lexicographically."""
+        return [list(cell) for cell in self._cells()]
+
+
+class SpectralPairTable(_GroupedTable):
     """An immutable multiset of spectral pairs with exact eigenvalue angles."""
 
     # _unipotent_dim is filled by the first call of unipotent_dim; no code
     # changes _groups after __init__, so the kept value stays the count
-    __slots__ = ("_den", "_groups", "_unipotent_dim")
+    __slots__ = ("_unipotent_dim",)
 
     def __init__(self, den: int, groups: dict[tuple[int, int], dict[int, int]]):
         """Positive counts {(p, q): {k: count}} with 0 <= k < den, standing
         for the angle k/den, and no empty group.  Takes ownership of
         `groups` and checks nothing; from_rows is the reader that checks."""
-        self._den = den
-        self._groups = groups
+        self._den, self._groups = den, groups
 
     def __add__(self, other: SpectralPairTable) -> SpectralPairTable:
         return table_sum(((self, 1), (other, 1)))
 
     def conjugate(self) -> SpectralPairTable:
         """Complex conjugation: (p, q, alpha) -> (q, p, (1 - alpha) mod 1)."""
-        den = self._den
-        return SpectralPairTable(den, {
-            (q, p): {-k % den: c for k, c in group.items()}
-            for (p, q), group in self._groups.items()
-        })
+        return self._mirror(lambda p, q: (q, p))
 
     def level_dual(self, n: int) -> SpectralPairTable:
         """Duality at level n: (p, q, alpha) -> (n - p, n - q, (1 - alpha) mod 1)."""
+        return self._mirror(lambda p, q: (n - p, n - q))
+
+    def _mirror(self, hodge_type) -> SpectralPairTable:
+        """(p, q, alpha) -> (*hodge_type(p, q), (1 - alpha) mod 1)."""
         den = self._den
         return SpectralPairTable(den, {
-            (n - p, n - q): {-k % den: c for k, c in group.items()}
-            for (p, q), group in self._groups.items()
+            hodge_type(*pq): {-k % den: c for k, c in group.items()}
+            for pq, group in self._groups.items()
         })
 
     def symmetries(self, n: int) -> tuple[bool, bool]:
@@ -170,18 +210,6 @@ class SpectralPairTable:
             out[p] = out.get(p, 0) + sum(group.values())
         return out
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpectralPairTable):
-            return NotImplemented
-        if self._den == other._den:
-            return self._groups == other._groups
-        if self._groups.keys() != other._groups.keys():
-            return False
-        den = lcm(self._den, other._den)
-        return rescale(self._groups, den // self._den) == rescale(
-            other._groups, den // other._den
-        )
-
     def __hash__(self) -> int:
         # Reduce to the least common denominator, which equal tables share.
         groups = self._groups
@@ -194,26 +222,6 @@ class SpectralPairTable:
     def __repr__(self) -> str:
         inner = ", ".join(f"({p},{q},{alpha}): {c}" for p, q, alpha, c in self._cells())
         return f"SpectralPairTable({{{inner}}})"
-
-    def _rows(self) -> list[tuple[int, int, list[tuple[str, int]]]]:
-        """The rows of every output by Hodge type in key order, each type
-        as (p, q, [("a/b", count), ...]) with the angles in order and in
-        lowest terms ("0/1" for 0)."""
-        texts, groups, out = _angle_texts(self._den), self._groups, []
-        for p, q in sorted(groups):
-            group = groups[p, q]
-            out.append((p, q, [(texts[k], group[k]) for k in sorted(group)]))
-        return out
-
-    def _cells(self) -> Iterator[tuple[int, int, str, int]]:
-        """The rows of every output, (p, q, "a/b", count) in key order."""
-        for p, q, cells in self._rows():
-            for alpha, c in cells:
-                yield p, q, alpha, c
-
-    def to_rows(self) -> list[list]:
-        """JSON-ready rows [p, q, "a/b", count], sorted lexicographically."""
-        return [list(cell) for cell in self._cells()]
 
     @classmethod
     def from_rows(cls, rows: list) -> SpectralPairTable:

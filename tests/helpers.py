@@ -420,7 +420,8 @@ def table_entries(table) -> dict:
 
 def bound_table(entries, exact=()) -> BoundTable:
     """A BoundTable from bounds keyed by (p, q, alpha) with exact rational
-    alpha; `exact` lists the keys whose bound is an equality."""
+    alpha; `exact` lists the keys whose bound is an equality.  A zero bound
+    outside `exact` is dropped, as the producers never store one."""
     den = lcm(*(Fraction(alpha).denominator for _, _, alpha in entries))
 
     def key(p, q, alpha):
@@ -430,7 +431,8 @@ def bound_table(entries, exact=()) -> BoundTable:
     exact = frozenset(key(*k) for k in exact)
     by_numerator = {key(*k): value for k, value in entries.items()}
     assert exact <= by_numerator.keys(), "an exact key is not in the table"
-    return BoundTable(den, grouped(by_numerator), exact)
+    kept = {k: value for k, value in by_numerator.items() if value or k in exact}
+    return BoundTable(den, grouped(kept), exact)
 
 
 def pair_table(entries=None) -> SpectralPairTable:

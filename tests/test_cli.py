@@ -509,6 +509,9 @@ def _explicit_nodes(**changes):
         ),
         (_three_generic_lines_with(**_explicit_nodes(grF_dims=[[1]])),
          "expected an array of 2 entries, got 1"),
+        # a repeated level is not dropped, even with a zero dimension
+        (_three_generic_lines_with(**_explicit_nodes(grF_dims=[[1, 1], [1, 0]])),
+         "filtration level 1 is given twice"),
         (_cusp_with_alexander(factors=[{"6": 1}]), "expected an array, got {'6': 1}"),
         (_cusp_with(spectral_pairs=[[0, 1, "5/6"]]),
          "expected an array of 4 entries, got 3"),
@@ -529,6 +532,7 @@ def _explicit_nodes(**changes):
         "formal_germ_order_zero", "formal_germ_zero_unit", "deeply_nested",
         "integer_of_5000_digits", "not_utf8", "repeated_key",
         "short_hd_row", "object_hd_row", "three_exponents", "short_grf_row",
+        "repeated_grf_level",
         "object_factor_row", "short_pair_row",
     ],
 )

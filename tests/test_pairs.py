@@ -227,7 +227,7 @@ def test_every_stored_group_is_nonempty_with_counts_and_angles_in_range():
     # zero count would make equal tables unequal
     reports = [build_report(parse_spec(path.read_text(encoding="utf-8")))
                for path in sorted(GOLDEN.glob("*.json"))]
-    for d in range(3, 11):
+    for d in range(2, 11):
         reports += census_rows(d)
     seen = 0
     for report in reports:
@@ -243,3 +243,19 @@ def test_every_stored_group_is_nonempty_with_counts_and_angles_in_range():
                     else:
                         assert value > 0 or (p, q, k) in exact and value == 0
     assert seen > 10 * len(reports)
+
+
+def test_bound_tables_compare_over_a_common_denominator_with_their_exact_keys():
+    exact = frozenset([(0, 1, 1), (1, 1, 0)])
+    table = BoundTable(3, {(0, 1): {1: 2, 2: 1}, (1, 1): {0: 0}}, exact)
+    over_6 = BoundTable(6, {(0, 1): {2: 2, 4: 1}, (1, 1): {0: 0}},
+                        frozenset([(0, 1, 2), (1, 1, 0)]))
+    assert table == over_6 and over_6 == table
+    # the same bounds with a key moved out of exact
+    moved = BoundTable(6, {(0, 1): {2: 2, 4: 1}, (1, 1): {0: 0}},
+                       frozenset([(1, 1, 0)]))
+    assert table != moved and moved != table
+    # a pair table is never a bound table, whatever its groups
+    groups = {(0, 1): {1: 2}}
+    assert SpectralPairTable(3, groups) != BoundTable(3, groups)
+    assert BoundTable(3, groups) != SpectralPairTable(3, groups)
