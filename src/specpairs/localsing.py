@@ -6,16 +6,19 @@ and the Brieskorn germ x^a + y^b, the Brieskorn-Pham germs with exponents
 finite order and every invariant is read off the singularity spectrum
 {i/a + j/b}, enumerated by the engine in ``milnor`` that also gives the
 table at infinity.  Germs that are not quasi-homogeneous, and germs in
-ambient dimension above curves, enter through the Explicit variant carrying
-user-supplied data.  Every germ answers `milnor`, `branches`, `pairs` and
-`alexander` itself, and `work`, its closed-form price in the work estimate
-of ``model.validate``.
+ambient dimension above curves, enter through the Explicit variant: a
+user-supplied pair table, off which it reads every invariant it is not
+given.  Every germ answers `milnor`, `branches`, `pairs` and `alexander`
+itself, and `work`, its closed-form price in the work estimate of
+``model.validate``.  One rule, `cyclotomic`, turns the eigenvalue counts of
+a spectrum or of a pair table into the local Alexander polynomial.
 
 A built-in germ computes its Milnor number and branch count and enumerates
 its spectrum once each, on first use, and keeps them on the instance with
 the local pairs and the local Alexander polynomial read off the spectrum;
 every spec holding the same germ object shares these read-only values, and
-they are freed with the germ.
+they are freed with the germ.  An explicit germ keeps what it reads off its
+pairs the same way.
 """
 
 from __future__ import annotations
@@ -28,6 +31,18 @@ from typing import NamedTuple
 from .laurent import CyclotomicFactorization, euler_phi
 from .milnor import _pairs_at_level, brieskorn_pham_spectrum
 from .pairs import SpectralPairTable
+
+
+def cyclotomic(den: int, counts: dict[int, int]) -> CyclotomicFactorization:
+    """The Alexander polynomial of the eigenvalues exp(2 pi i k / den),
+    counted by counts {k: count}.  The eigenvalue multiset of a germ is
+    Galois-stable, so the eigenvalues of order o, counted together, make up
+    Phi(o) to the power count / phi(o)."""
+    per_order: dict[int, int] = {}
+    for k, c in counts.items():
+        order = den // gcd(k, den)
+        per_order[order] = per_order.get(order, 0) + c
+    return CyclotomicFactorization({o: c // euler_phi(o) for o, c in per_order.items()})
 
 
 class ExplicitHasNoSpectrum(TypeError):
@@ -60,19 +75,7 @@ class _QuasiHomogeneous:
     def _spectrum(self) -> tuple[int, dict[int, int]]:
         return brieskorn_pham_spectrum(self.exponents)
 
-    @cached_property
-    def alexander(self) -> CyclotomicFactorization:
-        """The top local Alexander polynomial.  The eigenvalue multiset of a
-        germ is Galois-stable, so the eigenvalues of order o, counted
-        together, make up Phi(o) to the power count / phi(o)."""
-        den, numerators = self._spectrum
-        per_order: dict[int, int] = {}
-        for k, c in numerators.items():
-            order = den // gcd(k, den)
-            per_order[order] = per_order.get(order, 0) + c
-        return CyclotomicFactorization(
-            {o: c // euler_phi(o) for o, c in per_order.items()}
-        )
+    alexander = cached_property(lambda self: cyclotomic(*self._spectrum))
 
     @cached_property
     def pairs(self) -> SpectralPairTable:
@@ -114,30 +117,49 @@ class Brieskorn(_QuasiHomogeneous):
 
 
 class _ExplicitFields(NamedTuple):
-    milnor: int
-    branches: int
-    alexander: CyclotomicFactorization
     pairs: SpectralPairTable
+    milnor: int | None = None
+    branches: int | None = None
+    alexander: CyclotomicFactorization | None = None
     grf_dims: tuple[tuple[int, int], ...] | None = None
 
 
-class Explicit(_ExplicitFields):
-    """User-supplied local data for a germ without a built-in model.
+def _given_or(index: int, read_off) -> cached_property:
+    """An explicit germ's field at index as given, or read_off(pairs) when absent."""
+    return cached_property(
+        lambda self: read_off(self.pairs) if self[index] is None else self[index]
+    )
 
-    grf_dims, when present, lists (p, dim Gr_F^p) pairs of the Hodge
-    filtration on the middle cohomology of the local Milnor fiber.  The
-    pipeline reads these dimensions off the pair table (summing over q and
-    alpha); validate checks supplied ones against it.
+
+class Explicit(_ExplicitFields):
+    """User-supplied local data for a germ without a built-in model: its
+    pair table, and optionally invariants that validate checks against it.
+
+    Its fields hold what was given.  The germ answers `milnor`, `branches`
+    and `alexander` as given, or else as read off the pairs: the pair mass,
+    the eigenvalue-1 mass + 1 and the cyclotomic product of the angle
+    counts.  grf_dims, when present, lists (p, dim Gr_F^p) pairs of the
+    Hodge filtration on the middle cohomology of the local Milnor fiber,
+    which the pipeline reads off the pair table.
     """
 
-    __slots__ = ()
-    # alexander_alpha_marginal runs through 0 <= j < k for each order k
-    work = property(lambda self: 4 * sum(self.alexander.factors))
+    __setattr__ = __delattr__ = _QuasiHomogeneous.__setattr__
+    milnor = _given_or(1, SpectralPairTable.total_dim)
+    branches = _given_or(2, lambda pairs: pairs.unipotent_dim() + 1)
+    alexander = _given_or(3, lambda pairs: cyclotomic(*pairs.angle_counts()))
+
+    @property
+    def work(self) -> int:
+        """4 units per unit of each distinct lowest-terms order of the
+        table's angles, which bounds the totients (trial division) that
+        cyclotomic and validate take once per order."""
+        den, counts = self.pairs.angle_counts()
+        return 4 * sum({den // gcd(k, den) for k in counts})
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if self.milnor < 1:
-            raise ValueError("Milnor number must be positive")
+            raise ValueError("Milnor number (if not given, the pair mass) must be > 0")
         if self.branches < 1:
             raise ValueError("branch count must be positive")
         return self
@@ -154,16 +176,3 @@ def spectrum(s: LocalSingularity) -> tuple[Fraction, ...]:
     den, numerators = s._spectrum
     return tuple(Fraction(k, den) for k in sorted(numerators)
                  for _ in range(numerators[k]))
-
-
-def alexander_alpha_marginal(f: CyclotomicFactorization) -> dict[tuple[int, int], int]:
-    """Eigenvalue multiset of a cyclotomic product, grouped by angle alpha
-    and keyed, as SpectralPairTable.alpha_marginal, by alpha in lowest
-    terms as (numerator, denominator): Phi(k) has the angles j/k with
-    gcd(j, k) = 1, and (0, 1) for k = 1."""
-    out: dict[tuple[int, int], int] = {}
-    for k, m in f.factors.items():
-        for j in range(k):
-            if gcd(j, k) == 1:
-                out[j, k] = out.get((j, k), 0) + m
-    return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from math import comb
+from math import comb, gcd
 from typing import NamedTuple
 
 from .laurent import (
@@ -20,13 +20,7 @@ from .laurent import (
     parse_integer,
     parse_row,
 )
-from .localsing import (
-    Brieskorn,
-    Explicit,
-    LocalSingularity,
-    Ordinary,
-    alexander_alpha_marginal,
-)
+from .localsing import Brieskorn, Explicit, LocalSingularity, Ordinary, cyclotomic
 from .milnor import steenbrink_infinity, xi_exponent
 from .pairs import SpectralPairTable, table_sum
 
@@ -176,73 +170,41 @@ def shared_line_violations(d: int, points) -> list[tuple[int, int]]:
 
 
 def _validate_explicit(s: Explicit, n: int, out: list[Violation]) -> None:
-    where = f"explicit singularity (mu={s.milnor})"
-    if s.alexander.degree != s.milnor:
-        out.append(
-            Violation(
-                "explicit_inconsistent",
-                f"{where}: the degree of the local Alexander polynomial "
-                "differs from the Milnor number",
-            )
-        )
+    """The explicit_inconsistent rules: each given field must match the pairs."""
+    # a derived Milnor number, the pair mass, may have too many digits to print
+    given_mu = s._asdict()["milnor"]
+    where = "explicit singularity" + ("" if given_mu is None else f" (mu={given_mu})")
+
+    def inconsistent(message: str) -> None:
+        out.append(Violation("explicit_inconsistent", f"{where}: {message}"))
+
     if s.pairs.total_dim() != s.milnor:
-        out.append(
-            Violation(
-                "explicit_inconsistent",
-                f"{where}: the pair table mass differs from the Milnor number",
-            )
-        )
+        inconsistent("the pair table mass differs from the Milnor number")
     # Steenbrink's mixed Hodge structure on H^n(F) has h^{p,q} = 0 unless
     # 0 <= p, q <= n; the rows are sorted, so the first outside is named
     if any(not (0 <= p <= n and 0 <= q <= n) for p, q in s.pairs._groups):
         p, q, alpha, _ = next(cell for cell in s.pairs._cells()
                               if not (0 <= cell[0] <= n and 0 <= cell[1] <= n))
-        out.append(
-            Violation(
-                "explicit_inconsistent",
-                f"{where}: spectral pair ({p}, {q}, {alpha}) lies outside "
-                f"0 <= p, q <= {n}",
-            )
-        )
+        inconsistent(f"spectral pair ({p}, {q}, {alpha}) lies outside 0 <= p, q <= {n}")
     if n == 1 and s.pairs.unipotent_dim() != s.branches - 1:
-        out.append(
-            Violation(
-                "explicit_inconsistent",
-                f"{where}: eigenvalue-1 mass must equal branches - 1 "
-                f"(branches = {s.branches}) for curve germs",
-            )
-        )
+        inconsistent("eigenvalue-1 mass must equal branches - 1 "
+                     f"(branches = {s.branches}) for curve germs")
     if not s.pairs.symmetries(n)[0]:
-        out.append(
-            Violation(
-                "explicit_inconsistent",
-                f"{where}: pair table is not conjugation-symmetric",
-            )
-        )
+        inconsistent("pair table is not conjugation-symmetric")
     if not s.pairs.nonunipotent().symmetries(n)[1]:
-        out.append(
-            Violation(
-                "explicit_inconsistent",
-                f"{where}: eigenvalue != 1 part is not self-dual at level {n}",
-            )
-        )
-    if alexander_alpha_marginal(s.alexander) != s.pairs.alpha_marginal():
-        out.append(
-            Violation(
-                "explicit_inconsistent",
-                f"{where}: eigenvalues of the local Alexander polynomial differ "
-                f"from the eigenvalue marginal of the pair table",
-            )
-        )
+        inconsistent(f"eigenvalue != 1 part is not self-dual at level {n}")
+    # the eigenvalues of order o make up Phi(o)^m only if each carries m
+    den, counts = s.pairs.angle_counts()
+    alexander = s.alexander
+    if alexander != cyclotomic(den, counts) or any(
+        c != alexander.multiplicity(den // gcd(k, den)) for k, c in counts.items()
+    ):
+        inconsistent("eigenvalues of the local Alexander polynomial differ "
+                     "from the eigenvalue marginal of the pair table")
     marginal = sorted(s.pairs.hodge_filtration_marginal().items())
     if s.grf_dims is not None and sorted(r for r in s.grf_dims if r[1]) != marginal:
-        out.append(
-            Violation(
-                "explicit_inconsistent",
-                f"{where}: grF_dims {[list(r) for r in s.grf_dims]} differ from "
-                "the Hodge filtration marginal of the pair table",
-            )
-        )
+        inconsistent(f"grF_dims {[list(r) for r in s.grf_dims]} differ from "
+                     "the Hodge filtration marginal of the pair table")
 
 
 # The largest _work_estimate that validate admits.  A unit is about a
@@ -472,12 +434,25 @@ def _parse_keyed(rows, width: int, name: str) -> tuple[tuple[int, ...], ...]:
     return tuple((*key, value) for key, value in out.items())
 
 
+# The keys a singularity entry of each kind may carry beside kind and count.
+_ENTRY_KEYS = {
+    "ordinary": {"multiplicity"},
+    "brieskorn": {"exponents"},
+    "explicit": {"spectral_pairs", "milnor_number", "branches", "alexander",
+                 "grF_dims"},
+}
+
+
 def _parse_singularity(entry, errors) -> tuple[LocalSingularity, int] | None:
     if not isinstance(entry, dict):
         errors.append(f"singularity entry must be an object, got {type(entry)}")
         return None
     kind = entry.get("kind")
     try:
+        if isinstance(kind, str) and kind in _ENTRY_KEYS:
+            unknown = sorted(entry.keys() - _ENTRY_KEYS[kind] - {"kind", "count"})
+            if unknown:
+                raise ValueError(f"unknown key {unknown[0]!r}")
         count = parse_integer(entry.get("count", 1))
         if kind == "ordinary":
             return Ordinary(parse_integer(entry["multiplicity"])), count
@@ -487,16 +462,15 @@ def _parse_singularity(entry, errors) -> tuple[LocalSingularity, int] | None:
         if kind == "explicit":
             grf = entry.get("grF_dims")
             grf_rows = None if grf is None else _parse_keyed(grf, 2, "filtration level")
-            return (
-                Explicit(
-                    milnor=parse_integer(entry["milnor_number"]),
-                    branches=parse_integer(entry["branches"]),
-                    alexander=CyclotomicFactorization.from_dict(entry["alexander"]),
-                    pairs=SpectralPairTable.from_rows(entry["spectral_pairs"]),
-                    grf_dims=grf_rows,
-                ),
-                count,
-            )
+            given = {  # an absent field is read off the pairs
+                name: read(entry[key]) for name, key, read in (
+                    ("milnor", "milnor_number", parse_integer),
+                    ("branches", "branches", parse_integer),
+                    ("alexander", "alexander", CyclotomicFactorization.from_dict),
+                ) if key in entry
+            }
+            pairs = SpectralPairTable.from_rows(entry["spectral_pairs"])
+            return Explicit(pairs, grf_dims=grf_rows, **given), count
     except (KeyError, TypeError, ValueError) as exc:
         errors.append(f"bad {kind!r} singularity entry: {exc}")
         return None
@@ -570,17 +544,17 @@ def _serialize_singularity(s: LocalSingularity, count: int) -> dict:
         return {"kind": "ordinary", "multiplicity": s.multiplicity, "count": count}
     if isinstance(s, Brieskorn):
         return {"kind": "brieskorn", "exponents": [s.a, s.b], "count": count}
+    _, milnor, branches, alexander, grf = s  # the fields as given, none derived
     out = {
         "kind": "explicit",
-        "milnor_number": s.milnor,
-        "branches": s.branches,
-        "alexander": s.alexander.to_dict(),
+        "milnor_number": milnor,
+        "branches": branches,
+        "alexander": None if alexander is None else alexander.to_dict(),
         "spectral_pairs": s.pairs.to_rows(),
         "count": count,
+        "grF_dims": None if grf is None else [[p, v] for p, v in grf],
     }
-    if s.grf_dims is not None:
-        out["grF_dims"] = [[p, v] for p, v in s.grf_dims]
-    return out
+    return {key: value for key, value in out.items() if value is not None}
 
 
 def serialize_spec(spec: HypersurfaceSpec) -> dict:

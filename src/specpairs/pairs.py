@@ -190,18 +190,13 @@ class SpectralPairTable(_GroupedTable):
             self._unipotent_dim = sum(group.get(0, 0) for group in groups)
             return self._unipotent_dim
 
-    def alpha_marginal(self) -> dict[tuple[int, int], int]:
-        """Total count per eigenvalue angle, keyed by the angle in lowest
-        terms as (numerator, denominator), (0, 1) for 0."""
+    def angle_counts(self) -> tuple[int, dict[int, int]]:
+        """(den, {k: total count at the angle k/den}), summed over (p, q)."""
         by_k: dict[int, int] = {}
         for group in self._groups.values():
             for k, c in group.items():
                 by_k[k] = by_k.get(k, 0) + c
-        den, out = self._den, {}
-        for k, c in by_k.items():
-            g = gcd(k, den)
-            out[k // g, den // g] = c
-        return out
+        return self._den, by_k
 
     def hodge_filtration_marginal(self) -> dict[int, int]:
         """Total count per Hodge filtration level p, summed over q and alpha."""

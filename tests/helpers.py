@@ -159,6 +159,29 @@ def group_alpha_counts(alphas) -> dict[int, int]:
     return mults
 
 
+def alexander_alpha_marginal(f: CyclotomicFactorization) -> dict[tuple[int, int], int]:
+    """Eigenvalue multiset of a cyclotomic product, grouped by angle alpha
+    and keyed, as table_alpha_marginal, by alpha in lowest terms as
+    (numerator, denominator): Phi(k) has the angles j/k with gcd(j, k) = 1,
+    and (0, 1) for k = 1."""
+    out: dict[tuple[int, int], int] = {}
+    for k, m in f.factors.items():
+        for j in range(k):
+            if gcd(j, k) == 1:
+                out[j, k] = out.get((j, k), 0) + m
+    return out
+
+
+def table_alpha_marginal(table: SpectralPairTable) -> dict[tuple[int, int], int]:
+    """A pair table's total count per eigenvalue angle, read from its rows
+    and keyed by the angle in lowest terms as (numerator, denominator)."""
+    out: Counter = Counter()
+    for _, _, alpha, count in table.to_rows():
+        alpha = Fraction(alpha)
+        out[alpha.numerator, alpha.denominator] += count
+    return dict(out)
+
+
 def brieskorn_pham_explicit(exponents: tuple[int, ...]) -> Explicit:
     """Internally consistent Explicit data modelled on the germ
     x_0^{a_0} + ... + x_n^{a_n} in n+1 variables (n = len(exponents) - 1)."""
@@ -464,12 +487,15 @@ def milnor_dim_closed_form(n: int, d: int, m: int) -> int:
 
 def work_estimate_closed_form(spec: HypersurfaceSpec) -> int:
     """model._work_estimate written out with its per-germ prices chosen by
-    the germ's class, as it read before each germ priced itself."""
+    the germ's class, as it read before each germ priced itself; an
+    explicit germ costs 4 units per unit of each distinct lowest-terms
+    order of the angles in its rows."""
     n, d = spec.n, spec.d
     work = (n + 1) * (d - 1) * (32 + (n + 2) * (1 + n // 128))
     for s, count in spec.singularities:
         if isinstance(s, Explicit):
-            work += 4 * sum(s.alexander.factors)
+            orders = {Fraction(alpha).denominator for _, _, alpha, _ in s.pairs.to_rows()}
+            work += 4 * sum(orders)
         elif isinstance(s, Ordinary):
             work += 64 * s.multiplicity
         else:

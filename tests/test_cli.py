@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import io
+import itertools
 import json
 import operator
 import os
@@ -150,6 +151,13 @@ def _cusp_with(**changes):
     return dict(CUSPIDAL_CUBIC_EXPLICIT_DOC, singularities=[dict(cusp, **changes)])
 
 
+def _cusp_without(*keys, **changes):
+    doc = _cusp_with(**changes)
+    for key in keys:
+        del doc["singularities"][0][key]
+    return doc
+
+
 def _golden_with(name, where, new):
     document = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     return _replaced(document, where, new)
@@ -187,11 +195,15 @@ def _golden_with(name, where, new):
          "explicit_inconsistent"),
         (_cusp_with(alexander={"factors": [[6, 9 * 10**4299]]}),
          "explicit_inconsistent"),
+        # the Milnor number read off these pairs has 4,301 digits
+        (_cusp_without("milnor_number", spectral_pairs=[[0, 1, "5/6", 9 * 10**4299],
+                                                        [1, 0, "1/6", 9 * 10**4299]]),
+         "explicit_inconsistent"),
     ],
     ids=["degree_one", "rhm_oversized_grf", "rhm_missing_grf", "grf_mismatch",
          "cusp_at_n0", "brieskorn_at_n0", "oversized_branch_excess",
          "oversized_milnor_total", "oversized_pair_mass",
-         "oversized_alexander_degree"],
+         "oversized_alexander_degree", "oversized_pair_mass_without_milnor"],
 )
 @pytest.mark.parametrize("command", ["compute", "verify"])
 def test_documents_that_used_to_crash_end_as_violations(
@@ -312,10 +324,10 @@ def test_rhm_document_without_grf_dims_gets_the_tables_of_derived_ones(
         {"ambient_dim": 1001, "degree": 3, "components": 1},
         {"ambient_dim": 10**9, "degree": 3, "components": 1},
         {"ambient_dim": 10**2000, "degree": 3, "components": 1},
+        # cyclotomic and validate would take the totient of 10^7
         {"ambient_dim": 2, "degree": 3, "components": 1,
-         "singularities": [{"kind": "explicit", "milnor_number": 2, "branches": 1,
-                            "alexander": {"factors": [[10**7, 1]]},
-                            "spectral_pairs": []}]},
+         "singularities": [{"kind": "explicit",
+                            "spectral_pairs": [[0, 1, "1/10000000", 1]]}]},
     ],
     ids=["smooth_curve_degree_1e6", "brieskorn_2000_2001", "smooth_n1000_cubic",
          "ambient_dim_1e9", "ambient_dim_2001_digits", "explicit_order_1e7"],
@@ -357,6 +369,80 @@ def test_over_budget_documents_end_as_negative_mu_before_derivation(
     out, err = capsys.readouterr()
     assert out == ""
     assert "] negative_mu: " in err
+
+
+def test_a_given_alexander_polynomial_is_compared_not_enumerated(spec_file, capsys):
+    # Phi(10^7) differs from the polynomial of the empty table; none of its
+    # eigenvalues is listed, so the violation comes at once
+    doc = {"ambient_dim": 2, "degree": 3, "components": 1,
+           "singularities": [{"kind": "explicit", "milnor_number": 2, "branches": 1,
+                              "alexander": {"factors": [[10**7, 1]]},
+                              "spectral_pairs": []}]}
+    start = time.perf_counter()
+    assert main(["verify", spec_file(doc)]) == 1
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "] explicit_inconsistent: " in err and "budget_exceeded" not in err
+
+
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_a_table_whose_angles_are_not_galois_stable_is_inconsistent(
+    spec_file, capsys, command
+):
+    # 1/5 and 4/5 without 2/5 and 3/5: symmetric and of a consistent mass,
+    # but no rational polynomial has just these eigenvalues
+    doc = dict(CUSPIDAL_CUBIC_EXPLICIT_DOC, singularities=[
+        {"kind": "explicit", "spectral_pairs": [[0, 1, "1/5", 1], [1, 0, "4/5", 1]]},
+    ])
+    assert main([command, spec_file(doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "[error] explicit_inconsistent: explicit singularity: eigenvalues of the "
+        "local Alexander polynomial differ from the eigenvalue marginal of the "
+        "pair table\n"
+    )
+
+
+OPTIONAL_EXPLICIT_FIELDS = ("milnor_number", "branches", "alexander", "grF_dims")
+
+
+@pytest.mark.parametrize("name", ["nodal_cubic_surface", "hd_quartic_surface",
+                                  "cuspidal_cubic_explicit"])
+def test_omitted_explicit_fields_change_nothing(spec_file, capsys, name):
+    # every field but spectral_pairs is read off the pairs when it is absent;
+    # the spec echo writes only the fields that the document gave
+    if name == "cuspidal_cubic_explicit":
+        full = CUSPIDAL_CUBIC_EXPLICIT_DOC
+    else:
+        full = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+
+    def outputs(doc):
+        path = spec_file(doc)
+        runs = []
+        for argv in (["compute", path], ["compute", path, "--format", "structured"],
+                     ["verify", path]):
+            runs.append((main(argv), capsys.readouterr()))
+        return runs
+
+    def without(doc, keys):
+        doc = copy.deepcopy(doc)
+        for germ in doc["singularities"]:
+            for key in keys:
+                germ.pop(key, None)
+        return doc
+
+    want = outputs(full)
+    want_report = json.loads(want[1][1].out)
+    for size in range(1, len(OPTIONAL_EXPLICIT_FIELDS) + 1):
+        for dropped in itertools.combinations(OPTIONAL_EXPLICIT_FIELDS, size):
+            got = outputs(without(full, dropped))
+            assert [got[0], got[2]] == [want[0], want[2]], dropped
+            assert got[1][0] == want[1][0]
+            report = json.loads(got[1][1].out)
+            assert report.pop("spec") == without(want_report["spec"], dropped)
+            assert report == {k: v for k, v in want_report.items() if k != "spec"}
 
 
 def _three_generic_lines_with(**changes):
@@ -515,6 +601,17 @@ def _explicit_nodes(**changes):
         (_cusp_with_alexander(factors=[{"6": 1}]), "expected an array, got {'6': 1}"),
         (_cusp_with(spectral_pairs=[[0, 1, "5/6"]]),
          "expected an array of 4 entries, got 3"),
+        # a misspelled key is not skipped, nor an absent field derived
+        (
+            {"ambient_dim": 2, "degree": 3, "components": 1,
+             "singularities": [{"kind": "brieskorn", "exponents": [2, 3], "cout": 3}]},
+            "bad 'brieskorn' singularity entry: unknown key 'cout'",
+        ),
+        (_cusp_with(alexandr={"factors": [[6, 1]]}),
+         "bad 'explicit' singularity entry: unknown key 'alexandr'"),
+        (_three_generic_lines_with(singularities=[
+            {"kind": "ordinary", "multiplicity": 2, "count": 3, "exponents": [2, 2]}]),
+         "bad 'ordinary' singularity entry: unknown key 'exponents'"),
     ],
     ids=[
         "float_multiplicity", "string_multiplicity", "bool_multiplicity", "float_count",
@@ -533,7 +630,8 @@ def _explicit_nodes(**changes):
         "integer_of_5000_digits", "not_utf8", "repeated_key",
         "short_hd_row", "object_hd_row", "three_exponents", "short_grf_row",
         "repeated_grf_level",
-        "object_factor_row", "short_pair_row",
+        "object_factor_row", "short_pair_row", "misspelled_count",
+        "misspelled_alexander", "key_of_another_kind",
     ],
 )
 @pytest.mark.parametrize("command", ["compute", "verify"])

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    alexander_alpha_marginal,
+    group_alpha_counts,
     milnor_orlik_alexander,
     numeric_char_poly,
     oracle_expand,
@@ -15,6 +17,7 @@ from helpers import (
     oracle_spectrum,
     pair_table,
     t_power_minus_one,
+    table_alpha_marginal,
     table_entries,
 )
 
@@ -27,6 +30,7 @@ from specpairs import (
     spectrum,
     steenbrink_infinity,
 )
+from specpairs.localsing import cyclotomic
 
 
 def test_milnor_number_examples():
@@ -118,9 +122,20 @@ def test_builtin_invariants(germ):
     assert table.unipotent().total_dim() == germ.branches - 1
     assert table.conjugate() == table
     # eigenvalues of the Alexander polynomial match the table marginal
-    from specpairs.localsing import alexander_alpha_marginal
+    assert alexander_alpha_marginal(germ.alexander) == table_alpha_marginal(table)
 
-    assert alexander_alpha_marginal(germ.alexander) == table.alpha_marginal()
+
+def test_cyclotomic_against_the_oracles():
+    # one rule for both germ kinds: a spectrum's angle counts and a pair
+    # table's give the polynomial whose eigenvalues are the table's angles,
+    # with the multiplicities that an independent regrouping finds
+    for a in range(2, 30):
+        for b in range(2, 30):
+            germ = Brieskorn(a, b)
+            f = cyclotomic(*germ._spectrum)
+            assert cyclotomic(*germ.pairs.angle_counts()) == f
+            assert alexander_alpha_marginal(f) == table_alpha_marginal(germ.pairs)
+            assert f.factors == group_alpha_counts(s % 1 for s in oracle_spectrum(a, b))
 
 
 @pytest.mark.parametrize(
@@ -155,6 +170,20 @@ def test_explicit_passthrough():
     assert explicit.pairs == pairs
 
 
+def test_explicit_germ_reads_absent_fields_off_its_pairs():
+    pairs = pair_table({(0, 1, Fraction(1, 2)): 1, (1, 0, Fraction(1, 2)): 1,
+                        (1, 1, 0): 2})
+    germ = Explicit(pairs)
+    assert (germ.milnor, germ.branches) == (4, 3)
+    assert germ.alexander == CyclotomicFactorization({1: 2, 2: 2})
+    assert germ == Explicit(pairs=pairs) != Explicit(pairs, milnor=4)
+    # the fields hold what was given; the answers are not assignable
+    assert germ._asdict() == {"pairs": pairs, "milnor": None, "branches": None,
+                              "alexander": None, "grf_dims": None}
+    with pytest.raises(AttributeError):
+        germ.milnor = 5
+
+
 def test_hodge_filtration_dims():
     # dim Gr_F^p is the sum of h^{p,q}_alpha over q and alpha
     assert Brieskorn(2, 3).pairs.hodge_filtration_marginal() == {0: 1, 1: 1}
@@ -178,3 +207,7 @@ def test_constructor_validation():
             alexander=CyclotomicFactorization(),
             pairs=pair_table(),
         )
+    with pytest.raises(ValueError):  # the mass of an empty table is 0
+        Explicit(pair_table())
+    with pytest.raises(ValueError):
+        Explicit(pair_table({(1, 1, 0): 1}), branches=0)

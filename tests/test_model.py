@@ -120,7 +120,8 @@ RECORDS = {
     ),
     "Explicit": (
         lambda: brieskorn_pham_explicit((2, 3)),
-        "Explicit(milnor=2, branches=1, alexander=", "pairs",
+        "Explicit(pairs=SpectralPairTable({(0,1,5/6): 1, (1,0,1/6): 1}), milnor=2,",
+        "pairs",
         lambda: Explicit(milnor=2, branches=0,
                          alexander=CyclotomicFactorization({6: 1}), pairs=pair_table()),
     ),

@@ -77,7 +77,7 @@ def test_restrictions_partition_the_table():
 
 def test_marginals():
     t = table({(0, 1, Fraction(1, 2)): 2, (1, 0, Fraction(1, 2)): 1, (1, 1, 0): 3})
-    assert t.alpha_marginal() == {(1, 2): 3, (0, 1): 3}
+    assert t.angle_counts() == (2, {1: 3, 0: 3})
     assert t.hodge_filtration_marginal() == {0: 2, 1: 4}
 
 

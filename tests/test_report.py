@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from specpairs import (
     Brieskorn,
     CyclotomicFactorization,
+    Explicit,
     HypersurfaceSpec,
     InvalidSpec,
     Ordinary,
@@ -383,12 +384,15 @@ def test_arrangement_entry_layout_does_not_matter(d, merged, split):
 def test_builtin_germs_and_their_explicit_twins_give_one_report():
     # every consumer reads a germ's milnor, branches, pairs and alexander
     # and none branches on its kind, so a built-in germ and Explicit data
-    # with the same values give the same violations and the same report
+    # with the same values give the same violations and the same report,
+    # whether the data gives every field or only the pairs
     germs = [Ordinary(m) for m in range(2, 7)]
     germs += [Brieskorn(a, b) for a in range(2, 9) for b in range(a, 9)]
     valid = 0
-    for germ in germs:
+    for germ, pairs_only in itertools.product(germs, (False, True)):
         twin = brieskorn_pham_explicit(germ.exponents)
+        if pairs_only:
+            twin = Explicit(twin.pairs)
         for d, count in itertools.product(range(2, 12), (1, 2)):
             for r in range(1, d + 1):
                 spec = HypersurfaceSpec(n=1, d=d, components=r,
@@ -404,7 +408,7 @@ def test_builtin_germs_and_their_explicit_twins_give_one_report():
                 )
                 assert found.pop("spec") != expected.pop("spec")
                 assert found == expected, spec
-    assert valid > 1000
+    assert valid > 2000
 
 
 def test_render_text_sections():
