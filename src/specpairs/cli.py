@@ -69,7 +69,6 @@ def arrangement_spec(
         d=d,
         components=d,
         singularities=tuple((germs[m], c) for m, c in points),
-        line_arrangement=True,
     )
 
 

@@ -144,6 +144,8 @@ class Explicit(_ExplicitFields):
     """
 
     __setattr__ = __delattr__ = _QuasiHomogeneous.__setattr__
+    # _replace builds with _make: both go through __new__ and its checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
     milnor = _given_or(1, SpectralPairTable.total_dim)
     branches = _given_or(2, lambda pairs: pairs.unipotent_dim() + 1)
     alexander = _given_or(3, lambda pairs: cyclotomic(*pairs.angle_counts()))

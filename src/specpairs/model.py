@@ -1,9 +1,9 @@
 """Input data model: hypersurface descriptions, validation and derived numbers.
 
 A hypersurface is described combinatorially: ambient dimension, degree,
-component count, and a list of isolated singularity models with repetition
-counts.  Inputs are structured JSON documents; polynomial coefficients are
-never read and no symbolic geometry is performed.
+component count (a curve of degree d with d components is d lines), and
+isolated singularity models with counts.  Inputs are JSON documents;
+polynomial coefficients are never read and no symbolic geometry is performed.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class _SpecFields(NamedTuple):
     d: int
     components: int
     singularities: tuple[tuple[LocalSingularity, int], ...] = ()
-    line_arrangement: bool = False
     rational_homology_manifold: bool = False
     delta_u: CyclotomicFactorization | None = None
     h_d: tuple[tuple[int, int, int], ...] | None = None  # rows (p, q, count)
@@ -65,6 +64,11 @@ class HypersurfaceSpec(_SpecFields):
     """Combinatorial description of an affine degree-d hypersurface in C^(n+1),
     transversal at infinity, with isolated singularities.  The values made
     from it are kept in the __dict__ of this tuple subclass."""
+
+    @property
+    def line_arrangement(self) -> bool:
+        """d lines: each of the d components has degree >= 1, and they sum to d."""
+        return self.n == 1 and self.components == self.d
 
     @cached_property
     def violations(self) -> list[Violation]:
@@ -219,7 +223,7 @@ def _work_estimate(spec: HypersurfaceSpec) -> int:
     """The work a spec asks for, in closed form and without deriving
     anything: the tables at infinity, each germ's own price (`work`) and,
     for line arrangements, the expanded point list."""
-    n, d = spec.n, spec.d
+    n, d, lines = spec.n, spec.d, spec.line_arrangement
     # (n+1)(d-1) entries at infinity, priced as an inclusion-exclusion over
     # n+2 binomials each.  steenbrink_infinity reads them off the spectrum
     # of the Fermat germ, made in n+1 passes of the spectrum engine, so for
@@ -227,7 +231,7 @@ def _work_estimate(spec: HypersurfaceSpec) -> int:
     # that the budget refuses the same documents.
     work = (n + 1) * (d - 1) * (32 + (n + 2) * (1 + n // 128))
     for s, count in spec.singularities:
-        work += s.work + (count if spec.line_arrangement else 0)
+        work += s.work + (count if lines else 0)
     return work
 
 
@@ -327,29 +331,17 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
         return out
     derived = spec._unchecked
     if spec.line_arrangement:
-        if n != 1:
-            out.append(
-                Violation("line_arrangement_shape", "line arrangements require n = 1")
-            )
-        if r != d:
-            out.append(
-                Violation(
-                    "line_arrangement_shape",
-                    f"a line arrangement of degree {d} has {d} components, got {r}",
-                )
-            )
-        non_ordinary = [
-            s for s, _ in spec.singularities if not isinstance(s, Ordinary)
-        ]
-        if non_ordinary:
+        # lines meet transversally in ordinary m-fold points: germs of m
+        # branches and Milnor number (m - 1)^2, of whatever kind
+        if any(s.milnor != (s.branches - 1) ** 2 for s, _ in spec.singularities):
             out.append(
                 Violation(
                     "line_arrangement_shape",
                     "line arrangement singularities must all be ordinary points",
                 )
             )
-        elif n == 1:
-            points = [(s.multiplicity, c) for s, c in spec.singularities]
+        else:
+            points = [(s.branches, c) for s, c in spec.singularities]
             have = sum(comb(m, 2) * c for m, c in points)
             want = comb(d, 2)
             if have != want:
@@ -448,34 +440,33 @@ def _parse_singularity(entry, errors) -> tuple[LocalSingularity, int] | None:
         errors.append(f"singularity entry must be an object, got {type(entry)}")
         return None
     kind = entry.get("kind")
+    if not (isinstance(kind, str) and kind in _ENTRY_KEYS):
+        errors.append(f"unknown singularity kind {kind!r}")
+        return None
     try:
-        if isinstance(kind, str) and kind in _ENTRY_KEYS:
-            unknown = sorted(entry.keys() - _ENTRY_KEYS[kind] - {"kind", "count"})
-            if unknown:
-                raise ValueError(f"unknown key {unknown[0]!r}")
+        unknown = sorted(entry.keys() - _ENTRY_KEYS[kind] - {"kind", "count"})
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r}")
         count = parse_integer(entry.get("count", 1))
         if kind == "ordinary":
             return Ordinary(parse_integer(entry["multiplicity"])), count
         if kind == "brieskorn":
             a, b = parse_row(entry["exponents"], 2)
             return Brieskorn(parse_integer(a), parse_integer(b)), count
-        if kind == "explicit":
-            grf = entry.get("grF_dims")
-            grf_rows = None if grf is None else _parse_keyed(grf, 2, "filtration level")
-            given = {  # an absent field is read off the pairs
-                name: read(entry[key]) for name, key, read in (
-                    ("milnor", "milnor_number", parse_integer),
-                    ("branches", "branches", parse_integer),
-                    ("alexander", "alexander", CyclotomicFactorization.from_dict),
-                ) if key in entry
-            }
-            pairs = SpectralPairTable.from_rows(entry["spectral_pairs"])
-            return Explicit(pairs, grf_dims=grf_rows, **given), count
+        grf = entry.get("grF_dims")  # an explicit entry
+        grf_rows = None if grf is None else _parse_keyed(grf, 2, "filtration level")
+        given = {  # an absent field is read off the pairs
+            name: read(entry[key]) for name, key, read in (
+                ("milnor", "milnor_number", parse_integer),
+                ("branches", "branches", parse_integer),
+                ("alexander", "alexander", CyclotomicFactorization.from_dict),
+            ) if key in entry
+        }
+        pairs = SpectralPairTable.from_rows(entry["spectral_pairs"])
+        return Explicit(pairs, grf_dims=grf_rows, **given), count
     except (KeyError, TypeError, ValueError) as exc:
         errors.append(f"bad {kind!r} singularity entry: {exc}")
         return None
-    errors.append(f"unknown singularity kind {kind!r}")
-    return None
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -511,10 +502,13 @@ def parse_spec(document: str | dict) -> HypersurfaceSpec:
     ambient, degree, components = (
         read(name, parse_integer) for name in ("ambient_dim", "degree", "components")
     )
-    flags = {
-        name: read(name, parse_flag, False)
-        for name in ("line_arrangement", "rational_homology_manifold")
-    }
+    # d components of a plane curve are d lines: a given flag must say so
+    lines = ambient == 2 and components == degree
+    given = read("line_arrangement", parse_flag, lines)
+    if given not in (None, lines) and None not in (ambient, degree, components):
+        errors.append(f"bad line_arrangement: got {json.dumps(given)}, but "
+                      f"ambient_dim, degree and components make it {json.dumps(lines)}")
+    rhm = read("rational_homology_manifold", parse_flag, False)
     sings: list[tuple[LocalSingularity, int]] = []
     for entry in read("singularities", parse_array, []) or []:
         parsed = _parse_singularity(entry, errors)
@@ -533,9 +527,9 @@ def parse_spec(document: str | dict) -> HypersurfaceSpec:
         d=degree,
         components=components,
         singularities=tuple(sings),
+        rational_homology_manifold=rhm,
         delta_u=delta_u,
         h_d=h_d,
-        **flags,
     )
 
 

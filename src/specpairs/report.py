@@ -128,8 +128,9 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
         unip = boundary.flatten_weights(weighted)
         full = unip + nonunip
     pairs_arrangement = bound_arrangement = None
-    if spec.line_arrangement:
-        points = [(s.multiplicity, c) for s, c in spec.singularities]
+    lines = spec.line_arrangement
+    if lines:  # every point is ordinary: its branches are its multiplicity
+        points = [(s.branches, c) for s, c in spec.singularities]
         pairs_arrangement = boundary.boundary_pairs_arrangement(d, points)
         bound_arrangement = bounds.spectral_bound_arrangement(d, points)
     div_infinity = bounds.divisibility_bound_infinity(n, d)
@@ -148,8 +149,7 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
     named = {name: t for name, t in named.items() if t is not None}
     # each table is dual to itself at level n, but weight w to weight 2n - w
     partners = {**named, **{f"weight {w}": weighted[2 * n - w] for w in weighted or ()}}
-    tables = (dict(named, arrangement=pairs_arrangement) if spec.line_arrangement
-              else named)
+    tables = dict(named, arrangement=pairs_arrangement) if lines else named
     germs = [s for s, _ in spec.singularities]
     nesting: list[str] = []
     if bound_curve is not None:

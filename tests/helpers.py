@@ -250,8 +250,10 @@ def _group_counts(sings) -> tuple:
     return tuple(sorted(counts.items(), key=lambda kv: repr(kv[0])))
 
 
-def random_curve_spec(rng, d_max: int = 8) -> HypersurfaceSpec:
-    """A uniformly scrambled valid curve spec built from the local models."""
+def random_curve_draw(rng, d_max: int = 8) -> HypersurfaceSpec:
+    """A uniformly scrambled curve spec built from the local models, with
+    the Milnor total, branch excess and genus term of a valid curve; a draw
+    of d components is d lines, which it need not be consistent as."""
     while True:
         d = rng.randint(2, d_max)
         budget = (d - 1) ** 2
@@ -280,6 +282,25 @@ def random_curve_spec(rng, d_max: int = 8) -> HypersurfaceSpec:
             components=rng.randint(r_lo, r_hi),
             singularities=_group_counts(sings),
         )
+
+
+def consistent_as_lines(spec: HypersurfaceSpec) -> bool:
+    """Whether the points can be those of d lines, written out: each is an
+    ordinary m-fold point (m branches, Milnor number (m - 1)^2, of any
+    kind), and the points account for the C(d, 2) line pairs with C(m, 2)
+    each."""
+    sings = spec.singularities
+    ordinary = all(s.milnor == (s.branches - 1) ** 2 for s, _ in sings)
+    return ordinary and sum(comb(s.branches, 2) * c for s, c in sings) == comb(spec.d, 2)
+
+
+def random_curve_spec(rng, d_max: int = 8) -> HypersurfaceSpec:
+    """A valid random_curve_draw: a draw of d components that is not
+    consistent as d lines is drawn again."""
+    while True:
+        spec = random_curve_draw(rng, d_max)
+        if spec.components != spec.d or consistent_as_lines(spec):
+            return spec
 
 
 def random_spec(rng, n: int, d_max: int = 8) -> HypersurfaceSpec:

@@ -83,7 +83,6 @@ def test_criterion_04_xi_integrality():
 def test_criterion_05_worked_examples():
     lines = HypersurfaceSpec(
         n=1, d=3, components=3, singularities=((Ordinary(2), 3),),
-        line_arrangement=True,
     )
     assert boundary_alexander(lines) == CyclotomicFactorization(factors={1: 6, 3: 1})
     assert boundary_pairs_curve(lines) == pair_table(
@@ -97,7 +96,6 @@ def test_criterion_05_worked_examples():
 
     concurrent = HypersurfaceSpec(
         n=1, d=3, components=3, singularities=((Ordinary(3), 1),),
-        line_arrangement=True,
     )
     assert boundary_alexander(concurrent) == CyclotomicFactorization(
         factors={1: 4, 3: 2}
@@ -169,7 +167,6 @@ def test_criterion_08_symmetry_suite():
 def test_criterion_09_error_term_suite():
     concurrent = HypersurfaceSpec(
         n=1, d=3, components=3, singularities=((Ordinary(3), 1),),
-        line_arrangement=True,
     )
     assert error_term(
         boundary_alexander(concurrent), CyclotomicFactorization(factors={1: 2, 3: 1})
@@ -177,7 +174,6 @@ def test_criterion_09_error_term_suite():
 
     lines = HypersurfaceSpec(
         n=1, d=3, components=3, singularities=((Ordinary(2), 3),),
-        line_arrangement=True,
     )
     assert error_term(
         boundary_alexander(lines), CyclotomicFactorization(factors={1: 2})

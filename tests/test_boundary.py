@@ -49,10 +49,10 @@ from specpairs import (
 )
 
 THREE_GENERIC_LINES = HypersurfaceSpec(
-    n=1, d=3, components=3, singularities=((Ordinary(2), 3),), line_arrangement=True
+    n=1, d=3, components=3, singularities=((Ordinary(2), 3),)
 )
 THREE_CONCURRENT_LINES = HypersurfaceSpec(
-    n=1, d=3, components=3, singularities=((Ordinary(3), 1),), line_arrangement=True
+    n=1, d=3, components=3, singularities=((Ordinary(3), 1),)
 )
 CUSPIDAL_CUBIC = HypersurfaceSpec(
     n=1, d=3, components=1, singularities=((Brieskorn(2, 3), 1),),
@@ -194,7 +194,6 @@ def test_braid_arrangement_of_six_lines():
     spec = HypersurfaceSpec(
         n=1, d=6, components=6,
         singularities=((Ordinary(3), 4), (Ordinary(2), 3)),
-        line_arrangement=True,
     )
     delta_m = boundary_alexander(spec)
     assert delta_m == phi({1: 22, 2: 4, 3: 8, 6: 4})
@@ -507,7 +506,7 @@ def test_table_sums_match_the_counter_oracle_on_random_specs(seed, n):
     [*(parse_spec(path.read_text(encoding="utf-8"))
        for path in sorted(GOLDEN.glob("*.json"))),
      # one germ listed twice, and germs whose denominators differ from d
-     HypersurfaceSpec(n=1, d=6, components=6, line_arrangement=True,
+     HypersurfaceSpec(n=1, d=6, components=6,
                       singularities=((Ordinary(3), 2), (Ordinary(2), 3),
                                      (Ordinary(3), 2))),
      HypersurfaceSpec(n=1, d=8, components=1,

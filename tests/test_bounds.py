@@ -26,10 +26,10 @@ from specpairs import (
 )
 
 THREE_GENERIC_LINES = HypersurfaceSpec(
-    n=1, d=3, components=3, singularities=((Ordinary(2), 3),), line_arrangement=True
+    n=1, d=3, components=3, singularities=((Ordinary(2), 3),)
 )
 THREE_CONCURRENT_LINES = HypersurfaceSpec(
-    n=1, d=3, components=3, singularities=((Ordinary(3), 1),), line_arrangement=True
+    n=1, d=3, components=3, singularities=((Ordinary(3), 1),)
 )
 CUSPIDAL_CUBIC = HypersurfaceSpec(
     n=1, d=3, components=1, singularities=((Brieskorn(2, 3), 1),)
@@ -179,7 +179,7 @@ def test_arrangement_vanishing_for_coprime_angles():
 def test_arrangement_bounds_below_curve_bounds():
     curve = spectral_bound_curve(
         HypersurfaceSpec(n=1, d=4, components=4,
-                         singularities=((Ordinary(2), 6),), line_arrangement=True)
+                         singularities=((Ordinary(2), 6),))
     )
     arrangement = spectral_bound_arrangement(4, ((2, 6),))
     caps = table_entries(curve)

@@ -22,11 +22,15 @@ from helpers import brieskorn_pham_explicit, expand, runs, weak_multisets
 from specpairs import (
     CyclotomicFactorization,
     HypersurfaceSpec,
+    build_report,
     cli,
     model,
+    parse_spec,
+    report_to_dict,
     serialize_spec,
 )
 from specpairs.cli import arrangement_spec, census_rows, main
+from specpairs.localsing import Brieskorn, Ordinary
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -101,6 +105,7 @@ def test_verify_passes(spec_file, capsys):
 
 def test_verify_exit_one_on_validation_failure(spec_file, capsys):
     doc = dict(THREE_GENERIC_LINES_DOC, components=5)
+    del doc["line_arrangement"]  # five components of a cubic are no lines
     assert main(["verify", spec_file(doc)]) == 1
     assert "too_many_components" in capsys.readouterr().err
 
@@ -464,7 +469,7 @@ def _explicit_nodes(**changes):
         "alexander": {"unit": "1/1", "t_power": 0, "factors": [[1, 1]]},
         "spectral_pairs": [[1, 1, "0/1", 1]], "grF_dims": [[1, 1]], "count": 3,
     }
-    return {"line_arrangement": False, "singularities": [dict(node, **changes)]}
+    return {"singularities": [dict(node, **changes)]}
 
 
 @pytest.mark.parametrize(
@@ -481,7 +486,6 @@ def _explicit_nodes(**changes):
         ),
         (
             _three_generic_lines_with(
-                line_arrangement=False,
                 singularities=[{"kind": "brieskorn", "exponents": [2, 3.0]}],
             ),
             "got 3.0",
@@ -588,7 +592,6 @@ def _explicit_nodes(**changes):
          "bad hD: expected an array, got {'1': 0"),
         (
             _three_generic_lines_with(
-                line_arrangement=False,
                 singularities=[{"kind": "brieskorn", "exponents": [2, 3, 4]}],
             ),
             "expected an array of 2 entries, got 3",
@@ -612,6 +615,16 @@ def _explicit_nodes(**changes):
         (_three_generic_lines_with(singularities=[
             {"kind": "ordinary", "multiplicity": 2, "count": 3, "exponents": [2, 2]}]),
          "bad 'ordinary' singularity entry: unknown key 'exponents'"),
+        # an unknown kind is named before any of its keys is read
+        (_three_generic_lines_with(singularities=[{"kind": "tacnode", "count": "x"}]),
+         "unknown singularity kind 'tacnode'"),
+        # the flag is derived: a given value must be the one the shape makes
+        (_golden_with("three_generic_lines", ("line_arrangement",), False),
+         "bad line_arrangement: got false, but ambient_dim, degree and "
+         "components make it true"),
+        (_golden_with("cuspidal_cubic", ("line_arrangement",), True),
+         "bad line_arrangement: got true, but ambient_dim, degree and "
+         "components make it false"),
     ],
     ids=[
         "float_multiplicity", "string_multiplicity", "bool_multiplicity", "float_count",
@@ -631,7 +644,8 @@ def _explicit_nodes(**changes):
         "short_hd_row", "object_hd_row", "three_exponents", "short_grf_row",
         "repeated_grf_level",
         "object_factor_row", "short_pair_row", "misspelled_count",
-        "misspelled_alexander", "key_of_another_kind",
+        "misspelled_alexander", "key_of_another_kind", "unknown_kind_bad_count",
+        "false_line_arrangement_flag", "true_line_arrangement_flag",
     ],
 )
 @pytest.mark.parametrize("command", ["compute", "verify"])
@@ -945,6 +959,69 @@ def test_arrangement_spec_builder():
     spec = arrangement_spec(3, ((2, 3),))
     assert spec.line_arrangement and spec.components == 3
     assert expand(spec) == (2, 2, 2)
+
+
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_four_lines_with_three_nodes_are_refused(spec_file, capsys, command):
+    # four lines meet in six points, counted with C(m, 2) pairs each; the
+    # document needs no flag to be read as four lines
+    doc = {"ambient_dim": 2, "degree": 4, "components": 4,
+           "singularities": [{"kind": "ordinary", "multiplicity": 2, "count": 3}]}
+    assert main([command, spec_file(doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("[error] pair_count: multiplicities (2, 2, 2) account for "
+                   "3 line pairs, but C(4,2) = 6\n")
+
+
+@pytest.mark.parametrize(
+    "d, m, count, status", [(2, 2, 1, 0), (3, 3, 1, 0), (3, 2, 3, 0), (5, 3, 3, 1)]
+)
+def test_an_ordinary_point_of_any_kind_is_a_point_of_lines(
+    spec_file, capsys, d, m, count, status
+):
+    # an ordinary m-fold point is the germ of m branches with Milnor number
+    # (m - 1)^2, whether written as ordinary, brieskorn [m, m] or explicit
+    # data, and d lines read each kind alike (five lines with three triple
+    # points have too few line pairs, so each kind is refused alike)
+    outputs = []
+    for germ in (Ordinary(m), Brieskorn(m, m), brieskorn_pham_explicit((m, m))):
+        spec = HypersurfaceSpec(n=1, d=d, components=d, singularities=((germ, count),))
+        path = spec_file(serialize_spec(spec))
+        assert main(["compute", path, "--format", "structured"]) == status
+        out, err = capsys.readouterr()
+        got = json.loads(out) if out else {}
+        got.pop("spec", None)
+        outputs.append((got, err))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert "line_arrangement_shape" not in outputs[0][1]
+
+
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+def test_an_absent_line_arrangement_key_reads_as_derived(spec_file, capsys, fmt):
+    flagged = json.loads((GOLDEN / "three_generic_lines.json").read_text("utf-8"))
+    assert flagged["line_arrangement"] is True
+    unflagged = {k: v for k, v in flagged.items() if k != "line_arrangement"}
+    outputs = []
+    for doc in (flagged, unflagged):
+        assert main(["compute", spec_file(doc), "--format", fmt]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]  # the echo writes the derived true
+
+
+def test_census_rows_read_from_documents_without_the_key():
+    # every census row up to eight lines, written as a document with no
+    # line_arrangement key, gives the report of arrangement_spec
+    rows = 0
+    for d in range(2, 9):
+        for points in cli._weak_runs(d):
+            doc = {"ambient_dim": 2, "degree": d, "components": d, "singularities": [
+                {"kind": "ordinary", "multiplicity": m, "count": c} for m, c in points]}
+            got, want = (report_to_dict(build_report(spec)) for spec in
+                         (parse_spec(json.dumps(doc)), arrangement_spec(d, points)))
+            assert got == want, points
+            rows += 1
+    assert rows > 50
 
 
 def test_explicit_document_matches_builtin_encoding(spec_file, capsys):

@@ -211,3 +211,15 @@ def test_constructor_validation():
         Explicit(pair_table())
     with pytest.raises(ValueError):
         Explicit(pair_table({(1, 1, 0): 1}), branches=0)
+
+
+def test_explicit_replace_and_make_go_through_the_constructor():
+    pairs = Brieskorn(2, 3).pairs
+    germ = Explicit(pairs)
+    with pytest.raises(ValueError):
+        germ._replace(milnor=0, branches=-3)
+    with pytest.raises(ValueError):
+        Explicit._make([pairs, 0, -3, None, None])
+    copy = germ._replace(milnor=2)
+    assert isinstance(copy, Explicit) and copy.milnor == germ.milnor == 2
+    assert copy == Explicit(pairs, milnor=2) and germ._replace() == germ

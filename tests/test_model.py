@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 from helpers import (
     brieskorn_pham_explicit,
+    consistent_as_lines,
     oracle_shared_line_violations,
     pair_table,
+    random_curve_draw,
     runs,
     work_estimate_closed_form,
 )
@@ -68,7 +70,6 @@ def test_parse_three_generic_lines():
         d=3,
         components=3,
         singularities=((Ordinary(2), 3),),
-        line_arrangement=True,
     )
     assert validate(spec) == []
 
@@ -128,7 +129,7 @@ RECORDS = {
     "HypersurfaceSpec": (
         _cuspidal_cubic,
         "HypersurfaceSpec(n=1, d=3, components=1, "
-        "singularities=((Brieskorn(a=2, b=3), 1),), line_arrangement=False",
+        "singularities=((Brieskorn(a=2, b=3), 1),), rational_homology_manifold=False",
         "d", None,
     ),
     "Derived": (lambda: _cuspidal_cubic().derived, "Derived(mu=2, xi=1, ", "mu", None),
@@ -228,7 +229,6 @@ def test_pair_count_enforced_for_arrangements():
     spec = HypersurfaceSpec(
         n=1, d=4, components=4,
         singularities=((Ordinary(2), 5),),
-        line_arrangement=True,
     )
     assert "pair_count" in codes(spec)
 
@@ -248,7 +248,6 @@ def test_pair_count_message_lists_every_point_in_descending_order():
     spec = HypersurfaceSpec(
         n=1, d=5, components=5,
         singularities=((Ordinary(2), 2), (Ordinary(4), 1), (Ordinary(2), 1)),
-        line_arrangement=True,
     )
     assert [str(v) for v in validate(spec)] == [
         "[error] pair_count: multiplicities (4, 2, 2, 2) account for 9 line "
@@ -260,7 +259,6 @@ def test_shared_line_heuristic_is_a_warning():
     spec = HypersurfaceSpec(
         n=1, d=4, components=4,
         singularities=((Ordinary(3), 2),),
-        line_arrangement=True,
     )
     violations = validate(spec)
     assert [v.code for v in violations] == ["shared_line"]
@@ -291,7 +289,6 @@ def test_validate_on_a_300_line_generic_arrangement_stays_fast():
     spec = HypersurfaceSpec(
         n=1, d=300, components=300,
         singularities=((Ordinary(2), 300 * 299 // 2),),
-        line_arrangement=True,
     )
     start = time.perf_counter()
     violations = validate(spec)
@@ -300,14 +297,40 @@ def test_validate_on_a_300_line_generic_arrangement_stays_fast():
 
 
 def test_line_arrangement_shape_rules():
-    assert "line_arrangement_shape" in codes(
-        HypersurfaceSpec(n=1, d=3, components=2,
-                         singularities=((Ordinary(2), 3),), line_arrangement=True)
-    )
+    # a curve of degree d with d components is d lines, which meet in
+    # ordinary points
     assert "line_arrangement_shape" in codes(
         HypersurfaceSpec(n=1, d=3, components=3,
-                         singularities=((Brieskorn(2, 3), 1),), line_arrangement=True)
+                         singularities=((Brieskorn(2, 3), 1),))
     )
+    # fewer components, or a surface, is no arrangement: no arrangement rule runs
+    for spec in (
+        HypersurfaceSpec(n=1, d=3, components=2, singularities=((Ordinary(2), 3),)),
+        HypersurfaceSpec(n=1, d=4, components=3, singularities=((Brieskorn(2, 3), 1),)),
+        HypersurfaceSpec(n=2, d=3, components=3),
+    ):
+        assert not spec.line_arrangement
+        assert not {"line_arrangement_shape", "pair_count", "shared_line"} & codes(spec)
+
+
+def test_random_curve_draws_that_are_not_d_lines_are_refused():
+    # random_curve_spec draws again where random_curve_draw gives d
+    # components that are not consistent as d lines; validate refuses those
+    rng = random.Random(0)
+    refused = lines = 0
+    for _ in range(1000):
+        spec = random_curve_draw(rng)
+        assert spec.line_arrangement == (spec.components == spec.d)
+        if not spec.line_arrangement:
+            continue
+        errors = {v.code for v in spec.violations if v.severity == "error"}
+        if consistent_as_lines(spec):
+            assert not errors, spec
+            lines += 1
+        else:
+            assert errors and errors <= {"line_arrangement_shape", "pair_count"}, spec
+            refused += 1
+    assert refused > 20 and lines > 100
 
 
 def test_higher_dimension_constraints():
@@ -467,10 +490,12 @@ germs = st.one_of(
     st.booleans(),
 )
 def test_each_germ_prices_itself_as_the_closed_form_did(n, d, singularities, lines):
+    # d components on a curve make a line arrangement, which prices its points
     spec = HypersurfaceSpec(
-        n=n, d=d, components=1, singularities=tuple(singularities),
-        line_arrangement=lines,
+        n=1 if lines else n, d=d, components=d if lines else 1,
+        singularities=tuple(singularities),
     )
+    assert spec.line_arrangement == lines
     assert _work_estimate(spec) == work_estimate_closed_form(spec)
 
 

@@ -50,7 +50,7 @@ from specpairs.report import _json
 GOLDEN = Path(__file__).parent / "golden"
 
 THREE_GENERIC_LINES = HypersurfaceSpec(
-    n=1, d=3, components=3, singularities=((Ordinary(2), 3),), line_arrangement=True
+    n=1, d=3, components=3, singularities=((Ordinary(2), 3),)
 )
 
 
@@ -121,7 +121,6 @@ def test_validate_runs_once_per_report(monkeypatch):
     spec = HypersurfaceSpec(
         n=1, d=4, components=4,
         singularities=((Ordinary(3), 2),),
-        line_arrangement=True,
     )
     report = build_report(spec)
     assert calls == [spec]
@@ -148,7 +147,7 @@ def test_each_bound_and_delta_m_is_made_once_per_report(monkeypatch):
             if vars(module).get(name) is route:
                 monkeypatch.setattr(module, name, counting)
     report = build_report(HypersurfaceSpec(
-        n=1, d=3, components=3, line_arrangement=True,
+        n=1, d=3, components=3,
         singularities=((Ordinary(3), 1),),
         delta_u=CyclotomicFactorization(factors={1: 2, 3: 1}),
     ))
@@ -181,7 +180,6 @@ def test_warning_for_unrealizable_weak_data():
     spec = HypersurfaceSpec(
         n=1, d=4, components=4,
         singularities=((Ordinary(3), 2),),
-        line_arrangement=True,
     )
     report = build_report(spec)
     assert report.all_passed
@@ -193,7 +191,6 @@ def test_wrong_delta_u_fails_input_checks_only():
     spec = HypersurfaceSpec(
         n=1, d=3, components=3,
         singularities=((Ordinary(2), 3),),
-        line_arrangement=True,
         delta_u=CyclotomicFactorization(factors={2: 1}),
     )
     report = build_report(spec)
@@ -269,7 +266,6 @@ def test_build_report_enumerates_each_germ_spectrum_once(monkeypatch):
     braid = HypersurfaceSpec(
         n=1, d=6, components=6,
         singularities=((Ordinary(3), 4), (Ordinary(2), 3)),
-        line_arrangement=True,
     )
     rhm_quintic = HypersurfaceSpec(
         n=1, d=5, components=1,
@@ -385,7 +381,8 @@ def test_builtin_germs_and_their_explicit_twins_give_one_report():
     # every consumer reads a germ's milnor, branches, pairs and alexander
     # and none branches on its kind, so a built-in germ and Explicit data
     # with the same values give the same violations and the same report,
-    # whether the data gives every field or only the pairs
+    # whether the data gives every field or only the pairs.  At r = d
+    # this holds for d lines too: a point is ordinary by its values
     germs = [Ordinary(m) for m in range(2, 7)]
     germs += [Brieskorn(a, b) for a in range(2, 9) for b in range(a, 9)]
     valid = 0
@@ -419,7 +416,7 @@ def test_render_text_sections():
 
 
 def _lines(**changes):
-    return HypersurfaceSpec(n=1, d=3, components=3, line_arrangement=True,
+    return HypersurfaceSpec(n=1, d=3, components=3,
                             singularities=((Ordinary(2), 3),), **changes)
 
 
@@ -429,7 +426,7 @@ def _rhm_cusp():
 
 
 def _concurrent_lines():
-    return HypersurfaceSpec(n=1, d=3, components=3, line_arrangement=True,
+    return HypersurfaceSpec(n=1, d=3, components=3,
                             singularities=((Ordinary(3), 1),),
                             delta_u=CyclotomicFactorization(factors={1: 2, 3: 1}))
 
@@ -702,7 +699,7 @@ RENDER_CASES = {
     "forty_cusps_d200": lambda: build_report(HypersurfaceSpec(
         n=1, d=200, components=1, singularities=((Brieskorn(2, 3), 40),))),
     "pencil_arrangement": lambda: build_report(HypersurfaceSpec(
-        n=1, d=7, components=7, line_arrangement=True,
+        n=1, d=7, components=7,
         singularities=((Ordinary(4), 1), (Ordinary(2), 15)))),
     "empty_table": lambda: build_report(HypersurfaceSpec(n=1, d=2, components=1)),
     "counts_narrower_than_header": lambda: _with_tables(

@@ -77,7 +77,7 @@ def test_only_the_last_degree_is_kept_at_infinity():
     _clear_caches()
     specs = [
         HypersurfaceSpec(n=1, d=3, components=3,
-                         singularities=((Ordinary(2), 3),), line_arrangement=True),
+                         singularities=((Ordinary(2), 3),)),
         HypersurfaceSpec(n=1, d=7, components=1),
         HypersurfaceSpec(n=2, d=3, components=1),
     ]
