@@ -15,7 +15,6 @@ from .boundary import (
 from .bounds import (
     BoundTable,
     divisibility_bound_infinity,
-    divisibility_bound_local,
     mhat,
     spectral_bound_arrangement,
     spectral_bound_complement,

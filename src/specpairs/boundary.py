@@ -13,14 +13,11 @@ along two independent routes that must agree and are cross-checked.
 from __future__ import annotations
 
 from math import lcm
-from typing import TYPE_CHECKING
 
 from .bounds import divisibility_bound_infinity
 from .laurent import CyclotomicFactorization, NotDivisible
+from .model import HypersurfaceSpec, middle_hodge_numbers
 from .pairs import SpectralPairTable, table_sum
-
-if TYPE_CHECKING:
-    from .model import HypersurfaceSpec
 
 
 def boundary_alexander(spec: HypersurfaceSpec) -> CyclotomicFactorization:
@@ -150,13 +147,8 @@ def boundary_pairs_qhm(spec: HypersurfaceSpec) -> dict[int, SpectralPairTable]:
         raise ValueError("spec is not flagged as a rational homology manifold")
     n, derived = spec.n, spec.derived
     top = derived.infinity.unipotent()
-    smooth = derived.infinity.nonunipotent().hodge_filtration_marginal()
-    local_grf = dict(derived.local_grf)
-    middle = {}
-    for p in range(n + 1):
-        c = smooth.get(p, 0) - local_grf.get(p, 0)
-        if c:
-            middle[p, n - p] = {0: c}
+    middle = {(p, n - p): {0: c}
+              for p, c in enumerate(middle_hodge_numbers(n, derived)) if c}
     # h^{0,n+1} and h^{n+1,0} at infinity vanish, so the shift loses nothing;
     # the shifted table shares the groups of top, which no code changes
     bottom = {(p - 1, q - 1): group for (p, q), group in top._groups.items()}

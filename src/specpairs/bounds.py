@@ -117,13 +117,6 @@ def divisibility_bound_infinity(n: int, d: int) -> CyclotomicFactorization:
     return CyclotomicFactorization(factors)
 
 
-def divisibility_bound_local(spec: HypersurfaceSpec) -> CyclotomicFactorization:
-    """Divisor bound from the singular points: (t-1)^mu times the product of
-    the top local Alexander polynomials, made once per spec with
-    spec.derived."""
-    return spec.derived.local_bound
-
-
 def spectral_bound_complement(spec: HypersurfaceSpec) -> BoundTable:
     """Upper bounds for the spectral pairs of the middle Alexander module.
 

@@ -60,9 +60,7 @@ class CyclotomicFactorization:
     Instances are immutable; zero multiplicities are never stored.
     """
 
-    # _degree is filled by the first read of degree; no code changes
-    # _factors after __init__, so the kept value stays the degree
-    __slots__ = ("_factors", "_degree")
+    __slots__ = ("_factors",)
 
     def __init__(self, factors: Mapping[int, int] | None = None):
         """Check and store `factors` as {order: multiplicity}; zero
@@ -92,13 +90,8 @@ class CyclotomicFactorization:
 
     @property
     def degree(self) -> int:
-        """Sum of multiplicity(k) * phi(k), the degree of the polynomial;
-        computed on the first read and kept."""
-        try:
-            return self._degree
-        except AttributeError:
-            self._degree = sum(m * euler_phi(k) for k, m in self._factors.items())
-            return self._degree
+        """Sum of multiplicity(k) * phi(k), the degree of the polynomial."""
+        return sum(m * euler_phi(k) for k, m in self._factors.items())
 
     def __mul__(self, other: CyclotomicFactorization) -> CyclotomicFactorization:
         data = dict(self._factors)

@@ -45,6 +45,12 @@ def cyclotomic(den: int, counts: dict[int, int]) -> CyclotomicFactorization:
     return CyclotomicFactorization({o: c // euler_phi(o) for o, c in per_order.items()})
 
 
+def frozen(self, name, *value):
+    """__setattr__ and __delattr__ of a frozen value; cached_property
+    writes straight into the instance dict, so its kept values still fill."""
+    raise AttributeError(f"{type(self).__name__} is frozen: cannot set {name!r}")
+
+
 class ExplicitHasNoSpectrum(TypeError):
     """Spectrum enumeration is only defined for the quasi-homogeneous built-ins."""
 
@@ -52,13 +58,9 @@ class ExplicitHasNoSpectrum(TypeError):
 class _QuasiHomogeneous:
     """The invariants of the built-in germ x^a + y^b, (a, b) = `exponents`;
     its Milnor number, branch count and tables are made once per instance.
-    A germ is a frozen value, shown by its constructor arguments `_fields`;
-    cached_property writes straight into the instance dict."""
+    A germ is a frozen value, shown by its constructor arguments `_fields`."""
 
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"{type(self).__name__} is frozen: cannot set {name!r}")
-
-    __delattr__ = __setattr__
+    __setattr__ = __delattr__ = frozen
     __hash__ = lambda self: hash(self.exponents)
 
     def __eq__(self, other):
@@ -143,7 +145,7 @@ class Explicit(_ExplicitFields):
     which the pipeline reads off the pair table.
     """
 
-    __setattr__ = __delattr__ = _QuasiHomogeneous.__setattr__
+    __setattr__ = __delattr__ = frozen
     # _replace builds with _make: both go through __new__ and its checks
     _make = classmethod(lambda cls, fields: cls(*fields))
     milnor = _given_or(1, SpectralPairTable.total_dim)

@@ -20,7 +20,8 @@ from .laurent import (
     parse_integer,
     parse_row,
 )
-from .localsing import Brieskorn, Explicit, LocalSingularity, Ordinary, cyclotomic
+from .localsing import (Brieskorn, Explicit, LocalSingularity, Ordinary,
+                        cyclotomic, frozen)
 from .milnor import steenbrink_infinity, xi_exponent
 from .pairs import SpectralPairTable, table_sum
 
@@ -62,8 +63,10 @@ class _SpecFields(NamedTuple):
 
 class HypersurfaceSpec(_SpecFields):
     """Combinatorial description of an affine degree-d hypersurface in C^(n+1),
-    transversal at infinity, with isolated singularities.  The values made
-    from it are kept in the __dict__ of this tuple subclass."""
+    transversal at infinity, with isolated singularities.  A frozen value:
+    what is made from it is kept in the __dict__ of this tuple subclass."""
+
+    __setattr__ = __delattr__ = frozen
 
     @property
     def line_arrangement(self) -> bool:
@@ -109,8 +112,6 @@ class Derived(NamedTuple):
     # the local divisibility bound: (t-1)^mu times the germs' Alexander
     # polynomials with counts as powers
     local_bound: CyclotomicFactorization
-    # summed local dim Gr_F^p, the p-marginal of local_pair_sum: sorted (p, dim)
-    local_grf: tuple[tuple[int, int], ...]
     infinity: SpectralPairTable  # the table at infinity, steenbrink_infinity(n, d)
     b1: int | None = None  # first Betti number of the boundary (curves only)
     j1: int | None = None  # eigenvalue-1 Jordan block count (curves only)
@@ -141,12 +142,21 @@ def derived_quantities(spec: HypersurfaceSpec) -> Derived:
         branch_excess=excess,
         local_pair_sum=pair_sum,
         local_bound=CyclotomicFactorization(bound),
-        local_grf=tuple(sorted(pair_sum.hodge_filtration_marginal().items())),
         infinity=steenbrink_infinity(n, d),
         b1=b1,
         j1=j1,
         curve_genus=genus,
     )
+
+
+def middle_hodge_numbers(n: int, derived: Derived) -> list[int]:
+    """h^{p,n-p} for p = 0..n of weight n in the eigenvalue-1 part of a
+    rational homology manifold: the smooth hypersurface's numbers, the
+    p-marginal of the eigenvalue != 1 pairs at infinity, minus the summed
+    local dim Gr_F^p, the p-marginal of local_pair_sum."""
+    smooth = derived.infinity.nonunipotent().hodge_filtration_marginal()
+    local = derived.local_pair_sum.hodge_filtration_marginal()
+    return [smooth.get(p, 0) - local.get(p, 0) for p in range(n + 1)]
 
 
 def shared_line_violations(d: int, points) -> list[tuple[int, int]]:
@@ -306,6 +316,9 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
                 "points; singularities must be empty",
             )
         )
+    if n == 0 and r < d:  # r > d is too_many_components
+        out.append(Violation("zero_dimensional", "a hypersurface in C^1 is d simple "
+                             f"roots, so it has {d} components, not {r}"))
     if _work_estimate(spec) > WORK_BUDGET:
         # the estimate itself may have too many digits to print
         out.append(
@@ -395,9 +408,7 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
                     "local Milnor cohomology; found a germ with eigenvalue-1 pairs",
                 )
             )
-        middle = derived.infinity.nonunipotent().hodge_filtration_marginal()
-        over = [p for p, v in derived.local_grf
-                if 0 <= p <= n and v > middle.get(p, 0)]
+        over = [p for p, c in enumerate(middle_hodge_numbers(n, derived)) if c < 0]
         if over:
             out.append(
                 Violation(

@@ -116,9 +116,7 @@ class _GroupedTable:
 class SpectralPairTable(_GroupedTable):
     """An immutable multiset of spectral pairs with exact eigenvalue angles."""
 
-    # _unipotent_dim is filled by the first call of unipotent_dim; no code
-    # changes _groups after __init__, so the kept value stays the count
-    __slots__ = ("_unipotent_dim",)
+    __slots__ = ()
 
     def __init__(self, den: int, groups: dict[tuple[int, int], dict[int, int]]):
         """Positive counts {(p, q): {k: count}} with 0 <= k < den, standing
@@ -182,13 +180,8 @@ class SpectralPairTable(_GroupedTable):
         return sum(sum(group.values()) for group in self._groups.values())
 
     def unipotent_dim(self) -> int:
-        """Total count at eigenvalue 1 (alpha = 0), kept after the first call."""
-        try:
-            return self._unipotent_dim
-        except AttributeError:
-            groups = self._groups.values()
-            self._unipotent_dim = sum(group.get(0, 0) for group in groups)
-            return self._unipotent_dim
+        """Total count at eigenvalue 1 (alpha = 0)."""
+        return sum(group.get(0, 0) for group in self._groups.values())
 
     def angle_counts(self) -> tuple[int, dict[int, int]]:
         """(den, {k: total count at the angle k/den}), summed over (p, q)."""

@@ -40,7 +40,6 @@ class InvariantReport(NamedTuple):
     derived: Derived
     delta_m: CyclotomicFactorization
     divisibility_infinity: CyclotomicFactorization
-    divisibility_local: CyclotomicFactorization
     bound_complement: bounds.BoundTable
     pairs_nonunipotent: SpectralPairTable
     checks: list[Check]
@@ -48,7 +47,6 @@ class InvariantReport(NamedTuple):
     bound_curve: bounds.BoundTable | None = None
     bound_arrangement: bounds.BoundTable | None = None
     error_term: CyclotomicFactorization | None = None
-    pairs_unipotent: SpectralPairTable | None = None
     pairs_full: SpectralPairTable | None = None
     weight_resolved: dict[int, SpectralPairTable] | None = None
     pairs_arrangement: SpectralPairTable | None = None
@@ -118,15 +116,13 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
     deg_m = delta_m.degree
     nonunip = boundary.boundary_pairs_nonunipotent(spec)
     # the full table is exact for curves and rational homology manifolds only
-    unip = full = weighted = None
+    full = weighted = None
     if spec.rational_homology_manifold:
         weighted = boundary.boundary_pairs_qhm(spec)
     if n == 1:
         full = boundary.boundary_pairs_curve(spec)
-        unip = full.unipotent()
     elif weighted is not None:
-        unip = boundary.flatten_weights(weighted)
-        full = unip + nonunip
+        full = boundary.flatten_weights(weighted) + nonunip
     pairs_arrangement = bound_arrangement = None
     lines = spec.line_arrangement
     if lines:  # every point is ordinary: its branches are its multiplicity
@@ -134,7 +130,6 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
         pairs_arrangement = boundary.boundary_pairs_arrangement(d, points)
         bound_arrangement = bounds.spectral_bound_arrangement(d, points)
     div_infinity = bounds.divisibility_bound_infinity(n, d)
-    div_local = bounds.divisibility_bound_local(spec)
     bound_complement = bounds.spectral_bound_complement(spec)
     bound_curve = bounds.spectral_bound_curve(spec) if n == 1 else None
     err, refused = None, []
@@ -217,7 +212,7 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
         checks += [
             _agree("delta_u_divides_infinity", u, u.gcd(div_infinity),
                    "delta_U divides the bound at infinity", "input"),
-            _agree("delta_u_divides_local", u, u.gcd(div_local),
+            _agree("delta_u_divides_local", u, u.gcd(derived.local_bound),
                    "delta_U divides the local bound", "input"),
             # emitted only when it fails: e(t) takes its place
             _agree("delta_u_consistent", refused, [], "", "input") if err is None
@@ -230,7 +225,6 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
         derived=derived,
         delta_m=delta_m,
         divisibility_infinity=div_infinity,
-        divisibility_local=div_local,
         bound_complement=bound_complement,
         pairs_nonunipotent=nonunip,
         checks=checks,
@@ -238,7 +232,6 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
         bound_curve=bound_curve,
         bound_arrangement=bound_arrangement,
         error_term=err,
-        pairs_unipotent=unip,
         pairs_full=full,
         weight_resolved=weighted,
         pairs_arrangement=pairs_arrangement,
@@ -260,7 +253,8 @@ def _sections(
     sections = [
         (("tables", "nonunipotent"), "spectral pairs, eigenvalue != 1 (exact):",
          report.pairs_nonunipotent),
-        (("tables", "unipotent"), None, report.pairs_unipotent),
+        (("tables", "unipotent"), None,
+         None if report.pairs_full is None else report.pairs_full.unipotent()),
         (("tables", "full"), "spectral pairs, full table (exact):", report.pairs_full),
         *((("tables", "by_weight", str(w)), f"eigenvalue-1 pairs of weight {w}:", t)
           for w, t in by_weight),
@@ -290,7 +284,7 @@ def _document(report: InvariantReport, leaf) -> dict:
             # labelled formal: the bound is written as a quotient, not as
             # the order of a module (and a reader refuses it as a polynomial)
             "infinity": {**report.divisibility_infinity.to_dict(), "formal": True},
-            "local": leaf(report.divisibility_local),
+            "local": leaf(report.derived.local_bound),
         },
         "tables": {"weights_resolved": bool(report.weight_resolved)},
         "checks": [

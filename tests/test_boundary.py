@@ -44,6 +44,7 @@ from specpairs import (
     milnor_dim_bruteforce,
     parse_spec,
     projective_curve_hodge,
+    report_to_dict,
     spectral_bound_complement,
     steenbrink_infinity,
 )
@@ -334,7 +335,9 @@ def _oracle_complement_bounds(spec, dim):
 
 def _oracle_qhm(spec, dim):
     n, d = spec.n, spec.d
-    local_grf = dict(spec.derived.local_grf)
+    local_grf = {}  # the local p-marginal, summed from the rows
+    for p, _, _, c in spec.derived.local_pair_sum.to_rows():
+        local_grf[p] = local_grf.get(p, 0) + c
     top = {(p, n + 1 - p, 0): dim(p * d - n - 1) for p in range(n + 2)}
     middle = {
         (p, n - p, 0): sum(dim(p * d + i - n - 1) for i in range(1, d))
@@ -455,7 +458,8 @@ def test_projective_space_hodge():
 def test_full_invariants_none_outside_exact_cases():
     surface = HypersurfaceSpec(n=2, d=3, components=1)
     report = build_report(surface)
-    assert report.pairs_full is None and report.pairs_unipotent is None
+    assert report.pairs_full is None
+    assert set(report_to_dict(report)["tables"]) == {"nonunipotent", "weights_resolved"}
     assert report.weight_resolved is None
     assert report.delta_m.degree == 16
 

@@ -18,7 +18,6 @@ from specpairs import (
     InvalidSpec,
     Ordinary,
     divisibility_bound_infinity,
-    divisibility_bound_local,
     mhat,
     spectral_bound_arrangement,
     spectral_bound_complement,
@@ -67,13 +66,14 @@ def test_divisibility_bound_infinity_is_a_polynomial():
 
 
 def test_divisibility_bound_local_examples():
-    assert divisibility_bound_local(THREE_GENERIC_LINES) == CyclotomicFactorization(
+    # the local bound is made once per spec, with spec.derived
+    assert THREE_GENERIC_LINES.derived.local_bound == CyclotomicFactorization(
         factors={1: 4}
     )
-    assert divisibility_bound_local(CUSPIDAL_CUBIC) == CyclotomicFactorization(
+    assert CUSPIDAL_CUBIC.derived.local_bound == CyclotomicFactorization(
         factors={1: 2, 6: 1}
     )
-    assert divisibility_bound_local(SMOOTH_QUARTIC_CURVE) == CyclotomicFactorization(
+    assert SMOOTH_QUARTIC_CURVE.derived.local_bound == CyclotomicFactorization(
         factors={1: 9}
     )
 
@@ -83,7 +83,7 @@ def test_divisibility_bound_local_negative_mu():
         n=1, d=3, components=1, singularities=((Brieskorn(2, 6), 1),)
     )
     with pytest.raises(InvalidSpec) as info:
-        divisibility_bound_local(overloaded)
+        overloaded.derived.local_bound
     assert info.value.violations[0].code == "negative_mu"
 
 

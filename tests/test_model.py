@@ -16,7 +16,9 @@ from helpers import (
     oracle_shared_line_violations,
     pair_table,
     random_curve_draw,
+    random_spec,
     runs,
+    table_entries,
     work_estimate_closed_form,
 )
 from hypothesis import given, settings
@@ -36,9 +38,9 @@ from specpairs import (
     boundary_alexander,
     boundary_pairs_curve,
     boundary_pairs_nonunipotent,
+    boundary_pairs_qhm,
     build_report,
     derived_quantities,
-    divisibility_bound_local,
     parse_spec,
     projective_curve_hodge,
     serialize_spec,
@@ -158,6 +160,15 @@ def test_records_are_frozen_values(make, text, field, refused):
             refused()
     if isinstance(value, HypersurfaceSpec):
         assert parse_spec(serialize_spec(value)) == value
+        # the kept values fill, and no assignment replaces or adds one: an
+        # assigned violations list would get past the gate of derived
+        assert value.derived.mu == 2
+        for name in ("violations", "derived", "_unchecked", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, [])
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert value.violations == [] and "extra" not in vars(value)
     if isinstance(value, Ordinary):  # the same exponents (2, 2), another kind
         assert value != Brieskorn(2, 2)
 
@@ -390,7 +401,7 @@ def test_every_route_raises_invalid_spec_with_the_validate_codes():
     )
     routes = (
         boundary_alexander, boundary_pairs_nonunipotent, boundary_pairs_curve,
-        divisibility_bound_local, spectral_bound_complement,
+        lambda spec: spec.derived.local_bound, spectral_bound_complement,
         projective_curve_hodge, build_report,
     )
     for route in routes:
@@ -412,11 +423,18 @@ def test_a_repeated_hd_row_is_an_error_in_either_order(rows):
 
 
 def test_zero_dimensional_hypersurfaces_have_no_singular_points():
-    # a reduced polynomial in one variable has only simple roots
+    # a reduced polynomial in one variable has only simple roots, d of them,
+    # so D has d components
     for germ in (Ordinary(2), brieskorn_pham_explicit((2,))):
-        spec = HypersurfaceSpec(n=0, d=5, components=1, singularities=((germ, 1),))
+        spec = HypersurfaceSpec(n=0, d=5, components=5, singularities=((germ, 1),))
         assert "zero_dimensional" in codes(spec)
-    assert validate(HypersurfaceSpec(n=0, d=5, components=1)) == []
+    assert validate(HypersurfaceSpec(n=0, d=5, components=5)) == []
+    # any other component count gets exactly one violation
+    for r in (1, 4):
+        assert [v.code for v in validate(HypersurfaceSpec(n=0, d=5, components=r))] \
+            == ["zero_dimensional"]
+    assert [v.code for v in validate(HypersurfaceSpec(n=0, d=5, components=6))] \
+        == ["too_many_components"]
 
 
 def test_explicit_grf_dims_must_match_the_pair_table():
@@ -435,8 +453,62 @@ def test_explicit_grf_dims_must_match_the_pair_table():
         assert validate(surface(grf_dims)) == []
     for grf_dims in (((1, 2),), ((1, 0),), ((-1, 1),), ((1, 1), (1, 1)), ()):
         assert codes(surface(grf_dims)) == {"explicit_inconsistent"}
-    # the derived dimensions are the p-marginal of the pair table either way
-    assert surface(None).derived.local_grf == ((1, 1),)
+    # the derived dimensions are the p-marginal of the pair table either way:
+    # the node takes one from h^{1,1} = 6 of the smooth cubic surface
+    for grf_dims in (None, ((1, 1),)):
+        derived = surface(grf_dims).derived
+        assert derived.local_pair_sum.hodge_filtration_marginal() == {1: 1}
+        assert model.middle_hodge_numbers(2, derived) == [0, 5, 0]
+
+
+def _p_marginal(rows) -> dict[int, int]:
+    """Total count per level p of table rows [p, q, "a/b", count]."""
+    out: dict[int, int] = {}
+    for p, _, _, c in rows:
+        out[p] = out.get(p, 0) + c
+    return out
+
+
+def test_middle_hodge_numbers_are_the_smooth_numbers_less_the_local_ones():
+    # every golden document (nodal_cubic_surface and rhm_quintic are
+    # rational homology manifolds), random specs flagged as one and a
+    # surface with an oversized germ: the negative numbers are at the
+    # levels where the summed local dim Gr_F^p exceeds the smooth
+    # hypersurface's, the level the rhm_inconsistent rule names is the
+    # first of them, and the weight-n table of a valid spec holds the
+    # nonzero numbers
+    specs = [parse_spec(path.read_text(encoding="utf-8"))
+             for path in sorted(GOLDEN.glob("*.json"))]
+    assert [spec.d for spec in specs if spec.rational_homology_manifold] == [3, 5]
+    rng = random.Random(29)
+    specs += [random_spec(rng, rng.choice((1, 2, 3)))
+              ._replace(rational_homology_manifold=True) for _ in range(60)]
+    big = HypersurfaceSpec(n=2, d=4, components=1, rational_homology_manifold=True,
+                           singularities=((brieskorn_pham_explicit((3, 4, 5)), 1),))
+    specs.append(big)
+    named = tables = 0
+    for spec in specs:
+        n, derived = spec.n, spec._unchecked
+        smooth = _p_marginal(row for row in derived.infinity.to_rows()
+                             if row[2] != "0/1")
+        local = _p_marginal(derived.local_pair_sum.to_rows())
+        levels = [p for p in sorted(local) if 0 <= p <= n and local[p] > smooth.get(p, 0)]
+        numbers = model.middle_hodge_numbers(n, derived)
+        assert [p for p, c in enumerate(numbers) if c < 0] == levels
+        rule = [v.message for v in spec.violations if "filtration level" in v.message]
+        if not spec.rational_homology_manifold:
+            assert rule == []
+        elif levels:
+            named += 1
+            assert rule == ["local Hodge data exceeds the smooth hypersurface "
+                            f"numbers at filtration level {levels[0]}"]
+        elif not [v for v in spec.violations if v.severity == "error"]:
+            tables += 1
+            expected = {(p, n - p, 0): smooth.get(p, 0) - local.get(p, 0)
+                        for p in range(n + 1)}
+            assert table_entries(boundary_pairs_qhm(spec)[n]) == {
+                key: c for key, c in expected.items() if c}
+    assert named >= 5 and tables >= 20
 
 
 def test_count_positive():

@@ -133,7 +133,8 @@ def test_each_bound_and_delta_m_is_made_once_per_report(monkeypatch):
     # every module binding one of the two routes gets the counting wrapper,
     # so calls from inside the package count as well
     calls = {}
-    for owner, name in ((bounds, "divisibility_bound_local"),
+    # (derived_quantities makes the local bound, once per spec)
+    for owner, name in ((model, "derived_quantities"),
                         (boundary, "boundary_alexander")):
         route = getattr(owner, name)
         calls[name] = 0
@@ -152,7 +153,7 @@ def test_each_bound_and_delta_m_is_made_once_per_report(monkeypatch):
         delta_u=CyclotomicFactorization(factors={1: 2, 3: 1}),
     ))
     assert report.all_passed and report.error_term is not None
-    assert calls == {"divisibility_bound_local": 1, "boundary_alexander": 1}
+    assert calls == {"derived_quantities": 1, "boundary_alexander": 1}
 
 
 def test_every_factorization_of_a_report_is_a_canonical_value():
@@ -164,7 +165,7 @@ def test_every_factorization_of_a_report_is_a_canonical_value():
     for spec in specs:
         report = build_report(spec)
         polys = [report.delta_m, report.divisibility_infinity,
-                 report.divisibility_local]
+                 report.derived.local_bound]
         polys += [s.alexander for s, _ in spec.singularities]
         if report.error_term is not None:
             polys.append(report.error_term)
@@ -225,18 +226,14 @@ def test_random_reports_pass_all_checks():
 def test_random_reports_with_consistent_delta_u():
     # any delta_U below both divisibility bounds with delta_U^2 below delta_M
     # must pass all input checks and give an even-degree error term
-    from specpairs import (
-        boundary_alexander,
-        divisibility_bound_infinity,
-        divisibility_bound_local,
-    )
+    from specpairs import boundary_alexander, divisibility_bound_infinity
 
     rng = random.Random(77)
     for _ in range(30):
         spec = random_spec(rng, rng.choice((1, 2)))
         delta_m = boundary_alexander(spec)
         inf_bound = divisibility_bound_infinity(spec.n, spec.d)
-        loc_bound = divisibility_bound_local(spec)
+        loc_bound = spec.derived.local_bound
         factors = {}
         for k, m in delta_m.factors.items():
             cap = min(m // 2, inf_bound.multiplicity(k), loc_bound.multiplicity(k))
@@ -279,14 +276,11 @@ def test_build_report_enumerates_each_germ_spectrum_once(monkeypatch):
 
 
 def test_census_computes_each_germ_invariant_once(monkeypatch):
-    # every row checks each of its germs' Milnor number, branch count,
-    # Alexander degree and eigenvalue-1 mass; the rows share one germ per
-    # multiplicity, which computes each of the four on its first read only.
-    # A computation is seen as the call of prod, gcd or sum made by the
-    # function behind the attribute, with that function's `self`.
+    # every row checks each of its germs' Milnor number and branch count;
+    # the rows share one germ per multiplicity, which computes each of the
+    # two on its first read only.  A computation is seen as the call of prod
+    # or gcd made by the function behind the attribute, with its `self`.
     import builtins
-
-    from specpairs import laurent, pairs
 
     computed = []  # (name, instance) per computation
 
@@ -308,9 +302,6 @@ def test_census_computes_each_germ_invariant_once(monkeypatch):
     reads = [
         count(localsing, "prod", quasi, "milnor", lambda s: s),
         count(localsing, "gcd", quasi, "branches", lambda s: s),
-        count(laurent, "sum", laurent.CyclotomicFactorization, "degree",
-              lambda s: s.alexander),
-        count(pairs, "sum", SpectralPairTable, "unipotent_dim", lambda s: s.pairs),
     ]
     germs = {}
     for report in census_rows(10):
@@ -526,7 +517,8 @@ FORCED_FAILURES = {
         "multiplicity too high at Phi(1), Phi(3)"),
     "delta_u_divides_local": (
         "input", _concurrent_lines,
-        _route(bounds, "divisibility_bound_local", lambda _: _phi({3: 1})),
+        _route(model, "derived_quantities",
+               lambda derived: derived._replace(local_bound=_phi({3: 1}))),
         "multiplicity too high at Phi(1)"),
     "error_term_even_degree": (
         "identity", _concurrent_lines,
