@@ -28,7 +28,6 @@ from .laurent import (
 from .localsing import (
     Brieskorn,
     Explicit,
-    ExplicitHasNoSpectrum,
     LocalSingularity,
     Ordinary,
     spectrum,

@@ -3,22 +3,22 @@
 Built-in models are the ordinary m-fold point (m concurrent smooth branches)
 and the Brieskorn germ x^a + y^b, the Brieskorn-Pham germs with exponents
 (m, m) and (a, b).  Both are quasi-homogeneous, so the local monodromy has
-finite order and every invariant is read off the singularity spectrum
+finite order and their pair table is read off the singularity spectrum
 {i/a + j/b}, enumerated by the engine in ``milnor`` that also gives the
 table at infinity.  Germs that are not quasi-homogeneous, and germs in
 ambient dimension above curves, enter through the Explicit variant: a
 user-supplied pair table, off which it reads every invariant it is not
 given.  Every germ answers `milnor`, `branches`, `pairs` and `alexander`
 itself, and `work`, its closed-form price in the work estimate of
-``model.validate``.  One rule, `cyclotomic`, turns the eigenvalue counts of
-a spectrum or of a pair table into the local Alexander polynomial.
+``model.validate``.  `cyclotomic` and `spectrum` read the local Alexander
+polynomial and the spectrum of every germ off its pair table.
 
-A built-in germ computes its Milnor number and branch count and enumerates
-its spectrum once each, on first use, and keeps them on the instance with
-the local pairs and the local Alexander polynomial read off the spectrum;
-every spec holding the same germ object shares these read-only values, and
-they are freed with the germ.  An explicit germ keeps what it reads off its
-pairs the same way.
+A built-in germ computes its Milnor number and branch count in closed form
+and its pair table from one enumeration of its spectrum, on first use, and
+keeps them on the instance with the local Alexander polynomial read off the
+table; every spec holding the same germ object shares these read-only
+values, and they are freed with the germ.  An explicit germ keeps what it
+reads off its pairs the same way.
 """
 
 from __future__ import annotations
@@ -33,15 +33,16 @@ from .milnor import _pairs_at_level, brieskorn_pham_spectrum
 from .pairs import SpectralPairTable
 
 
-def cyclotomic(den: int, counts: dict[int, int]) -> CyclotomicFactorization:
-    """The Alexander polynomial of the eigenvalues exp(2 pi i k / den),
-    counted by counts {k: count}.  The eigenvalue multiset of a germ is
-    Galois-stable, so the eigenvalues of order o, counted together, make up
-    Phi(o) to the power count / phi(o)."""
-    per_order: dict[int, int] = {}
-    for k, c in counts.items():
-        order = den // gcd(k, den)
-        per_order[order] = per_order.get(order, 0) + c
+def cyclotomic(pairs: SpectralPairTable) -> CyclotomicFactorization:
+    """The Alexander polynomial of the eigenvalues exp(2 pi i alpha) counted
+    by a pair table, in one pass over its groups.  The eigenvalue multiset
+    of a germ is Galois-stable, so the eigenvalues of order o, counted
+    together, make up Phi(o) to the power count / phi(o)."""
+    den, per_order = pairs._den, {}
+    for group in pairs._groups.values():
+        for k, c in group.items():
+            order = den // gcd(k, den)
+            per_order[order] = per_order.get(order, 0) + c
     return CyclotomicFactorization({o: c // euler_phi(o) for o, c in per_order.items()})
 
 
@@ -49,10 +50,6 @@ def frozen(self, name, *value):
     """__setattr__ and __delattr__ of a frozen value; cached_property
     writes straight into the instance dict, so its kept values still fill."""
     raise AttributeError(f"{type(self).__name__} is frozen: cannot set {name!r}")
-
-
-class ExplicitHasNoSpectrum(TypeError):
-    """Spectrum enumeration is only defined for the quasi-homogeneous built-ins."""
 
 
 class _QuasiHomogeneous:
@@ -74,17 +71,13 @@ class _QuasiHomogeneous:
     branches = cached_property(lambda self: gcd(*self.exponents))
 
     @cached_property
-    def _spectrum(self) -> tuple[int, dict[int, int]]:
-        return brieskorn_pham_spectrum(self.exponents)
-
-    alexander = cached_property(lambda self: cyclotomic(*self._spectrum))
-
-    @cached_property
     def pairs(self) -> SpectralPairTable:
         """The spectrum's pairs at level 1: (0, 1, s) for s in (0, 1),
         (1, 0, s - 1) for s in (1, 2) and (1, 1, 0) for s = 1, so the
         eigenvalue-1 part has dimension branches - 1 and type (1, 1)."""
-        return _pairs_at_level(1, *self._spectrum)
+        return _pairs_at_level(1, *brieskorn_pham_spectrum(self.exponents))
+
+    alexander = cached_property(lambda self: cyclotomic(self.pairs))
 
 
 class Ordinary(_QuasiHomogeneous):
@@ -150,7 +143,7 @@ class Explicit(_ExplicitFields):
     _make = classmethod(lambda cls, fields: cls(*fields))
     milnor = _given_or(1, SpectralPairTable.total_dim)
     branches = _given_or(2, lambda pairs: pairs.unipotent_dim() + 1)
-    alexander = _given_or(3, lambda pairs: cyclotomic(*pairs.angle_counts()))
+    alexander = _given_or(3, cyclotomic)
 
     @property
     def work(self) -> int:
@@ -173,10 +166,9 @@ LocalSingularity = Ordinary | Brieskorn | Explicit
 
 
 def spectrum(s: LocalSingularity) -> tuple[Fraction, ...]:
-    """Singularity spectrum of a built-in germ, as a sorted multiset in (0, 2):
-    { i/a + j/b : 1 <= i <= a-1, 1 <= j <= b-1 } for the exponents (a, b)."""
-    if isinstance(s, Explicit):
-        raise ExplicitHasNoSpectrum("explicit germs carry tables, not a spectrum")
-    den, numerators = s._spectrum
-    return tuple(Fraction(k, den) for k in sorted(numerators)
-                 for _ in range(numerators[k]))
+    """The spectrum of a germ, sorted: p + alpha per pair (p, q, alpha) of its
+    table (inverting milnor._pairs_at_level), {i/a + j/b} for x^a + y^b."""
+    den, groups = s.pairs._den, s.pairs._groups
+    numerators = sorted(p * den + k for (p, _), group in groups.items()
+                        for k, c in group.items() for _ in range(c))
+    return tuple(Fraction(k, den) for k in numerators)

@@ -74,9 +74,9 @@ class HypersurfaceSpec(_SpecFields):
         return self.n == 1 and self.components == self.d
 
     @cached_property
-    def violations(self) -> list[Violation]:
-        """validate(self), run once per spec."""
-        return validate(self)
+    def violations(self) -> tuple[Violation, ...]:
+        """validate(self) as a tuple, run once per spec: no caller can empty it."""
+        return tuple(validate(self))
 
     @cached_property
     def derived(self) -> Derived:
@@ -210,7 +210,7 @@ def _validate_explicit(s: Explicit, n: int, out: list[Violation]) -> None:
     # the eigenvalues of order o make up Phi(o)^m only if each carries m
     den, counts = s.pairs.angle_counts()
     alexander = s.alexander
-    if alexander != cyclotomic(den, counts) or any(
+    if alexander != cyclotomic(s.pairs) or any(
         c != alexander.multiplicity(den // gcd(k, den)) for k, c in counts.items()
     ):
         inconsistent("eigenvalues of the local Alexander polynomial differ "

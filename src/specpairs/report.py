@@ -39,7 +39,6 @@ class InvariantReport(NamedTuple):
     spec: HypersurfaceSpec
     derived: Derived
     delta_m: CyclotomicFactorization
-    divisibility_infinity: CyclotomicFactorization
     bound_complement: bounds.BoundTable
     pairs_nonunipotent: SpectralPairTable
     checks: list[Check]
@@ -129,7 +128,6 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
         points = [(s.branches, c) for s, c in spec.singularities]
         pairs_arrangement = boundary.boundary_pairs_arrangement(d, points)
         bound_arrangement = bounds.spectral_bound_arrangement(d, points)
-    div_infinity = bounds.divisibility_bound_infinity(n, d)
     bound_complement = bounds.spectral_bound_complement(spec)
     bound_curve = bounds.spectral_bound_curve(spec) if n == 1 else None
     err, refused = None, []
@@ -210,7 +208,8 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
     if spec.delta_u is not None:
         u = spec.delta_u
         checks += [
-            _agree("delta_u_divides_infinity", u, u.gcd(div_infinity),
+            _agree("delta_u_divides_infinity",
+                   u, u.gcd(bounds.divisibility_bound_infinity(n, d)),
                    "delta_U divides the bound at infinity", "input"),
             _agree("delta_u_divides_local", u, u.gcd(derived.local_bound),
                    "delta_U divides the local bound", "input"),
@@ -224,7 +223,6 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
         spec=spec,
         derived=derived,
         delta_m=delta_m,
-        divisibility_infinity=div_infinity,
         bound_complement=bound_complement,
         pairs_nonunipotent=nonunip,
         checks=checks,
@@ -283,7 +281,8 @@ def _document(report: InvariantReport, leaf) -> dict:
         "divisibility": {
             # labelled formal: the bound is written as a quotient, not as
             # the order of a module (and a reader refuses it as a polynomial)
-            "infinity": {**report.divisibility_infinity.to_dict(), "formal": True},
+            "infinity": {**bounds.divisibility_bound_infinity(
+                report.spec.n, report.spec.d).to_dict(), "formal": True},
             "local": leaf(report.derived.local_bound),
         },
         "tables": {"weights_resolved": bool(report.weight_resolved)},

@@ -4,6 +4,7 @@ Alexander polynomials and local spectral pairs."""
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from helpers import (
@@ -25,12 +26,15 @@ from specpairs import (
     Brieskorn,
     CyclotomicFactorization,
     Explicit,
-    ExplicitHasNoSpectrum,
     Ordinary,
+    parse_spec,
     spectrum,
     steenbrink_infinity,
 )
+from specpairs.cli import census_rows
 from specpairs.localsing import cyclotomic
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_milnor_number_examples():
@@ -56,15 +60,27 @@ def test_spectrum_examples():
     )
 
 
-def test_spectrum_explicit_rejected():
-    explicit = Explicit(
-        milnor=1,
-        branches=2,
-        alexander=CyclotomicFactorization(factors={1: 1}),
-        pairs=pair_table({(1, 1, 0): 1}),
-    )
-    with pytest.raises(ExplicitHasNoSpectrum):
-        spectrum(explicit)
+def test_spectrum_is_read_off_the_pair_table_of_every_germ():
+    # built-in germs of the golden corpus and of a census, and x^a + y^b:
+    # an explicit germ given only a built-in germ's pairs has its spectrum
+    # and its Alexander polynomial, and both match the Fraction oracle
+    specs = [parse_spec(path.read_text(encoding="utf-8"))
+             for path in sorted(GOLDEN.glob("*.json"))]
+    germs = {germ for spec in specs for germ, _ in spec.singularities}
+    builtin = {germ for germ in germs if not isinstance(germ, Explicit)}
+    builtin |= {germ for row in census_rows(10)
+                for germ, _ in row.spec.singularities}
+    builtin |= {Brieskorn(a, b) for a in range(2, 13) for b in range(2, 13)}
+    assert {type(germ) for germ in builtin} == {Ordinary, Brieskorn}
+    for germ in builtin:
+        explicit = Explicit(germ.pairs)
+        oracle = tuple(oracle_spectrum(*germ.exponents))
+        assert spectrum(explicit) == spectrum(germ) == oracle
+        assert explicit.alexander == germ.alexander
+    # the surface germs are the Brieskorn-Pham germs (2, 2, 2) and (2, 2, 3)
+    surfaces = {spec.d: [spectrum(germ) for germ, _ in spec.singularities]
+                for spec in specs if spec.n == 2}
+    assert surfaces == {3: [(Fraction(3, 2),)], 4: [(Fraction(4, 3), Fraction(5, 3))]}
 
 
 def test_local_alexander_examples():
@@ -126,16 +142,16 @@ def test_builtin_invariants(germ):
 
 
 def test_cyclotomic_against_the_oracles():
-    # one rule for both germ kinds: a spectrum's angle counts and a pair
-    # table's give the polynomial whose eigenvalues are the table's angles,
-    # with the multiplicities that an independent regrouping finds
+    # one rule for every germ kind: a pair table gives the polynomial whose
+    # eigenvalues are the table's angles, with the multiplicities that an
+    # independent regrouping of the spectrum finds
     for a in range(2, 30):
         for b in range(2, 30):
             germ = Brieskorn(a, b)
-            f = cyclotomic(*germ._spectrum)
-            assert cyclotomic(*germ.pairs.angle_counts()) == f
+            expected = group_alpha_counts(s % 1 for s in oracle_spectrum(a, b))
+            f = cyclotomic(germ.pairs)
+            assert germ.alexander.factors == f.factors == expected
             assert alexander_alpha_marginal(f) == table_alpha_marginal(germ.pairs)
-            assert f.factors == group_alpha_counts(s % 1 for s in oracle_spectrum(a, b))
 
 
 @pytest.mark.parametrize(

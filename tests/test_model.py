@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 import sys
@@ -168,9 +169,23 @@ def test_records_are_frozen_values(make, text, field, refused):
                 setattr(value, name, [])
             with pytest.raises(AttributeError):
                 delattr(value, name)
-        assert value.violations == [] and "extra" not in vars(value)
+        assert value.violations == () and "extra" not in vars(value)
     if isinstance(value, Ordinary):  # the same exponents (2, 2), another kind
         assert value != Brieskorn(2, 2)
+
+
+def test_emptying_the_violations_does_not_open_the_gate():
+    # the kept violations are a tuple: emptying them in place would let
+    # build_report compute from a spec that validation refuses
+    for components, singularities, code in ((1, ((Ordinary(5), 1),), "negative_mu"),
+                                            (3, ((Ordinary(2), 2),), "pair_count")):
+        spec = HypersurfaceSpec(n=1, d=3, components=components,
+                                singularities=singularities)
+        with contextlib.suppress(AttributeError):
+            spec.violations.clear()
+        with pytest.raises(InvalidSpec) as info:
+            build_report(spec)
+        assert [v.code for v in info.value.violations] == [code]
 
 
 def test_the_milnor_total_is_made_once_per_spec(monkeypatch):

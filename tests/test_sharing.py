@@ -1,8 +1,9 @@
 """Values that depend only on a germ, only on (n, d) or only on (d, r) are
 computed once and shared read-only: each built-in germ keeps its Milnor
-number, branch count, spectrum and tables, a census keeps one germ per multiplicity, and the values at
-infinity of the last (n, d) and the curve bound of the last (d, r) are
-kept.  Nothing is shared beyond that."""
+number, branch count, pair table and Alexander polynomial, a census keeps
+one germ per multiplicity, and the values at infinity of the last (n, d)
+and the curve bound of the last (d, r) are kept.  Nothing is shared beyond
+that."""
 
 from __future__ import annotations
 
@@ -125,7 +126,8 @@ def test_shared_values_are_never_mutated(monkeypatch, capsys):
     assert len(germs) == 2 * len(multiplicities)
     for germ in germs.values():
         fresh = Ordinary(germ.multiplicity)
-        assert germ._spectrum == localsing.brieskorn_pham_spectrum(fresh.exponents)
+        engine = localsing.brieskorn_pham_spectrum(fresh.exponents)
+        assert germ.pairs == localsing._pairs_at_level(1, *engine)
         assert germ.pairs == fresh.pairs
         assert germ.alexander == fresh.alexander
     dims = table_at_infinity_from_dims(1, 9, lambda m: milnor_dim_closed_form(1, 9, m))
