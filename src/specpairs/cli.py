@@ -84,7 +84,7 @@ def census_rows(d: int, max_rows: int | None = None) -> Iterator[InvariantReport
 
 def _multiplicities(report: InvariantReport) -> list[int]:
     """The point multiplicities of a census row, descending, one per point."""
-    return [s.multiplicity for s, c in report.spec.singularities for _ in range(c)]
+    return [s.branches for s, c in report.spec.singularities for _ in range(c)]
 
 
 def _census_row_dict(report: InvariantReport) -> dict:

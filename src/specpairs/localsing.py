@@ -1,17 +1,17 @@
 """Local invariants of isolated plane-curve singularity germs.
 
-Built-in models are the ordinary m-fold point (m concurrent smooth branches)
-and the Brieskorn germ x^a + y^b, the Brieskorn-Pham germs with exponents
-(m, m) and (a, b).  Both are quasi-homogeneous, so the local monodromy has
-finite order and their pair table is read off the singularity spectrum
-{i/a + j/b}, enumerated by the engine in ``milnor`` that also gives the
-table at infinity.  Germs that are not quasi-homogeneous, and germs in
-ambient dimension above curves, enter through the Explicit variant: a
-user-supplied pair table, off which it reads every invariant it is not
-given.  Every germ answers `milnor`, `branches`, `pairs` and `alexander`
-itself, and `work`, its closed-form price in the work estimate of
-``model.validate``.  `cyclotomic` and `spectrum` read the local Alexander
-polynomial and the spectrum of every germ off its pair table.
+The built-in model is the Brieskorn-Pham germ x^a + y^b, quasi-homogeneous,
+so its local monodromy has finite order and its pair table is read off the
+singularity spectrum {i/a + j/b}, enumerated by the engine in ``milnor``
+that also gives the table at infinity; `Ordinary`, the ordinary m-fold
+point, is the germ with exponents (m, m) as a document kind of its own.
+Germs that are not quasi-homogeneous, and germs in ambient dimension above
+curves, enter through the Explicit variant: a user-supplied pair table, off
+which it reads every invariant it is not given.  Every germ answers
+`milnor`, `branches`, `pairs` and `alexander` itself, and `work`, its
+closed-form price in the work estimate of ``model.validate``.  `cyclotomic`
+and `spectrum` read the local Alexander polynomial and the spectrum of
+every germ off its pair table.
 
 A built-in germ computes its Milnor number and branch count in closed form
 and its pair table from one enumeration of its spectrum, on first use, and
@@ -52,13 +52,19 @@ def frozen(self, name, *value):
     raise AttributeError(f"{type(self).__name__} is frozen: cannot set {name!r}")
 
 
-class _QuasiHomogeneous:
-    """The invariants of the built-in germ x^a + y^b, (a, b) = `exponents`;
-    its Milnor number, branch count and tables are made once per instance.
-    A germ is a frozen value, shown by its constructor arguments `_fields`."""
+class Brieskorn:
+    """The germ x^a + y^b at the origin, (a, b) = `exponents`; its Milnor
+    number, branch count and tables are made once per instance.  A germ is
+    a frozen value, shown by its constructor arguments `_fields`."""
 
+    _fields = ("a", "b")
     __setattr__ = __delattr__ = frozen
     __hash__ = lambda self: hash(self.exponents)
+
+    def __init__(self, a: int, b: int):
+        if a < 2 or b < 2:
+            raise ValueError("Brieskorn exponents must both be >= 2")
+        vars(self).update(a=a, b=b, exponents=(a, b))
 
     def __eq__(self, other):
         return type(other) is type(self) and self.exponents == other.exponents
@@ -79,36 +85,21 @@ class _QuasiHomogeneous:
 
     alexander = cached_property(lambda self: cyclotomic(self.pairs))
 
+    # the engine's passes over 2 lcm(a, b) coefficients, or over the spectrum
+    # when it is shorter: each distinct value is an entry of every table
+    work = property(lambda self: 32 * min(self.milnor, 2 * lcm(*self.exponents)))
 
-class Ordinary(_QuasiHomogeneous):
-    """An ordinary m-fold point: m pairwise transverse smooth branches."""
+
+class Ordinary(Brieskorn):
+    """An ordinary m-fold point: the germ x^m + y^m, m transverse branches."""
 
     _fields = ("multiplicity",)
-    # the engine's passes over 2m values
-    work = property(lambda self: 64 * self.multiplicity)
+    multiplicity = property(lambda self: self.a)
 
     def __init__(self, multiplicity: int):
         if multiplicity < 2:
             raise ValueError("ordinary point needs multiplicity >= 2")
-        vars(self).update(multiplicity=multiplicity, exponents=(multiplicity,) * 2)
-
-
-class Brieskorn(_QuasiHomogeneous):
-    """The germ x^a + y^b at the origin."""
-
-    _fields = ("a", "b")
-
-    @property
-    def work(self) -> int:
-        """The engine's passes over 2 lcm(a, b) coefficients; each distinct
-        spectrum value is an entry of every table built from the germ."""
-        mu = self.milnor
-        return mu // 2 + 32 * min(mu, 2 * lcm(self.a, self.b))
-
-    def __init__(self, a: int, b: int):
-        if a < 2 or b < 2:
-            raise ValueError("Brieskorn exponents must both be >= 2")
-        vars(self).update(a=a, b=b, exponents=(a, b))
+        super().__init__(multiplicity, multiplicity)
 
 
 class _ExplicitFields(NamedTuple):
@@ -162,7 +153,7 @@ class Explicit(_ExplicitFields):
         return self
 
 
-LocalSingularity = Ordinary | Brieskorn | Explicit
+LocalSingularity = Brieskorn | Explicit
 
 
 def spectrum(s: LocalSingularity) -> tuple[Fraction, ...]:

@@ -225,7 +225,7 @@ def _validate_explicit(s: Explicit, n: int, out: list[Violation]) -> None:
 # microsecond of `compute --format structured` (Python 3.11, one core).  The
 # largest estimate among the test, golden and benchmark documents is
 # 6.4 * 10^6, an Ordinary(10^5) germ that the Milnor budget then rejects;
-# the largest among those that get a report is 4 * 10^5.
+# the largest that gets a report is 6 * 10^5, 4,500 lines through a point.
 WORK_BUDGET = 10**7
 
 

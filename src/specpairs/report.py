@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import boundary, bounds
 from .laurent import CyclotomicFactorization, NotDivisible
-from .model import Derived, HypersurfaceSpec, Violation, serialize_spec
+from .model import HypersurfaceSpec, Violation, serialize_spec
 from .pairs import SpectralPairTable
 
 
@@ -37,7 +37,6 @@ class Check(NamedTuple):
 
 class InvariantReport(NamedTuple):
     spec: HypersurfaceSpec
-    derived: Derived
     delta_m: CyclotomicFactorization
     bound_complement: bounds.BoundTable
     pairs_nonunipotent: SpectralPairTable
@@ -51,6 +50,8 @@ class InvariantReport(NamedTuple):
     pairs_arrangement: SpectralPairTable | None = None
     # (degree, p, q) -> h for "projective" and "compact_support" (curves only)
     projective_hodge: dict[str, dict[tuple[int, int, int], int]] | None = None
+
+    derived = property(lambda self: self.spec.derived)
 
     @property
     def all_passed(self) -> bool:
@@ -221,7 +222,6 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
 
     return InvariantReport(
         spec=spec,
-        derived=derived,
         delta_m=delta_m,
         bound_complement=bound_complement,
         pairs_nonunipotent=nonunip,
@@ -251,8 +251,6 @@ def _sections(
     sections = [
         (("tables", "nonunipotent"), "spectral pairs, eigenvalue != 1 (exact):",
          report.pairs_nonunipotent),
-        (("tables", "unipotent"), None,
-         None if report.pairs_full is None else report.pairs_full.unipotent()),
         (("tables", "full"), "spectral pairs, full table (exact):", report.pairs_full),
         *((("tables", "by_weight", str(w)), f"eigenvalue-1 pairs of weight {w}:", t)
           for w, t in by_weight),
@@ -294,6 +292,8 @@ def _document(report: InvariantReport, leaf) -> dict:
             {"code": v.code, "message": v.message} for v in report.warnings
         ],
     }
+    if report.pairs_full is not None:
+        out["tables"]["unipotent"] = leaf(report.pairs_full.unipotent())
     for (*parents, key), _, table in _sections(report):
         node = out
         for name in parents:

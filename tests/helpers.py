@@ -227,7 +227,7 @@ def oracle_boundary_alexander(spec: HypersurfaceSpec) -> CyclotomicFactorization
             local_milnor += s.milnor * count
             local = s.alexander.factors
         else:
-            a, b = (s.a, s.b) if isinstance(s, Brieskorn) else (s.multiplicity,) * 2
+            a, b = s.a, s.b
             spectrum = [
                 Fraction(i, a) + Fraction(j, b) for i in range(1, a) for j in range(1, b)
             ]
@@ -507,21 +507,20 @@ def milnor_dim_closed_form(n: int, d: int, m: int) -> int:
 
 
 def work_estimate_closed_form(spec: HypersurfaceSpec) -> int:
-    """model._work_estimate written out with its per-germ prices chosen by
-    the germ's class, as it read before each germ priced itself; an
-    explicit germ costs 4 units per unit of each distinct lowest-terms
-    order of the angles in its rows."""
+    """model._work_estimate written out with its per-germ prices in closed
+    form: a built-in germ x^a + y^b, an ordinary point (a = b = m) among
+    them, costs 32 min((a-1)(b-1), 2 lcm(a, b)), and an explicit germ 4
+    units per unit of each distinct lowest-terms order of the angles in its
+    rows."""
     n, d = spec.n, spec.d
     work = (n + 1) * (d - 1) * (32 + (n + 2) * (1 + n // 128))
     for s, count in spec.singularities:
         if isinstance(s, Explicit):
             orders = {Fraction(alpha).denominator for _, _, alpha, _ in s.pairs.to_rows()}
             work += 4 * sum(orders)
-        elif isinstance(s, Ordinary):
-            work += 64 * s.multiplicity
         else:
-            mu = (s.a - 1) * (s.b - 1)
-            work += mu // 2 + 32 * min(mu, 2 * lcm(s.a, s.b))
+            a, b = s.a, s.b
+            work += 32 * min((a - 1) * (b - 1), 2 * lcm(a, b))
         if spec.line_arrangement:
             work += count
     return work

@@ -8,6 +8,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,7 @@ from specpairs import (
     derived_quantities,
     parse_spec,
     projective_curve_hodge,
+    report_to_dict,
     serialize_spec,
     spectral_bound_complement,
     validate,
@@ -584,6 +586,36 @@ def test_each_germ_prices_itself_as_the_closed_form_did(n, d, singularities, lin
     )
     assert spec.line_arrangement == lines
     assert _work_estimate(spec) == work_estimate_closed_form(spec)
+    # no estimate rises over the price each germ had while an ordinary point
+    # cost 64 m and a Brieskorn germ mu // 2 + 32 min(mu, 2 lcm(a, b))
+    earlier = _work_estimate(spec)
+    for s, _ in spec.singularities:
+        if isinstance(s, Ordinary):
+            earlier += 64 * s.multiplicity - s.work
+        elif isinstance(s, Brieskorn):
+            mu = s.milnor
+            earlier += mu // 2 + 32 * min(mu, 2 * lcm(s.a, s.b)) - s.work
+    assert _work_estimate(spec) <= earlier
+
+
+def test_an_ordinary_point_is_the_brieskorn_germ_at_one_price():
+    for m in range(2, 61):
+        assert isinstance(Ordinary(m), Brieskorn)
+        assert Ordinary(m) != Brieskorn(m, m)
+        assert Ordinary(m).work == Brieskorn(m, m).work
+    # 4,500 lines through one point, the germ x^4500 + y^4500, written both ways
+    written = [parse_spec({"ambient_dim": 2, "degree": 4500, "components": 4500,
+                           "singularities": [{**entry, "count": 1}]}) for entry in (
+        {"kind": "ordinary", "multiplicity": 4500},
+        {"kind": "brieskorn", "exponents": [4500, 4500]},
+    )]
+    assert [_work_estimate(spec) for spec in written] == [602_931] * 2
+    reports = [build_report(spec) for spec in written]
+    assert all(report.all_passed for report in reports)
+    ordinary, brieskorn = (report_to_dict(report) for report in reports)
+    assert ordinary.pop("spec")["singularities"][0]["kind"] == "ordinary"
+    assert brieskorn.pop("spec")["singularities"][0]["kind"] == "brieskorn"
+    assert ordinary == brieskorn
 
 
 def test_golden_specs_are_priced_as_the_closed_form_did():

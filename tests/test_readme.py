@@ -33,3 +33,12 @@ def test_the_input_example_round_trips():
         entry.setdefault("count", 1)
     assert serialize_spec(spec) == document
     assert parse_spec(json.dumps(serialize_spec(spec))) == spec
+
+
+def test_the_validation_section_names_every_violation_code():
+    source = (Path(__file__).parent.parent / "src" / "specpairs" / "model.py").read_text(
+        encoding="utf-8")
+    codes = set(re.findall(r'Violation\(\s*"(\w+)"', source))
+    assert codes
+    (section,) = re.findall(r"^### Validation\n(.*?)^#", README, flags=re.M | re.S)
+    assert sorted(code for code in codes if f"`{code}`" not in section) == []

@@ -298,7 +298,7 @@ def test_census_computes_each_germ_invariant_once(monkeypatch):
         monkeypatch.setattr(module, called, counted, raising=False)
         return name, read
 
-    quasi = localsing._QuasiHomogeneous
+    quasi = localsing.Brieskorn
     reads = [
         count(localsing, "prod", quasi, "milnor", lambda s: s),
         count(localsing, "gcd", quasi, "branches", lambda s: s),
@@ -406,6 +406,24 @@ def test_render_text_sections():
     assert "PASS  degree_identity" in text
 
 
+def test_render_text_builds_no_eigenvalue_one_table(monkeypatch):
+    # tables.unipotent is a JSON-only section: the text renderer neither
+    # prints it nor builds it
+    stems = ("cuspidal_cubic", "braid_six_lines", "rhm_quintic", "nodal_cubic_surface")
+    reports = [build_report(parse_spec((GOLDEN / f"{stem}.json").read_text("utf-8")))
+               for stem in stems]
+    assert all(report.pairs_full is not None for report in reports)
+    calls = []
+    true_unipotent = SpectralPairTable.unipotent
+    monkeypatch.setattr(SpectralPairTable, "unipotent",
+                        lambda table: calls.append(table) or true_unipotent(table))
+    for report in reports:
+        render_text(report)
+    assert calls == []
+    assert all("unipotent" in report_to_dict(report)["tables"] for report in reports)
+    assert len(calls) == len(reports)
+
+
 def _lines(**changes):
     return HypersurfaceSpec(n=1, d=3, components=3,
                             singularities=((Ordinary(2), 3),), **changes)
@@ -436,7 +454,7 @@ def _route(module, name, change):
 def _germ_attribute(name, change):
     """(the built-in germ class, name, a property reading the germ's own
     `name` with `change` applied), for monkeypatch.setattr."""
-    owner = localsing._QuasiHomogeneous
+    owner = localsing.Brieskorn
     true_get = vars(owner)[name].__get__
     return owner, name, property(lambda germ: change(true_get(germ)))
 
