@@ -146,11 +146,18 @@ class SpectralPairTable(_GroupedTable):
     def symmetries(self, n: int) -> tuple[bool, bool]:
         """(self == self.conjugate(), self == self.level_dual(n)) in one
         pass: both maps are involutions and no count is zero, so each holds
-        when every entry's image carries the same count."""
+        when every entry's image carries the same count.  At weight
+        p + q = n both maps send (p, q, alpha) to (q, p, 1 - alpha), so an
+        entry there has one image, looked up once, and a mismatch fails both."""
         den, groups = self._den, self._groups
         conjugate = dual = True
         for (p, q), group in groups.items():
             mirror = groups.get((q, p), {}).get
+            if p + q == n:
+                for k, c in group.items():
+                    if mirror(-k % den) != c:
+                        return False, False
+                continue
             image = groups.get((n - p, n - q), {}).get
             for k, c in group.items():
                 k = -k % den

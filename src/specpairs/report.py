@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import boundary, bounds
 from .laurent import CyclotomicFactorization, NotDivisible
-from .model import HypersurfaceSpec, Violation, serialize_spec
+from .model import HypersurfaceSpec, serialize_spec
 from .pairs import SpectralPairTable
 
 
@@ -41,17 +41,19 @@ class InvariantReport(NamedTuple):
     bound_complement: bounds.BoundTable
     pairs_nonunipotent: SpectralPairTable
     checks: list[Check]
-    warnings: list[Violation]
-    bound_curve: bounds.BoundTable | None = None
     bound_arrangement: bounds.BoundTable | None = None
     error_term: CyclotomicFactorization | None = None
     pairs_full: SpectralPairTable | None = None
     weight_resolved: dict[int, SpectralPairTable] | None = None
     pairs_arrangement: SpectralPairTable | None = None
-    # (degree, p, q) -> h for "projective" and "compact_support" (curves only)
-    projective_hodge: dict[str, dict[tuple[int, int, int], int]] | None = None
 
+    # read off the spec: its realizability warnings, and the curve bound,
+    # which bounds keeps for the last degree and component count asked
     derived = property(lambda self: self.spec.derived)
+    warnings = property(lambda self: [
+        v for v in self.spec.violations if v.severity == "warning"])
+    bound_curve = property(lambda self: bounds.spectral_bound_curve(self.spec)
+                           if self.spec.n == 1 else None)
 
     @property
     def all_passed(self) -> bool:
@@ -65,11 +67,16 @@ class InvariantReport(NamedTuple):
         ]
 
 
-def _agree(name: str, found, expected, passing: str, kind: str = "identity") -> Check:
+def _agree(name: str, found, expected, passing: str, kind: str = "identity",
+           keys=None) -> Check:
     """The check that found == expected: `passing` is its detail when they
-    agree, and what differs between them when they do not."""
+    agree, and what differs between them when they do not.  With keys,
+    found and expected are lists in key order, named by key where they
+    differ."""
     if found == expected:
         return Check(name, True, kind, passing)
+    if keys is not None:
+        found, expected = dict(zip(keys, found)), dict(zip(keys, expected))
     return Check(name, False, kind, _difference(found, expected))
 
 
@@ -107,10 +114,9 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
     """Compute every invariant and run every applicable cross-check.
 
     spec.derived raises InvalidSpec when validation reports errors; warnings
-    (the realizability heuristic) are attached to the report instead.
+    (the realizability heuristic) are read off the report instead.
     """
     derived = spec.derived
-    warnings = [v for v in spec.violations if v.severity == "warning"]
     n, d = spec.n, spec.d
     delta_m = boundary.boundary_alexander(spec)
     deg_m = delta_m.degree
@@ -161,17 +167,15 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
                f"deg delta_M = {deg_m}, expected {degree}"),
         _agree("xi_integral", {"d * xi": d * derived.xi},
                {"d * xi": (d - 1) ** (n + 1) + (-1) ** n}, f"xi = {derived.xi}"),
-        _agree("local_alexander_degree",
-               {s: s.alexander.degree for s in germs},
-               {s: s.milnor for s in germs},
-               "deg = Milnor number at each germ"),
+        _agree("local_alexander_degree", [s.alexander.degree for s in germs],
+               [s.milnor for s in germs], "deg = Milnor number at each germ",
+               keys=germs),
     ]
     if n == 1:
         checks.append(_agree(
-            "local_unipotent_mass",
-            {s: s.pairs.unipotent_dim() for s in germs},
-            {s: s.branches - 1 for s in germs},
-            "eigenvalue-1 mass = branches - 1 at each germ",
+            "local_unipotent_mass", [s.pairs.unipotent_dim() for s in germs],
+            [s.branches - 1 for s in germs],
+            "eigenvalue-1 mass = branches - 1 at each germ", keys=germs,
         ))
     # one pass per table reads both symmetries; the mirrored tables are
     # built only when a check fails, to name what differs
@@ -226,14 +230,11 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
         bound_complement=bound_complement,
         pairs_nonunipotent=nonunip,
         checks=checks,
-        warnings=warnings,
-        bound_curve=bound_curve,
         bound_arrangement=bound_arrangement,
         error_term=err,
         pairs_full=full,
         weight_resolved=weighted,
         pairs_arrangement=pairs_arrangement,
-        projective_hodge=boundary.projective_curve_hodge(spec) if n == 1 else None,
     )
 
 
@@ -301,10 +302,10 @@ def _document(report: InvariantReport, leaf) -> dict:
         node[key] = leaf(table)
     if report.error_term is not None:
         out["error_term"] = leaf(report.error_term)
-    if report.projective_hodge is not None:
+    if report.spec.n == 1:  # made here, for the only output that prints them
         out["projective_curve"] = {
             kind: [[*key, v] for key, v in sorted(numbers.items())]
-            for kind, numbers in report.projective_hodge.items()
+            for kind, numbers in boundary.projective_curve_hodge(report.spec).items()
         }
     return out
 

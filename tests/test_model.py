@@ -152,7 +152,7 @@ def test_records_are_frozen_values(make, text, field, refused):
     assert repr(value).startswith(text)
     assert value == twin
     if isinstance(value, InvariantReport):
-        with pytest.raises(TypeError):  # its checks and warnings are lists
+        with pytest.raises(TypeError):  # its checks are a list
             hash(value)
     else:
         assert hash(value) == hash(twin)

@@ -128,6 +128,10 @@ def _oracle_symmetries(t, n):
 # every image is present, but with another count
 @example(table({(0, 0, 0): 1, (1, 1, 0): 2}), 1, 0)
 @example(table({(0, 1, Fraction(1, 3)): 1, (1, 0, Fraction(2, 3)): 2}), 1, 0)
+# a weight-n group that is its own image under both maps, with other counts
+@example(table({(1, 1, Fraction(1, 3)): 1, (1, 1, Fraction(2, 3)): 2}), 2, 0)
+# conjugation-symmetric, but its dual image (1, 1, 1/2) is absent at n = 1
+@example(table({(0, 0, Fraction(1, 2)): 1}), 1, 0)
 def test_symmetries_equal_the_mirrored_tables(t, n, mirror):
     # random tables are mostly asymmetric; adding a table's images makes it
     # symmetric under conjugation (mirror 1), level duality (2) or both (3)
@@ -212,10 +216,10 @@ def test_table_sum_equals_the_counter_oracle(terms, nonunipotent):
 
 def _pair_and_bound_tables(report) -> list:
     """Every pair and bound table a report reaches: its fields (a dict field
-    by its values), the local pair sum, the table at infinity and each
-    germ's pairs."""
+    by its values), its curve bound, the local pair sum, the table at
+    infinity and each germ's pairs."""
     spec, derived = report.spec, report.derived
-    values = [derived.local_pair_sum, derived.infinity]
+    values = [report.bound_curve, derived.local_pair_sum, derived.infinity]
     values += [germ.pairs for germ, _ in spec.singularities]
     for value in report:
         values += value.values() if isinstance(value, dict) else [value]

@@ -42,7 +42,8 @@ from specpairs import (
     report_to_json,
 )
 from specpairs.bounds import BoundTable
-from specpairs.cli import census_rows
+from specpairs import report as report_module
+from specpairs.cli import census_rows, main
 from specpairs.milnor import steenbrink_infinity
 from specpairs.pairs import SpectralPairTable, _angle_texts, grouped, table_sum
 from specpairs.report import _json
@@ -127,6 +128,34 @@ def test_validate_runs_once_per_report(monkeypatch):
     # the warnings come from the same cached result
     assert [v.code for v in report.warnings] == ["shared_line"]
     assert report.warnings == list(spec.violations)
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["verify", "cuspidal_cubic"], 0),
+    (["compute", "cuspidal_cubic", "--format", "table"], 0),
+    (["compute", "cuspidal_cubic", "--format", "structured"], 1),
+    (["census", "--lines", "6"], 0),
+    (["census", "--lines", "6", "--format", "structured"], 0),
+    (["verify", "nodal_cubic_surface"], 0),
+    (["compute", "nodal_cubic_surface", "--format", "structured"], 0),
+])
+def test_projective_numbers_are_made_only_for_the_json_document(
+    monkeypatch, capsys, argv, calls
+):
+    # the report reads the function through its module at each call
+    made = []
+    route = boundary.projective_curve_hodge
+
+    def counting(spec):
+        made.append(spec)
+        return route(spec)
+
+    monkeypatch.setattr(report_module.boundary, "projective_curve_hodge", counting)
+    if argv[0] != "census":
+        argv = [argv[0], str(GOLDEN / f"{argv[1]}.json"), *argv[2:]]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(made) == calls
 
 
 def test_each_bound_and_delta_m_is_made_once_per_report(monkeypatch):
