@@ -730,11 +730,22 @@ def test_help_exits_zero_with_usage_on_stdout(capsys, command):
     assert err == ""
 
 
+# a case whose argv asks for --help prints on stdout and exits 0; every
+# other one is a usage error, printed on stderr with exit 3, by the
+# top-level parser (bogus, empty, compute-option, census-extra) or by a
+# subcommand's (verify-input, census-max-rows-*)
 HELP_CASES = {
     "specpairs": ["--help"],
     "compute": ["compute", "--help"],
     "census": ["census", "--help"],
+    "oracle": ["oracle", "--help"],
     "bogus": ["bogus"],
+    "empty": [],
+    "compute-option": ["compute", "x.json", "--bogus"],
+    "census-extra": ["census", "--lines", "3", "extra"],
+    "verify-input": ["verify"],
+    "census-max-rows-negative": ["census", "--lines", "3", "--max-rows", "-1"],
+    "census-max-rows-text": ["census", "--lines", "3", "--max-rows", "x"],
 }
 
 
@@ -744,13 +755,18 @@ def test_help_and_usage_texts_are_pinned_at_any_width(
     capsys, monkeypatch, case, columns
 ):
     # COLUMNS sets the width; golden/help<columns>.<case>.out hold the texts
-    # argparse lays out at that width with its default formatter
+    # argparse lays out at that width with its default formatter, recorded
+    # from the root of the repository with
+    #   COLUMNS=<columns> PYTHONPATH=src python3 -m specpairs.cli <argv> \
+    #       >tests/golden/help<columns>.<case>.out   (2> for a usage error)
     monkeypatch.setenv("COLUMNS", str(columns))
+    argv = HELP_CASES[case]
     with pytest.raises(SystemExit) as info:
-        main(HELP_CASES[case])
+        main(argv)
     out, err = capsys.readouterr()
-    text, silent = (err, out) if case == "bogus" else (out, err)
-    assert (info.value.code, silent) == (3 if case == "bogus" else 0, "")
+    asks_help = "--help" in argv
+    text, silent = (out, err) if asks_help else (err, out)
+    assert (info.value.code, silent) == (0 if asks_help else 3, "")
     assert text == (GOLDEN / f"help{columns}.{case}.out").read_text(encoding="utf-8")
 
 
