@@ -24,6 +24,7 @@ from typing import Iterator
 from .localsing import Ordinary
 from .milnor import milnor_dim, milnor_dim_bruteforce
 from .model import HypersurfaceSpec, InvalidSpec, MalformedDocument, parse_spec
+from .pairs import _angle_texts
 from .report import InvariantReport, _json, build_report, render_text, report_to_json
 
 EXIT_OK = 0
@@ -113,7 +114,11 @@ def _census_line(report: InvariantReport) -> str:
 
 
 def _row_count(text: str) -> int:
-    count = int(text)
+    try:
+        count = int(text)
+    except ValueError:
+        # the message --lines gives, which argparse words after the type
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if count < 0:
         raise argparse.ArgumentTypeError(f"expected a count of at least 0, got {count}")
     return count
@@ -123,43 +128,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _build_parser() -> _Parser:
-    # argparse makes a formatter per argument, each reading the terminal
-    # size; the tree reads it once, with argparse's own margin of 2
-    fmt = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    parser_class = partial(_Parser, formatter_class=fmt)
-    parser = parser_class(prog="specpairs", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(
-        dest="command", required=True, prog="specpairs", parser_class=parser_class
-    )
-
-    p_compute = sub.add_parser("compute", help="build the full invariant report")
-    p_compute.add_argument("input", type=Path, help="input document (JSON)")
-    p_compute.add_argument(
-        "--format", choices=("table", "structured"), default="table"
-    )
-
-    p_verify = sub.add_parser("verify", help="run the cross-checks only")
-    p_verify.add_argument("input", type=Path, help="input document (JSON)")
-
-    p_census = sub.add_parser(
-        "census", help="enumerate line-arrangement weak data"
-    )
-    p_census.add_argument("--lines", type=int, required=True, metavar="D")
-    p_census.add_argument("--max-rows", type=_row_count, default=None, metavar="N")
-    p_census.add_argument(
-        "--format", choices=("table", "structured"), default="table"
-    )
-
-    p_oracle = sub.add_parser(
-        "oracle", help="the spectrum engine and a brute-force enumeration side by side"
-    )
-    p_oracle.add_argument("name", choices=("milnor-dim",))
-    for name in ("n", "d", "m"):
-        p_oracle.add_argument(name, type=int, metavar=name.upper())
-    return parser
 
 
 def _load_report(path: Path) -> InvariantReport | None:
@@ -252,19 +220,72 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK if engine == brute else EXIT_IDENTITY
 
 
+_INPUT = (("input",), {"type": Path, "help": "input document (JSON)"})
+_FORMAT = (("--format",), {"choices": ("table", "structured"), "default": "table"})
+
+# Each subcommand once: its help line, its arguments as the (names, options)
+# of add_argument, and its handler.
+_COMMANDS = {
+    "compute": ("build the full invariant report", (_INPUT, _FORMAT), _cmd_compute),
+    "verify": ("run the cross-checks only", (_INPUT,), _cmd_verify),
+    "census": (
+        "enumerate line-arrangement weak data",
+        (
+            (("--lines",), {"type": int, "required": True, "metavar": "D"}),
+            (("--max-rows",), {"type": _row_count, "default": None, "metavar": "N"}),
+            _FORMAT,
+        ),
+        _cmd_census,
+    ),
+    "oracle": (
+        "the spectrum engine and a brute-force enumeration side by side",
+        (
+            (("name",), {"choices": ("milnor-dim",)}),
+            (("n",), {"type": int, "metavar": "N"}),
+            (("d",), {"type": int, "metavar": "D"}),
+            (("m",), {"type": int, "metavar": "M"}),
+        ),
+        _cmd_oracle,
+    ),
+}
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The argument parser with every subcommand, or with the named one
+    only; either way its usage lists every subcommand."""
+    # argparse makes a formatter per argument, each reading the terminal
+    # size; the tree reads it once, with argparse's own margin of 2
+    fmt = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser_class = partial(_Parser, formatter_class=fmt)
+    parser = parser_class(prog="specpairs", description=__doc__.splitlines()[0])
+    # the full tree names no metavar: one would rename the argument in its
+    # "required" and "invalid choice" errors, which only the full tree gives
+    sub = parser.add_subparsers(
+        dest="command", required=True, prog="specpairs", parser_class=parser_class,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}",
+    )
+    for name in _COMMANDS if command is None else (command,):
+        summary, arguments, _ = _COMMANDS[name]
+        subparser = sub.add_parser(name, help=summary)
+        for names, options in arguments:
+            subparser.add_argument(*names, **options)
+    return parser
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handler = {
-        "compute": _cmd_compute,
-        "verify": _cmd_verify,
-        "census": _cmd_census,
-        "oracle": _cmd_oracle,
-    }[args.command]
+    argv = sys.argv[1:] if argv is None else argv
+    # a call that names a subcommand needs that parser alone; help, no
+    # argument or an unknown command need the full tree
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
-        return handler(args)
+        return _COMMANDS[args.command][2](args)
     except Exception as exc:  # a bug: one line, not a traceback
         print(f"specpairs: internal error: {exc!r}", file=sys.stderr)
         return EXIT_IDENTITY
+    finally:
+        # a census's rows share the angle texts; no call keeps them
+        _angle_texts.cache_clear()
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import copy
 import io
@@ -31,6 +32,7 @@ from specpairs import (
 )
 from specpairs.cli import arrangement_spec, census_rows, main
 from specpairs.localsing import Brieskorn, Ordinary
+from specpairs.pairs import _angle_texts
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -788,6 +790,57 @@ def test_repeated_calls_in_one_process_equal_fresh_calls(capsys):
         for argv, done in zip(calls, fresh):
             status = main(argv)
             assert (status, capsys.readouterr().out) == (done.returncode, done.stdout)
+
+
+CUSPIDAL_CUBIC = str(GOLDEN / "cuspidal_cubic.json")
+
+
+@pytest.mark.parametrize(
+    "argv, parsers",
+    [
+        (["compute", CUSPIDAL_CUBIC, "--format", "structured"], 2),
+        (["compute", CUSPIDAL_CUBIC], 2),
+        (["verify", CUSPIDAL_CUBIC], 2),
+        (["census", "--lines", "4", "--max-rows", "1"], 2),
+        (["oracle", "milnor-dim", "1", "3", "1"], 2),
+        (["--help"], 5),
+        (["bogus"], 5),
+        ([], 5),
+    ],
+)
+def test_a_call_builds_the_parser_of_the_subcommand_it_names(
+    monkeypatch, capsys, argv, parsers
+):
+    # the top-level parser and the named subcommand's; every other call
+    # builds all four subcommands' parsers below the top-level one
+    built = []
+    true_init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self))
+        true_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    if parsers == 2:
+        assert main(argv) == 0
+    else:
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert built == [cli._Parser] * parsers
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", CUSPIDAL_CUBIC, "--format", "structured"],
+        ["compute", CUSPIDAL_CUBIC],
+        ["census", "--lines", "6", "--format", "structured"],
+        ["census", "--lines", "6"],
+    ],
+)
+def test_no_angle_texts_outlive_a_call(capsys, argv):
+    assert main(argv) == 0
+    assert _angle_texts.cache_info().currsize == 0
 
 
 def test_oracle(capsys):
