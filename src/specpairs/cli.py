@@ -278,8 +278,9 @@ def main(argv=None) -> int:
     # argument or an unknown command need the full tree
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = _build_parser(command).parse_args(argv)
+    _, _, handler = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command][2](args)
+        return handler(args)
     except Exception as exc:  # a bug: one line, not a traceback
         print(f"specpairs: internal error: {exc!r}", file=sys.stderr)
         return EXIT_IDENTITY

@@ -835,7 +835,6 @@ def test_a_call_builds_the_parser_of_the_subcommand_it_names(
         ["compute", CUSPIDAL_CUBIC, "--format", "structured"],
         ["compute", CUSPIDAL_CUBIC],
         ["census", "--lines", "6", "--format", "structured"],
-        ["census", "--lines", "6"],
     ],
 )
 def test_no_angle_texts_outlive_a_call(capsys, argv):
