@@ -734,8 +734,8 @@ def test_help_exits_zero_with_usage_on_stdout(capsys, command):
 
 # a case whose argv asks for --help prints on stdout and exits 0; every
 # other one is a usage error, printed on stderr with exit 3, by the
-# top-level parser (bogus, empty, compute-option, census-extra) or by a
-# subcommand's (verify-input, census-max-rows-*)
+# top-level parser (bogus, empty, double-dash and the *-option and *-extra
+# cases) or by a subcommand's (verify-input, census-max-rows-*)
 HELP_CASES = {
     "specpairs": ["--help"],
     "compute": ["compute", "--help"],
@@ -748,6 +748,13 @@ HELP_CASES = {
     "verify-input": ["verify"],
     "census-max-rows-negative": ["census", "--lines", "3", "--max-rows", "-1"],
     "census-max-rows-text": ["census", "--lines", "3", "--max-rows", "x"],
+    # COLUMNS=<columns> PYTHONPATH=src python3 -m specpairs.cli compute x.json extra
+    "compute-extra": ["compute", "x.json", "extra"],
+    # COLUMNS=<columns> PYTHONPATH=src python3 -m specpairs.cli \
+    #     oracle milnor-dim 1 3 1 9
+    "oracle-extra": ["oracle", "milnor-dim", "1", "3", "1", "9"],
+    # COLUMNS=<columns> PYTHONPATH=src python3 -m specpairs.cli -- verify x.json
+    "double-dash": ["--", "verify", "x.json"],
 }
 
 
