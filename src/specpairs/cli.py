@@ -13,6 +13,8 @@ cross-check failure or unexpected error (indicating a bug), 3 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import shutil
 import sys
 from functools import partial
@@ -250,37 +252,60 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> _Parser:
-    """The argument parser with every subcommand, or with the named one
-    only; either way its usage lists every subcommand."""
+def _with_arguments(parser: _Parser, name: str) -> _Parser:
+    """The parser, given the arguments of the named subcommand."""
+    for names, options in _COMMANDS[name][1]:
+        parser.add_argument(*names, **options)
+    return parser
+
+
+def _parser_class():
     # argparse makes a formatter per argument, each reading the terminal
-    # size; the tree reads it once, with argparse's own margin of 2
+    # size; a call's parsers read it once, with argparse's own margin of 2
     fmt = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    parser_class = partial(_Parser, formatter_class=fmt)
+    return partial(_Parser, formatter_class=fmt)
+
+
+def _build_parser() -> _Parser:
+    """The argument parser with every subcommand."""
+    parser_class = _parser_class()
     parser = parser_class(prog="specpairs", description=__doc__.splitlines()[0])
-    # the full tree names no metavar: one would rename the argument in its
-    # "required" and "invalid choice" errors, which only the full tree gives
     sub = parser.add_subparsers(
-        dest="command", required=True, prog="specpairs", parser_class=parser_class,
-        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}",
+        dest="command", required=True, prog="specpairs", parser_class=parser_class
     )
-    for name in _COMMANDS if command is None else (command,):
-        summary, arguments, _ = _COMMANDS[name]
-        subparser = sub.add_parser(name, help=summary)
-        for names, options in arguments:
-            subparser.add_argument(*names, **options)
+    for name, (summary, _, _) in _COMMANDS.items():
+        _with_arguments(sub.add_parser(name, help=summary), name)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a call that names a subcommand needs that parser alone; help, no
-    # argument or an unknown command need the full tree
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _build_parser(command).parse_args(argv)
+    # a valid call is read by its subcommand's parser alone, the parser that
+    # add_parser makes in the full tree; help, no argument, an unknown
+    # command and any argument left over are worded by the full tree
+    args = extra = None
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        parser = _with_arguments(_parser_class()(prog=f"specpairs {name}"), name)
+        known = argparse.Namespace(command=name)
+        args, extra = parser.parse_known_args(argv[1:], known)
+    if args is None or extra:
+        args = _build_parser().parse_args(argv)
     _, _, handler = _COMMANDS[args.command]
     try:
-        return handler(args)
+        status = handler(args)
+        # a reader that closes the pipe early shows here at the latest
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # not a bug: say nothing, and point standard output at the null
+        # device so that the interpreter's last flush cannot fail again
+        with contextlib.suppress(OSError, ValueError):  # no file descriptor
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return EXIT_INVALID
     except Exception as exc:  # a bug: one line, not a traceback
         print(f"specpairs: internal error: {exc!r}", file=sys.stderr)
         return EXIT_IDENTITY

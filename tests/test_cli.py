@@ -805,11 +805,13 @@ CUSPIDAL_CUBIC = str(GOLDEN / "cuspidal_cubic.json")
 @pytest.mark.parametrize(
     "argv, parsers",
     [
-        (["compute", CUSPIDAL_CUBIC, "--format", "structured"], 2),
-        (["compute", CUSPIDAL_CUBIC], 2),
-        (["verify", CUSPIDAL_CUBIC], 2),
-        (["census", "--lines", "4", "--max-rows", "1"], 2),
-        (["oracle", "milnor-dim", "1", "3", "1"], 2),
+        (["compute", CUSPIDAL_CUBIC, "--format", "structured"], 1),
+        (["compute", CUSPIDAL_CUBIC], 1),
+        (["verify", CUSPIDAL_CUBIC], 1),
+        (["census", "--lines", "4", "--max-rows", "1"], 1),
+        (["oracle", "milnor-dim", "1", "3", "1"], 1),
+        (["compute", "x.json", "--bogus"], 6),
+        (["census", "--lines", "3", "extra"], 6),
         (["--help"], 5),
         (["bogus"], 5),
         ([], 5),
@@ -818,8 +820,9 @@ CUSPIDAL_CUBIC = str(GOLDEN / "cuspidal_cubic.json")
 def test_a_call_builds_the_parser_of_the_subcommand_it_names(
     monkeypatch, capsys, argv, parsers
 ):
-    # the top-level parser and the named subcommand's; every other call
-    # builds all four subcommands' parsers below the top-level one
+    # a valid call is read by the named subcommand's parser alone; one that
+    # leaves an argument over is worded by the full tree of five after it,
+    # and help, no argument or an unknown command build that tree only
     built = []
     true_init = argparse.ArgumentParser.__init__
 
@@ -828,12 +831,39 @@ def test_a_call_builds_the_parser_of_the_subcommand_it_names(
         true_init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    if parsers == 2:
+    if parsers == 1:
         assert main(argv) == 0
     else:
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as info:
             main(argv)
+        assert info.value.code == (0 if "--help" in argv else 3)
     assert built == [cli._Parser] * parsers
+
+
+def test_an_abbreviated_option_is_read_by_the_lone_parser(capsys):
+    assert main(["compute", CUSPIDAL_CUBIC, "--form", "structured"]) == 0
+    abbreviated = capsys.readouterr()
+    assert main(["compute", CUSPIDAL_CUBIC, "--format", "structured"]) == 0
+    assert abbreviated == capsys.readouterr()
+
+
+@pytest.mark.parametrize("lines", ["1", "0", "-3"])
+def test_a_census_of_fewer_than_two_lines_is_refused(capsys, lines):
+    assert main(["census", "--lines", lines]) == 1
+    assert capsys.readouterr() == ("", "census requires at least 2 lines\n")
+
+
+def test_a_reader_that_closes_the_pipe_early_is_not_a_bug():
+    # census --lines 12 writes about 230 KB, more than a pipe holds, so the
+    # census is still writing when the reader has gone
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+    with subprocess.Popen(
+        [sys.executable, "-m", "specpairs.cli", "census", "--lines", "12"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as census:
+        assert census.stdout.readline().startswith(b"d=12  mults=(2,2,")
+        census.stdout.close()
+        assert (census.wait(timeout=60), census.stderr.read()) == (1, b"")
 
 
 @pytest.mark.parametrize(
