@@ -6,8 +6,9 @@ Subcommands:
   census   enumerate line-arrangement weak data for a given line count
   oracle   the spectrum engine and a brute-force enumeration side by side
 
-Exit status: 0 success, 1 validation or input-data failure, 2 internal
-cross-check failure or unexpected error (indicating a bug), 3 usage error.
+Exit status: 0 success, 1 validation or input-data failure or a reader that
+closed standard output early, 2 internal cross-check failure or unexpected
+error (indicating a bug), 3 usage error.
 """
 
 from __future__ import annotations

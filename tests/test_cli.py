@@ -810,11 +810,11 @@ CUSPIDAL_CUBIC = str(GOLDEN / "cuspidal_cubic.json")
         (["verify", CUSPIDAL_CUBIC], 1),
         (["census", "--lines", "4", "--max-rows", "1"], 1),
         (["oracle", "milnor-dim", "1", "3", "1"], 1),
-        (["compute", "x.json", "--bogus"], 6),
-        (["census", "--lines", "3", "extra"], 6),
         (["--help"], 5),
         (["bogus"], 5),
         ([], 5),
+        (["compute", "x.json", "--bogus"], 6),
+        (["census", "--lines", "3", "extra"], 6),
     ],
 )
 def test_a_call_builds_the_parser_of_the_subcommand_it_names(
@@ -864,6 +864,22 @@ def test_a_reader_that_closes_the_pipe_early_is_not_a_bug():
         assert census.stdout.readline().startswith(b"d=12  mults=(2,2,")
         census.stdout.close()
         assert (census.wait(timeout=60), census.stderr.read()) == (1, b"")
+
+
+def test_a_reader_gone_before_the_last_flush_is_not_a_bug():
+    # block-buffered, a short output first meets the closed pipe when main
+    # flushes it, not at the interpreter's exit
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+    env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        argv = ["oracle", "milnor-dim", "1", "3", "1"]
+        done = subprocess.run([sys.executable, "-m", "specpairs.cli", *argv], env=env,
+                              stdout=write, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 @pytest.mark.parametrize(
