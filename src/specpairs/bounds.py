@@ -84,18 +84,18 @@ class BoundTable(_GroupedTable):
         )
         return f"BoundTable({rows})"
 
-    def _rows(self) -> list[tuple[int, int, list[tuple[str, int, str]]]]:
+    def _rows(self) -> list[tuple[int, int, list[str], list[int], list[str]]]:
         """The rows of every output by Hodge type in key order, each type
-        as (p, q, [("a/b", bound, "exact" or "upper"), ...]) with the
-        angles in order and in lowest terms."""
+        as its columns (p, q, ["a/b", ...], [bound, ...], ["exact" or
+        "upper", ...]) with the angles in order and in lowest terms."""
         texts, groups, out = _angle_texts(self._den), self._groups, []
         for p, q in sorted(groups):
             group = groups[p, q]
+            keys = sorted(group)
             exact = {k for e_p, e_q, k in self._exact if e_p == p and e_q == q}
-            out.append((p, q, [
-                (texts[k], group[k], "exact" if k in exact else "upper")
-                for k in sorted(group)
-            ]))
+            out.append((p, q, list(map(texts.__getitem__, keys)),
+                        list(map(group.__getitem__, keys)),
+                        ["exact" if k in exact else "upper" for k in keys]))
         return out
 
 

@@ -133,6 +133,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+class _Reader(argparse.ArgumentParser):
+    """The parser of the subcommand a call names.  It has no help, reads no
+    terminal width and never prints: any error leaves the call to the full
+    tree, which words it."""
+
+    def __init__(self, name: str):
+        # argparse makes a formatter per argument to check its metavar; it
+        # lays out no text here, so any fixed width does
+        fmt = partial(argparse.HelpFormatter, width=80)
+        super().__init__(prog=f"specpairs {name}", add_help=False, formatter_class=fmt)
+        _with_arguments(self, name)
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _load_report(path: Path) -> InvariantReport | None:
     """Read, parse and build the report for an input document; None, with the
     reasons on stderr, when any step rejects it."""
@@ -253,23 +269,21 @@ _COMMANDS = {
 }
 
 
-def _with_arguments(parser: _Parser, name: str) -> _Parser:
+def _with_arguments(
+    parser: argparse.ArgumentParser, name: str
+) -> argparse.ArgumentParser:
     """The parser, given the arguments of the named subcommand."""
     for names, options in _COMMANDS[name][1]:
         parser.add_argument(*names, **options)
     return parser
 
 
-def _parser_class():
-    # argparse makes a formatter per argument, each reading the terminal
-    # size; a call's parsers read it once, with argparse's own margin of 2
-    fmt = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    return partial(_Parser, formatter_class=fmt)
-
-
 def _build_parser() -> _Parser:
-    """The argument parser with every subcommand."""
-    parser_class = _parser_class()
+    """The argument parser with every subcommand, the only one that prints."""
+    # argparse makes a formatter per argument, each reading the terminal
+    # size; the tree reads it once, with argparse's own margin of 2
+    fmt = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser_class = partial(_Parser, formatter_class=fmt)
     parser = parser_class(prog="specpairs", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(
         dest="command", required=True, prog="specpairs", parser_class=parser_class
@@ -281,16 +295,15 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a valid call is read by its subcommand's parser alone, the parser that
-    # add_parser makes in the full tree; help, no argument, an unknown
-    # command and any argument left over are worded by the full tree
-    args = extra = None
+    # a valid call is read by its subcommand's _Reader alone; help, no
+    # argument, an unknown command, any error and any argument left over go
+    # to the full tree, the only parser that prints
+    args = None
     if argv and argv[0] in _COMMANDS:
-        name = argv[0]
-        parser = _with_arguments(_parser_class()(prog=f"specpairs {name}"), name)
-        known = argparse.Namespace(command=name)
-        args, extra = parser.parse_known_args(argv[1:], known)
-    if args is None or extra:
+        with contextlib.suppress(argparse.ArgumentError):
+            known = argparse.Namespace(command=argv[0])
+            args = _Reader(argv[0]).parse_args(argv[1:], known)
+    if args is None:
         args = _build_parser().parse_args(argv)
     _, _, handler = _COMMANDS[args.command]
     try:

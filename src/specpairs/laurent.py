@@ -11,8 +11,9 @@ checked on reading and dropped.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re
 from functools import cache
+from math import gcd
 from typing import Mapping
 
 
@@ -157,7 +158,7 @@ class CyclotomicFactorization:
         checked and dropped."""
         if not isinstance(data, dict):
             raise TypeError(f"expected an object, got {data!r}")
-        unit = parse_fraction(data.get("unit", 1))
+        unit, _ = parse_fraction(data.get("unit", 1))
         parse_integer(data.get("t_power", 0))
         factors: dict[int, int] = {}
         for k, m in (parse_row(row, 2) for row in parse_array(data.get("factors", []))):
@@ -204,13 +205,19 @@ def parse_row(value, arity: int) -> list:
     return row
 
 
-def parse_fraction(value) -> Fraction:
-    """Read a fraction given as an int, a string like '2/3', or a Fraction;
-    bool and float values are rejected, not coerced."""
-    if isinstance(value, (int, str, Fraction)) and not isinstance(value, bool):
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            pass
-    raise ValueError(f"cannot interpret {value!r} as an exact rational")
+_RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")  # [0-9]: ASCII digits only
 
+
+def parse_fraction(value) -> tuple[int, int]:
+    """An exact rational of a document as its lowest-terms pair (a, b),
+    b > 0: a JSON integer, or a string "a/b" of ASCII digits with an
+    optional leading minus and a nonzero b.  A bool, a float and any other
+    text are rejected, not coerced."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value, 1
+    if isinstance(value, str) and (match := _RATIONAL.fullmatch(value)):
+        a, b = int(match[1]), int(match[2])
+        if b:
+            g = gcd(a, b)
+            return a // g, b // g
+    raise ValueError(f"cannot interpret {value!r} as an exact rational")

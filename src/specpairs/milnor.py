@@ -3,12 +3,14 @@ Milnor algebra and the spectral pairs at infinity of a degree-d
 hypersurface transversal at infinity.
 
 ``brieskorn_pham_spectrum`` enumerates the spectrum {sum_i k_i/a_i : 1 <=
-k_i < a_i} of x_0^{a_0} + ... + x_n^{a_n} (Steenbrink) as integer
-numerators, and ``_pairs_at_level`` turns a spectrum into spectral pairs.
-Every built-in germ and the table at infinity, the pair table of the Fermat
-germ x_0^d + ... + x_n^d, go through both.  ``milnor_dim`` reads one graded
-dimension of the Fermat Milnor algebra off the engine for the ``oracle``
-command, which sets it beside a brute-force enumeration.
+k_i < a_i} of x_0^{a_0} + ... + x_n^{a_n} (Steenbrink) as one list of
+multiplicities, indexed by the integer numerators from the least value on,
+and ``_pairs_at_level`` cuts that list into unit intervals, one Hodge type
+of spectral pairs per slice.  Every built-in germ and the table at
+infinity, the pair table of the Fermat germ x_0^d + ... + x_n^d, go
+through both.  ``milnor_dim`` indexes the Fermat list for one graded
+dimension of the Fermat Milnor algebra, for the ``oracle`` command, which
+sets it beside a brute-force enumeration.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ def milnor_dim(n: int, d: int, m: int) -> int:
     x_0^d + ... + x_n^d, so 0 outside [0, (n+1)(d-2)]."""
     if n < 0 or d < 2:
         raise ValueError(f"need n >= 0 and d >= 2, got n={n}, d={d}")
-    return brieskorn_pham_spectrum((d,) * (n + 1))[1].get(m + n + 1, 0)
+    # den = d and shift = n + 1, so the value (m + n + 1)/d sits at index m
+    coeffs = brieskorn_pham_spectrum((d,) * (n + 1))[2]
+    return coeffs[m] if 0 <= m < len(coeffs) else 0
 
 
 def xi_exponent(n: int, d: int) -> int:
@@ -71,9 +75,11 @@ def milnor_dim_bruteforce(n: int, d: int, m: int) -> int:
     )
 
 
-def brieskorn_pham_spectrum(exponents: tuple[int, ...]) -> tuple[int, dict[int, int]]:
-    """Spectrum of x_0^{a_0} + ... + x_n^{a_n} as (den, {k: multiplicity}),
-    den = lcm(a): each value k/den in (0, n + 1) with its multiplicity.
+def brieskorn_pham_spectrum(exponents: tuple[int, ...]) -> tuple[int, int, list[int]]:
+    """Spectrum of x_0^{a_0} + ... + x_n^{a_n} as (den, shift, coeffs),
+    den = lcm(a): coeffs[i] is the multiplicity of the value (shift + i)/den
+    in (0, n + 1), from the least value shift/den to the greatest, which
+    both have multiplicity 1; values between may have none.
 
     In u = t^(1/den), c_i = den/a_i, it is u^(sum c_i) times the product of
     the (1 - u^((a_i - 1)c_i)) / (1 - u^c_i): per factor, one shifted
@@ -94,23 +100,26 @@ def brieskorn_pham_spectrum(exponents: tuple[int, ...]) -> tuple[int, dict[int, 
         for r in range(0, c, step):
             coeffs[r::c] = list(accumulate(coeffs[r::c]))
         del coeffs[-c:]
-    shift = sum(den // a for a in exponents)
-    return den, {k: m for k, m in enumerate(coeffs, shift) if m}
+    return den, sum(den // a for a in exponents), coeffs
 
 
-def _pairs_at_level(n: int, den: int, numerators: dict[int, int]) -> SpectralPairTable:
-    """The spectral pairs of a spectrum {k/den: multiplicity} at level n:
-    a non-integer s gives (floor(s), n - floor(s), s - floor(s)) and an
-    integer s gives (s, n + 1 - s, 0)."""
+def _pairs_at_level(
+    n: int, den: int, shift: int, coeffs: list[int]
+) -> SpectralPairTable:
+    """The spectral pairs at level n of the spectrum (den, shift, coeffs) of
+    brieskorn_pham_spectrum: a non-integer value s gives
+    (floor(s), n - floor(s), s - floor(s)) and an integer s gives
+    (s, n + 1 - s, 0).  The values in [p, p + 1) are one slice of coeffs,
+    its head at the integer p and its tail the Hodge type (p, n - p)."""
     groups: dict[tuple[int, int], dict[int, int]] = {}
-    for k, c in numerators.items():
-        p, j = divmod(k, den)
-        key = (p, n - p) if j else (p, n + 1 - p)
-        group = groups.get(key)
-        if group is None:
-            groups[key] = {j: c}
-        else:
-            group[j] = c
+    for p in range(shift // den, (shift + len(coeffs) - 1) // den + 1):
+        head = p * den - shift  # the index of the value p, negative below shift
+        if head >= 0 and coeffs[head]:
+            groups[p, n + 1 - p] = {0: coeffs[head]}
+        first = max(head + 1, 0)
+        tail = {j: c for j, c in enumerate(coeffs[first:head + den], first - head) if c}
+        if tail:
+            groups[p, n - p] = tail
     return SpectralPairTable(den, groups)
 
 

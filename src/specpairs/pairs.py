@@ -55,6 +55,12 @@ def rescale(groups: dict, factor: int) -> dict:
     }
 
 
+def _fraction_text(a: int, b: int) -> str:
+    """The text of the lowest-terms a/b as str(Fraction(a, b)) writes it:
+    "a", not "a/1", when b is 1."""
+    return f"{a}/{b}" if b != 1 else str(a)
+
+
 class _AngleTexts(dict):
     """The lowest-terms texts "a/b" of angles k/den by k, each made on its
     first lookup (a den may run to millions)."""
@@ -92,20 +98,22 @@ class _GroupedTable:
         """What equality compares: the groups over den, a multiple of _den."""
         return rescale(self._groups, den // self._den)
 
-    def _rows(self) -> list[tuple[int, int, list[tuple]]]:
+    def _rows(self) -> list[tuple[int, int, list[str], list[int]]]:
         """The rows of every output by Hodge type in key order, each type
-        as (p, q, [("a/b", count), ...]) with the angles in order and in
-        lowest terms ("0/1" for 0)."""
+        as its columns (p, q, ["a/b", ...], [count, ...]) with the angles
+        in order and in lowest terms ("0/1" for 0)."""
         texts, groups, out = _angle_texts(self._den), self._groups, []
         for p, q in sorted(groups):
             group = groups[p, q]
-            out.append((p, q, [(texts[k], group[k]) for k in sorted(group)]))
+            keys = sorted(group)
+            out.append((p, q, list(map(texts.__getitem__, keys)),
+                        list(map(group.__getitem__, keys))))
         return out
 
     def _cells(self) -> Iterator[tuple]:
         """The rows of every output, (p, q, *cell) per cell of _rows, in key order."""
-        for p, q, cells in self._rows():
-            for cell in cells:
+        for p, q, *columns in self._rows():
+            for cell in zip(*columns):
                 yield p, q, *cell
 
     def to_rows(self) -> list[list]:
@@ -227,12 +235,14 @@ class SpectralPairTable(_GroupedTable):
         # keyed by the lowest-terms angle as two ints, which hash faster
         data: dict[tuple[int, int, int, int], int] = {}
         for p, q, alpha, count in (parse_row(row, 4) for row in parse_array(rows)):
-            p, q, alpha = parse_integer(p), parse_integer(q), parse_fraction(alpha)
-            key = p, q, a, b = p, q, alpha.numerator, alpha.denominator
+            p, q, (a, b) = parse_integer(p), parse_integer(q), parse_fraction(alpha)
+            key = p, q, a, b
             if not 0 <= a < b:
-                raise ValueError(f"eigenvalue angle must lie in [0, 1), got {alpha}")
+                raise ValueError(
+                    f"eigenvalue angle must lie in [0, 1), got {_fraction_text(a, b)}")
             if key in data:
-                raise ValueError(f"spectral pair ({p}, {q}, {alpha}) is given twice")
+                raise ValueError(
+                    f"spectral pair ({p}, {q}, {_fraction_text(a, b)}) is given twice")
             data[key] = parse_integer(count)
         for (p, q, a, b), count in data.items():
             if count < 0:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from functools import partial
+from itertools import chain
 from typing import NamedTuple
 
 from . import boundary, bounds
@@ -355,15 +356,16 @@ def _json(value, pad: str = "") -> str:
     row, cell = "\n" + inner, "\n" + inner + "  "
     if isinstance(value, SpectralPairTable):
         rows = []
-        for p, q, cells in value._rows():
+        for p, q, alphas, counts in value._rows():
             head = f'{row}[{cell}{p},{cell}{q},{cell}"'
-            rows += [f'{head}{alpha}",{cell}{c}{row}]' for alpha, c in cells]
+            rows += [f'{head}{alpha}",{cell}{c}{row}]'
+                     for alpha, c in zip(alphas, counts)]
     elif isinstance(value, bounds.BoundTable):
         rows = []
-        for p, q, cells in value._rows():
+        for p, q, alphas, values, kinds in value._rows():
             head = f'{row}[{cell}{p},{cell}{q},{cell}"'
             rows += [f'{head}{alpha}",{cell}{v},{cell}"{kind}"{row}]'
-                     for alpha, v, kind in cells]
+                     for alpha, v, kind in zip(alphas, values, kinds)]
     elif isinstance(value, CyclotomicFactorization):
         rows = [f"{cell}[{cell}  {k},{cell}  {m}{cell}]"  # one level below a table's
                 for k, m in sorted(value._factors.items())]
@@ -402,8 +404,9 @@ def render_text(report: InvariantReport) -> str:
         if not rows:
             lines.append("  (empty)")
             continue
-        cells = [cell for *_, group_cells in rows for cell in group_cells]
-        columns = [[p for p, _, _ in rows], [q for _, q, _ in rows], *zip(*cells)]
+        # p and q once per Hodge type, each other column joined over the types
+        columns = [[p for p, *_ in rows], [q for _, q, *_ in rows]]
+        columns += [list(chain.from_iterable(c)) for c in zip(*(r[2:] for r in rows))]
         # bound rows carry a fifth, unheaded column marking exact values
         header = ("p", "q", "alpha", "count" if group == "tables" else "bound",
                   "")[:len(columns)]
@@ -416,9 +419,9 @@ def render_text(report: InvariantReport) -> str:
         head = f"  %-{widths[0]}s  %-{widths[1]}s  "
         line = "  ".join(f"%-{w}s" for w in widths[2:])
         lines.append(head % header[:2] + line % header[2:])
-        for p, q, group_cells in rows:
+        for p, q, *group_columns in rows:
             row = head % (p, q) + line  # p and q are ints, with no "%" to escape
-            lines += [row % cell for cell in group_cells]
+            lines += [row % cell for cell in zip(*group_columns)]
     for violation in report.warnings:
         lines += ["", f"warning: {violation.message}"]
     lines += ["", "checks:", *("  " + check.line() for check in report.checks)]

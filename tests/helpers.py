@@ -483,9 +483,10 @@ def pair_table(entries=None) -> SpectralPairTable:
     """A SpectralPairTable from {(p, q, alpha): count} literals with exact
     rational alpha, read as a document's rows, so zero counts are dropped
     and a negative count or an angle outside [0, 1) is rejected."""
-    return SpectralPairTable.from_rows(
-        [[p, q, alpha, count] for (p, q, alpha), count in (entries or {}).items()]
-    )
+    return SpectralPairTable.from_rows([
+        [p, q, f"{alpha.numerator}/{alpha.denominator}", count]
+        for (p, q, alpha), count in (entries or {}).items()
+    ])
 
 
 def milnor_dim_closed_form(n: int, d: int, m: int) -> int:

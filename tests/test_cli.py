@@ -658,6 +658,35 @@ def test_documents_are_read_strictly(spec_file, capsys, doc, message, command):
     assert "malformed document: " in err and message in err
 
 
+# each form was read by fractions.Fraction, which the reader no longer is:
+# README's grammar is a JSON integer or "a/b" of ASCII digits
+REFUSED_RATIONALS = ["0.5", "1e-1", " 1/2 ", "+1/3", "1_0/30", "3", "\u0661/\u0662"]
+
+
+@pytest.mark.parametrize("unit", REFUSED_RATIONALS)
+def test_a_unit_outside_the_grammar_makes_a_document_malformed(spec_file, capsys, unit):
+    # the unit is checked and dropped, so each document had a report
+    assert main(["verify", spec_file(_cusp_with_alexander(unit="1/1"))]) == 0
+    capsys.readouterr()
+    assert main(["verify", spec_file(_cusp_with_alexander(unit=unit))]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"malformed document: bad 'explicit' singularity entry: "
+                   f"cannot interpret {unit!r} as an exact rational\n")
+
+
+@pytest.mark.parametrize("angle", ["+5/6", " 5/6 ", "5_0/60", "\u0665/\u0666", "5/6\n"])
+def test_an_angle_outside_the_grammar_makes_a_document_malformed(
+    spec_file, capsys, angle
+):
+    # each angle stands for 5/6, so each document had the report of "5/6"
+    doc = _cusp_with(spectral_pairs=[[0, 1, angle, 1], [1, 0, "1/6", 1]])
+    assert main(["verify", spec_file(doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"cannot interpret {angle!r} as an exact rational" in err
+
+
 def test_negative_hd_count_is_a_violation(spec_file, capsys):
     doc = json.loads(
         (Path(__file__).parent / "golden" / "hd_quartic_surface.json").read_text()
@@ -815,14 +844,17 @@ CUSPIDAL_CUBIC = str(GOLDEN / "cuspidal_cubic.json")
         ([], 5),
         (["compute", "x.json", "--bogus"], 6),
         (["census", "--lines", "3", "extra"], 6),
+        (["compute", "x.json", "--format", "bogus"], 6),
+        (["verify", "--help"], 6),
     ],
 )
 def test_a_call_builds_the_parser_of_the_subcommand_it_names(
     monkeypatch, capsys, argv, parsers
 ):
-    # a valid call is read by the named subcommand's parser alone; one that
-    # leaves an argument over is worded by the full tree of five after it,
-    # and help, no argument or an unknown command build that tree only
+    # a valid call is read by the named subcommand's _Reader alone; one the
+    # reader refuses or leaves an argument over is worded by the full tree
+    # of five after it, and help, no argument or an unknown command build
+    # that tree only
     built = []
     true_init = argparse.ArgumentParser.__init__
 
@@ -837,10 +869,40 @@ def test_a_call_builds_the_parser_of_the_subcommand_it_names(
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == (0 if "--help" in argv else 3)
-    assert built == [cli._Parser] * parsers
+    expected = {1: [cli._Reader], 5: [cli._Parser] * 5,
+                6: [cli._Reader] + [cli._Parser] * 5}
+    assert built == expected[parsers]
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "x.json", "--format", "bogus"],
+    ["census", "--lines", "x"],
+    ["census", "--lines", "3", "--max-rows", "-1"],
+    ["oracle", "milnor-dim", "1", "3"],
+    ["compute", "x.json", "-h"],
+    ["verify", "--help"],
+], ids=["format-choice", "lines-text", "max-rows-negative", "oracle-short",
+        "compute-h", "verify-help"])
+def test_the_reader_never_prints(monkeypatch, capsys, argv):
+    # every text these calls print comes from the full tree: the same
+    # status, stdout and stderr as the full tree alone
+    with pytest.raises(SystemExit) as info:
+        cli._build_parser().parse_args(argv)
+    alone = (info.value.code, capsys.readouterr())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reader printed")
+
+    monkeypatch.setattr(cli._Reader, "_print_message", refuse)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert (info.value.code, capsys.readouterr()) == alone
 
 
 def test_an_abbreviated_option_is_read_by_the_lone_parser(capsys):
+    reader = cli._Reader("compute")
+    assert reader.parse_args([CUSPIDAL_CUBIC, "--form", "structured"]).format == (
+        "structured")
     assert main(["compute", CUSPIDAL_CUBIC, "--form", "structured"]) == 0
     abbreviated = capsys.readouterr()
     assert main(["compute", CUSPIDAL_CUBIC, "--format", "structured"]) == 0

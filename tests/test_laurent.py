@@ -14,7 +14,7 @@ from specpairs import (
     NotDivisible,
     euler_phi,
 )
-from specpairs.laurent import divisors
+from specpairs.laurent import divisors, parse_fraction
 
 
 def _multiply(p: dict, q: dict) -> dict:
@@ -136,3 +136,20 @@ def test_expand_is_multiplicative(f, g):
 @given(small_factorizations)
 def test_degree_matches_expansion_span(f):
     assert _span(oracle_expand(f)) == f.degree
+
+
+@pytest.mark.parametrize("value, pair", [
+    (3, (3, 1)), (-2, (-2, 1)), ("5/6", (5, 6)), ("2/4", (1, 2)),
+    ("-3/4", (-3, 4)), ("0/7", (0, 1)), ("12/3", (4, 1)),
+])
+def test_a_rational_is_an_integer_or_a_over_b_in_lowest_terms(value, pair):
+    assert parse_fraction(value) == pair
+
+
+@pytest.mark.parametrize("value", [
+    "0.5", "1e-1", " 1/2 ", "+1/3", "1_0/30", "3", "\u0665/\u0666", "1/2\n",
+    "1/0", "1/-2", "", True, 0.5, None, [1, 2],
+])
+def test_no_other_form_is_read_as_a_rational(value):
+    with pytest.raises(ValueError, match="as an exact rational"):
+        parse_fraction(value)

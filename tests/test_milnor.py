@@ -10,6 +10,7 @@ import pytest
 from helpers import (
     brieskorn_pham_explicit,
     milnor_dim_closed_form,
+    oracle_local_pairs,
     pair_table,
     table_at_infinity_from_dims,
 )
@@ -190,3 +191,49 @@ def test_engine_matches_fraction_enumeration_at_unequal_exponents():
         != brieskorn_pham_explicit(e).pairs
     ]
     assert len(tuples) == 406 and mismatched == []
+
+
+def test_the_engine_gives_its_multiplicities_as_one_list():
+    # (den, shift, coeffs): coeffs[i] counts the value (shift + i)/den
+    assert brieskorn_pham_spectrum((3, 3)) == (3, 2, [1, 2, 1])
+    assert brieskorn_pham_spectrum((2, 3)) == (6, 5, [1, 0, 1])
+    assert brieskorn_pham_spectrum((2, 2, 2, 2)) == (2, 4, [1])
+    assert brieskorn_pham_spectrum((6, 3)) == (6, 3, [1, 1, 2, 2, 2, 1, 1])
+
+
+@pytest.mark.parametrize("exponents", [
+    (2, 2), (2, 2, 2), (2, 2, 2, 2), (3, 3, 3), (2, 3, 3, 3), (4, 4, 4),
+    (4, 4), (6, 3), (6, 6), (2, 4), (3, 6, 6), (12, 4),
+])
+def test_slices_of_the_spectrum_at_every_level(exponents):
+    # spectra that start above 1, and integer values that open a slice
+    engine = _pairs_at_level(len(exponents) - 1, *brieskorn_pham_spectrum(exponents))
+    assert engine == brieskorn_pham_explicit(exponents).pairs
+
+
+def test_a_spectrum_above_one_slices_into_its_own_levels():
+    # x^2 + y^2 + z^2 + w^2 has the single value 2, at level 3: (2, 2, 0)
+    assert _pairs_at_level(3, *brieskorn_pham_spectrum((2, 2, 2, 2))) == pair_table(
+        {(2, 2, Fraction(0)): 1})
+    # x^3 + y^3 + z^3: 1 and 2 once, 4/3 and 5/3 three times each
+    assert _pairs_at_level(2, *brieskorn_pham_spectrum((3, 3, 3))) == pair_table({
+        (1, 2, Fraction(0)): 1, (1, 1, Fraction(1, 3)): 3,
+        (1, 1, Fraction(2, 3)): 3, (2, 1, Fraction(0)): 1,
+    })
+
+
+@pytest.mark.parametrize("a, b", [(23, 29), (31, 32), (17, 40), (30, 45)])
+def test_large_germs_match_the_oracles(a, b):
+    # Milnor numbers in the hundreds; neither oracle shares code with the engine
+    engine = _pairs_at_level(1, *brieskorn_pham_spectrum((a, b)))
+    assert engine == pair_table(oracle_local_pairs(a, b))
+    assert engine == brieskorn_pham_explicit((a, b)).pairs
+    assert engine.total_dim() == (a - 1) * (b - 1)
+
+
+@pytest.mark.parametrize("n, d", [(0, 2), (0, 5), (1, 2), (1, 3), (2, 4), (3, 5)])
+def test_milnor_dim_at_the_ends_of_its_range(n, d):
+    top = (n + 1) * (d - 2)
+    for m in (-1, 0, top, top + 1):
+        assert milnor_dim(n, d, m) == milnor_dim_closed_form(n, d, m), m
+    assert [milnor_dim(n, d, m) for m in (-1, 0, top, top + 1)] == [0, 1, 1, 0]
