@@ -269,13 +269,10 @@ _COMMANDS = {
 }
 
 
-def _with_arguments(
-    parser: argparse.ArgumentParser, name: str
-) -> argparse.ArgumentParser:
-    """The parser, given the arguments of the named subcommand."""
+def _with_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    """Give the parser the arguments of the named subcommand."""
     for names, options in _COMMANDS[name][1]:
         parser.add_argument(*names, **options)
-    return parser
 
 
 def _build_parser() -> _Parser:

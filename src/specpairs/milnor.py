@@ -103,9 +103,7 @@ def brieskorn_pham_spectrum(exponents: tuple[int, ...]) -> tuple[int, int, list[
     return den, sum(den // a for a in exponents), coeffs
 
 
-def _pairs_at_level(
-    n: int, den: int, shift: int, coeffs: list[int]
-) -> SpectralPairTable:
+def _pairs_at_level(n: int, den: int, shift: int, coeffs: list) -> SpectralPairTable:
     """The spectral pairs at level n of the spectrum (den, shift, coeffs) of
     brieskorn_pham_spectrum: a non-integer value s gives
     (floor(s), n - floor(s), s - floor(s)) and an integer s gives

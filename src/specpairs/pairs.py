@@ -55,12 +55,6 @@ def rescale(groups: dict, factor: int) -> dict:
     }
 
 
-def _fraction_text(a: int, b: int) -> str:
-    """The text of the lowest-terms a/b as str(Fraction(a, b)) writes it:
-    "a", not "a/1", when b is 1."""
-    return f"{a}/{b}" if b != 1 else str(a)
-
-
 class _AngleTexts(dict):
     """The lowest-terms texts "a/b" of angles k/den by k, each made on its
     first lookup (a den may run to millions)."""
@@ -239,10 +233,10 @@ class SpectralPairTable(_GroupedTable):
             key = p, q, a, b
             if not 0 <= a < b:
                 raise ValueError(
-                    f"eigenvalue angle must lie in [0, 1), got {_fraction_text(a, b)}")
+                    f"eigenvalue angle must lie in [0, 1), got {Fraction(a, b)}")
             if key in data:
                 raise ValueError(
-                    f"spectral pair ({p}, {q}, {_fraction_text(a, b)}) is given twice")
+                    f"spectral pair ({p}, {q}, {Fraction(a, b)}) is given twice")
             data[key] = parse_integer(count)
         for (p, q, a, b), count in data.items():
             if count < 0:

@@ -658,14 +658,14 @@ def test_documents_are_read_strictly(spec_file, capsys, doc, message, command):
     assert "malformed document: " in err and message in err
 
 
-# each form was read by fractions.Fraction, which the reader no longer is:
-# README's grammar is a JSON integer or "a/b" of ASCII digits
+# forms of a rational outside README's grammar, a JSON integer or "a/b" of
+# ASCII digits with an optional leading minus
 REFUSED_RATIONALS = ["0.5", "1e-1", " 1/2 ", "+1/3", "1_0/30", "3", "\u0661/\u0662"]
 
 
 @pytest.mark.parametrize("unit", REFUSED_RATIONALS)
 def test_a_unit_outside_the_grammar_makes_a_document_malformed(spec_file, capsys, unit):
-    # the unit is checked and dropped, so each document had a report
+    # the unit is checked and dropped: with "1/1" the document has a report
     assert main(["verify", spec_file(_cusp_with_alexander(unit="1/1"))]) == 0
     capsys.readouterr()
     assert main(["verify", spec_file(_cusp_with_alexander(unit=unit))]) == 1
@@ -679,7 +679,7 @@ def test_a_unit_outside_the_grammar_makes_a_document_malformed(spec_file, capsys
 def test_an_angle_outside_the_grammar_makes_a_document_malformed(
     spec_file, capsys, angle
 ):
-    # each angle stands for 5/6, so each document had the report of "5/6"
+    # each angle is a form of 5/6 outside the grammar
     doc = _cusp_with(spectral_pairs=[[0, 1, angle, 1], [1, 0, "1/6", 1]])
     assert main(["verify", spec_file(doc)]) == 1
     out, err = capsys.readouterr()

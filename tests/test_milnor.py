@@ -201,24 +201,26 @@ def test_the_engine_gives_its_multiplicities_as_one_list():
     assert brieskorn_pham_spectrum((6, 3)) == (6, 3, [1, 1, 2, 2, 2, 1, 1])
 
 
-@pytest.mark.parametrize("exponents", [
-    (2, 2), (2, 2, 2), (2, 2, 2, 2), (3, 3, 3), (2, 3, 3, 3), (4, 4, 4),
-    (4, 4), (6, 3), (6, 6), (2, 4), (3, 6, 6), (12, 4),
-])
-def test_slices_of_the_spectrum_at_every_level(exponents):
-    # spectra that start above 1, and integer values that open a slice
-    engine = _pairs_at_level(len(exponents) - 1, *brieskorn_pham_spectrum(exponents))
-    assert engine == brieskorn_pham_explicit(exponents).pairs
+def test_slices_start_above_one_and_end_at_integers():
+    def pairs(*exponents):
+        return _pairs_at_level(len(exponents) - 1, *brieskorn_pham_spectrum(exponents))
 
-
-def test_a_spectrum_above_one_slices_into_its_own_levels():
     # x^2 + y^2 + z^2 + w^2 has the single value 2, at level 3: (2, 2, 0)
-    assert _pairs_at_level(3, *brieskorn_pham_spectrum((2, 2, 2, 2))) == pair_table(
-        {(2, 2, Fraction(0)): 1})
+    assert pairs(2, 2, 2, 2) == pair_table({(2, 2, Fraction(0)): 1})
     # x^3 + y^3 + z^3: 1 and 2 once, 4/3 and 5/3 three times each
-    assert _pairs_at_level(2, *brieskorn_pham_spectrum((3, 3, 3))) == pair_table({
+    assert pairs(3, 3, 3) == pair_table({
         (1, 2, Fraction(0)): 1, (1, 1, Fraction(1, 3)): 3,
         (1, 1, Fraction(2, 3)): 3, (2, 1, Fraction(0)): 1,
+    })
+    # the integer 1 ends the slice [0, 1) and opens [1, 2)
+    assert pairs(4, 4) == pair_table({
+        (0, 1, Fraction(1, 2)): 1, (0, 1, Fraction(3, 4)): 2, (1, 1, Fraction(0)): 3,
+        (1, 0, Fraction(1, 4)): 2, (1, 0, Fraction(1, 2)): 1,
+    })
+    assert pairs(6, 3) == pair_table({
+        (0, 1, Fraction(1, 2)): 1, (0, 1, Fraction(2, 3)): 1,
+        (0, 1, Fraction(5, 6)): 2, (1, 1, Fraction(0)): 2,
+        (1, 0, Fraction(1, 6)): 2, (1, 0, Fraction(1, 3)): 1, (1, 0, Fraction(1, 2)): 1,
     })
 
 

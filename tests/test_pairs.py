@@ -186,7 +186,7 @@ def test_total_dim_is_additive(a, b):
 )
 def test_integer_keys_over_any_denominator_equal_fraction_keys(entries, extra, other):
     # the constructor takes numerators over a denominator that may be any
-    # multiple of the least one; from_rows reads Fraction angles
+    # multiple of the least one; pair_table writes Fraction angles as "a/b" rows
     den = lcm(*(alpha.denominator for _, _, alpha in entries)) * extra
     by_numerator = SpectralPairTable(
         den,
