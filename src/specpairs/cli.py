@@ -281,7 +281,9 @@ def _build_parser() -> _Parser:
     # size; the tree reads it once, with argparse's own margin of 2
     fmt = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser_class = partial(_Parser, formatter_class=fmt)
-    parser = parser_class(prog="specpairs", description=__doc__.splitlines()[0])
+    # one top-level usage line at any width, however argparse would wrap it
+    parser = parser_class(prog="specpairs", description=__doc__.splitlines()[0],
+                          usage=f"%(prog)s [-h] {{{','.join(_COMMANDS)}}} ...")
     sub = parser.add_subparsers(
         dest="command", required=True, prog="specpairs", parser_class=parser_class
     )

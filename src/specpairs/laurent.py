@@ -205,6 +205,19 @@ def parse_row(value, arity: int) -> list:
     return row
 
 
+def parse_keyed(rows, width: int, name: str) -> tuple[tuple[int, ...], ...]:
+    """Rows of `width` integers (hD, grF_dims), read strictly: all but the
+    last entry are the row's key, and a key given twice is an error, not an
+    overwrite."""
+    out: dict[tuple[int, ...], int] = {}
+    for row in parse_array(rows):
+        *key, value = map(parse_integer, parse_row(row, width))
+        if (key := tuple(key)) in out:
+            raise ValueError(f"{name} {key[0] if width == 2 else key} is given twice")
+        out[key] = value
+    return tuple((*key, value) for key, value in out.items())
+
+
 _RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")  # [0-9]: ASCII digits only
 
 

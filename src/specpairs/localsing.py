@@ -1,4 +1,4 @@
-"""Local invariants of isolated plane-curve singularity germs.
+"""Local invariants of isolated singularity germs, by germ kind.
 
 The built-in model is the Brieskorn-Pham germ x^a + y^b, quasi-homogeneous,
 so its local monodromy has finite order and its pair table is read off the
@@ -12,6 +12,10 @@ which it reads every invariant it is not given.  Every germ answers
 closed-form price in the work estimate of ``model.validate``.  `cyclotomic`
 and `spectrum` read the local Alexander polynomial and the spectrum of
 every germ off its pair table.
+
+Each kind is a class in `KINDS`, all that ``model`` reads: `kind`, the
+`entry_keys` of an entry, `from_entry`, `to_entry`, `admits(n)` (a germ in
+C^(n+1)?) and `check(n)`, the (code, message) of each own rule it breaks.
 
 A built-in germ computes its Milnor number and branch count in closed form
 and its pair table from one enumeration of its spectrum, on first use, and
@@ -28,7 +32,8 @@ from functools import cached_property
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
-from .laurent import CyclotomicFactorization, euler_phi
+from .laurent import (CyclotomicFactorization, euler_phi, parse_integer,
+                      parse_keyed, parse_row)
 from .milnor import _pairs_at_level, brieskorn_pham_spectrum
 from .pairs import SpectralPairTable
 
@@ -58,6 +63,7 @@ class Brieskorn:
     a frozen value, shown by its constructor arguments `_fields`."""
 
     _fields = ("a", "b")
+    kind, entry_keys = "brieskorn", frozenset({"exponents"})
     __setattr__ = __delattr__ = frozen
     __hash__ = lambda self: hash(self.exponents)
 
@@ -89,12 +95,27 @@ class Brieskorn:
     # when it is shorter: each distinct value is an entry of every table
     work = property(lambda self: 32 * min(self.milnor, 2 * lcm(*self.exponents)))
 
+    @classmethod
+    def from_entry(cls, entry: dict) -> Brieskorn:
+        return cls(*map(parse_integer, parse_row(entry["exponents"], 2)))
+
+    to_entry = lambda self: {"exponents": list(self.exponents)}
+    admits = lambda self, n: n == len(self.exponents) - 1  # a germ in C^(n+1)
+    check = lambda self, n: ()  # no rule beyond its constructor's
+
 
 class Ordinary(Brieskorn):
     """An ordinary m-fold point: the germ x^m + y^m, m transverse branches."""
 
     _fields = ("multiplicity",)
+    kind, entry_keys = "ordinary", frozenset({"multiplicity"})
     multiplicity = property(lambda self: self.a)
+
+    @classmethod
+    def from_entry(cls, entry: dict) -> Ordinary:
+        return cls(parse_integer(entry["multiplicity"]))
+
+    to_entry = lambda self: {"multiplicity": self.multiplicity}
 
     def __init__(self, multiplicity: int):
         if multiplicity < 2:
@@ -117,6 +138,18 @@ def _given_or(index: int, read_off) -> cached_property:
     )
 
 
+# An explicit entry's optional keys in reading order: field, key, reader, writer.
+_GIVEN = (
+    ("grf_dims", "grF_dims",
+     lambda rows: None if rows is None else parse_keyed(rows, 2, "filtration level"),
+     lambda rows: [list(row) for row in rows]),
+    ("milnor", "milnor_number", parse_integer, int),
+    ("branches", "branches", parse_integer, int),
+    ("alexander", "alexander", CyclotomicFactorization.from_dict,
+     CyclotomicFactorization.to_dict),
+)
+
+
 class Explicit(_ExplicitFields):
     """User-supplied local data for a germ without a built-in model: its
     pair table, and optionally invariants that validate checks against it.
@@ -129,6 +162,9 @@ class Explicit(_ExplicitFields):
     which the pipeline reads off the pair table.
     """
 
+    kind = "explicit"
+    entry_keys = frozenset({"spectral_pairs", *(key for _, key, _, _ in _GIVEN)})
+    admits = lambda self, n: True  # a pair table at any level n
     __setattr__ = __delattr__ = frozen
     # _replace builds with _make: both go through __new__ and its checks
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -152,8 +188,60 @@ class Explicit(_ExplicitFields):
             raise ValueError("branch count must be positive")
         return self
 
+    @classmethod
+    def from_entry(cls, entry: dict) -> Explicit:
+        given = {name: read(entry[key])
+                 for name, key, read, _ in _GIVEN if key in entry}
+        return cls(SpectralPairTable.from_rows(entry["spectral_pairs"]), **given)
+
+    def to_entry(self) -> dict:
+        """The pairs and the fields as given, none read off the pairs."""
+        given = self._asdict()
+        out = {key: write(given[name]) for name, key, _, write in _GIVEN
+               if given[name] is not None}
+        return {**out, "spectral_pairs": self.pairs.to_rows()}
+
+    def check(self, n: int) -> list[tuple[str, str]]:
+        """Its explicit_inconsistent rules: each given field must match the pairs."""
+        pairs, mu, _, given_alexander, grf = self  # the fields as given
+        wrong = []
+        if pairs.total_dim() != self.milnor:
+            wrong.append("the pair table mass differs from the Milnor number")
+        # Steenbrink's mixed Hodge structure on H^n(F) has h^{p,q} = 0 unless
+        # 0 <= p, q <= n; the rows are sorted, so the first outside is named
+        if any(not (0 <= p <= n and 0 <= q <= n) for p, q in pairs._groups):
+            p, q, alpha, _ = next(cell for cell in pairs._cells()
+                                  if not (0 <= cell[0] <= n and 0 <= cell[1] <= n))
+            wrong.append(f"spectral pair ({p}, {q}, {alpha}) lies outside "
+                         f"0 <= p, q <= {n}")
+        if n == 1 and pairs.unipotent_dim() != self.branches - 1:
+            wrong.append("eigenvalue-1 mass must equal branches - 1 "
+                         f"(branches = {self.branches}) for curve germs")
+        if not pairs.symmetries(n)[0]:
+            wrong.append("pair table is not conjugation-symmetric")
+        if not pairs.nonunipotent().symmetries(n)[1]:
+            wrong.append(f"eigenvalue != 1 part is not self-dual at level {n}")
+        # the eigenvalues of order o make up Phi(o)^m only if each carries m;
+        # only a given polynomial can differ from the one the pairs give
+        den, counts = pairs.angle_counts()
+        alexander = self.alexander
+        if given_alexander is not None and alexander != cyclotomic(pairs) or any(
+            c != alexander.multiplicity(den // gcd(k, den)) for k, c in counts.items()
+        ):
+            wrong.append("eigenvalues of the local Alexander polynomial differ "
+                         "from the eigenvalue marginal of the pair table")
+        marginal = sorted(pairs.hodge_filtration_marginal().items())
+        if grf is not None and sorted(r for r in grf if r[1]) != marginal:
+            wrong.append(f"grF_dims {[list(r) for r in grf]} differ from "
+                         "the Hodge filtration marginal of the pair table")
+        # a derived Milnor number, the pair mass, may have too many digits to print
+        where = "explicit singularity" + ("" if mu is None else f" (mu={mu})")
+        return [("explicit_inconsistent", f"{where}: {message}") for message in wrong]
+
 
 LocalSingularity = Brieskorn | Explicit
+# Every germ kind a document may name, by its kind name.
+KINDS = {germ.kind: germ for germ in (Ordinary, Brieskorn, Explicit)}
 
 
 def spectrum(s: LocalSingularity) -> tuple[Fraction, ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from math import comb, gcd
+from math import comb
 from typing import NamedTuple
 
 from .laurent import (
@@ -18,10 +18,9 @@ from .laurent import (
     parse_array,
     parse_flag,
     parse_integer,
-    parse_row,
+    parse_keyed,
 )
-from .localsing import (Brieskorn, Explicit, LocalSingularity, Ordinary,
-                        cyclotomic, frozen)
+from .localsing import KINDS, LocalSingularity, frozen
 from .milnor import steenbrink_infinity, xi_exponent
 from .pairs import SpectralPairTable, table_sum
 
@@ -183,44 +182,6 @@ def shared_line_violations(d: int, points) -> list[tuple[int, int]]:
     return bad
 
 
-def _validate_explicit(s: Explicit, n: int, out: list[Violation]) -> None:
-    """The explicit_inconsistent rules: each given field must match the pairs."""
-    # a derived Milnor number, the pair mass, may have too many digits to print
-    given_mu = s._asdict()["milnor"]
-    where = "explicit singularity" + ("" if given_mu is None else f" (mu={given_mu})")
-
-    def inconsistent(message: str) -> None:
-        out.append(Violation("explicit_inconsistent", f"{where}: {message}"))
-
-    if s.pairs.total_dim() != s.milnor:
-        inconsistent("the pair table mass differs from the Milnor number")
-    # Steenbrink's mixed Hodge structure on H^n(F) has h^{p,q} = 0 unless
-    # 0 <= p, q <= n; the rows are sorted, so the first outside is named
-    if any(not (0 <= p <= n and 0 <= q <= n) for p, q in s.pairs._groups):
-        p, q, alpha, _ = next(cell for cell in s.pairs._cells()
-                              if not (0 <= cell[0] <= n and 0 <= cell[1] <= n))
-        inconsistent(f"spectral pair ({p}, {q}, {alpha}) lies outside 0 <= p, q <= {n}")
-    if n == 1 and s.pairs.unipotent_dim() != s.branches - 1:
-        inconsistent("eigenvalue-1 mass must equal branches - 1 "
-                     f"(branches = {s.branches}) for curve germs")
-    if not s.pairs.symmetries(n)[0]:
-        inconsistent("pair table is not conjugation-symmetric")
-    if not s.pairs.nonunipotent().symmetries(n)[1]:
-        inconsistent(f"eigenvalue != 1 part is not self-dual at level {n}")
-    # the eigenvalues of order o make up Phi(o)^m only if each carries m
-    den, counts = s.pairs.angle_counts()
-    alexander = s.alexander
-    if alexander != cyclotomic(s.pairs) or any(
-        c != alexander.multiplicity(den // gcd(k, den)) for k, c in counts.items()
-    ):
-        inconsistent("eigenvalues of the local Alexander polynomial differ "
-                     "from the eigenvalue marginal of the pair table")
-    marginal = sorted(s.pairs.hodge_filtration_marginal().items())
-    if s.grf_dims is not None and sorted(r for r in s.grf_dims if r[1]) != marginal:
-        inconsistent(f"grF_dims {[list(r) for r in s.grf_dims]} differ from "
-                     "the Hodge filtration marginal of the pair table")
-
-
 # The largest _work_estimate that validate admits.  A unit is about a
 # microsecond of `compute --format structured` (Python 3.11, one core).  The
 # largest estimate among the test, golden and benchmark documents is
@@ -289,25 +250,23 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
                 Violation("repeated_hd", f"hD row {[p, q, count]} repeats a Hodge type")
             )
         hodge_types.add((p, q))
-    if n >= 2:
-        if r != 1:
-            out.append(
-                Violation(
-                    "multi_component",
-                    "a hypersurface of dimension >= 2 with isolated "
-                    "singularities is irreducible; components must be 1",
-                )
+    if n >= 2 and r != 1:
+        out.append(
+            Violation(
+                "multi_component",
+                "a hypersurface of dimension >= 2 with isolated "
+                "singularities is irreducible; components must be 1",
             )
-        for s, _ in spec.singularities:
-            if not isinstance(s, Explicit):
-                out.append(
-                    Violation(
-                        "builtin_dimension",
-                        "built-in singularity models are plane-curve germs; "
-                        "ambient dimension above curves requires explicit data",
-                    )
-                )
-                break
+        )
+    # the germ kinds' own dimensions; at n = 0 zero_dimensional refuses any germ
+    if n and not all(s.admits(n) for s, _ in spec.singularities):
+        out.append(
+            Violation(
+                "builtin_dimension",
+                "built-in singularity models are plane-curve germs; "
+                "ambient dimension above curves requires explicit data",
+            )
+        )
     if n == 0 and spec.singularities:
         out.append(
             Violation(
@@ -329,9 +288,7 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
             )
         )
         return out
-    for s, _ in spec.singularities:
-        if isinstance(s, Explicit):
-            _validate_explicit(s, n, out)
+    out.extend(Violation(*rule) for s, _ in spec.singularities for rule in s.check(n))
     global_milnor = (d - 1) ** (n + 1)
     if spec._local_milnor_total > global_milnor:
         out.append(
@@ -424,62 +381,6 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
 # Document parsing and serialization
 
 
-def _parse_keyed(rows, width: int, name: str) -> tuple[tuple[int, ...], ...]:
-    """Rows of `width` integers (hD, grF_dims), read strictly: all but the
-    last entry are the row's key, and a key given twice is an error, not an
-    overwrite."""
-    out: dict[tuple[int, ...], int] = {}
-    for row in parse_array(rows):
-        *key, value = map(parse_integer, parse_row(row, width))
-        if (key := tuple(key)) in out:
-            raise ValueError(f"{name} {key[0] if width == 2 else key} is given twice")
-        out[key] = value
-    return tuple((*key, value) for key, value in out.items())
-
-
-# The keys a singularity entry of each kind may carry beside kind and count.
-_ENTRY_KEYS = {
-    "ordinary": {"multiplicity"},
-    "brieskorn": {"exponents"},
-    "explicit": {"spectral_pairs", "milnor_number", "branches", "alexander",
-                 "grF_dims"},
-}
-
-
-def _parse_singularity(entry, errors) -> tuple[LocalSingularity, int] | None:
-    if not isinstance(entry, dict):
-        errors.append(f"singularity entry must be an object, got {type(entry)}")
-        return None
-    kind = entry.get("kind")
-    if not (isinstance(kind, str) and kind in _ENTRY_KEYS):
-        errors.append(f"unknown singularity kind {kind!r}")
-        return None
-    try:
-        unknown = sorted(entry.keys() - _ENTRY_KEYS[kind] - {"kind", "count"})
-        if unknown:
-            raise ValueError(f"unknown key {unknown[0]!r}")
-        count = parse_integer(entry.get("count", 1))
-        if kind == "ordinary":
-            return Ordinary(parse_integer(entry["multiplicity"])), count
-        if kind == "brieskorn":
-            a, b = parse_row(entry["exponents"], 2)
-            return Brieskorn(parse_integer(a), parse_integer(b)), count
-        grf = entry.get("grF_dims")  # an explicit entry
-        grf_rows = None if grf is None else _parse_keyed(grf, 2, "filtration level")
-        given = {  # an absent field is read off the pairs
-            name: read(entry[key]) for name, key, read in (
-                ("milnor", "milnor_number", parse_integer),
-                ("branches", "branches", parse_integer),
-                ("alexander", "alexander", CyclotomicFactorization.from_dict),
-            ) if key in entry
-        }
-        pairs = SpectralPairTable.from_rows(entry["spectral_pairs"])
-        return Explicit(pairs, grf_dims=grf_rows, **given), count
-    except (KeyError, TypeError, ValueError) as exc:
-        errors.append(f"bad {kind!r} singularity entry: {exc}")
-        return None
-
-
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object as a dict; a key given twice is an error (which
     parse_spec reports as invalid JSON), not an overwrite by its last value."""
@@ -521,16 +422,30 @@ def parse_spec(document: str | dict) -> HypersurfaceSpec:
                       f"ambient_dim, degree and components make it {json.dumps(lines)}")
     rhm = read("rational_homology_manifold", parse_flag, False)
     sings: list[tuple[LocalSingularity, int]] = []
+    # an entry's kind first, then its keys, its count and its kind's own fields
     for entry in read("singularities", parse_array, []) or []:
-        parsed = _parse_singularity(entry, errors)
-        if parsed is not None:
-            sings.append(parsed)
+        if not isinstance(entry, dict):
+            errors.append(f"singularity entry must be an object, got {type(entry)}")
+            continue
+        kind = entry.get("kind")
+        germ = KINDS.get(kind) if isinstance(kind, str) else None
+        if germ is None:
+            errors.append(f"unknown singularity kind {kind!r}")
+            continue
+        try:
+            unknown = sorted(entry.keys() - germ.entry_keys - {"kind", "count"})
+            if unknown:
+                raise ValueError(f"unknown key {unknown[0]!r}")
+            count = parse_integer(entry.get("count", 1))
+            sings.append((germ.from_entry(entry), count))
+        except (KeyError, TypeError, ValueError) as exc:
+            errors.append(f"bad {kind!r} singularity entry: {exc}")
     # delta_U and hD are optional: null reads as absent
     delta_u = read(
         "delta_U",
         lambda v: None if v is None else CyclotomicFactorization.from_dict(v),
     )
-    h_d = read("hD", lambda v: None if v is None else _parse_keyed(v, 3, "Hodge type"))
+    h_d = read("hD", lambda v: None if v is None else parse_keyed(v, 3, "Hodge type"))
     if errors:
         raise MalformedDocument(errors)
     return HypersurfaceSpec(
@@ -544,24 +459,6 @@ def parse_spec(document: str | dict) -> HypersurfaceSpec:
     )
 
 
-def _serialize_singularity(s: LocalSingularity, count: int) -> dict:
-    if isinstance(s, Ordinary):
-        return {"kind": "ordinary", "multiplicity": s.multiplicity, "count": count}
-    if isinstance(s, Brieskorn):
-        return {"kind": "brieskorn", "exponents": [s.a, s.b], "count": count}
-    _, milnor, branches, alexander, grf = s  # the fields as given, none derived
-    out = {
-        "kind": "explicit",
-        "milnor_number": milnor,
-        "branches": branches,
-        "alexander": None if alexander is None else alexander.to_dict(),
-        "spectral_pairs": s.pairs.to_rows(),
-        "count": count,
-        "grF_dims": None if grf is None else [[p, v] for p, v in grf],
-    }
-    return {key: value for key, value in out.items() if value is not None}
-
-
 def serialize_spec(spec: HypersurfaceSpec) -> dict:
     """Inverse of parse_spec, up to JSON round trip."""
     out = {
@@ -571,7 +468,7 @@ def serialize_spec(spec: HypersurfaceSpec) -> dict:
         "line_arrangement": spec.line_arrangement,
         "rational_homology_manifold": spec.rational_homology_manifold,
         "singularities": [
-            _serialize_singularity(s, c) for s, c in spec.singularities
+            {"kind": s.kind, **s.to_entry(), "count": c} for s, c in spec.singularities
         ],
     }
     if spec.delta_u is not None:

@@ -8,10 +8,9 @@ corresponding eigenspace.  Zero counts are never stored.
 Each angle is stored as an integer numerator k over one denominator per
 table (alpha = k/den), and the entries are grouped by Hodge type,
 {(p, q): {k: count}} with no empty group, so every pass over a table looks
-up its few Hodge types once and then works on integer keys.  Fraction
-angles come in only where a document's rows are read (``from_rows``); a
-table is read out through its rows, which write each angle as lowest-terms
-text.
+up its few Hodge types once and then works on integer keys.  A document's
+rows are read by ``from_rows``, each angle as a lowest-terms pair of ints;
+a table is read out through its rows, which write each angle as text.
 
 ``_GroupedTable`` holds the groups, rows and equality of this table and of
 ``bounds.BoundTable``.  Neither constructor checks its groups: producers
@@ -25,7 +24,6 @@ rational homology manifold shifts the groups at infinity.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator
@@ -226,6 +224,8 @@ class SpectralPairTable(_GroupedTable):
         must be arrays, p, q and count integers, alpha an exact rational in
         [0, 1) and no count negative; a key given twice is an error, not a
         sum, and zero counts are dropped."""
+        def text(a, b):  # a lowest-terms angle: "a/b", or "a" when b is 1
+            return f"{a}/{b}" if b > 1 else f"{a}"
         # keyed by the lowest-terms angle as two ints, which hash faster
         data: dict[tuple[int, int, int, int], int] = {}
         for p, q, alpha, count in (parse_row(row, 4) for row in parse_array(rows)):
@@ -233,14 +233,14 @@ class SpectralPairTable(_GroupedTable):
             key = p, q, a, b
             if not 0 <= a < b:
                 raise ValueError(
-                    f"eigenvalue angle must lie in [0, 1), got {Fraction(a, b)}")
+                    f"eigenvalue angle must lie in [0, 1), got {text(a, b)}")
             if key in data:
                 raise ValueError(
-                    f"spectral pair ({p}, {q}, {Fraction(a, b)}) is given twice")
+                    f"spectral pair ({p}, {q}, {text(a, b)}) is given twice")
             data[key] = parse_integer(count)
         for (p, q, a, b), count in data.items():
             if count < 0:
-                raise ValueError(f"negative count {count} at {(p, q, Fraction(a, b))}")
+                raise ValueError(f"negative count {count} at ({p}, {q}, {text(a, b)})")
         data = {key: c for key, c in data.items() if c}
         den = lcm(*(b for _, _, _, b in data))
         return cls(den, grouped(

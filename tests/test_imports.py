@@ -13,8 +13,19 @@ import sys
 from pathlib import Path
 
 from specpairs import CyclotomicFactorization, SpectralPairTable
+from specpairs.localsing import KINDS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "specpairs"
+
+
+def _imports(path: Path):
+    """(line, module) of each import in a source file that is not relative
+    to the package."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.lineno, node.module
 
 
 def test_package_imports_only_the_standard_library():
@@ -22,18 +33,35 @@ def test_package_imports_only_the_standard_library():
     assert sources
     outside = []
     for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue  # not an import, or relative to the package
-            for name in names:
-                top = name.partition(".")[0]
-                if top != "specpairs" and top not in sys.stdlib_module_names:
-                    outside.append(f"{path.name}:{node.lineno} imports {name}")
+        for line, name in _imports(path):
+            top = name.partition(".")[0]
+            if top != "specpairs" and top not in sys.stdlib_module_names:
+                outside.append(f"{path.name}:{line} imports {name}")
     assert outside == []
+
+
+def test_only_bounds_and_localsing_import_fractions():
+    # their mhat and spectrum are the last Fraction values; once both are
+    # deleted the set is empty, and no module imports fractions
+    importers = {path.stem for path in PACKAGE.glob("*.py")
+                 if any(name == "fractions" for _, name in _imports(path))}
+    assert importers == {"bounds", "localsing"}
+
+
+def test_model_imports_no_germ_class_and_names_no_germ_kind():
+    # every germ kind is a class in localsing.KINDS, so a new kind edits no model
+    tree = ast.parse((PACKAGE / "model.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            names.add(node.id if isinstance(node, ast.Name) else node.attr)
+    strings = {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    classes = {germ.__name__ for germ in KINDS.values()}
+    assert classes == {"Brieskorn", "Explicit", "Ordinary"}
+    assert names & classes == set() and strings & set(KINDS) == set()
 
 
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():

@@ -50,7 +50,7 @@ from specpairs import (
     spectral_bound_complement,
     validate,
 )
-from specpairs import model
+from specpairs import localsing, model
 from specpairs.cli import census_rows
 from specpairs.model import _work_estimate, shared_line_violations
 
@@ -394,6 +394,61 @@ def test_explicit_consistency_checks():
     spec = HypersurfaceSpec(n=1, d=4, components=1,
                             singularities=((asymmetric, 1),))
     assert "explicit_inconsistent" in codes(spec)
+
+
+def test_explicit_rules_recompute_only_a_given_alexander(monkeypatch):
+    # an absent alexander is read off the pairs, so only a given one is compared
+    made, real = [], localsing.cyclotomic
+    monkeypatch.setattr(localsing, "cyclotomic",
+                        lambda pairs: made.append(1) or real(pairs))
+    cusp = brieskorn_pham_explicit((2, 3))
+    assert Explicit(cusp.pairs).check(1) == [] and made == []
+    assert Explicit(cusp.pairs, alexander=cusp.alexander).check(1) == [] and made == [1]
+
+
+class _Ak:
+    """A throwaway germ kind, the curve germ A_k (y^2 + x^(k+1)) written by
+    its k alone.  Its invariants are those of Brieskorn(2, k + 1), and its
+    own rule refuses k above 10."""
+
+    kind, entry_keys = "a_k", frozenset({"k"})
+
+    def __init__(self, k: int):
+        self.k, self.germ = k, Brieskorn(2, k + 1)
+
+    __eq__ = lambda self, other: type(other) is _Ak and other.k == self.k
+    __hash__ = lambda self: hash(self.k)
+    milnor = property(lambda self: self.germ.milnor)
+    branches = property(lambda self: self.germ.branches)
+    pairs = property(lambda self: self.germ.pairs)
+    alexander = property(lambda self: self.germ.alexander)
+    work = property(lambda self: self.germ.work)
+    from_entry = classmethod(lambda cls, entry: cls(entry["k"]))
+    to_entry = lambda self: {"k": self.k}
+    admits = lambda self, n: n == 1
+    check = lambda self, n: [("a_k_bound", f"A_{self.k}: k > 10")] * (self.k > 10)
+
+
+def test_a_germ_kind_in_the_table_is_read_written_and_checked(monkeypatch):
+    # model names no germ kind: one class in localsing.KINDS is a new kind
+    monkeypatch.setitem(localsing.KINDS, "a_k", _Ak)
+    doc = {"ambient_dim": 2, "degree": 4, "components": 1,
+           "singularities": [{"kind": "a_k", "k": 2, "count": 2}]}
+    spec = parse_spec(json.dumps(doc))
+    assert spec == HypersurfaceSpec(n=1, d=4, components=1,
+                                    singularities=((_Ak(2), 2),))
+    assert serialize_spec(spec)["singularities"] == doc["singularities"]
+    assert parse_spec(json.dumps(serialize_spec(spec))) == spec
+    # a quartic with two cusps: the table's germ runs the whole pipeline
+    assert spec.violations == () and build_report(spec).all_passed
+    # its keys, its dimensions and its own rule come from the class
+    bad_key = {**doc, "singularities": [{"kind": "a_k", "k": 2, "m": 1}]}
+    with pytest.raises(MalformedDocument, match="^bad 'a_k' singularity entry: "
+                       "unknown key 'm'$"):
+        parse_spec(json.dumps(bad_key))
+    assert codes(spec._replace(n=2)) == {"builtin_dimension"}
+    assert validate(spec._replace(d=13, singularities=((_Ak(11), 1),))) == [
+        Violation("a_k_bound", "A_11: k > 10")]
 
 
 def test_rhm_flag_constraints():
