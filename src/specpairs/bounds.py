@@ -85,9 +85,10 @@ class BoundTable(_GroupedTable):
         return f"BoundTable({rows})"
 
     def _rows(self) -> list[tuple[int, int, list[str], list[int], list[str]]]:
-        """The rows of every output by Hodge type in key order, each type
-        as its columns (p, q, ["a/b", ...], [bound, ...], ["exact" or
-        "upper", ...]) with the angles in order and in lowest terms."""
+        """The rows of the text output and of to_rows by Hodge type in key
+        order, each type as its columns (p, q, ["a/b", ...], [bound, ...],
+        ["exact" or "upper", ...]) with the angles in order and in lowest
+        terms."""
         texts, groups, out = _angle_texts(self._den), self._groups, []
         for p, q in sorted(groups):
             group = groups[p, q]

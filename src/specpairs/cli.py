@@ -91,18 +91,23 @@ def _multiplicities(report: InvariantReport) -> list[int]:
     return [s.branches for s, c in report.spec.singularities for _ in range(c)]
 
 
-def _census_row_dict(report: InvariantReport) -> dict:
-    return {
-        "d": report.spec.d,
-        "multiplicities": _multiplicities(report),
-        "mu": report.derived.mu,
-        "delta_M": report.delta_m,
-        "table": report.pairs_full,
-        "checks_passed": report.all_passed,
-        "failed_checks": [c.name for c in report.failed()],
+def _census_row_json(report: InvariantReport) -> str:
+    """A census row, an item of the structured census, as the text of
+    json.dumps(row, sort_keys=True, indent=2) at the indent of an item: its
+    eight keys in sorted order, written straight from the report."""
+    failed = [c.name for c in report.failed()]
+    at, pad = "\n    ", "    "  # a key's line, and the indent it starts on
+    return (
+        f'{{{at}"checks_passed": {"false" if failed else "true"},'
+        f'{at}"d": {report.spec.d},'
+        f'{at}"delta_M": {_json(report.delta_m, pad)},'
+        f'{at}"failed_checks": {_json(failed, pad)},'
+        f'{at}"mu": {report.derived.mu},'
+        f'{at}"multiplicities": {_json(_multiplicities(report), pad)},'
         # the only warnings are shared-line realizability violations
-        "possibly_unrealizable": bool(report.warnings),
-    }
+        f'{at}"possibly_unrealizable": {"true" if report.warnings else "false"},'
+        f'{at}"table": {_json(report.pairs_full, pad)}\n  }}'
+    )
 
 
 def _census_line(report: InvariantReport) -> str:
@@ -211,7 +216,7 @@ def _cmd_census(args) -> int:
             if not report.all_passed:
                 status = EXIT_IDENTITY
             if structured:
-                sys.stdout.write(opening + _json(_census_row_dict(report), "  "))
+                sys.stdout.write(opening + _census_row_json(report))
                 opening = ",\n  "
             else:
                 print(_census_line(report))

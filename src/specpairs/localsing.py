@@ -15,7 +15,8 @@ every germ off its pair table.
 
 Each kind is a class in `KINDS`, all that ``model`` reads: `kind`, the
 `entry_keys` of an entry, `from_entry`, `to_entry`, `admits(n)` (a germ in
-C^(n+1)?) and `check(n)`, the (code, message) of each own rule it breaks.
+C^(n+1)?) and `check(n)`, the (code, message) of each own rule it breaks,
+which ``model.validate`` asks only of a germ that admits n.
 
 A built-in germ computes its Milnor number and branch count in closed form
 and its pair table from one enumeration of its spectrum, on first use, and
@@ -140,8 +141,7 @@ def _given_or(index: int, read_off) -> cached_property:
 
 # An explicit entry's optional keys in reading order: field, key, reader, writer.
 _GIVEN = (
-    ("grf_dims", "grF_dims",
-     lambda rows: None if rows is None else parse_keyed(rows, 2, "filtration level"),
+    ("grf_dims", "grF_dims", lambda rows: parse_keyed(rows, 2, "filtration level"),
      lambda rows: [list(row) for row in rows]),
     ("milnor", "milnor_number", parse_integer, int),
     ("branches", "branches", parse_integer, int),
@@ -164,7 +164,7 @@ class Explicit(_ExplicitFields):
 
     kind = "explicit"
     entry_keys = frozenset({"spectral_pairs", *(key for _, key, _, _ in _GIVEN)})
-    admits = lambda self, n: True  # a pair table at any level n
+    admits = lambda self, n: n >= 1  # any level n: C^1 has no singular point
     __setattr__ = __delattr__ = frozen
     # _replace builds with _make: both go through __new__ and its checks
     _make = classmethod(lambda cls, fields: cls(*fields))

@@ -288,7 +288,8 @@ def validate(spec: HypersurfaceSpec) -> list[Violation]:
             )
         )
         return out
-    out.extend(Violation(*rule) for s, _ in spec.singularities for rule in s.check(n))
+    out.extend(Violation(*rule) for s, _ in spec.singularities if s.admits(n)
+               for rule in s.check(n))
     global_milnor = (d - 1) ** (n + 1)
     if spec._local_milnor_total > global_milnor:
         out.append(

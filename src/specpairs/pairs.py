@@ -91,9 +91,9 @@ class _GroupedTable:
         return rescale(self._groups, den // self._den)
 
     def _rows(self) -> list[tuple[int, int, list[str], list[int]]]:
-        """The rows of every output by Hodge type in key order, each type
-        as its columns (p, q, ["a/b", ...], [count, ...]) with the angles
-        in order and in lowest terms ("0/1" for 0)."""
+        """The rows of the text output and of to_rows by Hodge type in key
+        order, each type as its columns (p, q, ["a/b", ...], [count, ...])
+        with the angles in order and in lowest terms ("0/1" for 0)."""
         texts, groups, out = _angle_texts(self._den), self._groups, []
         for p, q in sorted(groups):
             group = groups[p, q]
@@ -103,7 +103,7 @@ class _GroupedTable:
         return out
 
     def _cells(self) -> Iterator[tuple]:
-        """The rows of every output, (p, q, *cell) per cell of _rows, in key order."""
+        """The rows of to_rows, (p, q, *cell) per cell of _rows, in key order."""
         for p, q, *columns in self._rows():
             for cell in zip(*columns):
                 yield p, q, *cell

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from . import boundary, bounds
 from .laurent import CyclotomicFactorization, NotDivisible
 from .model import HypersurfaceSpec, serialize_spec
-from .pairs import SpectralPairTable
+from .pairs import SpectralPairTable, _angle_texts
 
 
 class Check(NamedTuple):
@@ -335,14 +335,18 @@ def _json(value, pad: str = "") -> str:
     to_dict(); pad is the indent of the line the value starts on.
 
     The generic encoder is pure Python once an indent is set, so this one
-    writes a scalar in a dict or a list inline, and a table or factorization
-    straight from its entries, one f-string per row."""
+    writes a scalar in a dict or a list inline, a list of ints alone with
+    one join, and a table or factorization straight from its groups, one
+    f-string per row."""
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
         return scalar(value)
     inner = pad + "  "
     get, nested = _SCALARS.get, partial(_json, pad=inner)
     if isinstance(value, list):
+        if value and all(type(v) is int for v in value):  # never a bool
+            ints = f",\n{inner}".join(map(int.__repr__, value))
+            return f"[\n{inner}{ints}\n{pad}]"
         items = [inner + (get(type(v)) or nested)(v) for v in value]
         return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
     if isinstance(value, dict):
@@ -355,17 +359,18 @@ def _json(value, pad: str = "") -> str:
         return int.__repr__(value)
     row, cell = "\n" + inner, "\n" + inner + "  "
     if isinstance(value, SpectralPairTable):
-        rows = []
-        for p, q, alphas, counts in value._rows():
-            head = f'{row}[{cell}{p},{cell}{q},{cell}"'
-            rows += [f'{head}{alpha}",{cell}{c}{row}]'
-                     for alpha, c in zip(alphas, counts)]
+        texts, groups, rows = _angle_texts(value._den), value._groups, []
+        for p, q in sorted(groups):
+            group, head = groups[p, q], f'{row}[{cell}{p},{cell}{q},{cell}"'
+            rows += [f'{head}{texts[k]}",{cell}{group[k]}{row}]' for k in sorted(group)]
     elif isinstance(value, bounds.BoundTable):
-        rows = []
-        for p, q, alphas, values, kinds in value._rows():
-            head = f'{row}[{cell}{p},{cell}{q},{cell}"'
-            rows += [f'{head}{alpha}",{cell}{v},{cell}"{kind}"{row}]'
-                     for alpha, v, kind in zip(alphas, values, kinds)]
+        texts, groups, rows = _angle_texts(value._den), value._groups, []
+        exact = value._exact
+        for p, q in sorted(groups):
+            group, head = groups[p, q], f'{row}[{cell}{p},{cell}{q},{cell}"'
+            rows += [f'{head}{texts[k]}",{cell}{group[k]},{cell}'
+                     f'"{"exact" if (p, q, k) in exact else "upper"}"{row}]'
+                     for k in sorted(group)]
     elif isinstance(value, CyclotomicFactorization):
         rows = [f"{cell}[{cell}  {k},{cell}  {m}{cell}]"  # one level below a table's
                 for k, m in sorted(value._factors.items())]

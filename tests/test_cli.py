@@ -603,6 +603,9 @@ def _explicit_nodes(**changes):
         # a repeated level is not dropped, even with a zero dimension
         (_three_generic_lines_with(**_explicit_nodes(grF_dims=[[1, 1], [1, 0]])),
          "filtration level 1 is given twice"),
+        # only delta_U and hD read null as absent
+        (_three_generic_lines_with(**_explicit_nodes(grF_dims=None)),
+         "bad 'explicit' singularity entry: expected an array, got None"),
         (_cusp_with_alexander(factors=[{"6": 1}]), "expected an array, got {'6': 1}"),
         (_cusp_with(spectral_pairs=[[0, 1, "5/6"]]),
          "expected an array of 4 entries, got 3"),
@@ -644,7 +647,7 @@ def _explicit_nodes(**changes):
         "formal_germ_order_zero", "formal_germ_zero_unit", "deeply_nested",
         "integer_of_5000_digits", "not_utf8", "repeated_key",
         "short_hd_row", "object_hd_row", "three_exponents", "short_grf_row",
-        "repeated_grf_level",
+        "repeated_grf_level", "null_grf_dims",
         "object_factor_row", "short_pair_row", "misspelled_count",
         "misspelled_alexander", "key_of_another_kind", "unknown_kind_bad_count",
         "false_line_arrangement_flag", "true_line_arrangement_flag",
@@ -1049,6 +1052,23 @@ def test_streamed_census_equals_json_dumps_of_the_rows(capsys, argv, d, max_rows
     rows = [_row_dict(report) for report in census_rows(d, max_rows)]
     want = json.dumps(rows, sort_keys=True, indent=2) + "\n"
     assert capsys.readouterr().out == want
+
+
+def test_a_census_row_with_failed_checks_equals_json_dumps_of_its_row():
+    # every real row passes its checks, so a failing one is made by hand
+    from specpairs.report import Check
+
+    rows = list(census_rows(7))
+    flagged = next(r for r in rows if r.warnings)
+    failing = flagged._replace(checks=[
+        *flagged.checks, Check("forced", False, "identity", "made \"by\" hand"),
+        Check("also_forced", False, "input"),
+    ])
+    for report in (rows[0], flagged, failing):
+        want = json.dumps([_row_dict(report)], sort_keys=True, indent=2)
+        assert f"[\n  {cli._census_row_json(report)}\n]" == want
+    assert '"checks_passed": false' in want and '"possibly_unrealizable": true' in want
+    assert json.loads(want)[0]["failed_checks"] == ["forced", "also_forced"]
 
 
 @pytest.mark.parametrize("fmt", ["structured", "table"])

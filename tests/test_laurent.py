@@ -3,6 +3,9 @@ expansion oracle."""
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,3 +156,57 @@ def test_a_rational_is_an_integer_or_a_over_b_in_lowest_terms(value, pair):
 def test_no_other_form_is_read_as_a_rational(value):
     with pytest.raises(ValueError, match="as an exact rational"):
         parse_fraction(value)
+
+
+ASCII_DIGITS = "0123456789"
+
+
+def _readme_rational(text: str):
+    """README's rule for the text of a unit or an angle, written without
+    a regex: "a/b", where a is ASCII digits after an optional "-" and b is
+    ASCII digits and not zero; the value (a, b) as ints, or None."""
+    a, slash, b = text.partition("/")
+    if a.startswith("-"):
+        a = a[1:]
+        sign = -1
+    else:
+        sign = 1
+    if not slash or not a or not b:
+        return None
+    if any(c not in ASCII_DIGITS for c in a + b):
+        return None
+    value = sign * int(a), int(b)
+    return None if value[1] == 0 else value
+
+
+def _draw(rng: random.Random, alphabet: str) -> str:
+    """A string over the alphabet: half the time any string of up to 7
+    characters, else "a/b" with an optional "-" and up to two edits."""
+    if rng.random() < 0.5:
+        return "".join(rng.choices(alphabet, k=rng.randint(0, 7)))
+    digits = lambda: "".join(rng.choices(ASCII_DIGITS, k=rng.randint(1, 4)))
+    text = rng.choice(["", "-"]) + digits() + "/" + digits()
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        i = rng.randint(0, len(text))
+        text = text[:i] + rng.choice(["", rng.choice(alphabet)]) + text[i + 1:]
+    return text
+
+
+def test_angle_grammar_accepts_exactly_the_readme_rule():
+    # digits, the signs and separators a number may carry elsewhere, and
+    # one non-ASCII digit (ARABIC-INDIC DIGIT THREE), which int() reads
+    alphabet = ASCII_DIGITS + "/-+ .e_\u0663"
+    rng = random.Random(20261022)
+    accepted = rejected = 0
+    for _ in range(20_000):
+        text = _draw(rng, alphabet)
+        want = _readme_rational(text)
+        if want is None:
+            with pytest.raises(ValueError, match="as an exact rational"):
+                parse_fraction(text)
+            rejected += 1
+            continue
+        value = Fraction(*want)
+        assert parse_fraction(text) == (value.numerator, value.denominator)
+        accepted += 1
+    assert accepted > 5_000 and rejected > 5_000

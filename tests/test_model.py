@@ -509,6 +509,18 @@ def test_zero_dimensional_hypersurfaces_have_no_singular_points():
         == ["too_many_components"]
 
 
+def test_a_germ_at_n_0_gets_zero_dimensional_alone():
+    # an explicit germ's own rules run only where it admits n, as a
+    # built-in germ's dimension rule does
+    cusp = Explicit(pairs=pair_table(
+        {(0, 1, Fraction(5, 6)): 1, (1, 0, Fraction(1, 6)): 1}))
+    assert not cusp.admits(0) and cusp.check(0)
+    assert cusp.admits(1) and cusp.admits(5)
+    for germ in (cusp, Brieskorn(2, 3)):
+        spec = HypersurfaceSpec(n=0, d=3, components=3, singularities=((germ, 1),))
+        assert [v.code for v in validate(spec)] == ["zero_dimensional"]
+
+
 def test_explicit_grf_dims_must_match_the_pair_table():
     node = brieskorn_pham_explicit((2, 2, 2))
     assert node.grf_dims == ((1, 1),)

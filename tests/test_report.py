@@ -638,8 +638,13 @@ class Text(str):
 @settings(max_examples=150, deadline=None)
 @given(json_values)
 @example([1, True])  # a bool is an int to isinstance, but json writes true
+@example([True, 1])
+@example([2, 3, False, 4])
 @example([True, False])
-@example([0, -1, 10**80])
+@example([0, -1, 10**80])  # a list of ints alone is written with one join
+@example([7])
+@example([[1, 2], [3, 4]])
+@example({"a": [[0, 1, 5]], "b": [[]], "c": [-3]})
 @example([])
 @example({"a": True, "b": None, "c": 0})  # scalars written inline in a dict
 # subclasses miss the exact-type writers: json writes an int and a string
@@ -676,6 +681,44 @@ def test_table_rows_equal_json_dumps_of_to_rows_at_any_depth(table, depth):
         {"tables": [{"rows": table.to_rows(), "empty": []}], "count": 1},
         sort_keys=True, indent=2,
     )
+
+
+# a den of 60 with many angles in each of four Hodge types, one of them
+# holding a single angle
+WIDE_PAIRS = pair_table({
+    **{(0, 1, Fraction(k, 60)): k for k in range(1, 60)},
+    **{(1, 0, Fraction(k, 60)): 60 - k for k in range(0, 60, 7)},
+    **{(1, 1, Fraction(k, 12)): 10**20 + k for k in range(12)},
+    (-1, 2, Fraction(1, 2)): 3,
+})
+# exact keys sharing their Hodge types with upper bounds, a zero exact value
+# among them
+MIXED_BOUNDS = bound_table(
+    {(1, 1, 0): 4, (1, 1, Fraction(1, 3)): 2, (1, 1, Fraction(2, 3)): 0,
+     (0, 1, Fraction(1, 6)): 1, (0, 1, Fraction(5, 6)): 7, (1, 0, Fraction(1, 2)): 5},
+    exact=[(1, 1, 0), (1, 1, Fraction(2, 3)), (0, 1, Fraction(5, 6))],
+)
+
+
+@pytest.mark.parametrize("table", [WIDE_PAIRS, MIXED_BOUNDS], ids=["pairs", "bounds"])
+@pytest.mark.parametrize("depth", [0, 1, 3])
+def test_wide_tables_equal_json_dumps_of_to_rows(table, depth):
+    pad = "  " * depth
+    rows = table.to_rows()
+    assert len({(p, q) for p, q, *_ in rows}) >= 3
+    assert _json(table, pad) == json.dumps(rows, indent=2).replace("\n", "\n" + pad)
+    nested = {"z": table, "a": [table, 1, True]}
+    assert _json(nested, pad) == json.dumps(
+        {"z": rows, "a": [rows, 1, True]}, sort_keys=True, indent=2,
+    ).replace("\n", "\n" + pad)
+
+
+def test_mixed_bound_rows_mark_each_exact_key():
+    kinds = {(p, q, alpha): kind for p, q, alpha, _, kind in MIXED_BOUNDS.to_rows()}
+    assert kinds == {
+        (0, 1, "1/6"): "upper", (0, 1, "5/6"): "exact", (1, 0, "1/2"): "upper",
+        (1, 1, "0/1"): "exact", (1, 1, "1/3"): "upper", (1, 1, "2/3"): "exact",
+    }
 
 
 factorizations = st.builds(
