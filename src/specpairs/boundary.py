@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .bounds import divisibility_bound_infinity
+from .bounds import _curve_groups, _mhat_excess, divisibility_bound_infinity
 from .laurent import CyclotomicFactorization, NotDivisible
 from .model import HypersurfaceSpec, middle_hodge_numbers
 from .pairs import SpectralPairTable, table_sum
@@ -48,9 +48,7 @@ def error_term(
 def boundary_pairs_nonunipotent(spec: HypersurfaceSpec) -> SpectralPairTable:
     """Eigenvalue != 1 spectral pairs of the middle boundary Alexander module:
     the sum of the local tables and the table at infinity."""
-    derived = spec.derived
-    terms = ((derived.infinity, 1), (derived.local_pair_sum, 1))
-    return table_sum(terms, nonunipotent=True)
+    return (spec.derived.infinity + spec.derived.local_pair_sum).nonunipotent()
 
 
 def _curve_alpha0(spec: HypersurfaceSpec) -> tuple[int, int]:
@@ -77,43 +75,12 @@ def boundary_pairs_curve(spec: HypersurfaceSpec) -> SpectralPairTable:
     local = spec.derived.local_pair_sum
     den = lcm(local._den, spec.d)
     step = den // local._den
-    groups = _eigenvalue_one_corners(corner, off)
-    # the local keys are distinct and these have alpha > 0, unlike the
-    # corners, so each key below is written once
-    into, mirror = groups[0, 1], groups[1, 0]
-    for k, c in local._groups.get((0, 1), {}).items():
-        if k:
-            k *= step
-            into[k] = mirror[den - k] = c
-    into, mirror = groups[0, 0], groups[1, 1]
-    for k, c in local._groups.get((0, 0), {}).items():
-        if k:
-            into[k * step] = mirror[k * step] = c
-    _add_mhat_excess(groups, spec.d, 1, den)
-    return SpectralPairTable(den, {pq: group for pq, group in groups.items() if group})
-
-
-def _eigenvalue_one_corners(corner: int, off: int) -> dict[tuple[int, int], dict]:
-    """The four groups of a curve table, (0,0), (1,1), (0,1) and (1,0), with
-    their eigenvalue-1 entries: corner in the first two, off in the others
-    (none where zero).  A group may stay empty, so the caller drops the
-    empty ones once it has filled them."""
-    corners = {0: corner} if corner else {}
-    offs = {0: off} if off else {}
-    return {(0, 0): corners, (1, 1): dict(corners), (0, 1): offs, (1, 0): dict(offs)}
-
-
-def _add_mhat_excess(groups: dict, m: int, count: int, den: int) -> None:
-    """Add count * (mhat(m, alpha) - 1) at (0, 1, alpha) and at its mirror
-    (1, 0, 1 - alpha), for all alpha in (0, 1), into the (0,1) and (1,0)
-    groups of a table being built; den is a multiple of m.  The term is
-    nonzero only at alpha = j/m, where it is j - 1."""
-    step = den // m
-    into, mirror = groups[0, 1], groups[1, 0]
-    for j in range(2, m):
-        k, c = j * step, (j - 1) * count
-        into[k] = into.get(k, 0) + c
-        mirror[den - k] = mirror.get(den - k, 0) + c
+    upper = {k * step: c for k, c in local._groups.get((0, 1), {}).items() if k}
+    lower = {k * step: c for k, c in local._groups.get((0, 0), {}).items() if k}
+    # the local keys and those of the mhat(d) term are all above 0
+    for k, c in _mhat_excess(((spec.d, 1),), den).items():
+        upper[k] = upper.get(k, 0) + c
+    return SpectralPairTable(den, _curve_groups(den, corner, off, upper, lower))
 
 
 def boundary_pairs_arrangement(d: int, points) -> SpectralPairTable:
@@ -125,11 +92,9 @@ def boundary_pairs_arrangement(d: int, points) -> SpectralPairTable:
     mhat(d, alpha) - 1.
     """
     den = lcm(d, *(m for m, _ in points))
-    groups = _eigenvalue_one_corners(sum((m - 1) * c for m, c in points), 0)
-    for m, c in points:
-        _add_mhat_excess(groups, m, c, den)
-    _add_mhat_excess(groups, d, 1, den)
-    return SpectralPairTable(den, {pq: group for pq, group in groups.items() if group})
+    corner = sum((m - 1) * c for m, c in points)
+    upper = _mhat_excess((*points, (d, 1)), den)
+    return SpectralPairTable(den, _curve_groups(den, corner, 0, upper, {}))
 
 
 def boundary_pairs_qhm(spec: HypersurfaceSpec) -> dict[int, SpectralPairTable]:

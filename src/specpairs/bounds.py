@@ -170,17 +170,8 @@ def _curve_bound(d: int, r: int) -> BoundTable:
     """spectral_bound_curve of a curve of degree d with r components.  As
     with steenbrink_infinity, the table of the last (d, r) is kept and
     shared read-only: every row of a census asks for the same one."""
-    return _curve_shaped_bound(d, [j - 1 for j in range(1, d)], r - 1)
-
-
-def _curve_shaped_bound(d: int, values: list[int], exact_11: int) -> BoundTable:
-    """Bounds values[j-1] at (0, 1, j/d) and mirrored at (1, 0, (d-j)/d) for
-    j = 1..d-1, and the exact value exact_11 at (1, 1, 0)."""
-    into = {j: value for j, value in enumerate(values, start=1) if value}
-    mirror = {d - j: value for j, value in into.items()}
-    groups = {(0, 1): into, (1, 0): mirror} if into else {}
-    groups[1, 1] = {0: exact_11}
-    return BoundTable(d, groups, frozenset([(1, 1, 0)]))
+    groups = _curve_groups(d, 0, 0, _mhat_excess(((d, 1),), d), {})
+    return BoundTable(d, {**groups, (1, 1): {0: r - 1}}, frozenset([(1, 1, 0)]))
 
 
 def spectral_bound_arrangement(d: int, points) -> BoundTable:
@@ -190,11 +181,34 @@ def spectral_bound_arrangement(d: int, points) -> BoundTable:
     eigenvalue-1 pair (1,1) equals d - 1 exactly.  For gcd(j, d) = 1 the bound
     vanishes unless some multiplicity equals d.
     """
-    excess = [0] * d
+    upper = {j: min(j - 1, v) for j, v in _mhat_excess(points, d).items() if j > 1}
+    groups = _curve_groups(d, 0, 0, upper, {})
+    return BoundTable(d, {**groups, (1, 1): {0: d - 1}}, frozenset([(1, 1, 0)]))
+
+
+def _mhat_excess(points, den: int) -> dict[int, int]:
+    """The sum of count * (mhat(m, k/den) - 1) over the (multiplicity,
+    count) runs `points`, by k for 0 < k < den, nonzero values only (for
+    positive counts).  mhat(m, k/den) - 1 is m*k/den - 1 where den divides
+    m*k, so at the multiples k of den // gcd(m, den), and 0 elsewhere; at
+    the first multiple it is 0 when m divides den."""
+    excess: dict[int, int] = {}
     for m, c in points:
-        # mhat(m, j/d) - 1 is m*j/d - 1 where d divides m*j, and 0 elsewhere
-        step = d // gcd(m, d)
-        for j in range(step, d, step):
-            excess[j] += (m * j // d - 1) * c
-    values = [min(j - 1, excess[j]) for j in range(1, d)]
-    return _curve_shaped_bound(d, values, d - 1)
+        step = den // gcd(m, den)
+        for k in range(2 * step if den % m == 0 else step, den, step):
+            excess[k] = excess.get(k, 0) + (m * k // den - 1) * c
+    return excess
+
+
+def _curve_groups(den: int, corner: int, off: int, upper: dict, lower: dict) -> dict:
+    """The groups over den of a table shaped like a curve's: `upper`
+    {k: value} at (0, 1, k/den) and mirrored at (1, 0, (den - k)/den), with
+    `off` at (0, 1, 0) and (1, 0, 0); `lower` at (0, 0, k/den) and
+    (1, 1, k/den), with `corner` at (0, 0, 0) and (1, 1, 0).  upper and
+    lower hold no zero and no k = 0; a zero corner or off is left out, and
+    so is a group left empty.  (0,0) and (1,1) share one group."""
+    into = {0: off, **upper} if off else upper
+    corners = {0: corner, **lower} if corner else lower
+    groups = {(0, 0): corners, (1, 1): corners, (0, 1): into,
+              (1, 0): {-k % den: v for k, v in into.items()}}
+    return {pq: group for pq, group in groups.items() if group}

@@ -86,9 +86,11 @@ def census_rows(d: int, max_rows: int | None = None) -> Iterator[InvariantReport
         yield build_report(arrangement_spec(d, runs, germs))
 
 
-def _multiplicities(report: InvariantReport) -> list[int]:
-    """The point multiplicities of a census row, descending, one per point."""
-    return [s.branches for s, c in report.spec.singularities for _ in range(c)]
+def _multiplicities(report: InvariantReport, sep: str) -> str:
+    """The point multiplicities of a census row, descending, one per point,
+    joined by sep: each (multiplicity, count) run's text, count times."""
+    runs = report.spec.singularities
+    return sep.join(sep.join([str(s.branches)] * c) for s, c in runs)
 
 
 def _census_row_json(report: InvariantReport) -> str:
@@ -103,7 +105,7 @@ def _census_row_json(report: InvariantReport) -> str:
         f'{at}"delta_M": {_json(report.delta_m, pad)},'
         f'{at}"failed_checks": {_json(failed, pad)},'
         f'{at}"mu": {report.derived.mu},'
-        f'{at}"multiplicities": {_json(_multiplicities(report), pad)},'
+        f'{at}"multiplicities": [{at}  {_multiplicities(report, "," + at + "  ")}{at}],'
         # the only warnings are shared-line realizability violations
         f'{at}"possibly_unrealizable": {"true" if report.warnings else "false"},'
         f'{at}"table": {_json(report.pairs_full, pad)}\n  }}'
@@ -111,7 +113,7 @@ def _census_row_json(report: InvariantReport) -> str:
 
 
 def _census_line(report: InvariantReport) -> str:
-    mults = ",".join(map(str, _multiplicities(report)))
+    mults = _multiplicities(report, ",")
     flag = "  [possibly-unrealizable]" if report.warnings else ""
     status = "ok" if report.all_passed else "CHECKS-FAILED"
     return (

@@ -248,13 +248,10 @@ class SpectralPairTable(_GroupedTable):
         ))
 
 
-def table_sum(
-    terms: Iterable[tuple[SpectralPairTable, int]], nonunipotent: bool = False
-) -> SpectralPairTable:
+def table_sum(terms: Iterable[tuple[SpectralPairTable, int]]) -> SpectralPairTable:
     """The sum of count * table over (table, count) terms with positive
     counts, made in one pass over their entries over the lcm of their
-    denominators.  With nonunipotent, only the entries with eigenvalue
-    different from 1 (alpha > 0) are summed."""
+    denominators."""
     terms = list(terms)
     den = lcm(*(table._den for table, _ in terms))
     groups: dict[tuple[int, int], dict[int, int]] = {}
@@ -266,7 +263,6 @@ def table_sum(
                 into = groups[pq] = {}
             get = into.get
             for k, c in group.items():
-                if k or not nonunipotent:
-                    k *= step
-                    into[k] = get(k, 0) + c * count
-    return SpectralPairTable(den, {pq: group for pq, group in groups.items() if group})
+                k *= step
+                into[k] = get(k, 0) + c * count
+    return SpectralPairTable(den, groups)

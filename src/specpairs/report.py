@@ -123,13 +123,11 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
     deg_m = delta_m.degree
     nonunip = boundary.boundary_pairs_nonunipotent(spec)
     # the full table is exact for curves and rational homology manifolds only
-    full = weighted = None
+    weighted = flat = None
     if spec.rational_homology_manifold:
         weighted = boundary.boundary_pairs_qhm(spec)
-    if n == 1:
-        full = boundary.boundary_pairs_curve(spec)
-    elif weighted is not None:
-        full = boundary.flatten_weights(weighted) + nonunip
+        flat = boundary.flatten_weights(weighted) + nonunip
+    full = boundary.boundary_pairs_curve(spec) if n == 1 else flat
     pairs_arrangement = bound_arrangement = None
     lines = spec.line_arrangement
     if lines:  # every point is ordinary: its branches are its multiplicity
@@ -205,11 +203,9 @@ def build_report(spec: HypersurfaceSpec) -> InvariantReport:
     if pairs_arrangement is not None:
         checks.append(_agree("arrangement_agreement", pairs_arrangement, full,
                              "weak-data route equals the curve route"))
-    if weighted is not None and n == 1:
-        checks.append(_agree(
-            "qhm_agreement", boundary.flatten_weights(weighted) + nonunip, full,
-            "weight-resolved route equals the curve route",
-        ))
+    if flat is not None and n == 1:
+        checks.append(_agree("qhm_agreement", flat, full,
+                             "weight-resolved route equals the curve route"))
     checks.append(_agree("bound_consistency", nesting, [], "bounds nest as required"))
     if spec.delta_u is not None:
         u = spec.delta_u

@@ -479,6 +479,17 @@ def bound_table(entries, exact=()) -> BoundTable:
     return BoundTable(den, grouped(kept), exact)
 
 
+def oracle_curve_bound(d: int, r: int) -> BoundTable:
+    """The curve bound of degree d with r components from its definition:
+    j - 1 at (0, 1, j/d) and at its mirror (1, 0, (d - j)/d), and r - 1
+    exact at (1, 1, 0)."""
+    one = (1, 1, Fraction(0))
+    entries = {one: r - 1}
+    for j in range(1, d):
+        entries[(0, 1, Fraction(j, d))] = entries[(1, 0, Fraction(d - j, d))] = j - 1
+    return bound_table(entries, exact=[one])
+
+
 def pair_table(entries=None) -> SpectralPairTable:
     """A SpectralPairTable from {(p, q, alpha): count} literals with exact
     rational alpha, read as a document's rows, so zero counts are dropped

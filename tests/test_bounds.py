@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from helpers import bound_table, oracle_mhat, runs, table_entries
+from helpers import bound_table, oracle_curve_bound, oracle_mhat, runs, table_entries
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +23,7 @@ from specpairs import (
     spectral_bound_complement,
     spectral_bound_curve,
 )
+from specpairs.bounds import _curve_bound, _mhat_excess
 
 THREE_GENERIC_LINES = HypersurfaceSpec(
     n=1, d=3, components=3, singularities=((Ordinary(2), 3),)
@@ -136,6 +137,32 @@ def test_curve_bound_vanishes_at_one_over_d():
         bounds = spectral_bound_curve(HypersurfaceSpec(n=1, d=d, components=1))
         assert bounds.bound_at((0, 1, 1)) == 0  # alpha = 1/d
         assert bounds.bound_at((1, 0, d - 1)) == 0
+
+
+def test_curve_bound_equals_its_definition():
+    for d in range(2, 41):
+        for r in sorted({1, 2, (d + 1) // 2, d}):
+            assert _curve_bound(d, r) == oracle_curve_bound(d, r), (d, r)
+
+
+def test_mhat_excess_equals_the_sum_of_mhat_terms():
+    # over dens that m divides, that share a factor with m, and that are
+    # prime to it: the first multiple of den // gcd(m, den) carries a zero
+    # term exactly when m divides den, and no zero is kept
+    rng = random.Random(39)
+    for _ in range(300):
+        den = rng.randint(1, 60)
+        points = [(rng.randint(1, 30), rng.randint(1, 4))
+                  for _ in range(rng.randint(0, 4))]
+        if rng.random() < 0.3:  # a multiplicity that divides den
+            dividing = [m for m in range(1, den + 1) if den % m == 0]
+            points.append((rng.choice(dividing), 1))
+        expected = {}
+        for k in range(1, den):
+            value = sum(c * (oracle_mhat(m, Fraction(k, den)) - 1) for m, c in points)
+            if value:
+                expected[k] = value
+        assert _mhat_excess(points, den) == expected, (points, den)
 
 
 def test_spectral_bound_arrangement_examples():

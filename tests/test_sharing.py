@@ -14,6 +14,7 @@ from pathlib import Path
 
 from helpers import (
     milnor_dim_closed_form,
+    oracle_curve_bound,
     oracle_table_sum,
     table_at_infinity_from_dims,
     table_entries,
@@ -132,7 +133,7 @@ def test_shared_values_are_never_mutated(monkeypatch, capsys):
         assert germ.alexander == fresh.alexander
     dims = table_at_infinity_from_dims(1, 9, lambda m: milnor_dim_closed_form(1, 9, m))
     assert steenbrink_infinity(1, 9) == dims
-    assert bounds._curve_bound(9, 9) == bounds._curve_shaped_bound(9, [*range(8)], 8)
+    assert bounds._curve_bound(9, 9) == oracle_curve_bound(9, 9)
 
 
 def _fingerprint(table) -> int:
