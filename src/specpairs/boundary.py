@@ -75,11 +75,12 @@ def boundary_pairs_curve(spec: HypersurfaceSpec) -> SpectralPairTable:
     local = spec.derived.local_pair_sum
     den = lcm(local._den, spec.d)
     step = den // local._den
-    upper = {k * step: c for k, c in local._groups.get((0, 1), {}).items() if k}
+    upper = _mhat_excess(((spec.d, 1),), den)
+    for k, c in local._groups.get((0, 1), {}).items():
+        if k:
+            k *= step
+            upper[k] = upper.get(k, 0) + c
     lower = {k * step: c for k, c in local._groups.get((0, 0), {}).items() if k}
-    # the local keys and those of the mhat(d) term are all above 0
-    for k, c in _mhat_excess(((spec.d, 1),), den).items():
-        upper[k] = upper.get(k, 0) + c
     return SpectralPairTable(den, _curve_groups(den, corner, off, upper, lower))
 
 

@@ -206,9 +206,12 @@ def _curve_groups(den: int, corner: int, off: int, upper: dict, lower: dict) -> 
     `off` at (0, 1, 0) and (1, 0, 0); `lower` at (0, 0, k/den) and
     (1, 1, k/den), with `corner` at (0, 0, 0) and (1, 1, 0).  upper and
     lower hold no zero and no k = 0; a zero corner or off is left out, and
-    so is a group left empty.  (0,0) and (1,1) share one group."""
-    into = {0: off, **upper} if off else upper
-    corners = {0: corner, **lower} if corner else lower
-    groups = {(0, 0): corners, (1, 1): corners, (0, 1): into,
-              (1, 0): {-k % den: v for k, v in into.items()}}
+    so is a group left empty.  Takes ownership of upper and lower, and
+    (0,0) and (1,1) share one group."""
+    mirror = {den - k: v for k, v in upper.items()}
+    if off:
+        upper[0] = mirror[0] = off
+    if corner:
+        lower[0] = corner
+    groups = {(0, 0): lower, (1, 1): lower, (0, 1): upper, (1, 0): mirror}
     return {pq: group for pq, group in groups.items() if group}
